@@ -12,7 +12,7 @@ All arithmetic is exact: integers, rationals, and Laurent polynomials with
 rational coefficients.  No floating point is used anywhere.
 """
 
-from fanalg.lattice import IntMatrix, apply, complete_to_basis, primitive, snf
+from fanalg.lattice import IntMatrix, complete_to_basis, primitive, snf
 from fanalg.laurent import (
     LaurentPoly,
     divide_by_binomial,
@@ -62,7 +62,6 @@ __all__ = [
     "snf",
     "primitive",
     "complete_to_basis",
-    "apply",
     "LaurentPoly",
     "divide_by_binomial",
     "divide_by_product",

@@ -30,7 +30,7 @@ from fanalg.diagram import dupont_demo, hom, relation_report, rep_check, validat
 from fanalg.equivariant import ag_structure, associativity_report, inflate, validate_equivariant
 from fanalg.fan import cone_key, covering_pairs, fan_report, projective_line_fan, standard_fan
 from fanalg.laurent import LaurentPoly, binomial
-from fanalg.report import Report
+from fanalg.report import Rejected, Report
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -119,9 +119,8 @@ def cmd_alg_member(args) -> int:
 
 def cmd_alg_mul(args) -> int:
     fan = _load_fan_file(args.fan)
-    check = args.verify == "full"
-    a = serialize.element_from_data(_load_json(args.a), fan, check=check)
-    b = serialize.element_from_data(_load_json(args.b), fan, check=check)
+    a = serialize.element_from_data(_load_json(args.a), fan)
+    b = serialize.element_from_data(_load_json(args.b), fan)
     prod = a * b
     _dump_json(serialize.element_to_data(prod), args.output)
     print("alg mul: SUMMARY: pass")
@@ -206,10 +205,10 @@ def cmd_desc_check(args) -> int:
 def cmd_desc_glue(args) -> int:
     data, fan = _load_with_fan(args.datum)
     d = serialize.descent_from_data(data, fan)
-    rep = check_cocycle(d)
-    if not rep.ok:
-        return _emit(rep, "desc glue")
-    m = glue(d)
+    try:
+        m = glue(d)
+    except Rejected as e:
+        return _emit(e.report, "desc glue")
     _dump_json(serialize.module_to_data(m), args.output)
     print("desc glue: SUMMARY: pass")
     return PASS
@@ -236,7 +235,7 @@ def cmd_equi_present(args) -> int:
 def cmd_equi_structure(args) -> int:
     fan = _load_fan_file(args.fan)
     q = serialize.quotient_from_data(_load_json(args.quotient))
-    s = ag_structure(fan, q, check=False)
+    s = ag_structure(fan, q)
     rep = associativity_report(s, samples=None if len(fan.cones) <= 7 else 200, seed=args.seed)
     for (sigma, tau, rho), c in sorted(s.table.items()):
         print(f"f({cone_key(sigma)}|{cone_key(tau)}) f({cone_key(tau)}|{cone_key(rho)}) = [{c}] f({cone_key(sigma)}|{cone_key(rho)})")
@@ -252,10 +251,10 @@ def cmd_equi_validate(args) -> int:
 def cmd_equi_inflate(args) -> int:
     data, fan = _load_with_fan(args.eqmodule)
     m = serialize.eq_module_from_data(data, fan)
-    rep = validate_equivariant(m)
-    if not rep.ok:
-        return _emit(rep, "equi inflate")
-    out = inflate(m)
+    try:
+        out = inflate(m)
+    except Rejected as e:
+        return _emit(e.report, "equi inflate")
     _dump_json(serialize.module_to_data(out), args.output)
     print("equi inflate: SUMMARY: pass")
     return PASS
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fanalg", description="fan algebras, diagram modules, descent, equivariant base change")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized runs")
     p.add_argument("--trials", type=int, default=100, help="trial count for property runs")
-    p.add_argument("--verify", choices=["fast", "full"], default="full", help="fast skips input membership validation")
     sub = p.add_subparsers(dest="group", required=True)
 
     fan_p = sub.add_parser("fan").add_subparsers(dest="cmd", required=True)

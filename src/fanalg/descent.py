@@ -158,11 +158,10 @@ def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
 
     Every cone takes its space from a chosen containing chart; arrows are
     transported into the chosen representatives through the gluing maps.  The
-    output is validated and its restrictions are isomorphic to the charts.
+    datum is checked once, here (Rejected carries the `check_cocycle` report);
+    the output is validated and its restrictions are isomorphic to the charts.
     """
-    rep = check_cocycle(d)
-    if not rep.ok:
-        raise ValueError("descent datum rejected: " + rep.lines()[0])
+    check_cocycle(d).require("descent datum rejected")
     fan = d.fan
     chart_of = {rho: _chart_of(fan, rho, policy) for rho in fan.cones}
     dims = {rho: d.charts[chart_of[rho]].dims[rho] for rho in fan.cones}
@@ -178,10 +177,11 @@ def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
         v[(tau, sigma)] = back @ d.charts[b].v[(tau, sigma)]
     out = DiagramModule(fan, dims, torus, u, v, nt=next(iter(d.charts.values())).nt if d.charts else fan.rank)
     out_rep = validate(out)
-    assert out_rep.ok, out_rep.render()
+    if not out_rep.ok:
+        raise AssertionError("glued module is invalid:\n" + out_rep.render())
     for sigma in fan.maximal:
-        iso = _restriction_iso(d, out, sigma, chart_of)
-        assert iso, f"glued module does not restrict to the chart at ({cone_key(sigma)})"
+        if not _restriction_iso(d, out, sigma, chart_of):
+            raise AssertionError(f"glued module does not restrict to the chart at ({cone_key(sigma)})")
     return out
 
 

@@ -66,7 +66,7 @@ class DiagramModule:
             full_torus[c] = tuple(mats)
         full_u = {}
         full_v = {}
-        for tau, sigma, _ in _covering(fan):
+        for tau, sigma, _ in covering_pairs(fan):
             key = (tau, sigma)
             full_u[key] = u.get(key, QMat.zero(full_dims[sigma], full_dims[tau]))
             full_v[key] = v.get(key, QMat.zero(full_dims[tau], full_dims[sigma]))
@@ -116,10 +116,6 @@ class DiagramModule:
         return out
 
 
-def _covering(fan: Fan) -> list[tuple[Cone, Cone, int]]:
-    return covering_pairs(fan)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -139,7 +135,7 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
         for j, s in enumerate(mats):
             if s.m != d or s.n != d:
                 rep.add("dim", cone_key(c), f"torus matrix {j + 1} is {s.m}x{s.n}, space has dimension {d}")
-    for tau, sigma, _ in _covering(fan):
+    for tau, sigma, _ in covering_pairs(fan):
         du, dt = m.dims[sigma], m.dims[tau]
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
@@ -160,7 +156,7 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
                 if mats[j] @ mats[k] != mats[k] @ mats[j]:
                     rep.add("A1", cone_key(c), f"torus matrices {j + 1} and {k + 1} do not commute")
 
-    for tau, sigma, _ in _covering(fan):
+    for tau, sigma, _ in covering_pairs(fan):
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
         for j in range(m.nt):
@@ -188,7 +184,7 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
                 if m.v[(rho2, sigma)] @ m.u[(rho, sigma)] != m.u[(tau, rho2)] @ m.v[(tau, rho)]:
                     rep.add("A3", loc, "mixed square does not commute (other orientation)")
 
-    for tau, sigma, ray in _covering(fan):
+    for tau, sigma, ray in covering_pairs(fan):
         w = fan.rays[ray]
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
@@ -272,9 +268,7 @@ class RepCheck:
 
 def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
     """Evaluate random member pairs and compare products and sums of images."""
-    rep = validate(m)
-    if not rep.ok:
-        raise ValueError("invalid module: " + rep.lines()[0])
+    validate(m).require("invalid module")
     rng = random.Random(seed)
     for k in range(trials):
         a = random_member(m.fan, rng)
@@ -441,7 +435,7 @@ def character_module(fan: Fan, values: Sequence[Fraction]) -> DiagramModule:
     torus = {c: tuple(QMat([[x]]) for x in values) for c in fan.cones}
     u = {}
     v = {}
-    for tau, sigma, ray in _covering(fan):
+    for tau, sigma, ray in covering_pairs(fan):
         u[(tau, sigma)] = QMat([[chi(fan.rays[ray]) - 1]])
         v[(tau, sigma)] = QMat([[Fraction(1)]])
     return DiagramModule(fan, dims, torus, u, v)
@@ -486,7 +480,7 @@ def tensor_module(m1: DiagramModule, m2: DiagramModule) -> DiagramModule:
         )
     u = {}
     v = {}
-    for tau, sigma, ray in _covering(fan):
+    for tau, sigma, ray in covering_pairs(fan):
         t1, t2 = split(tau)
         s1, s2 = split(sigma)
         if ray < off:
@@ -527,30 +521,6 @@ def conjugate(m: DiagramModule, gs: Mapping[Cone, QMat]) -> DiagramModule:
     for (tau, sigma), mat in m.v.items():
         v[(tau, sigma)] = full[tau] @ mat @ full[sigma].inverse()
     return DiagramModule(m.fan, dict(m.dims), torus, u, v, nt=m.nt)
-
-
-def random_valid_module(fan: Fan, rng: random.Random, summands: int | None = None, conjugated: bool = True) -> DiagramModule:
-    """Direct sum of random character and point modules, base-changed by
-    random invertibles.  Built constructively, never by rejection on raw data."""
-    cones = fan.cone_list()
-    if summands is None:
-        summands = rng.randint(1, 3)
-    parts = []
-    for _ in range(summands):
-        if rng.randrange(10) < 3:
-            parts.append(point_module(fan, cones[rng.randrange(len(cones))]))
-        else:
-            values = [Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2])) for _ in range(fan.rank)]
-            parts.append(character_module(fan, values))
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    if conjugated:
-        gs = {c: random_invertible(out.dims[c], rng) for c in fan.cones}
-        out = conjugate(out, gs)
-    rep = validate(out)
-    assert rep.ok, rep.render()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,33 +635,6 @@ def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
     return len(maps), maps
 
 
-def find_isomorphism(ma: DiagramModule, mb: DiagramModule, seed: int = 0, attempts: int = 40) -> BlockMap | None:
-    """Invertible intertwiner from seeded rational combinations of a hom basis."""
-    if any(ma.dims[c] != mb.dims[c] for c in ma.fan.cones):
-        return None
-    dim, basis = hom(ma, mb)
-    if dim == 0:
-        return None if ma.total_dim() else identity_map(ma)
-    for f in basis:
-        if f.is_isomorphism():
-            return f
-    rng = random.Random(seed)
-    cones = ma.fan.cone_list()
-    for _ in range(attempts):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
-        blocks = {}
-        for c in cones:
-            acc = QMat.zero(mb.dims[c], ma.dims[c])
-            for x, f in zip(coeffs, basis):
-                if x:
-                    acc = acc + f.blocks[c].scale(x)
-            blocks[c] = acc
-        cand = BlockMap(ma, mb, blocks)
-        if cand.is_isomorphism():
-            return cand
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the corrected-relation counterexample
 
@@ -742,7 +685,8 @@ def dupont_demo(seed: int = 0) -> DupontOutcome:
             continue  # a degenerate module proves nothing
         module = cand
         break
-    assert module is not None, "search for a nondegenerate module failed"
+    if module is None:
+        raise AssertionError("search for a nondegenerate module failed")
 
     def mono_m(tau: Cone, sigma: Cone) -> QMat:
         return QMat.identity(module.dims[tau]) + module.v[(tau, sigma)] @ module.u[(tau, sigma)]

@@ -166,7 +166,8 @@ def _fm_feasible(cons: list[tuple[list[Fraction], Fraction]], nvars: int) -> lis
                 nxt.append((coeffs, b * rp + a * rn))
         cur = nxt
     for coeffs, rhs in cur:
-        assert all(x == 0 for x in coeffs)
+        if any(x != 0 for x in coeffs):
+            raise AssertionError("Fourier-Motzkin elimination left a variable uneliminated")
         if rhs > 0:
             return None
     y = [Fraction(0)] * nvars
@@ -260,7 +261,8 @@ def chart_normalization(fan: Fan, cone: Sequence[int]) -> IntMatrix:
     w = complete_to_basis(vecs, rank=fan.rank)
     beta = w.inverse()
     for j, v in enumerate(vecs):
-        assert beta.apply(v) == tuple(1 if i == j else 0 for i in range(fan.rank))
+        if beta.apply(v) != tuple(1 if i == j else 0 for i in range(fan.rank)):
+            raise AssertionError(f"chart normalization of ({cone_key(c)}) misses ray {j}")
     return beta
 
 

@@ -146,13 +146,10 @@ class IntMatrix:
         out = []
         for row in a:
             vals = row[n:]
-            assert all(x.denominator == 1 for x in vals)
+            if any(x.denominator != 1 for x in vals):
+                raise AssertionError("inverse of a unimodular matrix is not integral")
             out.append(tuple(int(x) for x in vals))
         return IntMatrix(tuple(out), shape=(n, n))
-
-
-def apply(m: IntMatrix, v: Sequence[int]) -> Vec:
-    return m.apply(v)
 
 
 def _row_op(a, t, i, j, q):
@@ -284,8 +281,10 @@ def complete_to_basis(vs: Sequence[Sequence[int]], rank: int | None = None) -> I
     vinv = v.inverse()
     pad = [[vinv[i, j] if i < k and j < k else (1 if i == j else 0) for j in range(rank)] for i in range(rank)]
     w = u.inverse() @ IntMatrix(pad, shape=(rank, rank))
-    assert all(w.column(j) == vecs[j] for j in range(k))
-    assert w.is_unimodular()
+    if any(w.column(j) != vecs[j] for j in range(k)):
+        raise AssertionError("completed basis does not start with the given vectors")
+    if not w.is_unimodular():
+        raise AssertionError("completed basis is not unimodular")
     return w
 
 

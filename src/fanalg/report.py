@@ -3,6 +3,12 @@
 A check never raises on a mathematical failure; it returns a report whose
 findings carry a short code, a location, and a human-readable detail.  Input
 errors (malformed data, mismatched fans) raise ValueError instead.
+
+Each property is checked once, where data enters: entries and files a caller
+passes in, and the input of an operation that needs a valid one, which raises
+Rejected carrying the report.  Results derived from checked data are not
+checked again; the tests assert the theorems that guarantee them.  Guards on
+computed results raise AssertionError explicitly, so they run under python -O.
 """
 
 from __future__ import annotations
@@ -47,3 +53,16 @@ class Report:
 
     def render(self) -> str:
         return "\n".join(self.lines() + [self.summary()])
+
+    def require(self, what: str) -> None:
+        """Raise Rejected, carrying this report, unless it passes."""
+        if not self.ok:
+            raise Rejected(what, self)
+
+
+class Rejected(ValueError):
+    """An operation's input failed its check; `report` holds the findings."""
+
+    def __init__(self, what: str, report: Report):
+        super().__init__(f"{what}: {report.lines()[0]}")
+        self.report = report

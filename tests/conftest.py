@@ -13,7 +13,6 @@ from fanalg.diagram import (
     direct_sum,
     one_ray_module,
     point_module,
-    random_valid_module,
     tensor_module,
     validate,
 )
@@ -26,6 +25,8 @@ from fanalg.fan import (
     standard_fan,
 )
 from fanalg.linalg import QMat, random_invertible
+
+from support import random_valid_module
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,6 @@ from fanalg.descent import check_cocycle, glue, tautological_datum, twisted_datu
 from fanalg.diagram import (
     check_relations,
     dupont_demo,
-    find_isomorphism,
-    random_valid_module,
     relation_report,
     rep_check,
     validate,
@@ -52,6 +50,7 @@ from fanalg.lattice import IntMatrix, snf
 from fanalg.linalg import QMat
 
 from conftest import module_zoo
+from support import find_isomorphism, random_valid_module
 
 
 def announce(num: int, text: str, ok: bool) -> None:
@@ -225,7 +224,7 @@ def test_criterion_7_equivariant_fixtures(c_fan):
             quotient_presentation(characters=[], rank=fan.rank),
             quotient_presentation(q=[[2] + [0] * (fan.rank - 1)]),
         ):
-            s = ag_structure(fan, qd, check=False)
+            s = ag_structure(fan, qd)
             ok = ok and associativity_report(s, samples=None).ok
     announce(7, f"equivariant fixtures incl. {inflated + 1} inflations and exhaustive associativity", ok)
     assert ok

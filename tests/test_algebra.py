@@ -87,14 +87,13 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("fan_name", ["c2_fan", "p1_fan", "p2_fan"])
     def test_closure_on_random_products(self, fan_name, request):
-        # products revalidate the divisibility invariant on construction
+        # closure: products of members are members, though not checked on construction
         fan = request.getfixturevalue(fan_name)
         rng = random.Random(0)
         for _ in range(200):
             a = random_member(fan, rng, density_pct=25)
             b = random_member(fan, rng, density_pct=25)
-            prod = a * b  # raises if closure failed
-            assert membership_report(fan, prod.entries).ok
+            assert membership_report(fan, (a * b).entries).ok
 
     def test_center_commutes(self, p2_fan):
         rng = random.Random(1)

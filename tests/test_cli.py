@@ -2,18 +2,21 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from fanalg import serialize
+from fanalg import cli, descent, equivariant, serialize
 from fanalg.algebra import matrix_unit, random_member
 from fanalg.cli import main
 from fanalg.descent import tautological_datum, twisted_datum
-from fanalg.diagram import DiagramModule, random_valid_module
+from fanalg.diagram import DiagramModule
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.fan import standard_fan
 from fanalg.laurent import binomial
 from fanalg.linalg import QMat
+
+from support import count_calls, find_isomorphism, random_valid_module
 
 
 def run(argv):
@@ -103,15 +106,21 @@ class TestAlgebraCommands:
         assert code == 0
         assert "checked 18 members" in out
 
-    def test_verify_fast_skips_input_validation(self, tmp_path, p2_fan, p2_file):
-        # a non-member input sails through multiplication by zero in fast mode
+    def test_mul_rejects_non_member_input(self, tmp_path, p2_fan, p2_file):
+        # checked where it enters, even though its product with zero is a member
         bad = {"fan": "p2.json", "entries": [{"row": "0,1", "col": "0", "poly": [{"c": "1", "e": [0, 0]}]}]}
         fb = write_json(tmp_path / "bad.json", bad)
         zero = write_json(tmp_path / "zero.json", {"fan": "p2.json", "entries": []})
-        code, _ = run(["--verify", "fast", "alg", "mul", p2_file, fb, zero, "-o", str(tmp_path / "out.json")])
-        assert code == 0
         code, out = run(["alg", "mul", p2_file, fb, zero, "-o", str(tmp_path / "out.json")])
         assert code == 2 and "not a member" in out
+
+    def test_verify_flag_is_gone(self, tmp_path, p2_file, capsys):
+        zero = write_json(tmp_path / "zero.json", {"fan": "p2.json", "entries": []})
+        with pytest.raises(SystemExit) as exc:
+            main(["--verify", "full", "alg", "mul", p2_file, zero, zero])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "fanalg: error:" in err and "Traceback" not in err
 
 
 class TestModuleCommands:
@@ -160,9 +169,30 @@ class TestDescentCommands:
         code, _ = run(["desc", "glue", path, "-o", str(out_path)])
         assert code == 0
         glued = serialize.module_from_data(json.loads(out_path.read_text()), p2_fan)
-        from fanalg.diagram import find_isomorphism
-
         assert find_isomorphism(glued, m) is not None
+
+    def test_glue_checks_cocycle_once(self, tmp_path, p2_fan, monkeypatch):
+        m = random_valid_module(p2_fan, random.Random(3))
+        path = write_json(tmp_path / "d.json", serialize.descent_to_data(tautological_datum(m)))
+        calls = count_calls(monkeypatch, "check_cocycle", descent, cli)
+        code, _ = run(["desc", "glue", path, "-o", str(tmp_path / "glued.json")])
+        assert code == 0 and len(calls) == 1
+
+    def test_glue_reports_cocycle_failure(self, tmp_path, p2_fan, monkeypatch):
+        m = random_valid_module(p2_fan, random.Random(5), summands=2, conjugated=False)
+        data = serialize.descent_to_data(tautological_datum(m))
+        key = next(iter(data["glue"]))
+        rho = next(iter(data["glue"][key]))
+        data["glue"][key][rho] = [str(2 * Fraction(x)) for x in data["glue"][key][rho]]
+        path = write_json(tmp_path / "bad.json", data)
+        code, checked = run(["desc", "check", path])
+        assert code == 1
+        calls = count_calls(monkeypatch, "check_cocycle", descent, cli)
+        out_path = tmp_path / "glued.json"
+        code, glued = run(["desc", "glue", path, "-o", str(out_path)])
+        assert code == 1 and len(calls) == 1 and not out_path.exists()
+        assert glued == checked.replace("desc check:", "desc glue:")
+        assert "SUMMARY: fail" in glued
 
     def test_check_reports_violation(self, tmp_path, p2_fan):
         m = random_valid_module(p2_fan, random.Random(5), summands=2, conjugated=False)
@@ -207,6 +237,41 @@ class TestEquivariantCommands:
         assert code == 0
         plain = serialize.module_from_data(json.loads(out_path.read_text()), c_fan)
         assert plain.torus[()][0] == QMat([[4]])
+
+    def test_inflate_validates_once(self, tmp_path, c_fan, monkeypatch):
+        qd = quotient_presentation(q=[[2]])
+        m = EqDiagramModule(
+            c_fan,
+            qd,
+            {(): 1, (0,): 1},
+            {(): (QMat([[2]]),), (0,): (QMat([[2]]),)},
+            {((), (0,)): QMat([[3]])},
+            {((), (0,)): QMat([[1]])},
+        )
+        path = write_json(tmp_path / "eq.json", serialize.eq_module_to_data(m))
+        calls = count_calls(monkeypatch, "validate_equivariant", equivariant, cli)
+        code, _ = run(["equi", "inflate", path, "-o", str(tmp_path / "plain.json")])
+        assert code == 0 and len(calls) == 1
+
+    def test_inflate_rejects_invalid_module(self, tmp_path, c_fan, monkeypatch):
+        # the scalar 3 is not a square root of 1 + v u = 4
+        qd = quotient_presentation(q=[[2]])
+        m = EqDiagramModule(
+            c_fan,
+            qd,
+            {(): 1, (0,): 1},
+            {(): (QMat([[3]]),), (0,): (QMat([[3]]),)},
+            {((), (0,)): QMat([[3]])},
+            {((), (0,)): QMat([[1]])},
+        )
+        path = write_json(tmp_path / "eq.json", serialize.eq_module_to_data(m))
+        code, validated = run(["equi", "validate", path])
+        assert code == 1
+        calls = count_calls(monkeypatch, "validate_equivariant", equivariant, cli)
+        out_path = tmp_path / "plain.json"
+        code, inflated = run(["equi", "inflate", path, "-o", str(out_path)])
+        assert code == 1 and len(calls) == 1 and not out_path.exists()
+        assert inflated == validated.replace("equi validate:", "equi inflate:")
 
 
 class TestDemos:

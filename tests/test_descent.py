@@ -14,13 +14,13 @@ from fanalg.descent import (
 from fanalg.diagram import (
     DiagramModule,
     character_module,
-    find_isomorphism,
     point_module,
-    random_valid_module,
     validate,
 )
 from fanalg.fan import projective_line_fan
 from fanalg.linalg import QMat
+
+from support import find_isomorphism, random_valid_module
 
 
 class TestRestrict:

@@ -12,13 +12,11 @@ from fanalg.diagram import (
     direct_sum,
     dupont_demo,
     evaluate,
-    find_isomorphism,
     hom,
     identity_map,
     is_morphism,
     one_ray_module,
     point_module,
-    random_valid_module,
     relation_report,
     rep_check,
     tensor_module,
@@ -29,6 +27,7 @@ from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, random_invertible
 
 from conftest import module_zoo, random_one_ray
+from support import find_isomorphism, random_valid_module
 
 
 def simple_c_module():

@@ -4,7 +4,6 @@ import pytest
 
 from fanalg.lattice import (
     IntMatrix,
-    apply,
     complete_to_basis,
     elementary_divisors,
     hnf_rows,
@@ -124,17 +123,17 @@ class TestCompleteToBasis:
 
 class TestApply:
     def test_identity(self):
-        assert apply(IntMatrix.identity(2), (5, -3)) == (5, -3)
+        assert IntMatrix.identity(2).apply((5, -3)) == (5, -3)
 
     def test_shear(self):
-        assert apply(IntMatrix([[1, 0], [-1, 1]]), (1, 1)) == (1, 0)
+        assert IntMatrix([[1, 0], [-1, 1]]).apply((1, 1)) == (1, 0)
 
     def test_swap(self):
-        assert apply(IntMatrix([[0, 1], [1, 0]]), (1, 0)) == (0, 1)
+        assert IntMatrix([[0, 1], [1, 0]]).apply((1, 0)) == (0, 1)
 
     def test_mismatch(self):
         with pytest.raises(ValueError):
-            apply(IntMatrix.identity(2), (1, 2, 3))
+            IntMatrix.identity(2).apply((1, 2, 3))
 
 
 class TestKernelAndHermite:

@@ -1,0 +1,57 @@
+"""The check policy: each property is checked once, where data enters."""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import fanalg
+from fanalg import algebra, serialize
+from fanalg.algebra import AlgebraElement, delta, mu, random_member
+from fanalg.laurent import LaurentPoly
+
+from support import count_calls
+
+
+@pytest.fixture
+def membership_calls(monkeypatch):
+    return count_calls(monkeypatch, "membership_report", algebra)
+
+
+def test_products_of_members_are_not_checked_again(p2_fan, membership_calls):
+    rng = random.Random(0)
+    a = random_member(p2_fan, rng)
+    b = random_member(p2_fan, rng)
+    derived = [a * b, a + b, -a, 3 * a, a.scale(2)]
+    assert all(isinstance(x, AlgebraElement) for x in derived)
+    assert membership_calls == []
+
+
+def test_mu_delta_checks_nothing(p2_fan, membership_calls):
+    rng = random.Random(1)
+    for sigma in p2_fan.maximal:
+        for tau in p2_fan.maximal:
+            x = random_member(p2_fan, rng, row_cone=sigma, col_cone=tau)
+            assert mu(delta(x, sigma, tau)) == x
+    assert membership_calls == []
+
+
+def test_entries_passed_in_are_still_checked(c_fan, membership_calls):
+    bad = {((0,), ()): LaurentPoly.one(1)}
+    with pytest.raises(ValueError, match="not a member"):
+        AlgebraElement(c_fan, bad)
+    data = {"entries": [{"row": "0", "col": "", "poly": [{"c": "1", "e": [0]}]}]}
+    with pytest.raises(ValueError, match="not a member"):
+        serialize.element_from_data(data, c_fan)
+    assert len(membership_calls) == 2
+
+
+def test_result_guards_are_not_assert_statements():
+    # python -O strips assert statements; guards must raise explicitly
+    src = Path(fanalg.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -6,9 +6,10 @@ import pytest
 from fanalg import serialize
 from fanalg.algebra import random_member
 from fanalg.descent import twisted_datum
-from fanalg.diagram import random_valid_module
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.linalg import QMat
+
+from support import random_valid_module
 
 
 class TestFanFormat:
