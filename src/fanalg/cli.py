@@ -28,7 +28,7 @@ from fanalg.algebra import (
 from fanalg.descent import check_cocycle, glue
 from fanalg.diagram import dupont_demo, hom, relation_report, rep_check, validate
 from fanalg.equivariant import ag_structure, associativity_report, inflate, validate_equivariant
-from fanalg.fan import cone_key, covering_pairs, fan_report, projective_line_fan, standard_fan
+from fanalg.fan import build_fan, cone_key, covering_pairs, fan_report, projective_line_fan, standard_fan
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.report import Rejected, Report
 
@@ -77,8 +77,9 @@ def _emit(report: Report, label: str) -> int:
 
 
 def cmd_fan_check(args) -> int:
+    fields = serialize.fan_fields(_load_json(args.fan))  # a malformed file is an input error
     try:
-        fan = _load_fan_file(args.fan)
+        fan = build_fan(*fields)
     except ValueError as e:
         print(f"build\tfan\t{e}")
         print("fan check: SUMMARY: fail (1 finding)")

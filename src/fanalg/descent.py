@@ -160,7 +160,11 @@ def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
     transported into the chosen representatives through the gluing maps.  The
     datum is checked once, here (Rejected carries the `check_cocycle` report);
     the output is validated and its restrictions are isomorphic to the charts.
+    policy picks that chart: "lex_min" or "lex_max" among the maximal cones
+    containing the cone.
     """
+    if policy not in ("lex_min", "lex_max"):
+        raise ValueError(f"unknown chart policy {policy!r}: use 'lex_min' or 'lex_max'")
     check_cocycle(d).require("descent datum rejected")
     fan = d.fan
     chart_of = {rho: _chart_of(fan, rho, policy) for rho in fan.cones}

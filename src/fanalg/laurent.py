@@ -3,9 +3,9 @@
 A polynomial is a finite map from integer exponent vectors to nonzero
 rational coefficients.  Besides the ring structure, the module provides the
 two operations the fan algebra depends on: exact division by binomials
-t^v - 1 for primitive v, done by a unimodular change of coordinates that
-turns the binomial into a univariate factor, and the monomial map induced by
-an integer matrix on exponents.
+t^v - 1 for primitive v, done coset by coset on the exponents e + Zv with no
+change of coordinates, and the monomial map induced by an integer matrix on
+exponents.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from fanalg.lattice import IntMatrix, Vec, complete_to_basis, primitive
+from fanalg.lattice import IntMatrix, Vec, primitive
 
 
 def _coeff(c) -> Fraction:
@@ -188,9 +188,12 @@ def monomial_map(f: LaurentPoly, q: IntMatrix) -> LaurentPoly:
 def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
     """Exact quotient of f by t^v - 1, or None when not divisible.
 
-    A unimodular change of coordinates moves v to the first basis vector, so
-    divisibility reduces to univariate division by t1 - 1: it holds exactly
-    when substituting t1 = 1 kills the polynomial.
+    The exponents fall into cosets e + Zv.  With j the first nonzero
+    coordinate of v, each exponent is base + k*v for k = e[j] // v[j], and
+    base is the same across a coset, so on each coset f is a univariate
+    polynomial in x = t^v.  It is divisible by x - 1 exactly when its
+    coefficients sum to zero, and the quotient's coefficient at base + k*v is
+    minus the running sum of f's coefficients at positions up to k.
     """
     v = tuple(int(x) for x in v)
     if len(v) != f.rank:
@@ -199,34 +202,22 @@ def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
         raise ValueError("no primitive direction")
     if primitive(v) != v:
         raise ValueError(f"vector {v} is not primitive")
-    if f.is_zero():
-        return f
-    w = complete_to_basis([v], rank=f.rank)
-    beta = w.inverse()
-    g = monomial_map(f, beta)
-    # split off the t1 direction: groups keyed by the remaining exponents
-    groups: dict[Vec, dict[int, Fraction]] = {}
-    for e, c in g.terms.items():
-        groups.setdefault(e[1:], {})[e[0]] = c
+    j = next(i for i, x in enumerate(v) if x)
+    cosets: dict[Vec, dict[int, Fraction]] = {}
+    for e, c in f.terms.items():
+        k = e[j] // v[j]
+        cosets.setdefault(tuple(a - k * b for a, b in zip(e, v)), {})[k] = c
     out_terms: list[tuple[Vec, Fraction]] = []
-    for tail, coeffs in groups.items():
-        lo = min(coeffs)
+    for base, coeffs in cosets.items():
         hi = max(coeffs)
-        p = [coeffs.get(k, Fraction(0)) for k in range(lo, hi + 1)]
-        d = len(p) - 1
-        if d == 0:
-            return None  # single power of t1 is never divisible by t1 - 1
-        q = [Fraction(0)] * d
-        q[d - 1] = p[d]
-        for k in range(d - 1, 0, -1):
-            q[k - 1] = p[k] + q[k]
-        if p[0] + q[0] != 0:
+        run = Fraction(0)
+        for k in range(min(coeffs), hi):
+            run += coeffs.get(k, 0)
+            if run:
+                out_terms.append((tuple(a + k * b for a, b in zip(base, v)), -run))
+        if run + coeffs[hi] != 0:
             return None
-        for k, c in enumerate(q):
-            if c != 0:
-                out_terms.append(((k + lo,) + tail, c))
-    quotient = LaurentPoly(f.rank, out_terms)
-    return monomial_map(quotient, w)
+    return LaurentPoly(f.rank, out_terms)
 
 
 def divide_by_product(f: LaurentPoly, vs: Sequence[Sequence[int]]) -> LaurentPoly | None:

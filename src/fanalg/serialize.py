@@ -28,8 +28,52 @@ def fan_to_data(fan: Fan) -> dict:
     }
 
 
+def _expect(ok: bool, x, path: str, what: str):
+    """Return x if ok; otherwise raise a ValueError naming the JSON path."""
+    if not ok:
+        raise ValueError(f"{path}: expected {what}, got {type(x).__name__}")
+    return x
+
+
+def _object(x, path: str) -> Mapping:
+    return _expect(isinstance(x, Mapping), x, path, "an object")
+
+
+def _list(x, path: str) -> list:
+    return _expect(isinstance(x, list), x, path, "a list")
+
+
+def _str(x, path: str) -> str:
+    return _expect(isinstance(x, str), x, path, "a string")
+
+
+def _int(x, path: str) -> int:
+    return _expect(isinstance(x, int) and not isinstance(x, bool), x, path, "an integer")
+
+
+def _int_list(x, path: str) -> list[int]:
+    return [_int(n, f"{path}[{i}]") for i, n in enumerate(_list(x, path))]
+
+
+def _int_rows(x, path: str) -> list[list[int]]:
+    return [_int_list(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path))]
+
+
+def _field(obj: Mapping, key: str, path: str, kind):
+    """obj[key], checked by kind against the JSON path path.key."""
+    if key not in obj:
+        raise ValueError(f"{path}: missing field {key!r}")
+    return kind(obj[key], f"{path}.{key}")
+
+
+def fan_fields(data) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Rank, rays and maximal cones of a fan object, checked for shape only."""
+    obj = _object(data, "$")
+    return (_field(obj, "rank", "$", _int), _field(obj, "rays", "$", _int_rows), _field(obj, "max_cones", "$", _int_rows))
+
+
 def fan_from_data(data: Mapping) -> Fan:
-    return build_fan(int(data["rank"]), data["rays"], data["max_cones"])
+    return build_fan(*fan_fields(data))
 
 
 def _mat_to_data(m: QMat) -> list[str]:
@@ -50,12 +94,21 @@ def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
     }
 
 
+def _poly_records(x, path: str) -> list[Mapping]:
+    recs = [_object(rec, f"{path}[{i}]") for i, rec in enumerate(_list(x, path))]
+    for i, rec in enumerate(recs):
+        _field(rec, "e", f"{path}[{i}]", _int_list)
+    return recs
+
+
 def element_from_data(data: Mapping, fan: Fan, check: bool = True) -> AlgebraElement:
     entries = {}
-    for rec in data["entries"]:
-        sigma = fan.require_cone(parse_cone_key(rec["row"]))
-        tau = fan.require_cone(parse_cone_key(rec["col"]))
-        entries[(sigma, tau)] = poly_from_data(rec["poly"], fan.rank)
+    for i, rec in enumerate(_field(_object(data, "$"), "entries", "$", _list)):
+        path = f"$.entries[{i}]"
+        rec = _object(rec, path)
+        sigma = fan.require_cone(parse_cone_key(_field(rec, "row", path, _str)))
+        tau = fan.require_cone(parse_cone_key(_field(rec, "col", path, _str)))
+        entries[(sigma, tau)] = poly_from_data(_field(rec, "poly", path, _poly_records), fan.rank)
     return AlgebraElement(fan, entries, check=check)
 
 

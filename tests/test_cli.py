@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fanalg
 from fanalg import cli, descent, equivariant, serialize
 from fanalg.algebra import matrix_unit, random_member
 from fanalg.cli import main
@@ -301,3 +306,37 @@ class TestDeterminism:
         runs = [run(["--trials", "4", "alg", "mudelta", p2_file]) for _ in range(2)]
         assert runs[0] == runs[1]
         assert run(["demo", "dupont"]) == run(["demo", "dupont"])
+
+
+class TestMalformedInput:
+    FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+    ENTRY = {"row": "0", "col": "", "poly": [{"c": "1", "e": [1, 0]}]}
+    FANS = {
+        "$.rays": dict(FAN, rays=5),
+        "$.rays[1]": dict(FAN, rays=[[1, 0], 7]),
+        "$.rays[0][1]": dict(FAN, rays=[[1, None], [0, 1]]),
+        "$.max_cones": dict(FAN, max_cones={"0": [0, 1]}),
+        "$.rank": dict(FAN, rank=[2]),
+        "$: expected an object": [FAN],
+    }
+    ELEMENTS = {
+        "$: expected an object": [ENTRY],
+        "$.entries": {"entries": 5},
+        "$.entries[0]": {"entries": [[ENTRY]]},
+        "$.entries[0].row": {"entries": [dict(ENTRY, row=0)]},
+        "$.entries[0].poly": {"entries": [dict(ENTRY, poly={"c": "1"})]},
+        "$.entries[0].poly[0].e": {"entries": [dict(ENTRY, poly=[{"c": "1", "e": 1}])]},
+    }
+
+    def test_exit_2_without_traceback(self, tmp_path):
+        # a subprocess, so that an uncaught exception would show on stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        good = write_json(tmp_path / "fan.json", self.FAN)
+        cases = [(path, ["fan", "check"], data) for path, data in self.FANS.items()]
+        cases += [(path, ["alg", "member", good], data) for path, data in self.ELEMENTS.items()]
+        for i, (path, cmd, data) in enumerate(cases):
+            argv = [sys.executable, "-m", "fanalg.cli", *cmd, write_json(tmp_path / f"case{i}.json", data)]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, (path, proc.stdout, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout.startswith(f"ERROR\tinput\t{path}"), proc.stdout

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import fanalg
-from fanalg import algebra, serialize
-from fanalg.algebra import AlgebraElement, delta, mu, random_member
-from fanalg.laurent import LaurentPoly
+from fanalg import algebra, lattice, laurent, serialize
+from fanalg.algebra import AlgebraElement, delta, mu, random_member, required_rays
+from fanalg.lattice import IntMatrix
+from fanalg.laurent import LaurentPoly, divide_by_product
 
 from support import count_calls
 
@@ -45,6 +46,24 @@ def test_entries_passed_in_are_still_checked(c_fan, membership_calls):
     with pytest.raises(ValueError, match="not a member"):
         serialize.element_from_data(data, c_fan)
     assert len(membership_calls) == 2
+
+
+def test_division_makes_no_lattice_calls(p2_fan, f1_fan, monkeypatch):
+    counters = [
+        count_calls(monkeypatch, "snf", lattice),
+        count_calls(monkeypatch, "complete_to_basis", lattice),
+        count_calls(monkeypatch, "inverse", IntMatrix),
+        count_calls(monkeypatch, "monomial_map", laurent),
+    ]
+    divided = 0
+    for fan, seed in ((p2_fan, 2), (f1_fan, 3)):
+        x = random_member(fan, random.Random(seed), density_pct=100)
+        for (sigma, tau), poly in x.entries.items():
+            rays = [fan.rays[i] for i in required_rays(sigma, tau)]
+            assert divide_by_product(poly, rays) is not None
+            divided += len(rays)
+    assert divided > 0
+    assert sum(counters, []) == []
 
 
 def test_result_guards_are_not_assert_statements():

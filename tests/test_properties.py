@@ -1,9 +1,11 @@
 """Properties over generated inputs for the theorems the library relies on
 instead of checking derived results again: closure of the algebra, the
-splitting mu(delta(x)) = x, and associativity of the base-changed algebra."""
+splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
+and exact division by t^v - 1, against a sympy oracle when sympy is present."""
 
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from fanalg.algebra import delta, idempotent, membership_report, mu, random_member, transport, unit
 from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
-from fanalg.lattice import IntMatrix
+from fanalg.lattice import IntMatrix, primitive
+from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -29,6 +32,23 @@ SWAP = IntMatrix([[0, 1], [1, 0]])
 fan_names = st.sampled_from(sorted(FANS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+nonzero_scalars = scalars.filter(bool)
+
+
+@st.composite
+def primitive_vectors(draw):
+    """A primitive vector of rank 1-3 with entries in [-3, 3]."""
+    v = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    assume(any(v))
+    return primitive(v)
+
+
+def exponents(rank):
+    return st.tuples(*[st.integers(-3, 3)] * rank)
+
+
+def polys(rank):
+    return st.dictionaries(exponents(rank), scalars, max_size=5).map(lambda d: LaurentPoly(rank, d))
 
 
 @SETTINGS
@@ -87,3 +107,47 @@ def test_structure_constants_associative(name, rows, entries):
     except ValueError:
         assume(False)  # not of full row rank
     assert associativity_report(ag_structure(fan, qd), samples=None).ok
+
+
+@SETTINGS
+@given(primitive_vectors(), st.data())
+def test_division_undoes_multiplication(v, data):
+    g = data.draw(polys(len(v)))
+    assert divide_by_binomial(binomial(v) * g, v) == g
+
+
+@SETTINGS
+@given(primitive_vectors(), st.data())
+def test_division_rejects_a_stray_term(v, data):
+    g = data.draw(polys(len(v)))
+    stray = LaurentPoly.monomial(data.draw(exponents(len(v))), data.draw(nonzero_scalars))
+    assert divide_by_binomial(binomial(v) * g + stray, v) is None
+
+
+@SETTINGS
+@given(primitive_vectors(), st.data())
+def test_division_agrees_with_sympy(v, data):
+    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+    rank = len(v)
+    f = data.draw(polys(rank))
+    if data.draw(st.booleans()):
+        f = binomial(v) * f
+    ts = sympy.symbols(f"t1:{rank + 1}")
+
+    def to_sympy(p: LaurentPoly, shift) -> "sympy.Poly":
+        """t^shift * p, which must have no negative exponent, as a sympy polynomial."""
+        expr = sympy.Integer(0)
+        for e, c in p.terms.items():
+            expr += sympy.Rational(c.numerator, c.denominator) * sympy.prod([t ** (a + b) for t, a, b in zip(ts, e, shift)])
+        return sympy.Poly(expr, *ts, domain="QQ")
+
+    # t^v - 1 = t^-vminus * (t^vplus - t^vminus); t^m * f has no negative exponent
+    vminus = tuple(max(-x, 0) for x in v)
+    m = tuple(-min([0] + [e[i] for e in f.terms]) for i in range(rank))
+    divisor = to_sympy(LaurentPoly(rank, {tuple(max(x, 0) for x in v): Fraction(1), vminus: Fraction(-1)}), (0,) * rank)
+    q, r = sympy.div(to_sympy(f, m), divisor)
+    ours = divide_by_binomial(f, v)
+    assert r.is_zero == (ours is not None)
+    if ours is not None:
+        # sympy's quotient is t^(m - vminus) times the Laurent quotient
+        assert q == to_sympy(ours, tuple(a - b for a, b in zip(m, vminus)))
