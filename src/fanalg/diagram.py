@@ -121,7 +121,8 @@ class DiagramModule:
 
 
 def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None) -> Report:
-    """Check A1 to A4; dimension problems short-circuit the axiom checks."""
+    """Check A1 to A4; dimension problems and singular torus matrices
+    short-circuit the checks after them."""
     fan = m.fan
     rep = Report()
     for c in fan.cone_list():
@@ -147,10 +148,14 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
         return rep
 
     for c in fan.cone_list():
-        mats = m.torus[c]
-        for j, s in enumerate(mats):
+        for j, s in enumerate(m.torus[c]):
             if not s.is_invertible():
                 rep.add("A1", cone_key(c), f"torus matrix {j + 1} is singular")
+    if not rep.ok:
+        return rep  # A4 inverts torus matrices for rays with negative coordinates
+
+    for c in fan.cone_list():
+        mats = m.torus[c]
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
                 if mats[j] @ mats[k] != mats[k] @ mats[j]:
@@ -257,28 +262,34 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
 
 
 @dataclass
-class RepCheck:
-    ok: bool
-    trials: int
-    failure: str | None = None
+class RepCheck(Report):
+    """A representation-check report with the number of trials run."""
 
-    def __bool__(self) -> bool:
-        return self.ok
+    trials: int = 0
+
+    @property
+    def failure(self) -> str | None:
+        return self.findings[0].detail if self.findings else None
 
 
 def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
-    """Evaluate random member pairs and compare products and sums of images."""
+    """Evaluate random member pairs and compare products and sums of images;
+    the first failing trial is the one finding."""
     validate(m).require("invalid module")
     rng = random.Random(seed)
+    rep = RepCheck()
     for k in range(trials):
+        rep.trials = k + 1
         a = random_member(m.fan, rng)
         b = random_member(m.fan, rng)
         ea, eb = evaluate(a, m), evaluate(b, m)
         if evaluate(a * b, m) != ea @ eb:
-            return RepCheck(False, k + 1, f"trial {k}: evaluate(a*b) != evaluate(a) @ evaluate(b) for a={a}, b={b}")
+            rep.add("repcheck", "module", f"trial {k}: evaluate(a*b) != evaluate(a) @ evaluate(b) for a={a}, b={b}")
+            break
         if evaluate(a + b, m) != ea + eb:
-            return RepCheck(False, k + 1, f"trial {k}: evaluate(a+b) != evaluate(a) + evaluate(b) for a={a}, b={b}")
-    return RepCheck(True, trials)
+            rep.add("repcheck", "module", f"trial {k}: evaluate(a+b) != evaluate(a) + evaluate(b) for a={a}, b={b}")
+            break
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +558,20 @@ def identity_map(m: DiagramModule) -> BlockMap:
     return BlockMap(m, m, {c: QMat.identity(m.dims[c]) for c in m.fan.cones})
 
 
+def _intertwining(ma: DiagramModule, mb: DiagramModule):
+    """The equations f_x a = b f_y on a map f from ma to mb, as (x, y, a, b):
+    the torus matrices per cone, then u and v per covering pair."""
+    for c in ma.fan.cone_list():
+        for sa, sb in zip(ma.torus[c], mb.torus[c]):
+            yield c, c, sa, sb
+    for tau, sigma in ma.u:
+        yield sigma, tau, ma.u[(tau, sigma)], mb.u[(tau, sigma)]
+        yield tau, sigma, ma.v[(tau, sigma)], mb.v[(tau, sigma)]
+
+
 def is_morphism(f: BlockMap) -> bool:
     """Blocks intertwine torus matrices and both arrow families."""
-    a, b = f.source, f.target
-    for c in a.fan.cones:
-        for sa, sb in zip(a.torus[c], b.torus[c]):
-            if f.blocks[c] @ sa != sb @ f.blocks[c]:
-                return False
-    for key in a.u:
-        tau, sigma = key
-        if f.blocks[sigma] @ a.u[key] != b.u[key] @ f.blocks[tau]:
-            return False
-        if f.blocks[tau] @ a.v[key] != b.v[key] @ f.blocks[sigma]:
-            return False
-    return True
+    return all(f.blocks[x] @ a == b @ f.blocks[y] for x, y, a, b in _intertwining(f.source, f.target))
 
 
 def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
@@ -581,40 +592,14 @@ def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
         # entry (p, q) of the block at cone c, block shape (dims_b, dims_a)
         return offs[c] + p * ma.dims[c] + q
 
-    def add_commute(c: Cone, sa: QMat, sb: QMat) -> None:
-        db, da = mb.dims[c], ma.dims[c]
-        for p in range(db):
-            for q in range(da):
+    for x, y, a, b in _intertwining(ma, mb):
+        for p in range(mb.dims[x]):
+            for q in range(ma.dims[y]):
                 row = [Fraction(0)] * nvars
-                for r in range(da):
-                    row[var(c, p, r)] += sa.rows[r][q]
-                for r in range(db):
-                    row[var(c, r, q)] -= sb.rows[p][r]
-                rows.append(row)
-
-    for c in cones:
-        for sa, sb in zip(ma.torus[c], mb.torus[c]):
-            add_commute(c, sa, sb)
-    for (tau, sigma) in ma.u:
-        ua, ub = ma.u[(tau, sigma)], mb.u[(tau, sigma)]
-        va, vb = ma.v[(tau, sigma)], mb.v[(tau, sigma)]
-        # f_sigma u_a = u_b f_tau
-        for p in range(mb.dims[sigma]):
-            for q in range(ma.dims[tau]):
-                row = [Fraction(0)] * nvars
-                for r in range(ma.dims[sigma]):
-                    row[var(sigma, p, r)] += ua.rows[r][q]
-                for r in range(mb.dims[tau]):
-                    row[var(tau, r, q)] -= ub.rows[p][r]
-                rows.append(row)
-        # f_tau v_a = v_b f_sigma
-        for p in range(mb.dims[tau]):
-            for q in range(ma.dims[sigma]):
-                row = [Fraction(0)] * nvars
-                for r in range(ma.dims[tau]):
-                    row[var(tau, p, r)] += va.rows[r][q]
-                for r in range(mb.dims[sigma]):
-                    row[var(sigma, r, q)] -= vb.rows[p][r]
+                for r in range(ma.dims[x]):
+                    row[var(x, p, r)] += a.rows[r][q]
+                for r in range(mb.dims[y]):
+                    row[var(y, r, q)] -= b.rows[p][r]
                 rows.append(row)
 
     if nvars == 0:

@@ -11,13 +11,13 @@ the other, and vanishes precisely on the span of the common rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from fanalg.lattice import IntMatrix, Vec, complete_to_basis, elementary_divisors, primitive
 from fanalg.linalg import QMat, nullspace
+from fanalg.report import Report
 
 Cone = tuple[int, ...]
 
@@ -139,16 +139,6 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[
     return Fan(rank, rays, frozenset(cones), maximal)
 
 
-@dataclass
-class FanCheck:
-    ok: bool
-    verified: bool
-    witness: tuple[Cone, Cone] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _fm_feasible(cons: list[tuple[list[Fraction], Fraction]], nvars: int) -> list[Fraction] | None:
     """Solve the system {coeffs . y >= rhs} by Fourier-Motzkin; None if infeasible."""
     stages = []
@@ -225,18 +215,23 @@ def separating_functional(fan: Fan, sigma: Cone, tau: Cone) -> list[Fraction] | 
     return [sum(y[b] * basis[b][j] for b in range(m)) for j in range(n)]
 
 
-def fan_report(fan: Fan) -> FanCheck:
-    """Verify the fan axiom pairwise on maximal cones.
+def fan_report(fan: Fan) -> Report:
+    """Verify the fan axiom pairwise on maximal cones; the first pair that
+    fails is the one finding.
 
-    Large inputs are accepted unverified: polyhedral separation is peripheral
-    to the algebraic core and only exercised at desk scale.
+    Large inputs pass with the verification recorded as skipped: polyhedral
+    separation is peripheral to the algebraic core and only exercised at
+    desk scale.
     """
+    rep = Report()
     if fan.rank > _VERIFY_MAX_RANK or len(fan.cones) > _VERIFY_MAX_CONES:
-        return FanCheck(ok=True, verified=False)
+        rep.skip("pairwise cone intersections not fully verified at this size")
+        return rep
     for sigma, tau in combinations(fan.maximal, 2):
         if separating_functional(fan, sigma, tau) is None:
-            return FanCheck(ok=False, verified=True, witness=(sigma, tau))
-    return FanCheck(ok=True, verified=True)
+            rep.add("fan", f"({cone_key(sigma)})&({cone_key(tau)})", "cones do not meet along a common face")
+            break
+    return rep
 
 
 def is_fan(fan: Fan) -> bool:

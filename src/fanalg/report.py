@@ -2,7 +2,9 @@
 
 A check never raises on a mathematical failure; it returns a report whose
 findings carry a short code, a location, and a human-readable detail.  Input
-errors (malformed data, mismatched fans) raise ValueError instead.
+errors (malformed data, mismatched fans) raise ValueError instead.  Work a
+check leaves unverified, such as a sampled or size-capped run, is listed in
+`skipped`; a skip is not a failure.
 
 Each property is checked once, where data enters: entries and files a caller
 passes in, and the input of an operation that needs a valid one, which raises
@@ -29,6 +31,7 @@ class Finding:
 @dataclass
 class Report:
     findings: list[Finding] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -40,8 +43,13 @@ class Report:
     def add(self, code: str, location: str, detail: str) -> None:
         self.findings.append(Finding(code, location, detail))
 
+    def skip(self, what: str) -> None:
+        """Record work this check did not verify; `ok` is unchanged."""
+        self.skipped.append(what)
+
     def extend(self, other: "Report") -> None:
         self.findings.extend(other.findings)
+        self.skipped.extend(other.skipped)
 
     def lines(self) -> list[str]:
         return [f.line() for f in sorted(self.findings, key=lambda f: (f.code, f.location))]

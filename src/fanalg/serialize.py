@@ -66,6 +66,19 @@ def _field(obj: Mapping, key: str, path: str, kind):
     return kind(obj[key], f"{path}.{key}")
 
 
+def _members(x, path: str) -> list[tuple[str, Any, str]]:
+    """(name, value, JSON path of the value) for each member of an object."""
+    return [(name, value, f'{path}["{name}"]') for name, value in _object(x, path).items()]
+
+
+def _cone_pair(name: str, path: str) -> tuple[str, str]:
+    """The two cone keys of a "cone|cone" member name."""
+    parts = name.split("|")
+    if len(parts) != 2:
+        raise ValueError(f'{path}: expected a name of the form "cone|cone"')
+    return parts[0], parts[1]
+
+
 def fan_fields(data) -> tuple[int, list[list[int]], list[list[int]]]:
     """Rank, rays and maximal cones of a fan object, checked for shape only."""
     obj = _object(data, "$")
@@ -76,12 +89,21 @@ def fan_from_data(data: Mapping) -> Fan:
     return build_fan(*fan_fields(data))
 
 
+def fan_slot(data) -> Mapping | str:
+    """The "fan" field of a module, descent or equivariant file: a fan object
+    or the path of a fan file."""
+    def fan_or_path(x, path: str):
+        return _expect(isinstance(x, (Mapping, str)), x, path, "an object or a path")
+
+    return _field(_object(data, "$"), "fan", "$", fan_or_path)
+
+
 def _mat_to_data(m: QMat) -> list[str]:
     return [str(x) for x in m.flat()]
 
 
-def _mat_from_data(flat, rows: int, cols: int) -> QMat:
-    return QMat.from_flat(rows, cols, [Fraction(str(x)) for x in flat])
+def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
+    return QMat.from_flat(rows, cols, [Fraction(str(x)) for x in _list(flat, path)])
 
 
 def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
@@ -127,34 +149,35 @@ def module_to_data(m: DiagramModule, fan_data: Any | None = None) -> dict:
     return out
 
 
-def _module_parts(data: Mapping, fan: Fan, nt: int):
+def _module_parts(data, fan: Fan, nt: int, path: str):
+    obj = _object(data, path)
     dims = {}
-    for key, d in data.get("spaces", {}).items():
-        dims[fan.require_cone(parse_cone_key(key))] = int(d)
+    for key, d, at in _members(obj.get("spaces", {}), f"{path}.spaces"):
+        dims[fan.require_cone(parse_cone_key(key))] = _int(d, at)
     torus = {}
-    for key, mats in data.get("torus", {}).items():
+    for key, mats, at in _members(obj.get("torus", {}), f"{path}.torus"):
         c = fan.require_cone(parse_cone_key(key))
         d = dims.get(c, 0)
-        if len(mats) != nt:
-            raise ValueError(f"cone ({key}) carries {len(mats)} torus matrices, expected {nt}")
-        torus[c] = tuple(_mat_from_data(flat, d, d) for flat in mats)
+        if len(_list(mats, at)) != nt:
+            raise ValueError(f"{at}: expected {nt} torus matrices, got {len(mats)}")
+        torus[c] = tuple(_mat_from_data(flat, d, d, f"{at}[{i}]") for i, flat in enumerate(mats))
     u = {}
-    for key, flat in data.get("u", {}).items():
-        tau_k, sigma_k = key.split("|")
+    for key, flat, at in _members(obj.get("u", {}), f"{path}.u"):
+        tau_k, sigma_k = _cone_pair(key, at)
         tau = fan.require_cone(parse_cone_key(tau_k))
         sigma = fan.require_cone(parse_cone_key(sigma_k))
-        u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0))
+        u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0), at)
     v = {}
-    for key, flat in data.get("v", {}).items():
-        sigma_k, tau_k = key.split("|")
+    for key, flat, at in _members(obj.get("v", {}), f"{path}.v"):
+        sigma_k, tau_k = _cone_pair(key, at)
         sigma = fan.require_cone(parse_cone_key(sigma_k))
         tau = fan.require_cone(parse_cone_key(tau_k))
-        v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0))
+        v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0), at)
     return dims, torus, u, v
 
 
 def module_from_data(data: Mapping, fan: Fan) -> DiagramModule:
-    dims, torus, u, v = _module_parts(data, fan, fan.rank)
+    dims, torus, u, v = _module_parts(data, fan, fan.rank, "$")
     return DiagramModule(fan, dims, torus, u, v)
 
 
@@ -162,19 +185,24 @@ def quotient_to_data(q: QuotientData) -> dict:
     return {"Q": [list(r) for r in q.q.entries] if q.q.rows else [], "rank": q.q.cols}
 
 
-def quotient_from_data(data: Mapping) -> QuotientData:
-    if "Q" in data:
-        rows = data["Q"]
-        rank = data.get("rank")
+def _quotient(data, path: str) -> QuotientData:
+    obj = _object(data, path)
+    rank = _field(obj, "rank", path, _int) if "rank" in obj else None
+    if "Q" in obj:
+        rows = _field(obj, "Q", path, _int_rows)
         if rank is None and not rows:
             raise ValueError("empty Q needs an explicit rank")
         if rank is None:
             rank = len(rows[0])
-        mat = IntMatrix([tuple(int(x) for x in r) for r in rows], shape=(len(rows), int(rank)))
+        mat = IntMatrix([tuple(r) for r in rows], shape=(len(rows), rank))
         return quotient_presentation(q=mat)
-    if "characters" in data:
-        return quotient_presentation(characters=data["characters"], rank=data.get("rank"))
+    if "characters" in obj:
+        return quotient_presentation(characters=_field(obj, "characters", path, _int_rows), rank=rank)
     raise ValueError("quotient data needs a Q matrix or characters")
+
+
+def quotient_from_data(data: Mapping) -> QuotientData:
+    return _quotient(data, "$")
 
 
 def eq_module_to_data(m: EqDiagramModule, fan_data: Any | None = None) -> dict:
@@ -187,8 +215,8 @@ def eq_module_to_data(m: EqDiagramModule, fan_data: Any | None = None) -> dict:
 
 
 def eq_module_from_data(data: Mapping, fan: Fan) -> EqDiagramModule:
-    quotient = quotient_from_data(data["quotient"])
-    dims, torus, u, v = _module_parts(data, fan, quotient.target_rank)
+    quotient = _field(_object(data, "$"), "quotient", "$", _quotient)
+    dims, torus, u, v = _module_parts(data, fan, quotient.target_rank, "$")
     return EqDiagramModule(fan, quotient, dims, torus, u, v)
 
 
@@ -207,20 +235,23 @@ def descent_to_data(d: DescentDatum, fan_data: Any | None = None) -> dict:
 
 
 def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
+    obj = _object(data, "$")
     charts = {}
-    for key, body in data["charts"].items():
+    for key, body, at in _members(_field(obj, "charts", "$", _object), "$.charts"):
         sigma = fan.require_cone(parse_cone_key(key))
         sub = fan.subfan(sigma)
-        dims, torus, u, v = _module_parts(body, sub, fan.rank)
+        dims, torus, u, v = _module_parts(body, sub, fan.rank, at)
         charts[sigma] = DiagramModule(sub, dims, torus, u, v)
     glue_maps: dict[tuple[Cone, Cone], dict[Cone, QMat]] = {}
-    for key, blocks in data.get("glue", {}).items():
-        sig_k, tau_k = key.split("|")
+    for key, blocks, at in _members(obj.get("glue", {}), "$.glue"):
+        sig_k, tau_k = _cone_pair(key, at)
         sigma = fan.require_cone(parse_cone_key(sig_k))
         tau = fan.require_cone(parse_cone_key(tau_k))
+        if sigma not in charts or tau not in charts:
+            raise ValueError(f"{at}: glues a cone that has no chart")
         out = {}
-        for rho_k, flat in blocks.items():
+        for rho_k, flat, block_at in _members(blocks, at):
             rho = fan.require_cone(parse_cone_key(rho_k))
-            out[rho] = _mat_from_data(flat, charts[tau].dims.get(rho, 0), charts[sigma].dims.get(rho, 0))
+            out[rho] = _mat_from_data(flat, charts[tau].dims.get(rho, 0), charts[sigma].dims.get(rho, 0), block_at)
         glue_maps[(sigma, tau)] = out
     return DescentDatum(fan, charts, glue_maps)

@@ -15,7 +15,7 @@ from fanalg import cli, descent, equivariant, serialize
 from fanalg.algebra import matrix_unit, random_member
 from fanalg.cli import main
 from fanalg.descent import tautological_datum, twisted_datum
-from fanalg.diagram import DiagramModule
+from fanalg.diagram import DiagramModule, character_module
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.fan import standard_fan
 from fanalg.laurent import binomial
@@ -136,6 +136,13 @@ class TestModuleCommands:
         assert code == 0 and "SUMMARY: pass" in out
         code, out = run(["--trials", "3", "mod", "repcheck", path])
         assert code == 0 and "checked 3 random element pairs" in out
+
+    def test_singular_torus_matrix_is_an_a1_finding(self, tmp_path, p1_fan):
+        m = character_module(p1_fan, (Fraction(2),))
+        m = DiagramModule(p1_fan, m.dims, {**m.torus, (): (QMat([[0]]),)}, m.u, m.v)
+        path = write_json(tmp_path / "singular.json", serialize.module_to_data(m))
+        code, out = run(["mod", "validate", path])
+        assert (code, out) == (1, "A1\t\ttorus matrix 1 is singular\nmod validate: SUMMARY: fail (1 finding)\n")
 
     def test_validate_failure(self, tmp_path, c_fan):
         m = DiagramModule(
@@ -328,12 +335,53 @@ class TestMalformedInput:
         "$.entries[0].poly[0].e": {"entries": [dict(ENTRY, poly=[{"c": "1", "e": 1}])]},
     }
 
+    MODULE = {"fan": FAN, "spaces": {"": 1}}
+    MODULES = {
+        "$: expected an object": [MODULE],
+        "$: missing field 'fan'": {"spaces": {"": 1}},
+        "$.fan": dict(MODULE, fan=5),
+        "$.spaces": dict(MODULE, spaces=5),
+        '$.spaces[""]': dict(MODULE, spaces={"": "1"}),
+        '$.torus[""]': dict(MODULE, torus={"": 5}),
+        '$.torus[""][0]': dict(MODULE, torus={"": [5, ["1"]]}),
+        '$.u["0"]': dict(MODULE, u={"0": []}),
+        '$.v["0,1|0|"]': dict(MODULE, v={"0,1|0|": []}),
+        '$.u["|0"]': dict(MODULE, u={"|0": "1"}),
+    }
+    DATUM = {"fan": FAN, "charts": {"0,1": {"spaces": {"": 1}}}}
+    DATA = {
+        "$: expected an object": [DATUM],
+        "$: missing field 'charts'": {"fan": FAN},
+        "$.charts": dict(DATUM, charts=[]),
+        '$.charts["0,1"]': dict(DATUM, charts={"0,1": 5}),
+        '$.charts["0,1"].spaces': dict(DATUM, charts={"0,1": {"spaces": 5}}),
+        "$.glue": dict(DATUM, glue=[]),
+        '$.glue["0,1"]': dict(DATUM, glue={"0,1": {}}),
+        '$.glue["0,1|0"]': dict(DATUM, glue={"0,1|0": {}}),
+        '$.glue["0,1|0,1"]': dict(DATUM, glue={"0,1|0,1": 5}),
+        '$.glue["0,1|0,1"][""]': dict(DATUM, glue={"0,1|0,1": {"": 5}}),
+    }
+    EQMODULE = dict(MODULE, quotient={"Q": [[1, 0], [0, 1]]})
+    EQMODULES = {
+        "$: expected an object": [EQMODULE],
+        "$: missing field 'quotient'": MODULE,
+        "$.quotient": dict(EQMODULE, quotient=5),
+        "$.quotient.Q": dict(EQMODULE, quotient={"Q": 5}),
+        "$.quotient.Q[0][1]": dict(EQMODULE, quotient={"Q": [[1, None]]}),
+        "$.quotient.rank": dict(EQMODULE, quotient={"Q": [], "rank": "2"}),
+        "$.quotient.characters[0]": dict(EQMODULE, quotient={"characters": [5]}),
+        '$.u["0,1"]': dict(EQMODULE, u={"0,1": []}),
+    }
+
     def test_exit_2_without_traceback(self, tmp_path):
         # a subprocess, so that an uncaught exception would show on stderr
         env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
         good = write_json(tmp_path / "fan.json", self.FAN)
         cases = [(path, ["fan", "check"], data) for path, data in self.FANS.items()]
         cases += [(path, ["alg", "member", good], data) for path, data in self.ELEMENTS.items()]
+        cases += [(path, ["mod", "validate"], data) for path, data in self.MODULES.items()]
+        cases += [(path, ["desc", "check"], data) for path, data in self.DATA.items()]
+        cases += [(path, ["equi", "validate"], data) for path, data in self.EQMODULES.items()]
         for i, (path, cmd, data) in enumerate(cases):
             argv = [sys.executable, "-m", "fanalg.cli", *cmd, write_json(tmp_path / f"case{i}.json", data)]
             proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanalg import diagram
 from fanalg.algebra import central, matrix_unit, random_member, unit
 from fanalg.diagram import (
     DiagramModule,
@@ -25,6 +26,7 @@ from fanalg.diagram import (
 from fanalg.fan import standard_fan
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, random_invertible
+from fanalg.report import Report
 
 from conftest import module_zoo, random_one_ray
 from support import find_isomorphism, random_valid_module
@@ -79,6 +81,13 @@ class TestValidate:
         m2 = DiagramModule(c_fan, m.dims, {(): (QMat([[0]]),), (0,): (QMat.zero(0, 0),)}, {}, {})
         rep = validate(m2)
         assert any(f.code == "A1" for f in rep.findings)
+
+    def test_singular_torus_matrix_stops_before_a4(self, p1_fan):
+        # A4 inverts the zero-cone torus matrix for the ray (-1,)
+        m = character_module(p1_fan, (Fraction(2),))
+        m = DiagramModule(p1_fan, m.dims, {**m.torus, (): (QMat([[0]]),)}, m.u, m.v)
+        rep = validate(m)
+        assert [f.line() for f in rep.findings] == ["A1\t\ttorus matrix 1 is singular"]
 
     def test_zoo_validity(self, c_fan, c2_fan, p1_fan, p2_fan):
         rng = random.Random(0)
@@ -169,6 +178,20 @@ class TestRepCheck:
         )
         with pytest.raises(ValueError, match="invalid module"):
             rep_check(m)
+
+    def test_result_is_a_report(self, p2_fan):
+        out = rep_check(point_module(p2_fan, (0, 1)), trials=3)
+        assert isinstance(out, Report) and out.ok
+        assert (out.trials, out.failure, out.skipped) == (3, None, [])
+
+    def test_first_failing_trial_is_the_finding(self, c_fan, monkeypatch):
+        # an evaluation that is not multiplicative: the k-th call gives k * id
+        calls = iter(range(1, 1000))
+        monkeypatch.setattr(diagram, "evaluate", lambda x, m: QMat.identity(m.total_dim()).scale(next(calls)))
+        out = rep_check(simple_c_module(), trials=5)
+        assert not out.ok and out.trials == 1
+        assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]
+        assert out.failure.startswith("trial 0: evaluate(a*b) != evaluate(a) @ evaluate(b)")
 
 
 class TestRelations:

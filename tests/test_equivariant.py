@@ -117,6 +117,12 @@ class TestStructure:
         s = ag_structure(f1_fan, qd)
         assert associativity_report(s, samples=150).ok
 
+    def test_sampling_is_recorded_as_a_skip(self, p2_fan, f1_fan):
+        qd = quotient_presentation(q=[[1, 2]])
+        sampled = associativity_report(ag_structure(f1_fan, qd), samples=20)
+        assert sampled.ok and sampled.skipped == ["associativity checked on 20 sampled basis 4-tuples of 6561"]
+        assert associativity_report(ag_structure(p2_fan, qd), samples=None).skipped == []
+
     def test_multiply_in_basis(self, c_fan):
         q = quotient_presentation(q=[[2]])
         s = ag_structure(c_fan, q)

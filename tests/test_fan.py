@@ -13,6 +13,7 @@ from fanalg.fan import (
     standard_fan,
 )
 from fanalg.lattice import IntMatrix
+from fanalg.report import Report
 
 
 class TestBuild:
@@ -54,7 +55,7 @@ class TestBuild:
 class TestIsFan:
     def test_projective_plane(self, p2_fan):
         rep = fan_report(p2_fan)
-        assert rep.ok and rep.verified
+        assert rep.ok and rep.skipped == []
 
     def test_single_chart(self, c_fan):
         assert is_fan(c_fan)
@@ -64,7 +65,7 @@ class TestIsFan:
         bad = build_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
         rep = fan_report(bad)
         assert not rep.ok
-        assert rep.witness == ((0, 1), (0, 2))
+        assert rep.findings[0].location == "(0,1)&(0,2)"
 
     def test_cones_meeting_only_at_origin(self):
         # no shared ray: the cones still meet along a common face (the origin)
@@ -75,7 +76,7 @@ class TestIsFan:
         # the ray (1,0) of the first cone pierces the interior of the second
         bad = build_fan(2, [(1, 0), (0, 1), (0, -1), (1, 1)], [(0, 1), (2, 3)])
         rep = fan_report(bad)
-        assert not rep.ok and rep.witness == ((0, 1), (2, 3))
+        assert not rep.ok and rep.findings[0].location == "(0,1)&(2,3)"
 
     def test_shared_ray_proper_fan(self):
         f = build_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
@@ -83,6 +84,11 @@ class TestIsFan:
 
     def test_products(self, p1xp1_fan, f1_fan):
         assert is_fan(p1xp1_fan) and is_fan(f1_fan)
+
+    def test_large_fan_passes_with_the_skip_recorded(self):
+        rep = fan_report(standard_fan(5))
+        assert isinstance(rep, Report) and rep.ok and rep.findings == []
+        assert rep.skipped == ["pairwise cone intersections not fully verified at this size"]
 
 
 class TestCoveringPairs:

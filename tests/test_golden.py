@@ -1,0 +1,42 @@
+"""CLI stdout and exit codes on fixed inputs, compared byte for byte.
+
+golden/ holds the input files and, per case in cases.json, the argv, the exit
+code and the stdout, recorded before every check result became a Report.
+Arguments ending in .json name files in golden/.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from fanalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_case(name):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]["argv"]]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def recorded(name):
+    return CASES[name]["code"], (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n != "equi_structure_f1"))
+def test_stdout_is_byte_identical(name):
+    assert run_case(name) == recorded(name)
+
+
+def test_sampled_structure_adds_one_warning():
+    # F1 has nine cones, so `equi structure` samples the basis 4-tuples
+    code, out = recorded("equi_structure_f1")
+    warning = "warning: associativity checked on 200 sampled basis 4-tuples of 6561\n"
+    assert run_case("equi_structure_f1") == (code, out + warning)
