@@ -52,7 +52,7 @@ def _resolve_fan(data, base: Path):
     """The "fan" slot holds either an inline fan object or a path to one."""
     if isinstance(data, str):
         return serialize.fan_from_data(_load_json(str((base / data) if not Path(data).is_absolute() else Path(data))))
-    return serialize.fan_from_data(data)
+    return serialize.fan_from_data(data, "$.fan")
 
 
 def _load_fan_file(path: str):

@@ -20,6 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from fanalg.algebra import AlgebraElement, covering_chain, random_member, required_rays
@@ -41,9 +44,14 @@ class DiagramModule:
 
     `nt` is the number of torus matrices per cone; it equals the fan rank
     for plain modules and the quotient rank for equivariant ones.
+
+    A module is immutable, so it owns two caches for its lifetime, filled on
+    first use: torus powers keyed by (cone, j, k), and u-chain and v-chain
+    products keyed by their covering chains.  Every derived module is a new
+    instance with empty caches.
     """
 
-    __slots__ = ("fan", "nt", "dims", "torus", "u", "v")
+    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_chains")
 
     def __init__(
         self,
@@ -72,10 +80,12 @@ class DiagramModule:
             full_v[key] = v.get(key, QMat.zero(full_dims[tau], full_dims[sigma]))
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "nt", nt)
-        object.__setattr__(self, "dims", full_dims)
-        object.__setattr__(self, "torus", full_torus)
-        object.__setattr__(self, "u", full_u)
-        object.__setattr__(self, "v", full_v)
+        object.__setattr__(self, "dims", MappingProxyType(full_dims))
+        object.__setattr__(self, "torus", MappingProxyType(full_torus))
+        object.__setattr__(self, "u", MappingProxyType(full_u))
+        object.__setattr__(self, "v", MappingProxyType(full_v))
+        object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_chains", {})
 
     def __setattr__(self, *a):
         raise AttributeError("DiagramModule is immutable")
@@ -107,12 +117,36 @@ class DiagramModule:
         return out
 
     def monodromy(self, cone: Cone, w: Vec, exponent: Callable[[Vec], Vec] | None = None) -> QMat:
-        """Torus action of the lattice vector w on the space of a cone."""
+        """Torus action of the lattice vector w on the space of a cone, as a
+        product of cached torus powers."""
         e = tuple(w) if exponent is None else exponent(tuple(w))
-        out = QMat.identity(self.dims[cone])
-        for j, k in enumerate(e):
-            if k:
-                out = out @ self.torus[cone][j].pow_int(k)
+        factors = [self._power(cone, j, k) for j, k in enumerate(e) if k]
+        return reduce(matmul, factors) if factors else QMat.identity(self.dims[cone])
+
+    def _power(self, cone: Cone, j: int, k: int) -> QMat:
+        """Torus matrix j of a cone to the power k != 0; negative powers are
+        powers of the one cached inverse."""
+        key = (cone, j, k)
+        out = self._powers.get(key)
+        if out is None:
+            if k == 1:
+                out = self.torus[cone][j]
+            elif k == -1:
+                out = self.torus[cone][j].inverse()
+            else:
+                out = self._power(cone, j, 1 if k > 0 else -1).pow_int(abs(k))
+            self._powers[key] = out
+        return out
+
+    def _chain(self, kind: str, lower: Cone, chain: Sequence[PairKey]) -> QMat:
+        """The u arrows composed up a covering chain from the face `lower`
+        (kind "u"), or the v arrows composed back down it (kind "v"), cached."""
+        key = (kind, lower, tuple(chain))
+        out = self._chains.get(key)
+        if out is None:
+            arrows = [self.u[pair] for pair in reversed(chain)] if kind == "u" else [self.v[pair] for pair in chain]
+            out = reduce(matmul, arrows) if arrows else QMat.identity(self.dims[lower])
+            self._chains[key] = out
         return out
 
 
@@ -220,6 +254,7 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
 
     Entry (sigma, tau) factors as scalar * u-chain * v-chain; the result does
     not depend on the chain choice, which `rng` can randomize for testing.
+    Chain products and torus powers come from the module's caches.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -229,36 +264,26 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
     offs = m.offsets()
     n = m.total_dim()
     total = [[Fraction(0)] * n for _ in range(n)]
-    mono_cache: dict[tuple[Cone, Vec], QMat] = {}
-
-    def mono(cone: Cone, w: Vec) -> QMat:
-        key = (cone, w)
-        if key not in mono_cache:
-            mono_cache[key] = m.monodromy(cone, w)
-        return mono_cache[key]
-
     for (sigma, tau), poly in sorted(x.entries.items()):
         rays = [fan.rays[i] for i in required_rays(sigma, tau)]
         y = divide_by_product(poly, rays)
         if y is None:
             raise ValueError(f"element is not a member at ({cone_key(sigma)})x({cone_key(tau)})")
         meet = tuple(sorted(set(sigma) & set(tau)))
-        up = QMat.identity(m.dims[meet])
-        for pair in covering_chain(fan, meet, sigma, rng):
-            up = m.u[pair] @ up
-        down = QMat.identity(m.dims[meet])
-        for pair in covering_chain(fan, meet, tau, rng):
-            down = down @ m.v[pair]
-        scal = QMat.zero(m.dims[sigma], m.dims[sigma])
+        up = m._chain("u", meet, covering_chain(fan, meet, sigma, rng))
+        down = m._chain("v", meet, covering_chain(fan, meet, tau, rng))
+        d = m.dims[sigma]
+        scal = [[Fraction(0)] * d for _ in range(d)]  # sum of c * monodromy(e) over the terms of y
         for e, c in y.terms.items():
-            scal = scal + mono(sigma, e).scale(c)
-        block = scal @ up @ down
+            for acc, row in zip(scal, m.monodromy(sigma, e).rows):
+                for j, a in enumerate(row):
+                    if a:
+                        acc[j] += c * a
+        block = QMat(scal, shape=(d, d)) @ up @ down
         r0, c0 = offs[sigma], offs[tau]
-        for i in range(block.m):
-            row = total[r0 + i]
-            for j in range(block.n):
-                row[c0 + j] += block.rows[i][j]
-    return QMat(tuple(tuple(r) for r in total), shape=(n, n))
+        for i, row in enumerate(block.rows):  # entries are distinct cone pairs, so blocks do not overlap
+            total[r0 + i][c0 : c0 + block.n] = row
+    return QMat(total, shape=(n, n))
 
 
 @dataclass

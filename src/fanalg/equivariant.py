@@ -216,23 +216,13 @@ def validate_equivariant(m: EqDiagramModule) -> Report:
 
 
 def inflate(m: EqDiagramModule) -> DiagramModule:
-    """Restrict along the base change: the plain torus matrices are the
-    quotient-coordinate products prescribed column by column by Q.  The
-    module is checked once, here: on failure Rejected carries the report."""
+    """Restrict along the base change: plain torus matrix j is the monodromy
+    of column j of Q in quotient coordinates.  The module is checked once,
+    here: on failure Rejected carries the report."""
     validate_equivariant(m).require("invalid equivariant module")
     fan = m.fan
-    q = m.quotient.q
-    torus = {}
-    for c in fan.cones:
-        mats = []
-        for j in range(fan.rank):
-            acc = QMat.identity(m.dims[c])
-            for jp in range(q.rows):
-                k = q[jp, j]
-                if k:
-                    acc = acc @ m.torus[c][jp].pow_int(k)
-            mats.append(acc)
-        torus[c] = tuple(mats)
+    columns = m.quotient.q.columns()
+    torus = {c: tuple(m.monodromy(c, col) for col in columns) for c in fan.cones}
     out = DiagramModule(fan, dict(m.dims), torus, dict(m.u), dict(m.v))
     check = validate(out)
     if not check.ok:

@@ -2,12 +2,16 @@
 
 Small immutable matrices over Fraction: products, inverses, nullspaces.
 Zero-by-zero and zero-by-k shapes are first-class citizens because diagram
-modules routinely carry zero-dimensional blocks.
+modules routinely carry zero-dimensional blocks.  Products are taken over
+the integers: rows and columns are cleared of denominators first, so each
+entry costs one integer dot product and one reduced Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -21,6 +25,15 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
+def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
+    """Each vector times the lcm d of its denominators, as (integers, d)."""
+    out = []
+    for vec in vectors:
+        d = lcm(*(x.denominator for x in vec))
+        out.append(([x.numerator * (d // x.denominator) for x in vec], d))
+    return out
 
 
 class QMat:
@@ -103,8 +116,10 @@ class QMat:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
         if self.n == 0:
             return QMat.zero(self.m, other.n)
-        cols = tuple(zip(*other.rows))
-        out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
+        cols = _cleared(zip(*other.rows))
+        out = tuple(
+            tuple(Fraction(sum(map(mul, row, col)), dr * dc) for col, dc in cols) for row, dr in _cleared(self.rows)
+        )
         return QMat(out, shape=(self.m, other.n))
 
     def _same_shape(self, other: "QMat") -> None:

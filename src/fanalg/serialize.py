@@ -51,6 +51,16 @@ def _int(x, path: str) -> int:
     return _expect(isinstance(x, int) and not isinstance(x, bool), x, path, "an integer")
 
 
+def _rational(x, path: str) -> Fraction:
+    """A rational from an integer, a float or a string such as "p/q"."""
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{path}: expected a rational, got {x!r}") from None
+    raise ValueError(f"{path}: expected a rational, got {type(x).__name__}")
+
+
 def _int_list(x, path: str) -> list[int]:
     return [_int(n, f"{path}[{i}]") for i, n in enumerate(_list(x, path))]
 
@@ -79,14 +89,15 @@ def _cone_pair(name: str, path: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def fan_fields(data) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Rank, rays and maximal cones of a fan object, checked for shape only."""
-    obj = _object(data, "$")
-    return (_field(obj, "rank", "$", _int), _field(obj, "rays", "$", _int_rows), _field(obj, "max_cones", "$", _int_rows))
+def fan_fields(data, path: str = "$") -> tuple[int, list[list[int]], list[list[int]]]:
+    """Rank, rays and maximal cones of a fan object at the JSON path `path`,
+    checked for shape only."""
+    obj = _object(data, path)
+    return (_field(obj, "rank", path, _int), _field(obj, "rays", path, _int_rows), _field(obj, "max_cones", path, _int_rows))
 
 
-def fan_from_data(data: Mapping) -> Fan:
-    return build_fan(*fan_fields(data))
+def fan_from_data(data: Mapping, path: str = "$") -> Fan:
+    return build_fan(*fan_fields(data, path))
 
 
 def fan_slot(data) -> Mapping | str:
@@ -103,7 +114,7 @@ def _mat_to_data(m: QMat) -> list[str]:
 
 
 def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
-    return QMat.from_flat(rows, cols, [Fraction(str(x)) for x in _list(flat, path)])
+    return QMat.from_flat(rows, cols, [_rational(x, f"{path}[{i}]") for i, x in enumerate(_list(flat, path))])
 
 
 def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
@@ -117,9 +128,14 @@ def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
 
 
 def _poly_records(x, path: str) -> list[Mapping]:
-    recs = [_object(rec, f"{path}[{i}]") for i, rec in enumerate(_list(x, path))]
-    for i, rec in enumerate(recs):
-        _field(rec, "e", f"{path}[{i}]", _int_list)
+    """Polynomial records {"c": rational, "e": [exponents]}, checked, with each
+    coefficient parsed."""
+    recs = []
+    for i, rec in enumerate(_list(x, path)):
+        at = f"{path}[{i}]"
+        rec = _object(rec, at)
+        _field(rec, "e", at, _int_list)
+        recs.append(dict(rec, c=_field(rec, "c", at, _rational)))
     return recs
 
 

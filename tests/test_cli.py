@@ -388,3 +388,28 @@ class TestMalformedInput:
             assert proc.returncode == 2, (path, proc.stdout, proc.stderr)
             assert "Traceback" not in proc.stderr
             assert proc.stdout.startswith(f"ERROR\tinput\t{path}"), proc.stdout
+
+    NESTED = {
+        "$.fan.rays: expected a list, got int": (["mod", "validate"], dict(MODULE, fan=dict(FAN, rays=5))),
+        "$.fan.max_cones[0]: expected a list, got int": (["equi", "validate"], dict(EQMODULE, fan=dict(FAN, max_cones=[5]))),
+        '$.u["|0"][0]: expected a rational, got NoneType': (["mod", "validate"], dict(MODULE, u={"|0": [None]})),
+        '$.torus[""][0][0]: expected a rational, got bool': (["mod", "validate"], dict(MODULE, torus={"": [[True], ["1"]]})),
+        '$.torus[""][1][0]: expected a rational, got list': (["mod", "validate"], dict(MODULE, torus={"": [["1"], [["1"]]]})),
+        '$.torus[""][0][0]: expected a rational, got dict': (["mod", "validate"], dict(MODULE, torus={"": [[{"p": 1}], ["1"]]})),
+        "$.torus[\"\"][0][0]: expected a rational, got '1/x'": (["mod", "validate"], dict(MODULE, torus={"": [["1/x"], ["1"]]})),
+        "$.torus[\"\"][1][0]: expected a rational, got '1/0'": (["mod", "validate"], dict(MODULE, torus={"": [["1"], ["1/0"]]})),
+        '$.glue["0,1|0,1"][""][0]: expected a rational, got NoneType': (["desc", "check"], dict(DATUM, glue={"0,1|0,1": {"": [None]}})),
+        "$.entries[0].poly[0].c: expected a rational, got NoneType": (
+            ["alg", "member", None],
+            {"entries": [dict(ENTRY, poly=[{"c": None, "e": [1, 0]}])]},
+        ),
+        "$.entries[0].poly[0]: missing field 'c'": (["alg", "member", None], {"entries": [dict(ENTRY, poly=[{"e": [1, 0]}])]}),
+    }
+
+    def test_nested_paths_and_rational_entries(self, tmp_path):
+        good = write_json(tmp_path / "fan.json", self.FAN)
+        for i, (message, (cmd, data)) in enumerate(self.NESTED.items()):
+            argv = [good if arg is None else arg for arg in cmd] + [write_json(tmp_path / f"case{i}.json", data)]
+            code, out = run(argv)
+            assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
+

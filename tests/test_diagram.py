@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fanalg import diagram
-from fanalg.algebra import central, matrix_unit, random_member, unit
+from fanalg.algebra import central, matrix_unit, random_member, required_divisor, unit
 from fanalg.diagram import (
     DiagramModule,
     character_module,
@@ -192,6 +192,30 @@ class TestRepCheck:
         assert not out.ok and out.trials == 1
         assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]
         assert out.failure.startswith("trial 0: evaluate(a*b) != evaluate(a) @ evaluate(b)")
+
+
+class TestModuleCaches:
+    def test_corrupted_copy_of_an_evaluated_module_is_rejected(self, p2_fan):
+        rng = random.Random(6)
+        chars = [character_module(p2_fan, (Fraction(2), Fraction(3))), character_module(p2_fan, (Fraction(-1), Fraction(1, 2)))]
+        m = conjugate(direct_sum(*chars), {c: random_invertible(2, rng) for c in p2_fan.cones})
+        assert rep_check(m, trials=3).ok  # fills the caches of m
+        key = next(k for k in sorted(m.u) if not (m.v[k] @ m.u[k]).is_zero())
+        tau, sigma = key
+        x = matrix_unit(p2_fan, sigma, tau, required_divisor(p2_fan, sigma, tau))  # evaluates to the u arrow
+        before = evaluate(x, m)
+        u = dict(m.u)
+        u[key] = u[key].scale(2)
+        bad = DiagramModule(m.fan, m.dims, m.torus, u, m.v)
+        assert evaluate(x, bad) == before.scale(2) != before
+        with pytest.raises(ValueError, match="invalid module"):
+            rep_check(bad, trials=3)
+
+    def test_module_data_is_read_only(self, p2_fan):
+        m = point_module(p2_fan, (0, 1))
+        for mapping in (m.dims, m.torus, m.u, m.v):
+            with pytest.raises(TypeError):
+                mapping[()] = None
 
 
 class TestRelations:

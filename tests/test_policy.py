@@ -2,17 +2,20 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fanalg
 from fanalg import algebra, lattice, laurent, serialize
-from fanalg.algebra import AlgebraElement, delta, mu, random_member, required_rays
+from fanalg.algebra import AlgebraElement, central, delta, mu, random_member, required_rays
+from fanalg.diagram import evaluate
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, divide_by_product
+from fanalg.linalg import QMat
 
-from support import count_calls
+from support import count_calls, random_valid_module
 
 
 @pytest.fixture
@@ -64,6 +67,20 @@ def test_division_makes_no_lattice_calls(p2_fan, f1_fan, monkeypatch):
             divided += len(rays)
     assert divided > 0
     assert sum(counters, []) == []
+
+
+def test_second_evaluate_reads_the_module_caches(p2_fan, monkeypatch):
+    m = random_valid_module(p2_fan, random.Random(4), summands=2)
+    higher_powers = LaurentPoly(2, {(2, -3): Fraction(1), (-2, 0): Fraction(3)})
+    x = random_member(p2_fan, random.Random(5), density_pct=100) + central(p2_fan, higher_powers)
+    inverses = count_calls(monkeypatch, "inverse", QMat)
+    powers = count_calls(monkeypatch, "pow_int", QMat)
+    first = evaluate(x, m)
+    assert inverses and powers  # the first call fills the caches
+    inverses.clear()
+    powers.clear()
+    assert evaluate(x, m) == first
+    assert (inverses, powers) == ([], [])
 
 
 def test_result_guards_are_not_assert_statements():

@@ -1,7 +1,9 @@
 """Properties over generated inputs for the theorems the library relies on
 instead of checking derived results again: closure of the algebra, the
 splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
-and exact division by t^v - 1, against a sympy oracle when sympy is present."""
+exact division by t^v - 1, against a sympy oracle when sympy is present; the
+integer kernel of QMat products; evaluation as a representation on modules
+with warm and cold caches; and the Smith normal form."""
 
 import random
 import tempfile
@@ -9,14 +11,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, configuration, given, settings
+from hypothesis import assume, configuration, example, given, settings
 from hypothesis import strategies as st
 
 from fanalg.algebra import delta, idempotent, membership_report, mu, random_member, transport, unit
+from fanalg.diagram import DiagramModule, evaluate
 from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
-from fanalg.lattice import IntMatrix, primitive
+from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
+from fanalg.linalg import QMat
+
+from support import random_valid_module
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -151,3 +157,62 @@ def test_division_agrees_with_sympy(v, data):
     if ours is not None:
         # sympy's quotient is t^(m - vminus) times the Laurent quotient
         assert q == to_sympy(ours, tuple(a - b for a, b in zip(m, vminus)))
+
+
+def matrices(m, n):
+    entries = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=m * n, max_size=m * n)
+    return entries.map(lambda flat: QMat.from_flat(m, n, flat))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) with a.n == b.m, every side 0 to 4."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(matrices(m, k)), draw(matrices(k, n))
+
+
+@SETTINGS
+@given(matrix_pairs())
+@example((QMat.zero(0, 3), QMat.zero(3, 2)))
+@example((QMat.zero(2, 0), QMat.zero(0, 3)))
+@example((QMat([["1/2", 3]]), QMat.zero(2, 0)))
+@example((QMat([["-2/3"]]), QMat([["9/4"]])))
+def test_product_equals_the_fraction_sum(pair):
+    a, b = pair
+    naive = [[sum((a[i, t] * b[t, j] for t in range(a.n)), Fraction(0)) for j in range(b.n)] for i in range(a.m)]
+    out = a @ b
+    assert (out.m, out.n) == (a.m, b.n)
+    assert out.rows == tuple(tuple(row) for row in naive)
+    assert all(type(x) is Fraction for row in out.rows for x in row)
+
+
+@settings(SETTINGS, max_examples=8)
+@given(fan_names, seeds)
+def test_evaluate_is_a_representation_with_warm_and_cold_caches(name, seed):
+    fan = FANS[name]
+    rng = random.Random(seed)
+    m = random_valid_module(fan, rng, summands=2)
+    a = random_member(fan, rng)
+    b = random_member(fan, rng)
+    ea, eb = evaluate(a, m), evaluate(b, m)
+    # m is warm after the first pass; the copy starts with empty caches
+    for module in (m, DiagramModule(m.fan, m.dims, m.torus, m.u, m.v)):
+        assert evaluate(a * b, module) == ea @ eb
+        assert evaluate(a + b, module) == ea + eb
+        assert evaluate(a, module, rng=random.Random(seed)) == ea
+        assert evaluate(b, module, rng=random.Random(seed + 1)) == eb
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_snf_diagonalizes_with_a_divisibility_chain(rows, cols, data):
+    flat = data.draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
+    mat = IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)], shape=(rows, cols))
+    u, d, v = snf(mat)
+    assert u.is_unimodular() and v.is_unimodular()
+    assert u @ mat @ v == d
+    assert all(d[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [d[i, i] for i in range(min(rows, cols))]
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert (y % x == 0) if x else y == 0

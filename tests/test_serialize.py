@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from fanalg import serialize
 from fanalg.algebra import random_member
 from fanalg.descent import twisted_datum
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
+from fanalg.laurent import LaurentPoly
 from fanalg.linalg import QMat
 
 from support import random_valid_module
@@ -36,6 +38,11 @@ class TestElementFormat:
         keys = [(rec["row"], rec["col"]) for rec in data["entries"]]
         assert keys == sorted(keys)
 
+    def test_coefficients_accept_integers_floats_and_strings(self, p2_fan):
+        poly = [{"c": 4, "e": [0, 1]}, {"c": 0.5, "e": [0, 0]}, {"c": "-2/3", "e": [1, 0]}]
+        x = serialize.element_from_data({"entries": [{"row": "", "col": "", "poly": poly}]}, p2_fan)
+        assert x.entry((), ()) == LaurentPoly(2, {(0, 1): Fraction(4), (0, 0): Fraction(1, 2), (1, 0): Fraction(-2, 3)})
+
 
 class TestModuleFormat:
     def test_round_trip(self, p1_fan, p2_fan):
@@ -53,6 +60,12 @@ class TestModuleFormat:
         assert data["spaces"][""] == 0
         back = serialize.module_from_data(json.loads(json.dumps(data)), p2_fan)
         assert back == m
+
+    def test_entries_accept_integers_floats_and_strings(self, c_fan):
+        data = {"spaces": {"": 1, "0": 1}, "torus": {"": [[2]], "0": [[0.5]]}, "u": {"|0": ["-3/4"]}, "v": {"0|": ["1.5"]}}
+        m = serialize.module_from_data(data, c_fan)
+        got = (m.torus[()][0], m.torus[(0,)][0], m.u[((), (0,))], m.v[((), (0,))])
+        assert got == (QMat([[2]]), QMat([["1/2"]]), QMat([["-3/4"]]), QMat([["3/2"]]))
 
     def test_matrices_are_rational_strings(self, p1_fan):
         m = random_valid_module(p1_fan, random.Random(4))
