@@ -330,16 +330,27 @@ def cmd_demo_p1(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _trial_count(text: str) -> int:
+    """A trial count of at least 1: a check that ran no trial would pass having checked nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _run_flags(q: argparse.ArgumentParser) -> None:
     # also accepted after the subcommand; SUPPRESS keeps the global value
     q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    q.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    q.add_argument("--trials", type=_trial_count, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fanalg", description="fan algebras, diagram modules, descent, equivariant base change")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized runs")
-    p.add_argument("--trials", type=int, default=100, help="trial count for property runs")
+    p.add_argument("--trials", type=_trial_count, default=100, help="trial count for property runs, at least 1")
     sub = p.add_subparsers(dest="group", required=True)
 
     fan_p = sub.add_parser("fan").add_subparsers(dest="cmd", required=True)

@@ -627,11 +627,7 @@ def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
                     row[var(y, r, q)] -= b.rows[p][r]
                 rows.append(row)
 
-    if nvars == 0:
-        return 0, []
-    basis = nullspace(QMat(rows, shape=(len(rows), nvars))) if rows else [
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(nvars)) for i in range(nvars)
-    ]
+    basis = nullspace(QMat(rows, shape=(len(rows), nvars)))
     maps = []
     for vec in basis:
         blocks = {}

@@ -192,11 +192,7 @@ def separating_functional(fan: Fan, sigma: Cone, tau: Cone) -> list[Fraction] | 
     sig_only = sorted(set(sigma) - set(tau))
     tau_only = sorted(set(tau) - set(sigma))
     n = fan.rank
-    if common:
-        mat = QMat([[Fraction(x) for x in fan.rays[i]] for i in common])
-        basis = nullspace(mat)
-    else:
-        basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
+    basis = nullspace(QMat([fan.rays[i] for i in common], shape=(len(common), n)))
     if not basis:
         if sig_only or tau_only:
             return None

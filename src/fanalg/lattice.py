@@ -3,14 +3,16 @@
 Smith normal form with recorded unimodular transforms, primitive vectors,
 completion of partial bases, and integer kernels.  Everything is computed
 over arbitrary-precision integers; rationals appear only internally when
-inverting a unimodular matrix, and the result is always integral.
+inverting a unimodular matrix through `QMat`, and the result is always
+integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
+
+from fanalg.linalg import QMat
 
 Vec = tuple[int, ...]
 
@@ -132,24 +134,10 @@ class IntMatrix:
         """Inverse of a unimodular matrix, exact over the integers."""
         if not self.is_unimodular():
             raise ValueError("matrix is not unimodular")
-        n = self.rows
-        a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(self.entries)]
-        for k in range(n):
-            piv = next(i for i in range(k, n) if a[i][k] != 0)
-            a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k] != 0:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        out = []
-        for row in a:
-            vals = row[n:]
-            if any(x.denominator != 1 for x in vals):
-                raise AssertionError("inverse of a unimodular matrix is not integral")
-            out.append(tuple(int(x) for x in vals))
-        return IntMatrix(tuple(out), shape=(n, n))
+        inv = QMat(self.entries, shape=(self.rows, self.cols)).inverse()
+        if any(x.denominator != 1 for x in inv.flat()):
+            raise AssertionError("inverse of a unimodular matrix is not integral")
+        return IntMatrix(inv.rows, shape=(self.rows, self.cols))
 
 
 def _row_op(a, t, i, j, q):

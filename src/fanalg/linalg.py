@@ -1,16 +1,18 @@
-"""Dense exact rational linear algebra.
+"""Exact rational linear algebra.
 
-Small immutable matrices over Fraction: products, inverses, nullspaces.
-Zero-by-zero and zero-by-k shapes are first-class citizens because diagram
-modules routinely carry zero-dimensional blocks.  Products are taken over
-the integers: rows and columns are cleared of denominators first, so each
-entry costs one integer dot product and one reduced Fraction.
+Small immutable matrices over Fraction: products, determinants, inverses,
+rref and nullspaces.  Zero-by-zero and zero-by-k shapes are first-class
+citizens because diagram modules routinely carry zero-dimensional blocks.
+Products are taken over the integers: rows and columns are cleared of
+denominators first, so each entry costs one integer dot product and one
+reduced Fraction.  Every elimination reads one sparse, fully reduced row
+echelon form, built by `_echelon`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -143,44 +145,26 @@ class QMat:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        a = [list(row) for row in self.rows]
-        n = self.m
-        d = Q(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                return Q(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                d = -d
-            d *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return d
+        held, divisors = _echelon(self.rows)
+        if len(held) < self.m:
+            return Q(0)
+        # the i-th row has its pivot in column order[i]; the sign is that permutation's
+        order = list(held)
+        swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+        return prod(divisors, start=Q(-1 if swaps % 2 else 1))
 
     def is_invertible(self) -> bool:
-        return self.is_square() and self.det() != 0
+        return self.is_square() and len(_echelon(self.rows)[0]) == self.m
 
     def inverse(self) -> "QMat":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.m
-        a = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(self.rows)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k] != 0:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return QMat(tuple(tuple(row[n:]) for row in a), shape=(n, n))
+        # [A | I] always has rank n; its echelon form is [I | A^-1] exactly when A is invertible
+        held, _ = _echelon(a + e for a, e in zip(self.rows, QMat.identity(n).rows))
+        if any(c >= n for c in held):
+            raise ValueError("matrix is singular")
+        return QMat(tuple(tuple(held[i].get(j, Q(0)) for j in range(n, 2 * n)) for i in range(n)), shape=(n, n))
 
     def pow_int(self, k: int) -> "QMat":
         if not self.is_square():
@@ -200,28 +184,16 @@ class QMat:
         return [x for row in self.rows for x in row]
 
 
-def assemble(m: int, n: int, blocks: dict[tuple[int, int], QMat]) -> QMat:
-    """Place blocks into an m-by-n zero matrix at the given (row, col) offsets."""
-    grid = [[Q(0)] * n for _ in range(m)]
-    for (r0, c0), b in blocks.items():
-        for i in range(b.m):
-            row = grid[r0 + i]
-            for j in range(b.n):
-                row[c0 + j] += b.rows[i][j]
-    return QMat(tuple(tuple(row) for row in grid), shape=(m, n))
-
-
 def block_diag(mats: Iterable[QMat]) -> QMat:
     mats = list(mats)
-    m = sum(b.m for b in mats)
     n = sum(b.n for b in mats)
-    blocks = {}
-    r = c = 0
+    rows = []
+    c = 0
     for b in mats:
-        blocks[(r, c)] = b
-        r += b.m
+        left, right = (Q(0),) * c, (Q(0),) * (n - c - b.n)
+        rows += [left + row + right for row in b.rows]
         c += b.n
-    return assemble(m, n, blocks)
+    return QMat(rows, shape=(len(rows), n))
 
 
 def kron(a: QMat, b: QMat) -> QMat:
@@ -242,28 +214,54 @@ def random_invertible(n: int, rng, spread: int = 2) -> QMat:
     return QMat(lo) @ diag @ QMat(up)
 
 
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other in place, keeping only nonzero entries."""
+    for j, x in other.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
+    """The unique fully reduced row echelon form of `rows`, built one sparse row at a time.
+
+    Each row is reduced against the held pivot rows and dropped if it reduces
+    to zero; otherwise its first nonzero column becomes a pivot, the row is
+    divided by its value there, and that column is cleared from the held rows.
+    Returns the held rows ({column: value}, keyed by pivot column in arrival
+    order) and the pivot values divided out, in the same order.
+    """
+    held: dict[int, dict[int, Fraction]] = {}
+    divisors: list[Fraction] = []
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x}
+        # a held row is zero at every other pivot, so these reductions commute
+        for c in held.keys() & row.keys():
+            _subtract(row, row[c], held[c])
+        if not row:
+            continue
+        p = min(row)
+        d = row[p]
+        if d != 1:
+            row = {j: x / d for j, x in row.items()}
+        for other in held.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        held[p] = row
+        divisors.append(d)
+    return held, divisors
+
+
 def rref(mat: QMat) -> tuple[QMat, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = [list(row) for row in mat.rows]
-    m, n = mat.m, mat.n
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return QMat(tuple(tuple(row) for row in a), shape=(m, n)), pivots
+    held, _ = _echelon(mat.rows)
+    pivots = sorted(held)
+    zero = Q(0)
+    rows = [tuple(held[c].get(j, zero) for j in range(mat.n)) for c in pivots]
+    rows += [(zero,) * mat.n] * (mat.m - len(rows))
+    return QMat(rows, shape=(mat.m, mat.n)), pivots
 
 
 def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:

@@ -111,6 +111,22 @@ class TestAlgebraCommands:
         assert code == 0
         assert "checked 18 members" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_trial_count_below_one_is_an_input_error(self, tmp_path, p2_fan, p2_file, count, capsys):
+        # a check that ran no trial used to pass, having checked nothing
+        module = write_json(tmp_path / "m.json", serialize.module_to_data(character_module(p2_fan, (Fraction(2), Fraction(3)))))
+        for argv in (
+            ["--trials", count, "mod", "repcheck", module],
+            ["mod", "repcheck", module, "--trials", count],
+            ["--trials", count, "alg", "mudelta", p2_file],
+            ["alg", "mudelta", p2_file, "--trials", count],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"--trials: must be at least 1, got {count}" in captured.err
+
     def test_mul_rejects_non_member_input(self, tmp_path, p2_fan, p2_file):
         # checked where it enters, even though its product with zero is a member
         bad = {"fan": "p2.json", "entries": [{"row": "0,1", "col": "0", "poly": [{"c": "1", "e": [0, 0]}]}]}

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import fanalg
-from fanalg import algebra, lattice, laurent, serialize
+from fanalg import algebra, lattice, laurent, linalg, serialize
 from fanalg.algebra import AlgebraElement, central, delta, mu, random_member, required_rays
 from fanalg.diagram import evaluate
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, divide_by_product
-from fanalg.linalg import QMat
+from fanalg.linalg import QMat, nullspace, rref
 
 from support import count_calls, random_valid_module
 
@@ -81,6 +81,25 @@ def test_second_evaluate_reads_the_module_caches(p2_fan, monkeypatch):
     powers.clear()
     assert evaluate(x, m) == first
     assert (inverses, powers) == ([], [])
+
+
+def test_every_elimination_is_one_echelon_call(monkeypatch):
+    calls = count_calls(monkeypatch, "_echelon", linalg)
+    a = QMat([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    unimodular = IntMatrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    uses = {
+        "QMat.det": a.det,
+        "QMat.inverse": a.inverse,
+        "rref": lambda: rref(a),
+        "nullspace": lambda: nullspace(a),
+        "IntMatrix.inverse": unimodular.inverse,
+    }
+    counts = {}
+    for name, use in uses.items():
+        calls.clear()
+        use()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(uses, 1)
 
 
 def test_result_guards_are_not_assert_statements():

@@ -2,8 +2,10 @@
 instead of checking derived results again: closure of the algebra, the
 splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
 exact division by t^v - 1, against a sympy oracle when sympy is present; the
-integer kernel of QMat products; evaluation as a representation on modules
-with warm and cold caches; and the Smith normal form."""
+integer kernel of QMat products; determinants, inverses, rref and nullspaces,
+against a sympy oracle when sympy is present; evaluation as a representation
+on modules with warm and cold caches; hom between character and point
+modules; and the Smith normal form."""
 
 import random
 import tempfile
@@ -15,12 +17,12 @@ from hypothesis import assume, configuration, example, given, settings
 from hypothesis import strategies as st
 
 from fanalg.algebra import delta, idempotent, membership_report, mu, random_member, transport, unit
-from fanalg.diagram import DiagramModule, evaluate
+from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, is_morphism, point_module
 from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
-from fanalg.linalg import QMat
+from fanalg.linalg import QMat, nullspace, random_invertible, rref
 
 from support import random_valid_module
 
@@ -184,6 +186,145 @@ def test_product_equals_the_fraction_sum(pair):
     assert (out.m, out.n) == (a.m, b.n)
     assert out.rows == tuple(tuple(row) for row in naive)
     assert all(type(x) is Fraction for row in out.rows for x in row)
+
+
+@st.composite
+def sparse_matrices(draw, m=None, n=None):
+    """Sides 0-5 unless given.  The share of zero entries is drawn per matrix,
+    so dense, sparse and rank-deficient matrices all come up."""
+    m = draw(st.integers(0, 5)) if m is None else m
+    n = draw(st.integers(0, 5)) if n is None else n
+    zero_pct = draw(st.sampled_from([0, 40, 80]))
+    cells = st.tuples(st.integers(0, 99), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    flat = draw(st.lists(cells, min_size=m * n, max_size=m * n))
+    return QMat.from_flat(m, n, [x if roll >= zero_pct else 0 for roll, x in flat])
+
+
+def square_pairs():
+    return st.integers(0, 5).flatmap(lambda k: st.tuples(sparse_matrices(k, k), sparse_matrices(k, k)))
+
+
+def column(v):
+    return QMat([[x] for x in v], shape=(len(v), 1))
+
+
+@SETTINGS
+@given(sparse_matrices())
+@example(QMat.zero(0, 3))
+@example(QMat.zero(2, 0))
+@example(QMat([[1, 2, 3], [2, 4, 6]]))
+def test_nullspace_solves_the_system_with_n_minus_rank_vectors(a):
+    basis = nullspace(a)
+    assert all((a @ column(v)).is_zero() for v in basis)
+    # the rank of a, read from the left kernel, so that row and column rank must agree
+    rank = a.m - len(nullspace(a.transpose()))
+    assert len(basis) == a.n - rank
+    # the vectors are independent
+    assert len(nullspace(QMat(basis, shape=(len(basis), a.n)))) == a.n - len(basis)
+
+
+def laplace_det(a: QMat) -> Fraction:
+    """Cofactor expansion along the first row: an oracle that eliminates nothing."""
+    if a.m == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(a.rows[0]):
+        if x:
+            minor = QMat([row[:j] + row[j + 1 :] for row in a.rows[1:]], shape=(a.m - 1, a.m - 1))
+            total += (-1) ** j * x * laplace_det(minor)
+    return total
+
+
+@SETTINGS
+@given(square_pairs())
+@example((QMat.zero(0, 0), QMat.zero(0, 0)))
+@example((QMat([[0, 1], [1, 0]]), QMat([[0, 0], [1, 0]])))
+@example((QMat([[0, 0, 2], [3, 0, 0], [0, 5, 0]]), QMat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])))
+def test_determinant_and_inverse(pair):
+    a, b = pair
+    assert a.det() == laplace_det(a) and b.det() == laplace_det(b)
+    assert (a @ b).det() == a.det() * b.det()
+    assert a.transpose().det() == a.det()
+    assert a.is_invertible() == (a.det() != 0)
+    if a.is_invertible():
+        assert (a @ a.inverse()).is_identity() and (a.inverse() @ a).is_identity()
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            a.inverse()
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.data())
+def test_integer_inverse_of_a_unimodular_product(n, data):
+    """Products of elementary integer matrices: row additions, swaps and sign flips."""
+    u = IntMatrix.identity(n)
+    for _ in range(data.draw(st.integers(0, 6)) if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows = [list(r) for r in u.entries]
+        kind = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            rows[i] = [x + data.draw(st.integers(-3, 3)) * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+        u = IntMatrix(rows, shape=(n, n))
+    inv = u.inverse()
+    assert u @ inv == IntMatrix.identity(n) == inv @ u
+
+
+@SETTINGS
+@given(sparse_matrices())
+@example(QMat.zero(0, 0))
+@example(QMat.zero(0, 3))
+@example(QMat([[1, 2, 3], [2, 4, 6]]))
+def test_linalg_agrees_with_sympy(a):
+    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+
+    def to_sympy(x: Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    theirs = sympy.Matrix(a.m, a.n, [to_sympy(x) for x in a.flat()])
+    red, pivots = rref(a)
+    their_red, their_pivots = theirs.rref()
+    assert [to_sympy(x) for x in red.flat()] == list(their_red) and tuple(pivots) == their_pivots
+    assert [[to_sympy(x) for x in v] for v in nullspace(a)] == [list(v) for v in theirs.nullspace()]
+    if a.is_square():
+        assert to_sympy(a.det()) == theirs.det()
+        if a.is_invertible():
+            assert [to_sympy(x) for x in a.inverse().flat()] == list(theirs.inv())
+
+
+def basic_modules(fan):
+    """A point module at any cone, or a character with small nonzero values."""
+    points = st.sampled_from(fan.cone_list()).map(lambda c: point_module(fan, c))
+    values = st.lists(st.sampled_from([1, -1, 2, Fraction(1, 2)]), min_size=fan.rank, max_size=fan.rank)
+    return st.one_of(points, values.map(lambda vs: character_module(fan, vs)))
+
+
+def hom_basis(ma, mb):
+    dim, maps = hom(ma, mb)
+    assert dim == len(maps) and all(is_morphism(f) for f in maps)
+    return maps
+
+
+@settings(SETTINGS, max_examples=10)
+@given(fan_names, st.data())
+def test_hom_is_additive_in_the_source(name, data):
+    fan = FANS[name]
+    m, n, p = (data.draw(basic_modules(fan)) for _ in range(3))
+    p = direct_sum(p, data.draw(basic_modules(fan))) if data.draw(st.booleans()) else p
+    assert len(hom_basis(direct_sum(m, n), p)) == len(hom_basis(m, p)) + len(hom_basis(n, p))
+
+
+@settings(SETTINGS, max_examples=10)
+@given(fan_names, seeds, st.data())
+def test_hom_is_invariant_under_base_change(name, seed, data):
+    fan = FANS[name]
+    m = direct_sum(data.draw(basic_modules(fan)), data.draw(basic_modules(fan)))
+    rng = random.Random(seed)
+    moved = conjugate(m, {c: random_invertible(m.dims[c], rng) for c in fan.cones})
+    assert len(hom_basis(m, moved)) == len(hom_basis(m, m)) >= 1
 
 
 @settings(SETTINGS, max_examples=8)
