@@ -1,11 +1,19 @@
 """The algebra of cone-pair-indexed matrices with forced binomial divisors.
 
 An element assigns to each ordered pair of cones (sigma, tau) a Laurent
-polynomial divisible by the product of t^v - 1 over the rays v of sigma not
-in tau.  The module provides membership checking with witnesses, exact
-arithmetic, the distinguished idempotents and generators, factorization of
-entries into generator words, the splitting pair mu/delta between corner
-bimodules, and transport along a lattice automorphism.
+polynomial divisible by the product D(sigma, tau) of t^v - 1 over the rays v
+of sigma not in tau.  The module provides membership checking with witnesses,
+exact arithmetic, the distinguished idempotents and generators,
+factorization of entries into generator words, the splitting pair mu/delta
+between corner bimodules, and transport along a lattice automorphism.
+
+Elements are kept in divided form: an element stores the quotient y of each
+entry D(sigma, tau) * y, and `entries` multiplies the divisors back in on
+each access.  Division happens once, where entries enter, in
+`AlgebraElement(fan, entries)` and in `serialize.element_from_data`; an entry
+that does not divide is a membership finding there, so a non-member cannot
+be constructed.  Sums, scaling, products, evaluation, factorization,
+mu/delta and transport then read and build quotients without dividing again.
 
 Sign convention: generators use t^v - 1 rather than 1 - t^v.  With this
 choice the element 1 + vu + uv of the one-ray fan maps to the central unit
@@ -15,7 +23,7 @@ t, which is invertible; divisibility, and hence membership, is unaffected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -41,54 +49,92 @@ def _pair_key(sigma: Cone, tau: Cone) -> str:
     return f"({cone_key(sigma)})x({cone_key(tau)})"
 
 
-def membership_report(fan: Fan, entries: Mapping[tuple[Cone, Cone], LaurentPoly]) -> Report:
-    """Check the divisibility condition entry by entry, reporting offenders."""
-    rep = Report()
+@dataclass
+class MembershipReport(Report):
+    """A membership report with the quotient y of each nonzero entry D * y
+    that divided, keyed like the entries."""
+
+    quotients: dict[tuple[Cone, Cone], LaurentPoly] = field(default_factory=dict)
+
+
+def membership_report(fan: Fan, entries: Mapping[tuple[Cone, Cone], LaurentPoly]) -> MembershipReport:
+    """Divide each entry by its forced divisor, reporting the entries that do
+    not divide and keeping the quotients of those that do."""
+    rep = MembershipReport()
     for (sigma, tau), poly in sorted(entries.items()):
         if not fan.is_cone(sigma) or not fan.is_cone(tau):
             raise ValueError(f"malformed cone keys {_pair_key(sigma, tau)}")
         if poly.rank != fan.rank:
             raise ValueError(f"entry at {_pair_key(sigma, tau)} has rank {poly.rank}, fan has rank {fan.rank}")
-        rays = [fan.rays[i] for i in required_rays(sigma, tau)]
-        if divide_by_product(poly, rays) is None:
+        y = divide_by_product(poly, [fan.rays[i] for i in required_rays(sigma, tau)])
+        if y is None:
             rep.add("membership", _pair_key(sigma, tau), f"entry {poly} lacks the required divisor")
+        elif not y.is_zero():
+            rep.quotients[(sigma, tau)] = y
     return rep
 
 
+def _cofactor_rays(sigma: Cone, rho: Cone, tau: Cone) -> tuple[int, ...]:
+    """Rays i with D(sigma, rho) * D(rho, tau) = D(sigma, tau) * prod(t^v_i - 1):
+    those in (sigma - rho) & tau and in (rho - tau) - sigma."""
+    s, r, t = set(sigma), set(rho), set(tau)
+    return tuple(sorted(((s - r) & t) | ((r - t) - s)))
+
+
 class AlgebraElement:
-    """Sparse cone-pair-indexed matrix over the Laurent ring.  Entries passed
-    in are checked; arithmetic results are members by closure and are not."""
+    """Sparse cone-pair-indexed matrix over the Laurent ring, in divided form.
 
-    __slots__ = ("fan", "entries")
+    `quotients` maps each cone pair (sigma, tau) with a nonzero entry to the
+    quotient y of the entry D(sigma, tau) * y.  Entries passed in are divided
+    once, which is the membership check; arithmetic acts on the quotients.
+    """
 
-    def __init__(self, fan: Fan, entries: Mapping[tuple[Cone, Cone], LaurentPoly], check: bool = True):
+    __slots__ = ("fan", "quotients")
+
+    def __init__(self, fan: Fan, entries: Mapping[tuple[Cone, Cone], LaurentPoly]):
         data = {}
         for (sigma, tau), poly in entries.items():
-            sigma = tuple(sorted(sigma))
-            tau = tuple(sorted(tau))
-            if not poly.is_zero():
-                data[(sigma, tau)] = poly
+            key = (tuple(sorted(sigma)), tuple(sorted(tau)))
+            if key in data:
+                raise ValueError(f"repeated cone pair {_pair_key(*key)}")
+            data[key] = poly
+        rep = membership_report(fan, data)
+        if not rep.ok:
+            raise ValueError("not a member: " + "; ".join(rep.lines()))
         object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "entries", data)
-        if check:
-            rep = membership_report(fan, data)
-            if not rep.ok:
-                raise ValueError("not a member: " + "; ".join(rep.lines()))
+        object.__setattr__(self, "quotients", rep.quotients)
+
+    @classmethod
+    def _divided(cls, fan: Fan, quotients: Mapping[tuple[Cone, Cone], LaurentPoly]) -> "AlgebraElement":
+        """The element with these quotients, keyed by sorted cone pairs of
+        fan; built by the library from quotients it knows, so not checked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "fan", fan)
+        object.__setattr__(x, "quotients", {k: y for k, y in quotients.items() if not y.is_zero()})
+        return x
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
+    @property
+    def entries(self) -> dict[tuple[Cone, Cone], LaurentPoly]:
+        """The entries D(sigma, tau) * y, built on each access."""
+        return {k: y * required_divisor(self.fan, *k) for k, y in self.quotients.items()}
+
     def entry(self, sigma: Cone, tau: Cone) -> LaurentPoly:
-        return self.entries.get((tuple(sorted(sigma)), tuple(sorted(tau))), LaurentPoly.zero(self.fan.rank))
+        key = (tuple(sorted(sigma)), tuple(sorted(tau)))
+        if key not in self.quotients:
+            return LaurentPoly.zero(self.fan.rank)
+        return self.quotients[key] * required_divisor(self.fan, *key)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.fan == other.fan and self.entries == other.entries
+        return isinstance(other, AlgebraElement) and self.fan == other.fan and self.quotients == other.quotients
 
     def __hash__(self) -> int:
-        return hash((self.fan, tuple(sorted((k, v.key()) for k, v in self.entries.items()))))
+        return hash((self.fan, tuple(sorted((k, v.key()) for k, v in self.quotients.items()))))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.quotients
 
     def _same_fan(self, other: "AlgebraElement") -> None:
         if self.fan != other.fan:
@@ -96,30 +142,36 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_fan(other)
-        out = dict(self.entries)
-        for k, p in other.entries.items():
-            out[k] = out.get(k, LaurentPoly.zero(self.fan.rank)) + p
-        return AlgebraElement(self.fan, out, check=False)
+        out = dict(self.quotients)
+        for k, y in other.quotients.items():
+            out[k] = out[k] + y if k in out else y
+        return AlgebraElement._divided(self.fan, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.fan, {k: -p for k, p in self.entries.items()}, check=False)
+        return AlgebraElement._divided(self.fan, {k: -y for k, y in self.quotients.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __mul__(self, other) -> "AlgebraElement":
+        """Through a middle cone rho, the quotient of E(sigma, rho) y1 times
+        E(rho, tau) y2 is y1 * y2 times the binomials of `_cofactor_rays`."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_fan(other)
-        out: dict[tuple[Cone, Cone], LaurentPoly] = {}
+        fan = self.fan
         by_row: dict[Cone, list[tuple[Cone, LaurentPoly]]] = {}
-        for (rho, tau), p in other.entries.items():
-            by_row.setdefault(rho, []).append((tau, p))
-        for (sigma, rho), p in self.entries.items():
-            for tau, q in by_row.get(rho, ()):
+        for (rho, tau), y in other.quotients.items():
+            by_row.setdefault(rho, []).append((tau, y))
+        out: dict[tuple[Cone, Cone], LaurentPoly] = {}
+        for (sigma, rho), y1 in self.quotients.items():
+            for tau, y2 in by_row.get(rho, ()):
+                y = y1 * y2
+                for i in _cofactor_rays(sigma, rho, tau):
+                    y = y * binomial(fan.rays[i])
                 k = (sigma, tau)
-                out[k] = out.get(k, LaurentPoly.zero(self.fan.rank)) + p * q
-        return AlgebraElement(self.fan, out, check=False)
+                out[k] = out[k] + y if k in out else y
+        return AlgebraElement._divided(fan, out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
@@ -127,15 +179,15 @@ class AlgebraElement:
         return NotImplemented
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.fan, {k: p * c for k, p in self.entries.items()}, check=False)
+        return AlgebraElement._divided(self.fan, {k: y * c for k, y in self.quotients.items()})
 
     def supported_in(self, sigma: Cone, tau: Cone) -> bool:
         """True when all rows are faces of sigma and all columns faces of tau."""
         s, t = set(sigma), set(tau)
-        return all(set(r) <= s and set(c) <= t for (r, c) in self.entries)
+        return all(set(r) <= s and set(c) <= t for (r, c) in self.quotients)
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.quotients:
             return "0"
         parts = []
         for (sigma, tau), p in sorted(self.entries.items()):
@@ -153,21 +205,27 @@ def matrix_unit(fan: Fan, sigma: Sequence[int], tau: Sequence[int], poly: Lauren
     return AlgebraElement(fan, {(sigma, tau): poly})
 
 
+def _unit_quotient(fan: Fan, sigma: Cone, tau: Cone) -> AlgebraElement:
+    """The matrix unit at (sigma, tau) with quotient 1, i.e. entry D(sigma, tau)."""
+    return AlgebraElement._divided(fan, {(sigma, tau): LaurentPoly.one(fan.rank)})
+
+
 def idempotent(fan: Fan, sigma: Sequence[int]) -> AlgebraElement:
     """Sum of diagonal matrix units over the faces of sigma."""
     sigma = fan.require_cone(sigma)
     one = LaurentPoly.one(fan.rank)
-    return AlgebraElement(fan, {(f, f): one for f in fan.faces_of(sigma)}, check=False)
+    return AlgebraElement._divided(fan, {(f, f): one for f in fan.faces_of(sigma)})
 
 
 def unit(fan: Fan) -> AlgebraElement:
-    one = LaurentPoly.one(fan.rank)
-    return AlgebraElement(fan, {(c, c): one for c in fan.cones}, check=False)
+    return central(fan, LaurentPoly.one(fan.rank))
 
 
 def central(fan: Fan, poly: LaurentPoly) -> AlgebraElement:
-    """The scalar matrix poly * 1."""
-    return AlgebraElement(fan, {(c, c): poly for c in fan.cones})
+    """The scalar matrix poly * 1; diagonal entries have no forced divisor."""
+    if poly.rank != fan.rank:
+        raise ValueError(f"central polynomial has rank {poly.rank}, fan has rank {fan.rank}")
+    return AlgebraElement._divided(fan, {(c, c): poly for c in fan.cones})
 
 
 @dataclass(frozen=True)
@@ -184,16 +242,17 @@ def generators(fan: Fan) -> list[Generator]:
     """Diagonal idempotents, central monomials, and the u/v pair per covering pair."""
     out: list[Generator] = []
     for c in fan.cone_list():
-        out.append(Generator("idempotent", f"E[{cone_key(c)}]", c, None, None, matrix_unit(fan, c, c)))
+        out.append(Generator("idempotent", f"E[{cone_key(c)}]", c, None, None, _unit_quotient(fan, c, c)))
     for j in range(fan.rank):
         for sgn in (1, -1):
             e = tuple(sgn if i == j else 0 for i in range(fan.rank))
             label = f"t{j + 1}^{sgn:+d}" if fan.rank > 1 else f"t^{sgn:+d}"
             out.append(Generator("central", label, None, None, None, central(fan, LaurentPoly.monomial(e))))
+    # u has entry t^v - 1 at (sigma, tau) and v entry 1 at (tau, sigma): both quotients are 1
     for tau, sigma, ray in covering_pairs(fan):
-        g = matrix_unit(fan, sigma, tau, binomial(fan.rays[ray]))
-        out.append(Generator("u", f"u[{cone_key(tau)}<{cone_key(sigma)}]", None, (tau, sigma), ray, g))
-        out.append(Generator("v", f"v[{cone_key(tau)}<{cone_key(sigma)}]", None, (tau, sigma), ray, matrix_unit(fan, tau, sigma)))
+        u = _unit_quotient(fan, sigma, tau)
+        out.append(Generator("u", f"u[{cone_key(tau)}<{cone_key(sigma)}]", None, (tau, sigma), ray, u))
+        out.append(Generator("v", f"v[{cone_key(tau)}<{cone_key(sigma)}]", None, (tau, sigma), ray, _unit_quotient(fan, tau, sigma)))
     return out
 
 
@@ -234,24 +293,21 @@ class Word:
         # u-generators step from the meet up to the row cone; the algebra
         # product therefore takes the chain pairs from the top down
         for tau, sigma in reversed(self.u_chain):
-            out = out * matrix_unit(fan, sigma, tau, binomial(fan.rays[required_rays(sigma, tau)[0]]))
+            out = out * _unit_quotient(fan, sigma, tau)
         # v-generators compose E(meet,c1) E(c1,c2) ... = E(meet, col)
         for low, high in self.v_chain:
-            out = out * matrix_unit(fan, low, high, 1)
+            out = out * _unit_quotient(fan, low, high)
         if not self.u_chain and not self.v_chain:
-            out = out * matrix_unit(fan, self.row, self.col, 1)
+            out = out * _unit_quotient(fan, self.row, self.col)
         return out
 
 
 def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]:
-    """Write each entry as scalar * u-chain * v-chain and verify by multiplying out."""
+    """Write each entry as scalar * u-chain * v-chain and verify by multiplying
+    out; the scalar is the entry's quotient."""
     fan = x.fan
     words = []
-    for (sigma, tau), poly in sorted(x.entries.items()):
-        rays = [fan.rays[i] for i in required_rays(sigma, tau)]
-        y = divide_by_product(poly, rays)
-        if y is None:
-            raise ValueError(f"entry at {_pair_key(sigma, tau)} is not a member")
+    for (sigma, tau), y in sorted(x.quotients.items()):
         meet = tuple(sorted(set(sigma) & set(tau)))
         w = Word(
             row=sigma,
@@ -260,7 +316,7 @@ def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]
             u_chain=tuple(covering_chain(fan, meet, sigma, rng)),
             v_chain=tuple(covering_chain(fan, meet, tau, rng)),
         )
-        if w.expand(fan) != matrix_unit(fan, sigma, tau, poly):
+        if w.expand(fan) != AlgebraElement._divided(fan, {(sigma, tau): y}):
             raise AssertionError(f"word at {_pair_key(sigma, tau)} does not multiply out to the entry")
         words.append(w)
     return words
@@ -272,7 +328,9 @@ class TensorWord:
 
     Each term n E_(alpha, beta) of the source splits as the pure tensor
     n E_(alpha, alpha&beta) (x) E_(alpha&beta, beta); only these normal-form
-    tensors are ever materialized.
+    tensors are ever materialized.  A term stores (alpha, beta, y) with y the
+    quotient of n; the left factor has the same forced divisor as n, so its
+    quotient is y, and the right factor has none.
     """
 
     fan: Fan
@@ -281,14 +339,14 @@ class TensorWord:
     terms: tuple[tuple[Cone, Cone, LaurentPoly], ...]
 
     def left_factor(self, i: int) -> AlgebraElement:
-        alpha, beta, poly = self.terms[i]
+        alpha, beta, y = self.terms[i]
         meet = tuple(sorted(set(alpha) & set(beta)))
-        return AlgebraElement(self.fan, {(alpha, meet): poly}, check=False)
+        return AlgebraElement._divided(self.fan, {(alpha, meet): y})
 
     def right_factor(self, i: int) -> AlgebraElement:
         alpha, beta, _ = self.terms[i]
         meet = tuple(sorted(set(alpha) & set(beta)))
-        return AlgebraElement(self.fan, {(meet, beta): LaurentPoly.one(self.fan.rank)}, check=False)
+        return _unit_quotient(self.fan, meet, beta)
 
 
 def delta(x: AlgebraElement, sigma: Sequence[int], tau: Sequence[int]) -> TensorWord:
@@ -300,7 +358,7 @@ def delta(x: AlgebraElement, sigma: Sequence[int], tau: Sequence[int]) -> Tensor
         raise ValueError(
             f"support violation: element not inside e({cone_key(sigma)}) A e({cone_key(tau)})"
         )
-    terms = tuple((alpha, beta, poly) for (alpha, beta), poly in sorted(x.entries.items()))
+    terms = tuple((alpha, beta, y) for (alpha, beta), y in sorted(x.quotients.items()))
     return TensorWord(fan, sigma, tau, terms)
 
 
@@ -313,9 +371,9 @@ def mu(w: TensorWord) -> AlgebraElement:
     total: dict[tuple[Cone, Cone], LaurentPoly] = {}
     for i in range(len(w.terms)):
         prod = w.left_factor(i) * w.right_factor(i)
-        for k, p in prod.entries.items():
-            total[k] = total.get(k, LaurentPoly.zero(w.fan.rank)) + p
-    return AlgebraElement(w.fan, total, check=False)
+        for k, y in prod.quotients.items():
+            total[k] = total[k] + y if k in total else y
+    return AlgebraElement._divided(w.fan, total)
 
 
 def transport(x: AlgebraElement, beta: IntMatrix, target: Fan) -> AlgebraElement:
@@ -323,7 +381,8 @@ def transport(x: AlgebraElement, beta: IntMatrix, target: Fan) -> AlgebraElement
 
     beta must be unimodular and send every ray of the source fan to a ray of
     the target fan, inducing a bijection of cones; it then carries forced
-    divisors to forced divisors, so the image of a member is not checked.
+    divisors to forced divisors, so the quotients map to the quotients and
+    the image of a member is not checked.
     """
     fan = x.fan
     if not beta.is_unimodular():
@@ -347,9 +406,9 @@ def transport(x: AlgebraElement, beta: IntMatrix, target: Fan) -> AlgebraElement
     if len({cone_image(c) for c in fan.cones}) != len(target.cones):
         raise ValueError("lattice map does not map the fan onto the target fan")
     out = {}
-    for (sigma, tau), poly in x.entries.items():
-        out[(cone_image(sigma), cone_image(tau))] = monomial_map(poly, beta)
-    return AlgebraElement(target, out, check=False)
+    for (sigma, tau), y in x.quotients.items():
+        out[(cone_image(sigma), cone_image(tau))] = monomial_map(y, beta)
+    return AlgebraElement._divided(target, out)
 
 
 def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cmax: int = 3) -> LaurentPoly:
@@ -378,7 +437,7 @@ def random_member(
     """
     rows = fan.cone_list() if row_cone is None else fan.subfan(row_cone).cone_list()
     cols = fan.cone_list() if col_cone is None else fan.subfan(col_cone).cone_list()
-    entries = {}
+    quotients = {}
     pairs = [(s, t) for s in rows for t in cols]
     for pair in pairs:
         if rng.randrange(100) >= density_pct:
@@ -386,8 +445,7 @@ def random_member(
         y = random_poly(fan.rank, rng, terms=terms, emax=emax)
         if y.is_zero():
             continue
-        entries[pair] = y * required_divisor(fan, *pair)
-    if not entries:
-        pair = pairs[rng.randrange(len(pairs))]
-        entries[pair] = required_divisor(fan, *pair)
-    return AlgebraElement(fan, entries, check=False)
+        quotients[pair] = y
+    if not quotients:
+        quotients[pairs[rng.randrange(len(pairs))]] = LaurentPoly.one(fan.rank)
+    return AlgebraElement._divided(fan, quotients)

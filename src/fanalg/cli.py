@@ -108,8 +108,7 @@ def cmd_fan_faces(args) -> int:
 def cmd_alg_member(args) -> int:
     fan = _load_fan_file(args.fan)
     data = _load_json(args.element)
-    x = serialize.element_from_data(data, fan, check=False)
-    rep = membership_report(fan, x.entries)
+    rep = membership_report(fan, serialize.entries_from_data(data, fan))
     return _emit(rep, "alg member")
 
 

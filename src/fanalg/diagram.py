@@ -25,10 +25,9 @@ from operator import matmul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from fanalg.algebra import AlgebraElement, covering_chain, random_member, required_rays
+from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan, standard_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
-from fanalg.laurent import divide_by_product
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible
 from fanalg.report import Report
 
@@ -252,9 +251,10 @@ def validate(m: DiagramModule) -> Report:
 def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = None) -> QMat:
     """Total matrix of an algebra element on the direct sum of the spaces.
 
-    Entry (sigma, tau) factors as scalar * u-chain * v-chain; the result does
-    not depend on the chain choice, which `rng` can randomize for testing.
-    Chain products and torus powers come from the module's caches.
+    Entry (sigma, tau) factors as scalar * u-chain * v-chain, with the
+    entry's quotient as the scalar; the result does not depend on the chain
+    choice, which `rng` can randomize for testing.  Chain products and torus
+    powers come from the module's caches.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -264,11 +264,7 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
     offs = m.offsets()
     n = m.total_dim()
     total = [[Fraction(0)] * n for _ in range(n)]
-    for (sigma, tau), poly in sorted(x.entries.items()):
-        rays = [fan.rays[i] for i in required_rays(sigma, tau)]
-        y = divide_by_product(poly, rays)
-        if y is None:
-            raise ValueError(f"element is not a member at ({cone_key(sigma)})x({cone_key(tau)})")
+    for (sigma, tau), y in sorted(x.quotients.items()):
         meet = tuple(sorted(set(sigma) & set(tau)))
         up = m._chain("u", meet, covering_chain(fan, meet, sigma, rng))
         down = m._chain("v", meet, covering_chain(fan, meet, tau, rng))

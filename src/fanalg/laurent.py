@@ -11,6 +11,7 @@ exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from fanalg.lattice import IntMatrix, Vec, primitive
@@ -49,6 +50,17 @@ class LaurentPoly:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", data)
         object.__setattr__(self, "_key", None)
+
+    @classmethod
+    def _of(cls, rank: int, terms: dict[Vec, Fraction]) -> "LaurentPoly":
+        """The polynomial with these terms, which arithmetic on polynomials
+        has just built with integer-tuple exponents and nonzero Fraction
+        coefficients; they are not coerced again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "rank", rank)
+        object.__setattr__(f, "terms", terms)
+        object.__setattr__(f, "_key", None)
+        return f
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -101,10 +113,10 @@ class LaurentPoly:
                 out.pop(e, None)
             else:
                 out[e] = acc
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._of(self.rank, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -112,18 +124,18 @@ class LaurentPoly:
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return LaurentPoly(self.rank, {e: c * x for e, x in self.terms.items()})
+            return LaurentPoly._of(self.rank, {e: c * x for e, x in self.terms.items()} if c else {})
         self._check_rank(other)
         out: dict[Vec, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                acc = out.get(e, 0) + c1 * c2
                 if acc == 0:
                     out.pop(e, None)
                 else:
                     out[e] = acc
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._of(self.rank, out)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)

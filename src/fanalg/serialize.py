@@ -16,7 +16,7 @@ from fanalg.diagram import DiagramModule
 from fanalg.equivariant import EqDiagramModule, QuotientData, quotient_presentation
 from fanalg.fan import Cone, Fan, build_fan, cone_key, parse_cone_key
 from fanalg.lattice import IntMatrix
-from fanalg.laurent import poly_from_data, poly_to_data
+from fanalg.laurent import LaurentPoly, poly_from_data, poly_to_data
 from fanalg.linalg import QMat
 
 
@@ -139,15 +139,25 @@ def _poly_records(x, path: str) -> list[Mapping]:
     return recs
 
 
-def element_from_data(data: Mapping, fan: Fan, check: bool = True) -> AlgebraElement:
+def entries_from_data(data: Mapping, fan: Fan) -> dict[tuple[Cone, Cone], LaurentPoly]:
+    """The entries of an element file by cone pair, not yet checked for
+    membership; a cone pair given twice is an input error."""
     entries = {}
     for i, rec in enumerate(_field(_object(data, "$"), "entries", "$", _list)):
         path = f"$.entries[{i}]"
         rec = _object(rec, path)
         sigma = fan.require_cone(parse_cone_key(_field(rec, "row", path, _str)))
         tau = fan.require_cone(parse_cone_key(_field(rec, "col", path, _str)))
+        if (sigma, tau) in entries:
+            raise ValueError(f"{path}: repeated cone pair ({cone_key(sigma)})x({cone_key(tau)})")
         entries[(sigma, tau)] = poly_from_data(_field(rec, "poly", path, _poly_records), fan.rank)
-    return AlgebraElement(fan, entries, check=check)
+    return entries
+
+
+def element_from_data(data: Mapping, fan: Fan) -> AlgebraElement:
+    """The element of an element file; its entries are divided, which is the
+    membership check, and a non-member raises ValueError."""
+    return AlgebraElement(fan, entries_from_data(data, fan))
 
 
 def _module_body(m: DiagramModule) -> dict:

@@ -81,6 +81,19 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="not a member"):
             matrix_unit(c_fan, (0,), (), 1)
 
+    def test_keys_naming_one_cone_pair_twice_are_rejected(self, p2_fan):
+        # (1, 0) and (0, 1) both sort to the cone (0,1)
+        one = LaurentPoly.one(2)
+        with pytest.raises(ValueError, match=r"repeated cone pair \(0,1\)x\(0,1\)"):
+            AlgebraElement(p2_fan, {((1, 0), (0, 1)): one, ((0, 1), (0, 1)): one})
+
+    def test_entries_are_the_divisors_times_the_quotients(self, p2_fan):
+        y = LaurentPoly(2, {(1, 0): Fraction(2), (0, -1): Fraction(-1)})
+        entry = y * binomial((1, 0)) * binomial((0, 1))
+        x = matrix_unit(p2_fan, (0, 1), (), entry)
+        assert x.quotients == {((0, 1), ()): y}
+        assert x.entries == {((0, 1), ()): entry} and x.entry((1, 0), ()) == entry
+
     def test_fan_mismatch(self, c_fan, p1_fan):
         with pytest.raises(ValueError, match="fan mismatch"):
             unit(c_fan) * unit(p1_fan)
@@ -166,9 +179,9 @@ class TestFactorize:
         assert g2 * g1 == h2 * h1
 
     def test_non_member_rejected(self, c_fan):
-        x = AlgebraElement(c_fan, {((0,), ()): LaurentPoly.one(1)}, check=False)
+        # factorize reads the quotients, so a non-member must fail before it
         with pytest.raises(ValueError, match="not a member"):
-            factorize(x)
+            AlgebraElement(c_fan, {((0,), ()): LaurentPoly.one(1)})
 
     def test_covering_chain_validates(self, p2_fan):
         with pytest.raises(ValueError):

@@ -135,6 +135,23 @@ class TestAlgebraCommands:
         code, out = run(["alg", "mul", p2_file, fb, zero, "-o", str(tmp_path / "out.json")])
         assert code == 2 and "not a member" in out
 
+    @pytest.mark.parametrize("order", ["divisible_last", "constant_last"])
+    def test_repeated_cone_pair_is_an_input_error(self, tmp_path, p2_file, order):
+        # the verdict used to follow whichever record came last: exit 0 or 1
+        records = [
+            {"row": "0", "col": "", "poly": [{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [0, 0]}]},
+            {"row": "0", "col": "", "poly": [{"c": "1", "e": [0, 0]}]},
+        ]
+        if order == "divisible_last":
+            records.reverse()
+        element = write_json(tmp_path / "x.json", {"fan": "p2.json", "entries": records})
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        argv = [sys.executable, "-m", "fanalg.cli", "alg", "member", p2_file, element]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (proc.stdout, proc.stderr)
+        assert proc.stdout.splitlines()[0] == "ERROR\tinput\t$.entries[1]: repeated cone pair (0)x()"
+        assert "Traceback" not in proc.stderr
+
     def test_verify_flag_is_gone(self, tmp_path, p2_file, capsys):
         zero = write_json(tmp_path / "zero.json", {"fan": "p2.json", "entries": []})
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 import fanalg
 from fanalg import algebra, lattice, laurent, linalg, serialize
-from fanalg.algebra import AlgebraElement, central, delta, mu, random_member, required_rays
+from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_rays
 from fanalg.diagram import evaluate
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, divide_by_product
@@ -49,6 +49,32 @@ def test_entries_passed_in_are_still_checked(c_fan, membership_calls):
     with pytest.raises(ValueError, match="not a member"):
         serialize.element_from_data(data, c_fan)
     assert len(membership_calls) == 2
+
+
+def test_divided_form_is_not_divided_again(p2_fan, monkeypatch):
+    # elements keep the quotients of their entries, so only the boundary divides
+    rng = random.Random(6)
+    m = random_valid_module(p2_fan, rng, summands=2)
+    a = random_member(p2_fan, rng)
+    b = random_member(p2_fan, rng)
+    sigma, tau = p2_fan.maximal[0], p2_fan.maximal[1]
+    corner = random_member(p2_fan, rng, row_cone=sigma, col_cone=tau)
+    divisions = count_calls(monkeypatch, "divide_by_binomial", laurent)
+    uses = {
+        "evaluate": lambda: evaluate(a, m),
+        "factorize": lambda: factorize(a),
+        "AlgebraElement.__mul__": lambda: a * b,
+        "+": lambda: a + b,
+        "mu(delta(x))": lambda: mu(delta(corner, sigma, tau)),
+    }
+    counts = {}
+    for name, use in uses.items():
+        divisions.clear()
+        use()
+        counts[name] = len(divisions)
+    assert counts == dict.fromkeys(uses, 0)
+    AlgebraElement(p2_fan, a.entries)  # the boundary does divide
+    assert divisions
 
 
 def test_division_makes_no_lattice_calls(p2_fan, f1_fan, monkeypatch):

@@ -1,11 +1,13 @@
 """Properties over generated inputs for the theorems the library relies on
-instead of checking derived results again: closure of the algebra, the
+instead of checking derived results again: closure of the algebra, arithmetic
+on divided-form elements against entry-wise arithmetic on their entries, the
 splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
 exact division by t^v - 1, against a sympy oracle when sympy is present; the
 integer kernel of QMat products; determinants, inverses, rref and nullspaces,
 against a sympy oracle when sympy is present; evaluation as a representation
 on modules with warm and cold caches; hom between character and point
-modules; and the Smith normal form."""
+modules; and the Smith normal form, against a sympy oracle when sympy is
+present."""
 
 import random
 import tempfile
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import assume, configuration, example, given, settings
 from hypothesis import strategies as st
 
-from fanalg.algebra import delta, idempotent, membership_report, mu, random_member, transport, unit
+from fanalg.algebra import AlgebraElement, delta, idempotent, membership_report, mu, random_member, transport, unit
 from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, is_morphism, point_module
 from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
@@ -68,6 +70,39 @@ def test_closure(name, seed, c):
     b = random_member(fan, rng)
     for x in (a + b, a * b, -a, c * a):
         assert membership_report(fan, x.entries).ok
+
+
+def entrywise_product(fan, a, b):
+    """The matrix product of two entry maps, as plain Laurent polynomials."""
+    out = {}
+    for (sigma, rho), p in a.items():
+        for (rho2, tau), q in b.items():
+            if rho2 == rho:
+                out[(sigma, tau)] = out.get((sigma, tau), LaurentPoly.zero(fan.rank)) + p * q
+    return out
+
+
+def entrywise_sum(fan, a, b):
+    return {k: a.get(k, LaurentPoly.zero(fan.rank)) + b.get(k, LaurentPoly.zero(fan.rank)) for k in a.keys() | b.keys()}
+
+
+def nonzero(entries):
+    return {k: p for k, p in entries.items() if not p.is_zero()}
+
+
+@SETTINGS
+@given(fan_names, seeds, scalars)
+def test_divided_arithmetic_matches_entrywise_arithmetic(name, seed, c):
+    fan = FANS[name]
+    rng = random.Random(seed)
+    a = random_member(fan, rng)
+    b = random_member(fan, rng)
+    ea, eb = a.entries, b.entries
+    assert AlgebraElement(fan, ea) == a  # the entries divide back to the quotients
+    assert (a * b).entries == nonzero(entrywise_product(fan, ea, eb))
+    assert (a + b).entries == nonzero(entrywise_sum(fan, ea, eb))
+    assert (-a).entries == {k: -p for k, p in ea.items()}
+    assert a.scale(c).entries == nonzero({k: p * c for k, p in ea.items()})
 
 
 @pytest.mark.parametrize("name", sorted(FANS))
@@ -357,3 +392,17 @@ def test_snf_diagonalizes_with_a_divisibility_chain(rows, cols, data):
     assert all(x >= 0 for x in diag)
     for x, y in zip(diag, diag[1:]):
         assert (y % x == 0) if x else y == 0
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_snf_agrees_with_sympy(rows, cols, data):
+    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    flat = data.draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
+    mat = IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)], shape=(rows, cols))
+    _, d, _ = snf(mat)
+    theirs = smith_normal_form(sympy.Matrix(rows, cols, flat), domain=sympy.ZZ)
+    # invariant factors are defined up to sign
+    assert [d[i, i] for i in range(min(rows, cols))] == [abs(theirs[i, i]) for i in range(min(rows, cols))]
