@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
 from fanalg.lattice import IntMatrix
@@ -38,11 +38,15 @@ def required_rays(sigma: Cone, tau: Cone) -> tuple[int, ...]:
     return tuple(sorted(set(sigma) - set(tau)))
 
 
+def times_binomials(y: LaurentPoly, fan: Fan, rays: Iterable[int]) -> LaurentPoly:
+    """y times the binomials t^v - 1 of the given ray indices of fan."""
+    for i in rays:
+        y = y * binomial(fan.rays[i])
+    return y
+
+
 def required_divisor(fan: Fan, sigma: Cone, tau: Cone) -> LaurentPoly:
-    out = LaurentPoly.one(fan.rank)
-    for i in required_rays(sigma, tau):
-        out = out * binomial(fan.rays[i])
-    return out
+    return times_binomials(LaurentPoly.one(fan.rank), fan, required_rays(sigma, tau))
 
 
 def _pair_key(sigma: Cone, tau: Cone) -> str:
@@ -74,9 +78,9 @@ def membership_report(fan: Fan, entries: Mapping[tuple[Cone, Cone], LaurentPoly]
     return rep
 
 
-def _cofactor_rays(sigma: Cone, rho: Cone, tau: Cone) -> tuple[int, ...]:
-    """Rays i with D(sigma, rho) * D(rho, tau) = D(sigma, tau) * prod(t^v_i - 1):
-    those in (sigma - rho) & tau and in (rho - tau) - sigma."""
+def cofactor_rays(sigma: Cone, rho: Cone, tau: Cone) -> tuple[int, ...]:
+    """Rays i with D(sigma, rho) * D(rho, tau) = D(sigma, tau) * prod(t^v_i - 1)
+    for a middle cone rho: those in (sigma - rho) & tau and in (rho - tau) - sigma."""
     s, r, t = set(sigma), set(rho), set(tau)
     return tuple(sorted(((s - r) & t) | ((r - t) - s)))
 
@@ -155,7 +159,7 @@ class AlgebraElement:
 
     def __mul__(self, other) -> "AlgebraElement":
         """Through a middle cone rho, the quotient of E(sigma, rho) y1 times
-        E(rho, tau) y2 is y1 * y2 times the binomials of `_cofactor_rays`."""
+        E(rho, tau) y2 is y1 * y2 times the binomials of `cofactor_rays`."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_fan(other)
@@ -166,9 +170,7 @@ class AlgebraElement:
         out: dict[tuple[Cone, Cone], LaurentPoly] = {}
         for (sigma, rho), y1 in self.quotients.items():
             for tau, y2 in by_row.get(rho, ()):
-                y = y1 * y2
-                for i in _cofactor_rays(sigma, rho, tau):
-                    y = y * binomial(fan.rays[i])
+                y = times_binomials(y1 * y2, fan, cofactor_rays(sigma, rho, tau))
                 k = (sigma, tau)
                 out[k] = out[k] + y if k in out else y
         return AlgebraElement._divided(fan, out)

@@ -21,14 +21,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import matmul
+from operator import index, matmul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan, standard_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
-from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible
+from fanalg.linalg import QMat, _frac, block_diag, kron, nullspace, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -65,7 +65,7 @@ class DiagramModule:
         full_dims = {}
         full_torus = {}
         for c in fan.cone_list():
-            d = int(dims.get(c, 0))
+            d = index(dims.get(c, 0))
             full_dims[c] = d
             mats = torus.get(c)
             if mats is None:
@@ -275,11 +275,11 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
                 for j, a in enumerate(row):
                     if a:
                         acc[j] += c * a
-        block = QMat(scal, shape=(d, d)) @ up @ down
+        block = QMat._of(tuple(map(tuple, scal)), d, d) @ up @ down
         r0, c0 = offs[sigma], offs[tau]
         for i, row in enumerate(block.rows):  # entries are distinct cone pairs, so blocks do not overlap
             total[r0 + i][c0 : c0 + block.n] = row
-    return QMat(total, shape=(n, n))
+    return QMat._of(tuple(map(tuple, total)), n, n)
 
 
 @dataclass
@@ -428,9 +428,7 @@ def point_module(fan: Fan, cone: Sequence[int], char: Sequence[Fraction] | None 
     default takes all scalars equal to one.
     """
     c = fan.require_cone(cone)
-    if char is None:
-        char = (Fraction(1),) * fan.rank
-    char = tuple(Fraction(x) for x in char)
+    char = tuple(map(_frac, (1,) * fan.rank if char is None else char))
     if any(x == 0 for x in char):
         raise ValueError("torus scalars must be nonzero")
     # the monodromy must die on the cone's own rays and on the new rays of
@@ -453,7 +451,7 @@ def point_module(fan: Fan, cone: Sequence[int], char: Sequence[Fraction] | None 
 def character_module(fan: Fan, values: Sequence[Fraction]) -> DiagramModule:
     """All spaces one-dimensional: v arrows are 1, u arrows chi(ray) - 1,
     torus scalars given by the character chi."""
-    values = tuple(Fraction(x) for x in values)
+    values = tuple(map(_frac, values))
     if len(values) != fan.rank or any(x == 0 for x in values):
         raise ValueError("need one nonzero scalar per lattice coordinate")
 
@@ -623,16 +621,13 @@ def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
                     row[var(y, r, q)] -= b.rows[p][r]
                 rows.append(row)
 
-    basis = nullspace(QMat(rows, shape=(len(rows), nvars)))
+    basis = nullspace(QMat._of(tuple(map(tuple, rows)), len(rows), nvars))
     maps = []
     for vec in basis:
         blocks = {}
         for c in cones:
             db, da = mb.dims[c], ma.dims[c]
-            blocks[c] = QMat(
-                tuple(tuple(vec[var(c, p, q)] for q in range(da)) for p in range(db)),
-                shape=(db, da),
-            )
+            blocks[c] = QMat._of(tuple(tuple(vec[var(c, p, q)] for q in range(da)) for p in range(db)), db, da)
         maps.append(BlockMap(ma, mb, blocks))
     return len(maps), maps
 

@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from fanalg.algebra import cofactor_rays, times_binomials
 from fanalg.diagram import DiagramModule, axiom_report, validate
 from fanalg.fan import Cone, Fan, cone_key
-from fanalg.lattice import IntMatrix, Vec, snf
-from fanalg.laurent import LaurentPoly, binomial, monomial_map
+from fanalg.lattice import IntMatrix, Vec, _vec, snf
+from fanalg.laurent import LaurentPoly, monomial_map
 from fanalg.linalg import QMat
 from fanalg.report import Report
 
@@ -60,7 +61,7 @@ def quotient_presentation(
     if (q is None) == (characters is None):
         raise ValueError("provide exactly one of a quotient matrix or characters")
     if characters is not None:
-        chars = [tuple(int(x) for x in row) for row in characters]
+        chars = [_vec(row) for row in characters]
         if chars:
             rank = len(chars[0])
         if rank is None:
@@ -78,7 +79,7 @@ def quotient_presentation(
             rows.append(tuple(di * x for x in vinv.entries[i]))
         q = IntMatrix(rows, shape=(len(rows), rank))
     elif not isinstance(q, IntMatrix):
-        rows = [tuple(int(x) for x in row) for row in q]
+        rows = [_vec(row) for row in q]
         if rows:
             rank = len(rows[0])
         if rank is None:
@@ -90,15 +91,6 @@ def quotient_presentation(
     if len(d) < q.rows or any(x == 0 for x in d):
         raise ValueError("rank-deficient Q: the quotient map must be onto a torus")
     return QuotientData(q, d, u, v)
-
-
-def structure_rays(sigma: Cone, tau: Cone, rho: Cone) -> tuple[int, ...]:
-    """Rays whose binomials survive in the product f(sigma,tau) f(tau,rho):
-    the divisor sets of the factors minus the divisor set of the target."""
-    left = set(sigma) - set(tau)
-    right = set(tau) - set(rho)
-    target = set(sigma) - set(rho)
-    return tuple(sorted((left | right) - target))
 
 
 @dataclass(frozen=True)
@@ -138,21 +130,20 @@ class EqStructure:
 
 
 def ag_structure(fan: Fan, quotient: QuotientData) -> EqStructure:
-    """Structure-constant table c(sigma,tau,rho) = image of the surviving
-    binomial product under the quotient monomial map; associative by
+    """Structure-constant table: c(sigma,tau,rho) is the image under the
+    quotient monomial map of the plain algebra's product cofactor, the
+    binomials of `cofactor_rays(sigma, tau, rho)`; associative by
     construction, so `associativity_report` checks it, not this function."""
     if quotient.source_rank != fan.rank:
         raise ValueError("quotient matrix does not act on the fan lattice")
-    q = quotient.q
+    one = LaurentPoly.one(fan.rank)
     table = {}
     cones = fan.cone_list()
     for sigma in cones:
         for tau in cones:
             for rho in cones:
-                c = LaurentPoly.one(fan.rank)
-                for i in structure_rays(sigma, tau, rho):
-                    c = c * binomial(fan.rays[i])
-                table[(sigma, tau, rho)] = monomial_map(c, q)
+                cofactor = times_binomials(one, fan, cofactor_rays(sigma, tau, rho))
+                table[(sigma, tau, rho)] = monomial_map(cofactor, quotient.q)
     return EqStructure(fan, quotient, table)
 
 

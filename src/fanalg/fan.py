@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from fanalg.lattice import IntMatrix, Vec, complete_to_basis, elementary_divisors, primitive
+from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, elementary_divisors, primitive
 from fanalg.linalg import QMat, nullspace
 from fanalg.report import Report
 
@@ -43,7 +43,7 @@ class Fan:
 
     def __init__(self, rank: int, rays: Sequence[Vec], cones: frozenset[Cone], maximal: tuple[Cone, ...]):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
+        object.__setattr__(self, "rays", tuple(map(_vec, rays)))
         object.__setattr__(self, "cones", frozenset(cones))
         object.__setattr__(self, "maximal", tuple(maximal))
 
@@ -73,7 +73,7 @@ class Fan:
         return tuple(sorted(cone)) in self.cones
 
     def require_cone(self, cone: Sequence[int]) -> Cone:
-        c = tuple(sorted(int(i) for i in cone))
+        c = tuple(sorted(_vec(cone)))
         if c not in self.cones:
             raise ValueError(f"unknown cone ({cone_key(c)})")
         return c
@@ -102,7 +102,7 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[
     (all Smith elementary divisors equal to one), and keeps as maximal the
     generating cones not contained in another one.
     """
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(map(_vec, rays))
     for r in rays:
         if not any(r):
             raise ValueError("zero vector is not a ray")
@@ -115,7 +115,7 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[
 
     gens = []
     for c in maximal_cones:
-        cone = tuple(sorted(int(i) for i in c))
+        cone = tuple(sorted(_vec(c)))
         if any(i < 0 or i >= len(rays) for i in cone):
             raise ValueError(f"cone ({cone_key(cone)}) references a missing ray")
         if len(set(cone)) != len(cone):

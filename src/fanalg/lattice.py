@@ -2,14 +2,15 @@
 
 Smith normal form with recorded unimodular transforms, primitive vectors,
 completion of partial bases, and integer kernels.  Everything is computed
-over arbitrary-precision integers; rationals appear only internally when
-inverting a unimodular matrix through `QMat`, and the result is always
-integral.
+over arbitrary-precision integers; rationals appear only internally, in
+the determinant and the inverse, which `QMat` computes.  Integers are
+coerced once, where they enter, by `_vec`, which rejects a float.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from fanalg.linalg import QMat
@@ -18,7 +19,8 @@ Vec = tuple[int, ...]
 
 
 def _vec(v: Sequence[int]) -> Vec:
-    return tuple(int(x) for x in v)
+    """The one integer coercion: a float or a Fraction raises TypeError."""
+    return tuple(map(index, v))
 
 
 class IntMatrix:
@@ -27,7 +29,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], shape: tuple[int, int] | None = None):
-        frozen = tuple(tuple(int(x) for x in row) for row in entries)
+        frozen = tuple(map(_vec, entries))
         if shape is not None:
             m, n = shape
         else:
@@ -105,39 +107,25 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def det(self) -> int:
-        """Exact determinant via fraction-free elimination."""
+        """Exact determinant, read from the one rational elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return QMat(self.entries, shape=(self.rows, self.cols)).det().numerator
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def inverse(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix, exact over the integers."""
-        if not self.is_unimodular():
-            raise ValueError("matrix is not unimodular")
-        inv = QMat(self.entries, shape=(self.rows, self.cols)).inverse()
+        """Inverse of a unimodular matrix, from one rational inversion: an
+        integer matrix has an integral inverse exactly when its determinant
+        is 1 or -1."""
+        try:
+            inv = QMat(self.entries, shape=(self.rows, self.cols)).inverse()
+        except ValueError:  # singular or not square
+            raise ValueError("matrix is not unimodular") from None
         if any(x.denominator != 1 for x in inv.flat()):
-            raise AssertionError("inverse of a unimodular matrix is not integral")
-        return IntMatrix(inv.rows, shape=(self.rows, self.cols))
+            raise ValueError("matrix is not unimodular")
+        return IntMatrix(tuple(tuple(x.numerator for x in row) for row in inv.rows), shape=(self.rows, self.cols))
 
 
 def _row_op(a, t, i, j, q):

@@ -6,6 +6,13 @@ two operations the fan algebra depends on: exact division by binomials
 t^v - 1 for primitive v, done coset by coset on the exponents e + Zv with no
 change of coordinates, and the monomial map induced by an integer matrix on
 exponents.
+
+Numbers are coerced once, where they enter: the public constructors
+(`LaurentPoly(rank, terms)`, `constant`, `monomial`) pass each exponent
+through `lattice._vec`, which rejects a float instead of truncating it, and
+each coefficient through `linalg._frac`, the one rational coercion.
+Arithmetic, `one`, `binomial`, `monomial_map` and the quotients of
+`divide_by_binomial` build their terms through the trusted `LaurentPoly._of`.
 """
 
 from __future__ import annotations
@@ -14,17 +21,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from fanalg.lattice import IntMatrix, Vec, primitive
-
-
-def _coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"cannot coerce {c!r} to a rational coefficient")
+from fanalg.lattice import IntMatrix, Vec, _vec, primitive
+from fanalg.linalg import _frac
 
 
 class LaurentPoly:
@@ -36,12 +34,10 @@ class LaurentPoly:
         data: dict[Vec, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for e, c in items:
-            e = tuple(int(x) for x in e)
+            e = _vec(e)
             if len(e) != rank:
                 raise ValueError(f"exponent {e} does not have rank {rank}")
-            c = _coeff(c)
-            if c == 0:
-                continue
+            c = _frac(c)
             acc = data.get(e, Fraction(0)) + c
             if acc == 0:
                 data.pop(e, None)
@@ -71,16 +67,16 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: Fraction(1)})
+        return cls._of(rank, {(0,) * rank: Fraction(1)})
 
     @classmethod
     def constant(cls, rank: int, c) -> "LaurentPoly":
-        return cls(rank, {(0,) * rank: _coeff(c)})
+        return cls(rank, {(0,) * rank: c})
 
     @classmethod
     def monomial(cls, v: Sequence[int], c=1) -> "LaurentPoly":
-        e = tuple(int(x) for x in v)
-        return cls(len(e), {e: _coeff(c)})
+        e = tuple(v)
+        return cls(len(e), {e: c})
 
     def key(self) -> tuple:
         if self._key is None:
@@ -123,8 +119,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            return LaurentPoly._of(self.rank, {e: c * x for e, x in self.terms.items()} if c else {})
+            return LaurentPoly._of(self.rank, {e: other * x for e, x in self.terms.items()} if other else {})
         self._check_rank(other)
         out: dict[Vec, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -145,7 +140,7 @@ class LaurentPoly:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
             ((e, c),) = self.terms.items()
-            return LaurentPoly(self.rank, {tuple(-x for x in e): _coeff(1) / c}) ** (-k)
+            return LaurentPoly._of(self.rank, {tuple(-x for x in e): 1 / c}) ** (-k)
         out = LaurentPoly.one(self.rank)
         base = self
         while k:
@@ -186,15 +181,20 @@ class LaurentPoly:
 
 def binomial(v: Sequence[int]) -> LaurentPoly:
     """The polynomial t^v - 1."""
-    e = tuple(int(x) for x in v)
-    return LaurentPoly(len(e), {e: Fraction(1), (0,) * len(e): Fraction(-1)})
+    e = _vec(v)
+    zero = (0,) * len(e)
+    return LaurentPoly._of(len(e), {e: Fraction(1), zero: Fraction(-1)} if e != zero else {})
 
 
 def monomial_map(f: LaurentPoly, q: IntMatrix) -> LaurentPoly:
     """Ring homomorphism sending t^u to s^(q @ u); colliding images are summed."""
     if q.cols != f.rank:
         raise ValueError(f"matrix with {q.cols} columns cannot act on rank {f.rank}")
-    return LaurentPoly(q.rows, [(q.apply(e), c) for e, c in f.terms.items()])
+    out: dict[Vec, Fraction] = {}
+    for e, c in f.terms.items():
+        e = q.apply(e)
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly._of(q.rows, {e: c for e, c in out.items() if c})
 
 
 def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
@@ -207,7 +207,7 @@ def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
     coefficients sum to zero, and the quotient's coefficient at base + k*v is
     minus the running sum of f's coefficients at positions up to k.
     """
-    v = tuple(int(x) for x in v)
+    v = _vec(v)
     if len(v) != f.rank:
         raise ValueError("vector rank does not match polynomial rank")
     if all(x == 0 for x in v):
@@ -219,17 +219,18 @@ def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
     for e, c in f.terms.items():
         k = e[j] // v[j]
         cosets.setdefault(tuple(a - k * b for a, b in zip(e, v)), {})[k] = c
-    out_terms: list[tuple[Vec, Fraction]] = []
+    # an exponent fixes its coset and k, so each quotient term is set once
+    out_terms: dict[Vec, Fraction] = {}
     for base, coeffs in cosets.items():
         hi = max(coeffs)
         run = Fraction(0)
         for k in range(min(coeffs), hi):
             run += coeffs.get(k, 0)
             if run:
-                out_terms.append((tuple(a + k * b for a, b in zip(base, v)), -run))
+                out_terms[tuple(a + k * b for a, b in zip(base, v))] = -run
         if run + coeffs[hi] != 0:
             return None
-    return LaurentPoly(f.rank, out_terms)
+    return LaurentPoly._of(f.rank, out_terms)
 
 
 def divide_by_product(f: LaurentPoly, vs: Sequence[Sequence[int]]) -> LaurentPoly | None:
@@ -238,7 +239,7 @@ def divide_by_product(f: LaurentPoly, vs: Sequence[Sequence[int]]) -> LaurentPol
     The binomials for distinct primitive vectors are non-associate primes of
     the Laurent ring, so the result does not depend on the order of vs.
     """
-    vecs = [tuple(int(x) for x in v) for v in vs]
+    vecs = [_vec(v) for v in vs]
     if len(set(vecs)) != len(vecs):
         raise ValueError("repeated vector in divisor list")
     out = f
@@ -255,7 +256,6 @@ def poly_to_data(f: LaurentPoly) -> list[dict]:
 
 
 def poly_from_data(data: Sequence[Mapping], rank: int) -> LaurentPoly:
-    terms = []
-    for rec in data:
-        terms.append((tuple(int(x) for x in rec["e"]), Fraction(str(rec["c"]))))
-    return LaurentPoly(rank, terms)
+    """The polynomial of records {"c": rational, "e": [exponents]}, coerced by
+    the constructor."""
+    return LaurentPoly(rank, [(rec["e"], rec["c"]) for rec in data])

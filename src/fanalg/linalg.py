@@ -7,19 +7,27 @@ Products are taken over the integers: rows and columns are cleared of
 denominators first, so each entry costs one integer dot product and one
 reduced Fraction.  Every elimination reads one sparse, fully reduced row
 echelon form, built by `_echelon`.
+
+Numbers are coerced once, where they enter: the public constructors
+(`QMat(rows)`, `from_flat`, `diagonal`) pass each entry through `_frac`,
+the one rational coercion of the package, and check the shape.  Every
+matrix the library builds from matrices it already holds goes through the
+trusted `QMat._of`, which coerces and checks nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Q = Fraction
 
 
 def _frac(x) -> Fraction:
+    """The one rational coercion: a Fraction, an int or a "p/q" string; a
+    float raises TypeError, since it is not exact."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -44,7 +52,7 @@ class QMat:
     __slots__ = ("m", "n", "rows")
 
     def __init__(self, rows: Sequence[Sequence], shape: tuple[int, int] | None = None):
-        frozen = tuple(tuple(_frac(x) for x in row) for row in rows)
+        frozen = tuple(tuple(map(_frac, row)) for row in rows)
         if shape is not None:
             m, n = shape
         else:
@@ -56,28 +64,38 @@ class QMat:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", frozen)
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...], m: int, n: int) -> "QMat":
+        """The m x n matrix with these rows, which the library has just built
+        as m tuples of n Fractions; they are not coerced or checked again."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "m", m)
+        object.__setattr__(a, "n", n)
+        object.__setattr__(a, "rows", rows)
+        return a
+
     def __setattr__(self, *a):
         raise AttributeError("QMat is immutable")
 
     @classmethod
     def zero(cls, m: int, n: int) -> "QMat":
-        return cls(tuple((Q(0),) * n for _ in range(m)), shape=(m, n))
+        return cls._of(((Q(0),) * n,) * m, m, n)
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
-        return cls(tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)), shape=(n, n))
+        return cls._of(tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)), n, n)
 
     @classmethod
     def from_flat(cls, m: int, n: int, flat: Sequence) -> "QMat":
-        if len(flat) != m * n:
-            raise ValueError(f"expected {m * n} entries, got {len(flat)}")
-        return cls(tuple(tuple(_frac(flat[i * n + j]) for j in range(n)) for i in range(m)), shape=(m, n))
+        if m < 0 or n < 0 or len(flat) != m * n:
+            raise ValueError(f"a {m}x{n} matrix cannot have {len(flat)} entries")
+        return cls._of(tuple(tuple(map(_frac, flat[i * n : (i + 1) * n])) for i in range(m)), m, n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "QMat":
-        es = [_frac(x) for x in entries]
+        es = list(map(_frac, entries))
         n = len(es)
-        return cls(tuple(tuple(es[i] if i == j else Q(0) for j in range(n)) for i in range(n)), shape=(n, n))
+        return cls._of(tuple(tuple(es[i] if i == j else Q(0) for j in range(n)) for i in range(n)), n, n)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -94,24 +112,19 @@ class QMat:
 
     def __add__(self, other: "QMat") -> "QMat":
         self._same_shape(other)
-        return QMat(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            shape=(self.m, self.n),
-        )
+        return QMat._of(tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)), self.m, self.n)
 
     def __sub__(self, other: "QMat") -> "QMat":
         self._same_shape(other)
-        return QMat(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            shape=(self.m, self.n),
-        )
+        return QMat._of(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)), self.m, self.n)
 
     def __neg__(self) -> "QMat":
-        return QMat(tuple(tuple(-a for a in row) for row in self.rows), shape=(self.m, self.n))
+        return QMat._of(tuple(tuple(-a for a in row) for row in self.rows), self.m, self.n)
 
-    def scale(self, c) -> "QMat":
-        c = _frac(c)
-        return QMat(tuple(tuple(c * a for a in row) for row in self.rows), shape=(self.m, self.n))
+    def scale(self, c: int | Fraction) -> "QMat":
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot scale by {c!r}, an int or a Fraction is needed")
+        return QMat._of(tuple(tuple(c * a for a in row) for row in self.rows), self.m, self.n)
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.n != other.m:
@@ -122,14 +135,14 @@ class QMat:
         out = tuple(
             tuple(Fraction(sum(map(mul, row, col)), dr * dc) for col, dc in cols) for row, dr in _cleared(self.rows)
         )
-        return QMat(out, shape=(self.m, other.n))
+        return QMat._of(out, self.m, other.n)
 
     def _same_shape(self, other: "QMat") -> None:
         if self.m != other.m or self.n != other.n:
             raise ValueError(f"shape mismatch {self.m}x{self.n} vs {other.m}x{other.n}")
 
     def transpose(self) -> "QMat":
-        return QMat(tuple(zip(*self.rows)) if self.rows and self.n else (((),) * self.n if self.n else ()), shape=(self.n, self.m))
+        return QMat._of(tuple(zip(*self.rows)) if self.rows else ((),) * self.n, self.n, self.m)
 
     def is_square(self) -> bool:
         return self.m == self.n
@@ -164,7 +177,7 @@ class QMat:
         held, _ = _echelon(a + e for a, e in zip(self.rows, QMat.identity(n).rows))
         if any(c >= n for c in held):
             raise ValueError("matrix is singular")
-        return QMat(tuple(tuple(held[i].get(j, Q(0)) for j in range(n, 2 * n)) for i in range(n)), shape=(n, n))
+        return QMat._of(tuple(tuple(held[i].get(j, Q(0)) for j in range(n, 2 * n)) for i in range(n)), n, n)
 
     def pow_int(self, k: int) -> "QMat":
         if not self.is_square():
@@ -193,7 +206,7 @@ def block_diag(mats: Iterable[QMat]) -> QMat:
         left, right = (Q(0),) * c, (Q(0),) * (n - c - b.n)
         rows += [left + row + right for row in b.rows]
         c += b.n
-    return QMat(rows, shape=(len(rows), n))
+    return QMat._of(tuple(rows), len(rows), n)
 
 
 def kron(a: QMat, b: QMat) -> QMat:
@@ -202,16 +215,16 @@ def kron(a: QMat, b: QMat) -> QMat:
     for i in range(a.m):
         for p in range(b.m):
             rows.append(tuple(a.rows[i][j] * b.rows[p][q] for j in range(a.n) for q in range(b.n)))
-    return QMat(tuple(rows), shape=(a.m * b.m, a.n * b.n))
+    return QMat._of(tuple(rows), a.m * b.m, a.n * b.n)
 
 
 def random_invertible(n: int, rng, spread: int = 2) -> QMat:
     """Constructive random invertible matrix: unit triangular factors times
     a nonzero diagonal, never rejection sampling."""
-    lo = [[Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i > j else Q(0)) for j in range(n)] for i in range(n)]
-    up = [[Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i < j else Q(0)) for j in range(n)] for i in range(n)]
+    lo = tuple(tuple(Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i > j else Q(0)) for j in range(n)) for i in range(n))
+    up = tuple(tuple(Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i < j else Q(0)) for j in range(n)) for i in range(n))
     diag = QMat.diagonal([Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)) for _ in range(n)])
-    return QMat(lo) @ diag @ QMat(up)
+    return QMat._of(lo, n, n) @ diag @ QMat._of(up, n, n)
 
 
 def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
@@ -261,7 +274,7 @@ def rref(mat: QMat) -> tuple[QMat, list[int]]:
     zero = Q(0)
     rows = [tuple(held[c].get(j, zero) for j in range(mat.n)) for c in pivots]
     rows += [(zero,) * mat.n] * (mat.m - len(rows))
-    return QMat(rows, shape=(mat.m, mat.n)), pivots
+    return QMat._of(tuple(rows), mat.m, mat.n), pivots
 
 
 def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:

@@ -11,6 +11,9 @@ passes in, and the input of an operation that needs a valid one, which raises
 Rejected carrying the report.  Results derived from checked data are not
 checked again; the tests assert the theorems that guarantee them.  Guards on
 computed results raise AssertionError explicitly, so they run under python -O.
+Numbers follow the same rule: the public constructors and `serialize` coerce
+each rational through `linalg._frac` and each integer through `lattice._vec`,
+rejecting floats, and what the library builds from them is not coerced again.
 """
 
 from __future__ import annotations

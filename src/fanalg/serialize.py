@@ -179,7 +179,7 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
     obj = _object(data, path)
     dims = {}
     for key, d, at in _members(obj.get("spaces", {}), f"{path}.spaces"):
-        dims[fan.require_cone(parse_cone_key(key))] = _int(d, at)
+        dims[fan.require_cone(parse_cone_key(key))] = _expect(_int(d, at) >= 0, d, at, "a nonnegative integer")
     torus = {}
     for key, mats, at in _members(obj.get("torus", {}), f"{path}.torus"):
         c = fan.require_cone(parse_cone_key(key))

@@ -76,7 +76,7 @@ def find_isomorphism(ma: DiagramModule, mb: DiagramModule, seed: int = 0, attemp
 def structure_against_algebra(fan: Fan, sigma: Cone, tau: Cone, rho: Cone) -> LaurentPoly:
     """Independent computation of one structure constant by multiplying the
     basis elements inside the plain algebra and dividing off the target basis
-    polynomial.  Used to cross-check structure_rays."""
+    polynomial.  Used to cross-check ag_structure and cofactor_rays."""
     left = matrix_unit(fan, sigma, tau, required_divisor(fan, sigma, tau))
     right = matrix_unit(fan, tau, rho, required_divisor(fan, tau, rho))
     poly = (left * right).entry(sigma, rho)

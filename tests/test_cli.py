@@ -375,6 +375,7 @@ class TestMalformedInput:
         "$.fan": dict(MODULE, fan=5),
         "$.spaces": dict(MODULE, spaces=5),
         '$.spaces[""]': dict(MODULE, spaces={"": "1"}),
+        '$.spaces[""]: expected a nonnegative integer': dict(MODULE, spaces={"": -1}),
         '$.torus[""]': dict(MODULE, torus={"": 5}),
         '$.torus[""][0]': dict(MODULE, torus={"": [5, ["1"]]}),
         '$.u["0"]': dict(MODULE, u={"0": []}),

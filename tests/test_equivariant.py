@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanalg.algebra import cofactor_rays
 from fanalg.diagram import validate
 from fanalg.equivariant import (
     EqDiagramModule,
@@ -10,7 +11,6 @@ from fanalg.equivariant import (
     associativity_report,
     inflate,
     quotient_presentation,
-    structure_rays,
     validate_equivariant,
 )
 from fanalg.lattice import IntMatrix
@@ -84,13 +84,14 @@ class TestStructure:
                         assert s.constant(sigma, tau, rho) == direct
 
     def test_structure_rays_formula(self):
-        # (sigma&rho minus tau) plus (tau minus sigma|rho)
-        assert structure_rays((0, 1), (0,), (0, 2)) == ()
-        assert structure_rays((0, 1), (1,), (1, 2)) == ()
-        assert structure_rays((0, 1), (0,), (0, 1)) == (1,)
-        assert structure_rays((0, 1), (), (0, 1)) == (0, 1)
-        assert structure_rays((0,), (), (0,)) == (0,)
-        assert structure_rays((), (0,), ()) == (0,)
+        # structure constants read the plain algebra's cofactor rays, tau the
+        # middle cone: (sigma&rho minus tau) plus (tau minus sigma|rho)
+        assert cofactor_rays((0, 1), (0,), (0, 2)) == ()
+        assert cofactor_rays((0, 1), (1,), (1, 2)) == ()
+        assert cofactor_rays((0, 1), (0,), (0, 1)) == (1,)
+        assert cofactor_rays((0, 1), (), (0, 1)) == (0, 1)
+        assert cofactor_rays((0,), (), (0,)) == (0,)
+        assert cofactor_rays((), (0,), ()) == (0,)
 
     def test_associativity_exhaustive_small_fans(self, c_fan, c2_fan, p1_fan, p2_fan):
         for fan in (c_fan, c2_fan, p1_fan, p2_fan):

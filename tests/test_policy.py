@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import fanalg
-from fanalg import algebra, lattice, laurent, linalg, serialize
+from fanalg import algebra, diagram, lattice, laurent, linalg, serialize
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_rays
-from fanalg.diagram import evaluate
-from fanalg.lattice import IntMatrix
-from fanalg.laurent import LaurentPoly, divide_by_product
-from fanalg.linalg import QMat, nullspace, rref
+from fanalg.diagram import evaluate, hom
+from fanalg.lattice import IntMatrix, primitive
+from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
+from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
 
 from support import count_calls, random_valid_module
 
@@ -118,6 +118,7 @@ def test_every_elimination_is_one_echelon_call(monkeypatch):
         "QMat.inverse": a.inverse,
         "rref": lambda: rref(a),
         "nullspace": lambda: nullspace(a),
+        "IntMatrix.det": unimodular.det,
         "IntMatrix.inverse": unimodular.inverse,
     }
     counts = {}
@@ -136,3 +137,96 @@ def test_result_guards_are_not_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.fixture
+def coercions(monkeypatch):
+    # laurent and diagram import the one rational coercion from linalg
+    return count_calls(monkeypatch, "_frac", linalg, laurent, diagram)
+
+
+def test_built_numbers_are_not_coerced_again(p2_fan, coercions):
+    rng = random.Random(7)
+    m = random_valid_module(p2_fan, rng, summands=2)
+    x = random_member(p2_fan, rng)
+    a = QMat([["1/2", 3], [-1, "2/5"]])
+    b = QMat([[2, 0], [1, 1]])
+    f = LaurentPoly(2, {(1, 0): 2, (0, -1): "1/3"})
+    g = LaurentPoly(2, {(0, 1): -1, (2, 1): 5})
+    t = LaurentPoly.monomial((1, 1))
+    uses = {
+        "@": lambda: a @ b,
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "scale": lambda: a.scale(Fraction(3, 2)),
+        "inverse": a.inverse,
+        "nullspace": lambda: nullspace(a),
+        "block_diag": lambda: block_diag([a, b]),
+        "kron": lambda: kron(a, b),
+        "evaluate": lambda: evaluate(x, m),
+        "hom": lambda: hom(m, m),
+        "LaurentPoly.one": lambda: LaurentPoly.one(2),
+        "binomial": lambda: binomial((1, 2)),
+        "LaurentPoly arithmetic": lambda: ((f + g) * f - 3 * g) ** 2 * t ** -1,
+        "divide_by_binomial": lambda: divide_by_binomial(binomial((1, 2)) * f, (1, 2)),
+        "monomial_map": lambda: monomial_map(f, IntMatrix([[1, 1], [0, 1], [2, 1]])),
+    }
+    counts = {}
+    for name, use in uses.items():
+        coercions.clear()
+        use()
+        counts[name] = len(coercions)
+    assert counts == dict.fromkeys(uses, 0)
+
+
+def test_public_constructors_and_files_still_coerce(p2_fan, coercions):
+    m = random_valid_module(p2_fan, random.Random(8), summands=2)
+    data = serialize.module_to_data(m)
+    uses = {
+        "QMat": lambda: QMat([["1/2", 3]]),
+        "QMat.from_flat": lambda: QMat.from_flat(1, 2, ["1/2", 3]),
+        "QMat.diagonal": lambda: QMat.diagonal([1, "2/3"]),
+        "LaurentPoly": lambda: LaurentPoly(1, [((1,), "1/2")]),
+        "module file": lambda: serialize.module_from_data(data, p2_fan),
+    }
+    for name, use in uses.items():
+        coercions.clear()
+        use()
+        assert coercions, name
+    assert QMat([["1/2", 3]]).rows == ((Fraction(1, 2), Fraction(3)),)
+    assert QMat.from_flat(1, 2, ["1/2", 3]) == QMat([["1/2", 3]])
+    assert serialize.module_from_data(data, p2_fan) == m
+
+
+def test_public_constructors_reject_ragged_and_float_input():
+    mis_shaped = (
+        lambda: QMat([[1, 2], [3]]),
+        lambda: QMat([[1]], shape=(2, 1)),
+        lambda: QMat.from_flat(2, 2, [1, 2, 3]),
+        lambda: QMat.from_flat(-1, -1, [1]),
+    )
+    for ragged in mis_shaped:
+        with pytest.raises(ValueError):
+            ragged()
+    floats = (
+        lambda: QMat([[0.5]]),
+        lambda: QMat.from_flat(1, 1, [0.5]),
+        lambda: QMat.diagonal([0.5]),
+        lambda: QMat.identity(1).scale(0.5),
+        lambda: LaurentPoly(1, [((1,), 0.5)]),
+    )
+    for rejected in floats:
+        with pytest.raises(TypeError):
+            rejected()
+
+
+def test_integer_boundaries_reject_floats_instead_of_truncating():
+    cases = (
+        lambda: IntMatrix([[1.5, 2.9]]),
+        lambda: LaurentPoly(1, [((1.5,), 1)]),
+        lambda: primitive((2.5, 1)),
+        lambda: binomial((1.7,)),
+    )
+    for truncated in cases:
+        with pytest.raises(TypeError):
+            truncated()

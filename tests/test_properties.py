@@ -45,6 +45,13 @@ scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 nonzero_scalars = scalars.filter(bool)
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    """The optional sympy oracle, imported before hypothesis draws any
+    example, so that without sympy an oracle test is only a skip."""
+    return pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+
+
 @st.composite
 def primitive_vectors(draw):
     """A primitive vector of rank 1-3 with entries in [-3, 3]."""
@@ -169,8 +176,7 @@ def test_division_rejects_a_stray_term(v, data):
 
 @SETTINGS
 @given(primitive_vectors(), st.data())
-def test_division_agrees_with_sympy(v, data):
-    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+def test_division_agrees_with_sympy(sympy, v, data):
     rank = len(v)
     f = data.draw(polys(rank))
     if data.draw(st.booleans()):
@@ -313,9 +319,7 @@ def test_integer_inverse_of_a_unimodular_product(n, data):
 @example(QMat.zero(0, 0))
 @example(QMat.zero(0, 3))
 @example(QMat([[1, 2, 3], [2, 4, 6]]))
-def test_linalg_agrees_with_sympy(a):
-    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
-
+def test_linalg_agrees_with_sympy(sympy, a):
     def to_sympy(x: Fraction):
         return sympy.Rational(x.numerator, x.denominator)
 
@@ -396,8 +400,7 @@ def test_snf_diagonalizes_with_a_divisibility_chain(rows, cols, data):
 
 @SETTINGS
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
-def test_snf_agrees_with_sympy(rows, cols, data):
-    sympy = pytest.importorskip("sympy", reason="the sympy cross-check is optional")
+def test_snf_agrees_with_sympy(sympy, rows, cols, data):
     from sympy.matrices.normalforms import smith_normal_form
 
     flat = data.draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
