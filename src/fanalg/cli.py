@@ -9,6 +9,7 @@ deterministic for a fixed --seed; reports are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -346,7 +347,10 @@ def _run_flags(q: argparse.ArgumentParser) -> None:
     q.add_argument("--trials", type=_trial_count, default=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` fills a
+    new namespace on every call, so no parsed state is kept between calls."""
     p = argparse.ArgumentParser(prog="fanalg", description="fan algebras, diagram modules, descent, equivariant base change")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized runs")
     p.add_argument("--trials", type=_trial_count, default=100, help="trial count for property runs, at least 1")

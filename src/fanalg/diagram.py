@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import index, matmul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -28,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan, standard_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
-from fanalg.linalg import QMat, _frac, block_diag, kron, nullspace, random_invertible
+from fanalg.linalg import QMat, _frac, block_diag, kron, linear_combination, nullspace, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -262,24 +263,24 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
         raise ValueError("evaluation needs a plain module; inflate equivariant modules first")
     fan = m.fan
     offs = m.offsets()
-    n = m.total_dim()
-    total = [[Fraction(0)] * n for _ in range(n)]
+    blocks = []
     for (sigma, tau), y in sorted(x.quotients.items()):
         meet = tuple(sorted(set(sigma) & set(tau)))
         up = m._chain("u", meet, covering_chain(fan, meet, sigma, rng))
         down = m._chain("v", meet, covering_chain(fan, meet, tau, rng))
         d = m.dims[sigma]
-        scal = [[Fraction(0)] * d for _ in range(d)]  # sum of c * monodromy(e) over the terms of y
-        for e, c in y.terms.items():
-            for acc, row in zip(scal, m.monodromy(sigma, e).rows):
-                for j, a in enumerate(row):
-                    if a:
-                        acc[j] += c * a
-        block = QMat._of(tuple(map(tuple, scal)), d, d) @ up @ down
-        r0, c0 = offs[sigma], offs[tau]
-        for i, row in enumerate(block.rows):  # entries are distinct cone pairs, so blocks do not overlap
-            total[r0 + i][c0 : c0 + block.n] = row
-    return QMat._of(tuple(map(tuple, total)), n, n)
+        scal = linear_combination([(c, m.monodromy(sigma, e)) for e, c in y.terms.items()], d, d)
+        blocks.append((offs[sigma], offs[tau], scal @ up @ down))
+    # the blocks over the lcm of their denominators; entries are distinct
+    # cone pairs, so blocks do not overlap and the total is canonical as it stands
+    n = m.total_dim()
+    den = lcm(*(b.den for _, _, b in blocks))
+    total = [[0] * n for _ in range(n)]
+    for r0, c0, block in blocks:
+        f = den // block.den
+        for i, row in enumerate(block.num):
+            total[r0 + i][c0 : c0 + block.n] = [f * a for a in row]
+    return QMat._of(tuple(map(tuple, total)), den, n, n)
 
 
 @dataclass
@@ -605,29 +606,32 @@ def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
         offs[c] = pos
         pos += mb.dims[c] * ma.dims[c]
     nvars = pos
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
 
     def var(c: Cone, p: int, q: int) -> int:
         # entry (p, q) of the block at cone c, block shape (dims_b, dims_a)
         return offs[c] + p * ma.dims[c] + q
 
     for x, y, a, b in _intertwining(ma, mb):
+        # f_x a - b f_y = 0, times lcm(a.den, b.den) so that each equation is one integer row
+        d = lcm(a.den, b.den)
+        fa, fb = d // a.den, d // b.den
         for p in range(mb.dims[x]):
             for q in range(ma.dims[y]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for r in range(ma.dims[x]):
-                    row[var(x, p, r)] += a.rows[r][q]
+                    row[var(x, p, r)] += fa * a.num[r][q]
                 for r in range(mb.dims[y]):
-                    row[var(y, r, q)] -= b.rows[p][r]
+                    row[var(y, r, q)] -= fb * b.num[p][r]
                 rows.append(row)
 
-    basis = nullspace(QMat._of(tuple(map(tuple, rows)), len(rows), nvars))
+    basis = nullspace(QMat._of(tuple(map(tuple, rows)), 1, len(rows), nvars))
     maps = []
     for vec in basis:
         blocks = {}
         for c in cones:
             db, da = mb.dims[c], ma.dims[c]
-            blocks[c] = QMat._of(tuple(tuple(vec[var(c, p, q)] for q in range(da)) for p in range(db)), db, da)
+            blocks[c] = QMat._of_fractions([[vec[var(c, p, q)] for q in range(da)] for p in range(db)], db, da)
         maps.append(BlockMap(ma, mb, blocks))
     return len(maps), maps
 
@@ -698,7 +702,7 @@ def dupont_demo(seed: int = 0) -> DupontOutcome:
     dupont = (m12 @ m13).is_identity()
     lines = [
         "validated module on the projective plane fan, all spaces one-dimensional",
-        f"N1 = {n1.rows[0][0]} (not the identity)",
+        f"N1 = {n1[0, 0]} (not the identity)",
         f"corrected relation: {'PASS' if corrected else 'FAIL'} (M12 M13 N1 = id)",
         f"Dupont relation M12*M13 = id: {'FAIL' if not dupont else 'PASS'}",
     ]

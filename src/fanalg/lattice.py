@@ -110,7 +110,7 @@ class IntMatrix:
         """Exact determinant, read from the one rational elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return QMat(self.entries, shape=(self.rows, self.cols)).det().numerator
+        return QMat._of(self.entries, 1, self.rows, self.cols).det().numerator
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -120,12 +120,12 @@ class IntMatrix:
         integer matrix has an integral inverse exactly when its determinant
         is 1 or -1."""
         try:
-            inv = QMat(self.entries, shape=(self.rows, self.cols)).inverse()
+            inv = QMat._of(self.entries, 1, self.rows, self.cols).inverse()
         except ValueError:  # singular or not square
             raise ValueError("matrix is not unimodular") from None
-        if any(x.denominator != 1 for x in inv.flat()):
+        if inv.den != 1:
             raise ValueError("matrix is not unimodular")
-        return IntMatrix(tuple(tuple(x.numerator for x in row) for row in inv.rows), shape=(self.rows, self.cols))
+        return IntMatrix(inv.num, shape=(self.rows, self.cols))
 
 
 def _row_op(a, t, i, j, q):

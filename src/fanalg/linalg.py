@@ -1,28 +1,44 @@
 """Exact rational linear algebra.
 
-Small immutable matrices over Fraction: products, determinants, inverses,
-rref and nullspaces.  Zero-by-zero and zero-by-k shapes are first-class
-citizens because diagram modules routinely carry zero-dimensional blocks.
-Products are taken over the integers: rows and columns are cleared of
-denominators first, so each entry costs one integer dot product and one
-reduced Fraction.  Every elimination reads one sparse, fully reduced row
-echelon form, built by `_echelon`.
+Small immutable matrices over the rationals: products, determinants,
+inverses, rref and nullspaces.  Zero-by-zero and zero-by-k shapes are
+first-class citizens because diagram modules routinely carry
+zero-dimensional blocks.
+
+A `QMat` holds integers over one denominator: `num`, a tuple of int rows,
+and `den > 0`, always in the canonical form gcd(den, *entries) == 1, so the
+zero matrix has den == 1.  Because the form is unique, `==` and `hash`
+compare the fields directly.  Products take integer dot products and then
+one gcd pass; sums rescale both operands to the lcm of their denominators,
+and `linear_combination` does so for many terms at once; negation,
+transposes, block sums and Kronecker products work on the integers.  `rows`, `__getitem__` and `flat` build `Fraction` views on
+request; nothing inside the package reads them on a hot path.
+
+Every elimination reads one sparse, fully reduced row echelon form, built by
+`_echelon` from the integer rows: scaling a matrix does not change its
+reduced echelon form, so det(num / den) is det(num) / den^m and the inverse
+is read from the echelon form of [num | den * I].
 
 Numbers are coerced once, where they enter: the public constructors
 (`QMat(rows)`, `from_flat`, `diagonal`) pass each entry through `_frac`,
 the one rational coercion of the package, and check the shape.  Every
-matrix the library builds from matrices it already holds goes through the
-trusted `QMat._of`, which coerces and checks nothing.
+matrix the library builds goes through the trusted `QMat._of` (integers
+already in canonical form), `QMat._reduced` (integers over a denominator,
+reduced by one gcd pass) or `QMat._of_fractions` (rationals the library has
+just computed), which coerce and check nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, mul, sub
+from itertools import chain
+from math import gcd, lcm, prod
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 Q = Fraction
+
+_set = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -37,19 +53,11 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-def _cleared(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[list[int], int]]:
-    """Each vector times the lcm d of its denominators, as (integers, d)."""
-    out = []
-    for vec in vectors:
-        d = lcm(*(x.denominator for x in vec))
-        out.append(([x.numerator * (d // x.denominator) for x in vec], d))
-    return out
-
-
 class QMat:
-    """Immutable matrix over the rationals."""
+    """Immutable matrix over the rationals, held as integers `num` over one
+    positive denominator `den` in canonical form."""
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "num", "den")
 
     def __init__(self, rows: Sequence[Sequence], shape: tuple[int, int] | None = None):
         frozen = tuple(tuple(map(_frac, row)) for row in rows)
@@ -60,124 +68,158 @@ class QMat:
             n = len(frozen[0]) if frozen else 0
         if len(frozen) != m or any(len(r) != n for r in frozen):
             raise ValueError("ragged or mis-shaped matrix data")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", frozen)
+        num, den = _over_lcm(frozen)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Fraction, ...], ...], m: int, n: int) -> "QMat":
-        """The m x n matrix with these rows, which the library has just built
-        as m tuples of n Fractions; they are not coerced or checked again."""
+    def _of(cls, num: tuple[tuple[int, ...], ...], den: int, m: int, n: int) -> "QMat":
+        """The m x n matrix num / den, which the library has just built in
+        canonical form; nothing is coerced, reduced or checked again."""
         a = object.__new__(cls)
-        object.__setattr__(a, "m", m)
-        object.__setattr__(a, "n", n)
-        object.__setattr__(a, "rows", rows)
+        _set(a, "m", m)
+        _set(a, "n", n)
+        _set(a, "num", num)
+        _set(a, "den", den)
         return a
+
+    @classmethod
+    def _reduced(cls, num: tuple[tuple[int, ...], ...], den: int, m: int, n: int) -> "QMat":
+        """num / den for integer rows and a positive den, brought to canonical
+        form by one gcd pass."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple([x // g for x in row]) for row in num)
+                den //= g
+        return cls._of(num, den, m, n)
+
+    @classmethod
+    def _of_fractions(cls, rows: Sequence[Sequence[Fraction | int]], m: int, n: int) -> "QMat":
+        """The m x n matrix of rationals (Fractions or ints) the library has
+        just computed; they are not coerced or checked again."""
+        num, den = _over_lcm(rows)
+        return cls._of(num, den, m, n)
 
     def __setattr__(self, *a):
         raise AttributeError("QMat is immutable")
 
     @classmethod
     def zero(cls, m: int, n: int) -> "QMat":
-        return cls._of(((Q(0),) * n,) * m, m, n)
+        return cls._of(((0,) * n,) * m, 1, m, n)
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
-        return cls._of(tuple(tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)), n, n)
+        return cls._of(_eye(n, 1), 1, n, n)
 
     @classmethod
     def from_flat(cls, m: int, n: int, flat: Sequence) -> "QMat":
         if m < 0 or n < 0 or len(flat) != m * n:
             raise ValueError(f"a {m}x{n} matrix cannot have {len(flat)} entries")
-        return cls._of(tuple(tuple(map(_frac, flat[i * n : (i + 1) * n])) for i in range(m)), m, n)
+        es = tuple(map(_frac, flat))
+        return cls._of_fractions(tuple(es[i * n : (i + 1) * n] for i in range(m)), m, n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "QMat":
         es = list(map(_frac, entries))
         n = len(es)
-        return cls._of(tuple(tuple(es[i] if i == j else Q(0) for j in range(n)) for i in range(n)), n, n)
+        return cls._of_fractions(tuple(tuple(es[i] if i == j else 0 for j in range(n)) for i in range(n)), n, n)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, built on each read."""
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QMat) and self.m == other.m and self.n == other.n and self.rows == other.rows
+        return (
+            isinstance(other, QMat)
+            and self.m == other.m
+            and self.n == other.n
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.n, self.rows))
+        return hash((self.m, self.n, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"QMat({[[str(x) for x in row] for row in self.rows]})"
 
     def __add__(self, other: "QMat") -> "QMat":
         self._same_shape(other)
-        return QMat._of(tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)), self.m, self.n)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        num = tuple(tuple([fa * x + fb * y for x, y in zip(ra, rb)]) for ra, rb in zip(self.num, other.num))
+        return QMat._reduced(num, d, self.m, self.n)
 
     def __sub__(self, other: "QMat") -> "QMat":
-        self._same_shape(other)
-        return QMat._of(tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)), self.m, self.n)
+        return self + -other
 
     def __neg__(self) -> "QMat":
-        return QMat._of(tuple(tuple(-a for a in row) for row in self.rows), self.m, self.n)
+        return QMat._of(tuple(tuple(map(neg, row)) for row in self.num), self.den, self.m, self.n)
 
     def scale(self, c: int | Fraction) -> "QMat":
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"cannot scale by {c!r}, an int or a Fraction is needed")
-        return QMat._of(tuple(tuple(c * a for a in row) for row in self.rows), self.m, self.n)
+        p = c.numerator
+        return QMat._reduced(tuple(tuple([p * x for x in row]) for row in self.num), c.denominator * self.den, self.m, self.n)
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
         if self.n == 0:
             return QMat.zero(self.m, other.n)
-        cols = _cleared(zip(*other.rows))
-        out = tuple(
-            tuple(Fraction(sum(map(mul, row, col)), dr * dc) for col, dc in cols) for row, dr in _cleared(self.rows)
-        )
-        return QMat._of(out, self.m, other.n)
+        cols = list(zip(*other.num))
+        out = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num)
+        return QMat._reduced(out, self.den * other.den, self.m, other.n)
 
     def _same_shape(self, other: "QMat") -> None:
         if self.m != other.m or self.n != other.n:
             raise ValueError(f"shape mismatch {self.m}x{self.n} vs {other.m}x{other.n}")
 
     def transpose(self) -> "QMat":
-        return QMat._of(tuple(zip(*self.rows)) if self.rows else ((),) * self.n, self.n, self.m)
+        return QMat._of(tuple(zip(*self.num)) if self.num else ((),) * self.n, self.den, self.n, self.m)
 
     def is_square(self) -> bool:
         return self.m == self.n
 
     def is_identity(self) -> bool:
-        return self.is_square() and all(
-            self.rows[i][j] == (1 if i == j else 0) for i in range(self.m) for j in range(self.n)
-        )
+        return self.den == 1 and self.is_square() and self.num == _eye(self.m, 1)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        held, divisors = _echelon(self.rows)
+        held, divisors = _echelon(self.num)
         if len(held) < self.m:
             return Q(0)
         # the i-th row has its pivot in column order[i]; the sign is that permutation's
         order = list(held)
         swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-        return prod(divisors, start=Q(-1 if swaps % 2 else 1))
+        return prod(divisors, start=Q(-1 if swaps % 2 else 1, self.den**self.m))
 
     def is_invertible(self) -> bool:
-        return self.is_square() and len(_echelon(self.rows)[0]) == self.m
+        return self.is_square() and len(_echelon(self.num)[0]) == self.m
 
     def inverse(self) -> "QMat":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.m
-        # [A | I] always has rank n; its echelon form is [I | A^-1] exactly when A is invertible
-        held, _ = _echelon(a + e for a, e in zip(self.rows, QMat.identity(n).rows))
+        # (num / den)^-1 = den * num^-1, and [num | den I] reduces to [I | den * num^-1]
+        # exactly when num is invertible; [num | den I] always has rank n
+        held, _ = _echelon(a + e for a, e in zip(self.num, _eye(n, self.den)))
         if any(c >= n for c in held):
             raise ValueError("matrix is singular")
-        return QMat._of(tuple(tuple(held[i].get(j, Q(0)) for j in range(n, 2 * n)) for i in range(n)), n, n)
+        return QMat._of_fractions(tuple(tuple(held[i].get(j, 0) for j in range(n, 2 * n)) for i in range(n)), n, n)
 
     def pow_int(self, k: int) -> "QMat":
         if not self.is_square():
@@ -194,40 +236,72 @@ class QMat:
         return out
 
     def flat(self) -> list[Fraction]:
-        return [x for row in self.rows for x in row]
+        d = self.den
+        return [Fraction(x, d) for row in self.num for x in row]
+
+
+def _eye(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """d times the n x n identity, as integer rows."""
+    return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _over_lcm(rows: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rationals in lowest terms as integers over the lcm of their
+    denominators, which is already canonical: a prime power dividing the lcm
+    exactly divides some denominator, and that entry's numerator is not
+    divisible by the prime."""
+    rows = tuple(rows)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
 
 
 def block_diag(mats: Iterable[QMat]) -> QMat:
+    """The block sum, over the lcm of the blocks' denominators; canonical as
+    it stands, for the reason `_over_lcm` gives."""
     mats = list(mats)
     n = sum(b.n for b in mats)
+    den = lcm(*(b.den for b in mats))
     rows = []
     c = 0
     for b in mats:
-        left, right = (Q(0),) * c, (Q(0),) * (n - c - b.n)
-        rows += [left + row + right for row in b.rows]
+        f = den // b.den
+        left, right = (0,) * c, (0,) * (n - c - b.n)
+        rows += [left + tuple(f * x for x in row) + right for row in b.num]
         c += b.n
-    return QMat._of(tuple(rows), len(rows), n)
+    return QMat._of(tuple(rows), den, len(rows), n)
+
+
+def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int) -> QMat:
+    """The m x n sum of c * a over the terms, accumulated as integers over
+    the lcm of the terms' denominators and reduced by one gcd pass."""
+    if any((a.m, a.n) != (m, n) for _, a in terms):
+        raise ValueError(f"every term must be {m}x{n}")
+    den = lcm(*(c.denominator * a.den for c, a in terms))
+    acc = [[0] * n for _ in range(m)]
+    for c, a in terms:
+        f = c.numerator * (den // (c.denominator * a.den))
+        for out, row in zip(acc, a.num):
+            for j, x in enumerate(row):
+                out[j] += f * x
+    return QMat._reduced(tuple(map(tuple, acc)), den, m, n)
 
 
 def kron(a: QMat, b: QMat) -> QMat:
     """Kronecker product, basis ordered (i_a * b.m + i_b)."""
-    rows = []
-    for i in range(a.m):
-        for p in range(b.m):
-            rows.append(tuple(a.rows[i][j] * b.rows[p][q] for j in range(a.n) for q in range(b.n)))
-    return QMat._of(tuple(rows), a.m * b.m, a.n * b.n)
+    rows = tuple(tuple(x * y for x in ra for y in rb) for ra in a.num for rb in b.num)
+    return QMat._reduced(rows, a.den * b.den, a.m * b.m, a.n * b.n)
 
 
 def random_invertible(n: int, rng, spread: int = 2) -> QMat:
     """Constructive random invertible matrix: unit triangular factors times
     a nonzero diagonal, never rejection sampling."""
-    lo = tuple(tuple(Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i > j else Q(0)) for j in range(n)) for i in range(n))
-    up = tuple(tuple(Q(1) if i == j else (Q(rng.randint(-spread, spread)) if i < j else Q(0)) for j in range(n)) for i in range(n))
+    lo = tuple(tuple(1 if i == j else (rng.randint(-spread, spread) if i > j else 0) for j in range(n)) for i in range(n))
+    up = tuple(tuple(1 if i == j else (rng.randint(-spread, spread) if i < j else 0) for j in range(n)) for i in range(n))
     diag = QMat.diagonal([Q(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)) for _ in range(n)])
-    return QMat._of(lo, n, n) @ diag @ QMat._of(up, n, n)
+    return QMat._of(lo, 1, n, n) @ diag @ QMat._of(up, 1, n, n)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+def _subtract(row: dict[int, Fraction | int], f: Fraction | int, other: dict[int, Fraction | int]) -> None:
     """row -= f * other in place, keeping only nonzero entries."""
     for j, x in other.items():
         y = row.get(j, 0) - f * x
@@ -237,17 +311,18 @@ def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction])
             del row[j]
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
+def _echelon(rows: Iterable[Sequence[Fraction | int]]) -> tuple[dict[int, dict[int, Fraction | int]], list[Fraction | int]]:
     """The unique fully reduced row echelon form of `rows`, built one sparse row at a time.
 
     Each row is reduced against the held pivot rows and dropped if it reduces
     to zero; otherwise its first nonzero column becomes a pivot, the row is
     divided by its value there, and that column is cleared from the held rows.
     Returns the held rows ({column: value}, keyed by pivot column in arrival
-    order) and the pivot values divided out, in the same order.
+    order) and the pivot values divided out, in the same order.  Integer rows
+    stay integers for as long as every pivot is 1.
     """
-    held: dict[int, dict[int, Fraction]] = {}
-    divisors: list[Fraction] = []
+    held: dict[int, dict[int, Fraction | int]] = {}
+    divisors: list[Fraction | int] = []
     for dense in rows:
         row = {j: x for j, x in enumerate(dense) if x}
         # a held row is zero at every other pivot, so these reductions commute
@@ -258,7 +333,8 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[dict[int, dict[int, Fr
         p = min(row)
         d = row[p]
         if d != 1:
-            row = {j: x / d for j, x in row.items()}
+            q = Q(d)  # an int pivot would otherwise divide to a float
+            row = {j: x / q for j, x in row.items()}
         for other in held.values():
             if p in other:
                 _subtract(other, other[p], row)
@@ -269,23 +345,25 @@ def _echelon(rows: Iterable[Sequence[Fraction]]) -> tuple[dict[int, dict[int, Fr
 
 def rref(mat: QMat) -> tuple[QMat, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    held, _ = _echelon(mat.rows)
+    held, _ = _echelon(mat.num)
     pivots = sorted(held)
-    zero = Q(0)
-    rows = [tuple(held[c].get(j, zero) for j in range(mat.n)) for c in pivots]
-    rows += [(zero,) * mat.n] * (mat.m - len(rows))
-    return QMat._of(tuple(rows), mat.m, mat.n), pivots
+    rows = [tuple(held[c].get(j, 0) for j in range(mat.n)) for c in pivots]
+    rows += [(0,) * mat.n] * (mat.m - len(rows))
+    return QMat._of_fractions(rows, mat.m, mat.n), pivots
 
 
 def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one canonical vector per free column."""
-    red, pivots = rref(mat)
-    free = [c for c in range(mat.n) if c not in pivots]
+    """Basis of the right kernel, one canonical vector per free column, read
+    off the held rows of one echelon form."""
+    held, _ = _echelon(mat.num)
     basis = []
-    for fc in free:
+    for fc in range(mat.n):
+        if fc in held:
+            continue
         vec = [Q(0)] * mat.n
         vec[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.rows[r][fc]
+        for pc, row in held.items():
+            if fc in row:
+                vec[pc] = Q(-row[fc])
         basis.append(tuple(vec))
     return basis

@@ -347,6 +347,18 @@ class TestDeterminism:
         assert runs[0] == runs[1]
         assert run(["demo", "dupont"]) == run(["demo", "dupont"])
 
+    def test_one_parser_per_process_keeps_no_parsed_state(self, p2_file):
+        # the parser is built once; flags given to one call must not reach the next
+        assert cli.build_parser() is cli.build_parser()
+        code, out = run(["alg", "mudelta", p2_file, "--trials", "2", "--seed", "5"])
+        assert code == 0 and "checked 18 members" in out
+        code, out = run(["alg", "mudelta", p2_file])
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        argv = [sys.executable, "-m", "fanalg.cli", "alg", "mudelta", p2_file]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (code, out) == (proc.returncode, proc.stdout)
+        assert code == 0 and "checked 900 members" in out
+
 
 class TestMalformedInput:
     FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}

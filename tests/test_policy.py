@@ -10,7 +10,8 @@ import pytest
 import fanalg
 from fanalg import algebra, diagram, lattice, laurent, linalg, serialize
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_rays
-from fanalg.diagram import evaluate, hom
+from fanalg.descent import check_cocycle, twisted_datum
+from fanalg.diagram import evaluate, hom, validate
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
 from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
@@ -127,6 +128,50 @@ def test_every_elimination_is_one_echelon_call(monkeypatch):
         use()
         counts[name] = len(calls)
     assert counts == dict.fromkeys(uses, 1)
+
+
+def test_hom_reads_one_echelon_form_and_pads_no_rref(p2_fan, monkeypatch):
+    m = random_valid_module(p2_fan, random.Random(9), summands=2)
+    rrefs = count_calls(monkeypatch, "rref", linalg)
+    echelons = count_calls(monkeypatch, "_echelon", linalg)
+    dim, _ = hom(m, m)
+    assert dim >= 2
+    assert (len(rrefs), len(echelons)) == (0, 1)
+
+
+def test_matrix_arithmetic_reads_no_fraction_view(p2_fan, monkeypatch):
+    # QMat keeps integers over one denominator; `rows` builds Fractions for callers outside
+    rng = random.Random(10)
+    m = random_valid_module(p2_fan, rng, summands=2)
+    x = random_member(p2_fan, rng)
+    datum = twisted_datum(m, rng)
+    a = QMat([["1/2", 3], [-1, "2/5"]])
+    b = QMat([[2, 0], [1, 1]])
+    reads = []
+    view = QMat.rows
+
+    def counted(mat):
+        reads.append(mat)
+        return view.fget(mat)
+
+    monkeypatch.setattr(QMat, "rows", property(counted))
+    assert a.rows == view.fget(a) and len(reads) == 1  # the wrapped view is what is counted
+    uses = {
+        "@": lambda: a @ b,
+        "+": lambda: a + b,
+        "==": lambda: a == b,
+        "is_identity": lambda: (a @ a.inverse()).is_identity(),
+        "validate": lambda: validate(m),
+        "evaluate": lambda: evaluate(x, m),
+        "check_cocycle": lambda: check_cocycle(datum),
+        "hom": lambda: hom(m, m),
+    }
+    counts = {}
+    for name, use in uses.items():
+        reads.clear()
+        use()
+        counts[name] = len(reads)
+    assert counts == dict.fromkeys(uses, 0)
 
 
 def test_result_guards_are_not_assert_statements():

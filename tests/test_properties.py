@@ -3,15 +3,17 @@ instead of checking derived results again: closure of the algebra, arithmetic
 on divided-form elements against entry-wise arithmetic on their entries, the
 splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
 exact division by t^v - 1, against a sympy oracle when sympy is present; the
-integer kernel of QMat products; determinants, inverses, rref and nullspaces,
-against a sympy oracle when sympy is present; evaluation as a representation
-on modules with warm and cold caches; hom between character and point
-modules; and the Smith normal form, against a sympy oracle when sympy is
-present."""
+integer kernel of QMat products; the canonical form of every QMat operation
+(integers over one denominator), against plain Fraction arithmetic;
+determinants, inverses, rref and nullspaces, against a sympy oracle when
+sympy is present; evaluation as a representation on modules with warm and
+cold caches; hom between character and point modules; and the Smith normal
+form, against a sympy oracle when sympy is present."""
 
 import random
 import tempfile
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from fanalg.equivariant import ag_structure, associativity_report, quotient_pres
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
-from fanalg.linalg import QMat, nullspace, random_invertible, rref
+from fanalg.linalg import QMat, block_diag, kron, linear_combination, nullspace, random_invertible, rref
 
 from support import random_valid_module
 
@@ -332,6 +334,94 @@ def test_linalg_agrees_with_sympy(sympy, a):
         assert to_sympy(a.det()) == theirs.det()
         if a.is_invertible():
             assert [to_sympy(x) for x in a.inverse().flat()] == list(theirs.inv())
+
+
+def naive_product(x, y, cols):
+    """Rows of the product of two row tuples, summed as Fractions."""
+    return tuple(tuple(sum((r[t] * y[t][j] for t in range(len(r))), Fraction(0)) for j in range(cols)) for r in x)
+
+
+def naive_rref(rows, cols):
+    """Dense Gauss-Jordan on Fraction rows, pivot by pivot: an oracle that
+    shares no code with the sparse echelon form."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for j in range(cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return tuple(map(tuple, rows)), pivots
+
+
+def is_canonical(x: QMat) -> bool:
+    entries = [e for row in x.num for e in row]
+    shaped = len(x.num) == x.m and all(len(row) == x.n and all(type(e) is int for e in row) for row in x.num)
+    return shaped and type(x.den) is int and x.den > 0 and gcd(x.den, *entries) == 1
+
+
+@SETTINGS
+@given(square_pairs(), scalars, st.integers(-2, 3))
+@example((QMat([["1/2"]]), QMat([[2]])), Fraction(2), 1)  # a plain product of the denominators is not canonical
+@example((QMat([["1/2", "1/3"]] * 2), QMat([["1/2", "2/3"]] * 2)), Fraction(0), -1)
+@example((QMat([["1/2", 0], [0, "1/2"]]), QMat.identity(2)), Fraction(2), -1)  # integer part of the identity
+@example((QMat.zero(0, 0), QMat.zero(0, 0)), Fraction(1, 3), -2)
+def test_every_matrix_is_canonical_and_its_rows_are_the_fraction_arithmetic(pair, c, k):
+    """num / den with gcd(den, *num) == 1 after every operation, so equality
+    and hashing on the fields agree with equality of the Fraction rows."""
+    a, b = pair
+    n = a.n
+    ra, rb = a.rows, b.rows
+    naive = {
+        "QMat(rows)": (QMat(ra, shape=(n, n)), ra),
+        "from_flat": (QMat.from_flat(n, n, a.flat()), ra),
+        "diagonal": (QMat.diagonal([a[i, i] for i in range(n)]), tuple(tuple(ra[i][j] if i == j else 0 for j in range(n)) for i in range(n))),
+        "@": (a @ b, naive_product(ra, rb, n)),
+        "+": (a + b, tuple(tuple(x + y for x, y in zip(p, q)) for p, q in zip(ra, rb))),
+        "-": (a - b, tuple(tuple(x - y for x, y in zip(p, q)) for p, q in zip(ra, rb))),
+        "a - a": (a - a, ((Fraction(0),) * n,) * n),
+        "negation": (-a, tuple(tuple(-x for x in p) for p in ra)),
+        "scale": (a.scale(c), tuple(tuple(c * x for x in p) for p in ra)),
+        "transpose": (a.transpose(), tuple(zip(*ra)) if n else ()),
+        "block_diag": (block_diag([a, b]), tuple(p + (0,) * n for p in ra) + tuple((0,) * n + q for q in rb)),
+        "kron": (kron(a, b), tuple(tuple(x * y for x in p for y in q) for p in ra for q in rb)),
+        "linear_combination": (
+            linear_combination([(c, a), (-1, b), (Fraction(1, 2), a)], n, n),
+            tuple(tuple(c * x - y + x / 2 for x, y in zip(p, q)) for p, q in zip(ra, rb)),
+        ),
+    }
+    red, pivots = rref(a)
+    their_red, their_pivots = naive_rref(ra, n)
+    assert pivots == their_pivots
+    naive["rref"] = (red, their_red)
+    if a.is_invertible():
+        inv = a.inverse()
+        assert naive_product(ra, inv.rows, n) == naive_product(inv.rows, ra, n) == QMat.identity(n).rows
+        naive["inverse"] = (inv, inv.rows)
+    else:
+        k = abs(k)  # a singular matrix has no negative powers
+    power = QMat.identity(n).rows
+    for _ in range(abs(k)):
+        power = naive_product(power, inv.rows if k < 0 else ra, n)
+    naive["pow_int"] = (a.pow_int(k), power)
+    for name, (out, rows) in naive.items():
+        assert is_canonical(out), name
+        assert out.rows == tuple(map(tuple, rows)), name
+        assert all(type(x) is Fraction for row in out.rows for x in row), name
+        assert out.is_identity() == (out.m == out.n and out.rows == QMat.identity(out.m).rows), name
+        assert out.is_zero() == (out.rows == QMat.zero(out.m, out.n).rows), name
+    outs = [out for out, _ in naive.values()] + [a, b]
+    for x in outs:
+        for y in outs:
+            assert (x == y) == ((x.m, x.n, x.rows) == (y.m, y.n, y.rows))
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 def basic_modules(fan):
