@@ -107,7 +107,7 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def det(self) -> int:
-        """Exact determinant, read from the one rational elimination."""
+        """Exact determinant, read from the one fraction-free elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return QMat._of(self.entries, 1, self.rows, self.cols).det().numerator

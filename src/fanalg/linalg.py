@@ -11,28 +11,34 @@ zero matrix has den == 1.  Because the form is unique, `==` and `hash`
 compare the fields directly.  Products take integer dot products and then
 one gcd pass; sums rescale both operands to the lcm of their denominators,
 and `linear_combination` does so for many terms at once; negation,
-transposes, block sums and Kronecker products work on the integers.  `rows`, `__getitem__` and `flat` build `Fraction` views on
-request; nothing inside the package reads them on a hot path.
+transposes, block sums and Kronecker products work on the integers.  `rows`,
+`__getitem__` and `flat` build `Fraction` views on request; nothing inside
+the package reads them on a hot path.
 
 Every elimination reads one sparse, fully reduced row echelon form, built by
-`_echelon` from the integer rows: scaling a matrix does not change its
-reduced echelon form, so det(num / den) is det(num) / den^m and the inverse
-is read from the echelon form of [num | den * I].
+`_echelon` from the integer rows without leaving the integers: a
+fraction-free Gauss-Jordan elimination (Bareiss, Montante) that holds D times
+the reduced echelon form, D being the common pivot value.  Scaling a matrix
+does not change its reduced echelon form, so det(num / den) is
++-D / den^m, the inverse is the right half of the held form of
+[num | den * I] over D, rref is the held rows over D, and a kernel vector
+reads -row[fc] / D.
 
 Numbers are coerced once, where they enter: the public constructors
-(`QMat(rows)`, `from_flat`, `diagonal`) pass each entry through `_frac`,
-the one rational coercion of the package, and check the shape.  Every
-matrix the library builds goes through the trusted `QMat._of` (integers
-already in canonical form), `QMat._reduced` (integers over a denominator,
-reduced by one gcd pass) or `QMat._of_fractions` (rationals the library has
-just computed), which coerce and check nothing.
+(`QMat(rows)`, `from_flat`, `diagonal`) and the file readers of `serialize`
+pass each entry through `_frac`, the one rational coercion of the package,
+and check the shape.  Every matrix the library builds goes through the
+trusted `QMat._of` (integers already in canonical form), `QMat._reduced`
+(integers over a denominator, reduced by one gcd pass) or
+`QMat._of_fractions` (rationals the library has just computed), which
+coerce and check nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul, neg
 from typing import Iterable, Sequence
 
@@ -42,14 +48,20 @@ _set = object.__setattr__
 
 
 def _frac(x) -> Fraction:
-    """The one rational coercion: a Fraction, an int or a "p/q" string; a
-    float raises TypeError, since it is not exact."""
-    if isinstance(x, Fraction):
-        return x
+    """The one rational coercion: a Fraction, an int or a string that
+    `Fraction` parses, such as "p/q"; a float raises TypeError, since it is
+    not exact.  The canonical "p" and "p/q" that `str(Fraction)` writes skip
+    the general string parser."""
+    if isinstance(x, str):
+        if x.isascii():
+            p, slash, q = x.partition("/")
+            if (p.isdigit() or p[:1] == "-" and p[1:].isdigit()) and (q.isdigit() or not slash):
+                return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        return Fraction(x)
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
@@ -199,13 +211,13 @@ class QMat:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        held, divisors = _echelon(self.num)
+        held, d = _echelon(self.num)
         if len(held) < self.m:
             return Q(0)
-        # the i-th row has its pivot in column order[i]; the sign is that permutation's
+        # d is the minor on the pivot columns in arrival order; the sign is that permutation's
         order = list(held)
         swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-        return prod(divisors, start=Q(-1 if swaps % 2 else 1, self.den**self.m))
+        return Q(-d if swaps % 2 else d, self.den**self.m)
 
     def is_invertible(self) -> bool:
         return self.is_square() and len(_echelon(self.num)[0]) == self.m
@@ -216,10 +228,10 @@ class QMat:
         n = self.m
         # (num / den)^-1 = den * num^-1, and [num | den I] reduces to [I | den * num^-1]
         # exactly when num is invertible; [num | den I] always has rank n
-        held, _ = _echelon(a + e for a, e in zip(self.num, _eye(n, self.den)))
+        held, d = _echelon(a + e for a, e in zip(self.num, _eye(n, self.den)))
         if any(c >= n for c in held):
             raise ValueError("matrix is singular")
-        return QMat._of_fractions(tuple(tuple(held[i].get(j, 0) for j in range(n, 2 * n)) for i in range(n)), n, n)
+        return _over_pivot(([held[i].get(j, 0) for j in range(n, 2 * n)] for i in range(n)), d, n, n)
 
     def pow_int(self, k: int) -> "QMat":
         if not self.is_square():
@@ -251,8 +263,10 @@ def _over_lcm(rows: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[tuple[int
     exactly divides some denominator, and that entry's numerator is not
     divisible by the prime."""
     rows = tuple(rows)
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+    den = lcm(*[x.denominator for row in rows for x in row])
+    if den == 1:
+        return tuple([tuple([x.numerator for x in row]) for row in rows]), 1
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]), den
 
 
 def block_diag(mats: Iterable[QMat]) -> QMat:
@@ -301,7 +315,7 @@ def random_invertible(n: int, rng, spread: int = 2) -> QMat:
     return QMat._of(lo, 1, n, n) @ diag @ QMat._of(up, 1, n, n)
 
 
-def _subtract(row: dict[int, Fraction | int], f: Fraction | int, other: dict[int, Fraction | int]) -> None:
+def _subtract(row: dict[int, int], f: int, other: dict[int, int]) -> None:
     """row -= f * other in place, keeping only nonzero entries."""
     for j, x in other.items():
         y = row.get(j, 0) - f * x
@@ -311,51 +325,68 @@ def _subtract(row: dict[int, Fraction | int], f: Fraction | int, other: dict[int
             del row[j]
 
 
-def _echelon(rows: Iterable[Sequence[Fraction | int]]) -> tuple[dict[int, dict[int, Fraction | int]], list[Fraction | int]]:
-    """The unique fully reduced row echelon form of `rows`, built one sparse row at a time.
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[dict[int, dict[int, int]], int]:
+    """D times the unique fully reduced row echelon form of the integer `rows`,
+    built one sparse row at a time without leaving the integers.
 
-    Each row is reduced against the held pivot rows and dropped if it reduces
-    to zero; otherwise its first nonzero column becomes a pivot, the row is
-    divided by its value there, and that column is cleared from the held rows.
-    Returns the held rows ({column: value}, keyed by pivot column in arrival
-    order) and the pivot values divided out, in the same order.  Integer rows
-    stay integers for as long as every pivot is 1.
+    This is the fraction-free Gauss-Jordan elimination of Bareiss (Math. Comp.
+    22, 1968) in Montante's form.  The held rows ({column: value}, keyed by
+    pivot column in arrival order) are D times the reduced echelon form of the
+    rows kept so far, with D the common value at every pivot; D is the minor of
+    the kept rows on the pivot columns in arrival order.  A new row r becomes
+    D * r - sum of r[c] * held[c] over the pivots c, which is zero at every
+    pivot and is dropped if it is zero.  Otherwise its first nonzero column p
+    becomes a pivot, its value P there the new D, and each held row h becomes
+    (P * h - h[p] * r) / D, a division that is exact by Sylvester's identity.
+    Returns the held rows and D (1 when no row is kept).
     """
-    held: dict[int, dict[int, Fraction | int]] = {}
-    divisors: list[Fraction | int] = []
+    held: dict[int, dict[int, int]] = {}
+    d = 1
     for dense in rows:
         row = {j: x for j, x in enumerate(dense) if x}
         # a held row is zero at every other pivot, so these reductions commute
-        for c in held.keys() & row.keys():
-            _subtract(row, row[c], held[c])
+        hits = [(c, row[c]) for c in held.keys() & row.keys()]
+        if d != 1:
+            row = {j: d * x for j, x in row.items()}
+        for c, f in hits:
+            _subtract(row, f, held[c])
         if not row:
             continue
         p = min(row)
-        d = row[p]
-        if d != 1:
-            q = Q(d)  # an int pivot would otherwise divide to a float
-            row = {j: x / q for j, x in row.items()}
-        for other in held.values():
-            if p in other:
-                _subtract(other, other[p], row)
+        pv = row[p]
+        for c, h in held.items():
+            f = h.get(p)
+            if f is not None:
+                h = {j: pv * x for j, x in h.items()}
+                _subtract(h, f, row)
+                held[c] = {j: x // d for j, x in h.items()} if d != 1 else h
+            elif pv != d:
+                held[c] = {j: pv * x // d for j, x in h.items()}
         held[p] = row
-        divisors.append(d)
-    return held, divisors
+        d = pv
+    return held, d
+
+
+def _over_pivot(rows: Iterable[Iterable[int]], d: int, m: int, n: int) -> QMat:
+    """The m x n matrix rows / d for a nonzero pivot value d of either sign."""
+    if d < 0:
+        rows, d = (map(neg, row) for row in rows), -d
+    return QMat._reduced(tuple(map(tuple, rows)), d, m, n)
 
 
 def rref(mat: QMat) -> tuple[QMat, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    held, _ = _echelon(mat.num)
+    held, d = _echelon(mat.num)
     pivots = sorted(held)
-    rows = [tuple(held[c].get(j, 0) for j in range(mat.n)) for c in pivots]
+    rows = [[held[c].get(j, 0) for j in range(mat.n)] for c in pivots]
     rows += [(0,) * mat.n] * (mat.m - len(rows))
-    return QMat._of_fractions(rows, mat.m, mat.n), pivots
+    return _over_pivot(rows, d, mat.m, mat.n), pivots
 
 
 def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, one canonical vector per free column, read
     off the held rows of one echelon form."""
-    held, _ = _echelon(mat.num)
+    held, d = _echelon(mat.num)
     basis = []
     for fc in range(mat.n):
         if fc in held:
@@ -364,6 +395,6 @@ def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:
         vec[fc] = Q(1)
         for pc, row in held.items():
             if fc in row:
-                vec[pc] = Q(-row[fc])
+                vec[pc] = Q(-row[fc], d)
         basis.append(tuple(vec))
     return basis

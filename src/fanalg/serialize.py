@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Mapping
 
+from fanalg import linalg
 from fanalg.algebra import AlgebraElement
 from fanalg.descent import DescentDatum
 from fanalg.diagram import DiagramModule
@@ -51,14 +52,20 @@ def _int(x, path: str) -> int:
     return _expect(isinstance(x, int) and not isinstance(x, bool), x, path, "an integer")
 
 
-def _rational(x, path: str) -> Fraction:
-    """A rational from an integer, a float or a string such as "p/q"."""
+def _rational(x, path: str, index: int | None = None) -> Fraction:
+    """A rational from an integer, a float (read as its shortest decimal
+    form) or a string such as "p/q", coerced once through `linalg._frac`.
+    The JSON path, path[index] when an index is given, is built only for an
+    error."""
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
         try:
-            return Fraction(str(x))
+            return linalg._frac(str(x) if isinstance(x, float) else x)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{path}: expected a rational, got {x!r}") from None
-    raise ValueError(f"{path}: expected a rational, got {type(x).__name__}")
+            what = repr(x)
+    else:
+        what = type(x).__name__
+    at = path if index is None else f"{path}[{index}]"
+    raise ValueError(f"{at}: expected a rational, got {what}")
 
 
 def _int_list(x, path: str) -> list[int]:
@@ -114,7 +121,13 @@ def _mat_to_data(m: QMat) -> list[str]:
 
 
 def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
-    return QMat.from_flat(rows, cols, [_rational(x, f"{path}[{i}]") for i, x in enumerate(_list(flat, path))])
+    """The rows x cols matrix of a row-major list of rationals, held as
+    integer rows over one denominator; every entry is checked before the
+    count."""
+    es = [_rational(x, path, i) for i, x in enumerate(_list(flat, path))]
+    if len(es) != rows * cols:
+        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(es)} entries")
+    return QMat._of_fractions([es[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
 
 
 def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:

@@ -59,6 +59,22 @@ class TestValidate:
         assert not rep.ok
         assert any(f.code == "A4" for f in rep.findings)
 
+    def test_singular_id_plus_vu_fails_a4_and_its_guard(self, c_fan):
+        # id + v u = 0: A4 fails on both sides, so the guard tests both for invertibility
+        m = DiagramModule(
+            c_fan,
+            {(): 1, (0,): 1},
+            {(): (QMat([[2]]),), (0,): (QMat([[2]]),)},
+            {((), (0,)): QMat([[-1]])},
+            {((), (0,)): QMat([[1]])},
+        )
+        assert validate(m).render().splitlines() == [
+            "A4\t()<(0)\tmonodromy of the new ray is not id + v u on the lower cone",
+            "A4\t()<(0)\tmonodromy of the new ray is not id + u v on the upper cone",
+            "A4-inv\t()<(0)\tid + v u or id + u v is singular",
+            "SUMMARY: fail (3 findings)",
+        ]
+
     def test_dim_reported_separately(self, c_fan):
         m = DiagramModule(
             c_fan,

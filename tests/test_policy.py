@@ -130,6 +130,23 @@ def test_every_elimination_is_one_echelon_call(monkeypatch):
     assert counts == dict.fromkeys(uses, 1)
 
 
+def test_echelon_on_integer_rows_holds_only_ints():
+    # the elimination is fraction-free: integer rows stay integers, pivots that are not 1 included
+    cases = (
+        [[2, 1, 0], [1, 1, 0], [0, 3, 1]],
+        [[-2, 1], [1, 1]],
+        [[6, 4, 2], [3, 2, 1], [1, 5, 7]],
+        [[3, 1], [-6, -2], [1, -5]],
+        [[10**30, 7, 0], [3, 10**20, 5]],
+        [[2, 4, 3, 0], [1, 3, 0, 3]],  # [num | den I] as `inverse` eliminates it
+    )
+    for rows in cases:
+        held, d = linalg._echelon(rows)
+        assert type(d) is int and d != 0
+        assert all(type(x) is int for row in held.values() for x in row.values()), rows
+        assert all(row[c] == d for c, row in held.items()), rows
+
+
 def test_hom_reads_one_echelon_form_and_pads_no_rref(p2_fan, monkeypatch):
     m = random_valid_module(p2_fan, random.Random(9), summands=2)
     rrefs = count_calls(monkeypatch, "rref", linalg)

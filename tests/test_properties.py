@@ -5,10 +5,14 @@ splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
 exact division by t^v - 1, against a sympy oracle when sympy is present; the
 integer kernel of QMat products; the canonical form of every QMat operation
 (integers over one denominator), against plain Fraction arithmetic;
-determinants, inverses, rref and nullspaces, against a sympy oracle when
-sympy is present; evaluation as a representation on modules with warm and
-cold caches; hom between character and point modules; and the Smith normal
-form, against a sympy oracle when sympy is present."""
+determinants, inverses, rref and nullspaces, against a dense Gauss-Jordan
+oracle and a sympy oracle when sympy is present, also on integers up to
+10^40, on tall rank-deficient systems like those of `hom` and where the
+fraction-free elimination's pivot value is negative; matrix entries read
+from files as `Fraction(str(x))` reads them, with the same errors;
+evaluation as a representation on modules with warm and cold caches; hom
+between character and point modules; and the Smith normal form, against a
+sympy oracle when sympy is present."""
 
 import random
 import tempfile
@@ -26,6 +30,7 @@ from fanalg.equivariant import ag_structure, associativity_report, quotient_pres
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
+from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, linear_combination, nullspace, random_invertible, rref
 
 from support import random_valid_module
@@ -316,12 +321,7 @@ def test_integer_inverse_of_a_unimodular_product(n, data):
     assert u @ inv == IntMatrix.identity(n) == inv @ u
 
 
-@SETTINGS
-@given(sparse_matrices())
-@example(QMat.zero(0, 0))
-@example(QMat.zero(0, 3))
-@example(QMat([[1, 2, 3], [2, 4, 6]]))
-def test_linalg_agrees_with_sympy(sympy, a):
+def agrees_with_sympy(sympy, a: QMat) -> None:
     def to_sympy(x: Fraction):
         return sympy.Rational(x.numerator, x.denominator)
 
@@ -334,6 +334,15 @@ def test_linalg_agrees_with_sympy(sympy, a):
         assert to_sympy(a.det()) == theirs.det()
         if a.is_invertible():
             assert [to_sympy(x) for x in a.inverse().flat()] == list(theirs.inv())
+
+
+@SETTINGS
+@given(sparse_matrices())
+@example(QMat.zero(0, 0))
+@example(QMat.zero(0, 3))
+@example(QMat([[1, 2, 3], [2, 4, 6]]))
+def test_linalg_agrees_with_sympy(sympy, a):
+    agrees_with_sympy(sympy, a)
 
 
 def naive_product(x, y, cols):
@@ -422,6 +431,146 @@ def test_every_matrix_is_canonical_and_its_rows_are_the_fraction_arithmetic(pair
             assert (x == y) == ((x.m, x.n, x.rows) == (y.m, y.n, y.rows))
             if x == y:
                 assert hash(x) == hash(y)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sides 0-5 with integer entries up to 10^40, and a share of zeros drawn
+    per matrix."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    zero_pct = draw(st.sampled_from([0, 40, 80]))
+    cells = st.tuples(st.integers(0, 99), st.integers(-(10**40), 10**40))
+    flat = draw(st.lists(cells, min_size=m * n, max_size=m * n))
+    return QMat.from_flat(m, n, [x if roll >= zero_pct else 0 for roll, x in flat])
+
+
+@st.composite
+def tall_systems(draw):
+    """40 x 12 integer systems of rank at most 8, sparse like the equations
+    of `hom`: a sparse 40 x 8 times an 8 x 12 matrix with small entries."""
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    left = draw(st.lists(small, min_size=40 * 8, max_size=40 * 8))
+    right = draw(st.lists(st.integers(-4, 4), min_size=8 * 12, max_size=8 * 12))
+    return QMat.from_flat(40, 8, left) @ QMat.from_flat(8, 12, right)
+
+
+# the fraction-free elimination ends with a negative common pivot D on each
+NEGATIVE_PIVOTS = (
+    QMat([[-2, 1], [1, 1]]),
+    QMat([[0, -3], [2, 0]]),
+    QMat([[-1, 2, 3], [2, -4, 1], [1, 1, 1]]),
+    QMat([["-1/2", 1, 0], [1, "1/3", 0]]),
+    QMat([[3, 1], [-6, -2], [1, -5]]),
+)
+
+
+def test_the_negative_pivot_examples_have_a_negative_pivot():
+    assert all(linalg._echelon(a.num)[1] < 0 for a in NEGATIVE_PIVOTS)
+
+
+def oracle_nullspace(rows, n):
+    """The canonical kernel basis read off the dense Gauss-Jordan oracle."""
+    red, pivots = naive_rref(rows, n)
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            vec = [Fraction(0)] * n
+            vec[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                vec[pc] = -red[r][fc]
+            basis.append(tuple(vec))
+    return basis
+
+
+def matches_the_oracles(a: QMat) -> None:
+    rows = a.rows
+    red, pivots = rref(a)
+    assert (red.rows, pivots) == naive_rref(rows, a.n)
+    assert nullspace(a) == oracle_nullspace(rows, a.n)
+    if a.is_square():
+        n = a.n
+        assert a.det() == laplace_det(a)
+        # the dense oracle on [a | I] gives [I | a^-1] exactly when a is invertible
+        their_inv, inv_pivots = naive_rref([r + tuple(Fraction(int(i == j)) for j in range(n)) for i, r in enumerate(rows)], 2 * n)
+        invertible = inv_pivots[:n] == list(range(n))
+        assert a.is_invertible() == invertible
+        if invertible:
+            assert a.inverse().rows == tuple(r[n:] for r in their_inv)
+
+
+def with_negative_pivots(test):
+    for a in NEGATIVE_PIVOTS:
+        test = example(a)(test)
+    return test
+
+
+@SETTINGS
+@given(integer_matrices())
+@with_negative_pivots
+@example(QMat([[10**40, 10**40 - 1], [10**40 + 1, 10**40]]))
+def test_elimination_of_large_integers_matches_the_dense_oracle(a):
+    matches_the_oracles(a)
+
+
+@SETTINGS
+@given(integer_matrices())
+@with_negative_pivots
+def test_elimination_of_large_integers_agrees_with_sympy(sympy, a):
+    agrees_with_sympy(sympy, a)
+
+
+@settings(SETTINGS, max_examples=5)
+@given(tall_systems())
+def test_tall_rank_deficient_systems_match_the_dense_oracle(a):
+    matches_the_oracles(a)
+    assert len(rref(a)[1]) <= 8
+
+
+@settings(SETTINGS, max_examples=5)
+@given(tall_systems())
+def test_tall_rank_deficient_systems_agree_with_sympy(sympy, a):
+    agrees_with_sympy(sympy, a)
+
+
+def reference_entry(x):
+    """A matrix entry as `Fraction(str(x))` reads it, or the end of the
+    reader's error message for it."""
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            return f"got {x!r}"
+    return f"got {type(x).__name__}"
+
+
+ENTRY_STRINGS = ("+3", " 3", "1_000", "06/04", "3/0", "1e3", "0.5", "-0", "-0/7", "\u0663", "-\u0663/\u0664", "\u00b3", "3 /4", "1/ 2", "-1/-2", "12/-4", "1/2/3", "", "-", "/2", "nan", "inf")
+
+matrix_entries = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from(ENTRY_STRINGS),
+    st.fractions().map(str),
+    st.text(alphabet="0123456789-+/_. e\u0663\u00b3", max_size=6),
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(matrix_entries)
+@example(10**30)
+@example(2.5e-07)
+def test_a_matrix_entry_reads_as_the_fraction_of_its_string(x):
+    data = {"spaces": {"": 1}, "torus": {"": [[x]]}}
+    want = reference_entry(x)
+    if isinstance(want, Fraction):
+        m = serialize.module_from_data(data, standard_fan(1))
+        assert m.torus[()][0][0, 0] == want
+    else:
+        with pytest.raises(ValueError) as err:
+            serialize.module_from_data(data, standard_fan(1))
+        assert str(err.value) == f'$.torus[""][0][0]: expected a rational, {want}'
 
 
 def basic_modules(fan):

@@ -67,6 +67,13 @@ class TestModuleFormat:
         got = (m.torus[()][0], m.torus[(0,)][0], m.u[((), (0,))], m.v[((), (0,))])
         assert got == (QMat([[2]]), QMat([["1/2"]]), QMat([["-3/4"]]), QMat([["3/2"]]))
 
+    def test_a_bad_entry_is_reported_before_the_entry_count(self, c_fan):
+        # u at the pair ()<(0) is 0x1 here, so one entry is one too many
+        for entry, message in ((None, '$.u["|0"][0]: expected a rational, got NoneType'), ("1", "a 0x1 matrix cannot have 1 entries")):
+            with pytest.raises(ValueError) as err:
+                serialize.module_from_data({"spaces": {"": 1, "0": 0}, "u": {"|0": [entry]}}, c_fan)
+            assert str(err.value) == message
+
     def test_matrices_are_rational_strings(self, p1_fan):
         m = random_valid_module(p1_fan, random.Random(4))
         data = serialize.module_to_data(m)
