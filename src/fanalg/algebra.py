@@ -8,12 +8,15 @@ factorization of entries into generator words, the splitting pair mu/delta
 between corner bimodules, and transport along a lattice automorphism.
 
 Elements are kept in divided form: an element stores the quotient y of each
-entry D(sigma, tau) * y, and `entries` multiplies the divisors back in on
-each access.  Division happens once, where entries enter, in
-`AlgebraElement(fan, entries)` and in `serialize.element_from_data`; an entry
-that does not divide is a membership finding there, so a non-member cannot
-be constructed.  Sums, scaling, products, evaluation, factorization,
-mu/delta and transport then read and build quotients without dividing again.
+entry D(sigma, tau) * y.  Each D(sigma, tau), and each product cofactor, is
+read from the fan's table of binomial products (`Fan.binomial_product`), so
+`entries` multiplies the divisors back in on each access without rebuilding
+them, and a product multiplies by its cofactor once.  Division happens once,
+where entries enter, in `AlgebraElement(fan, entries)` and in
+`serialize.element_from_data`; an entry that does not divide is a membership
+finding there, so a non-member cannot be constructed.  Sums, scaling,
+products, evaluation, factorization, mu/delta and transport then read and
+build quotients without dividing again.
 
 Sign convention: generators use t^v - 1 rather than 1 - t^v.  With this
 choice the element 1 + vu + uv of the one-ray fan maps to the central unit
@@ -25,11 +28,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
 from fanalg.lattice import IntMatrix
-from fanalg.laurent import LaurentPoly, binomial, divide_by_product, monomial_map
+from fanalg.laurent import LaurentPoly, divide_by_product, monomial_map
 from fanalg.report import Report
 
 
@@ -38,15 +41,9 @@ def required_rays(sigma: Cone, tau: Cone) -> tuple[int, ...]:
     return tuple(sorted(set(sigma) - set(tau)))
 
 
-def times_binomials(y: LaurentPoly, fan: Fan, rays: Iterable[int]) -> LaurentPoly:
-    """y times the binomials t^v - 1 of the given ray indices of fan."""
-    for i in rays:
-        y = y * binomial(fan.rays[i])
-    return y
-
-
 def required_divisor(fan: Fan, sigma: Cone, tau: Cone) -> LaurentPoly:
-    return times_binomials(LaurentPoly.one(fan.rank), fan, required_rays(sigma, tau))
+    """D(sigma, tau), the product of t^v - 1 over the rays of sigma not in tau."""
+    return fan.binomial_product(required_rays(sigma, tau))
 
 
 def _pair_key(sigma: Cone, tau: Cone) -> str:
@@ -122,7 +119,8 @@ class AlgebraElement:
 
     @property
     def entries(self) -> dict[tuple[Cone, Cone], LaurentPoly]:
-        """The entries D(sigma, tau) * y, built on each access."""
+        """The entries D(sigma, tau) * y, built on each access from the
+        divisors in the fan's table."""
         return {k: y * required_divisor(self.fan, *k) for k, y in self.quotients.items()}
 
     def entry(self, sigma: Cone, tau: Cone) -> LaurentPoly:
@@ -135,7 +133,7 @@ class AlgebraElement:
         return isinstance(other, AlgebraElement) and self.fan == other.fan and self.quotients == other.quotients
 
     def __hash__(self) -> int:
-        return hash((self.fan, tuple(sorted((k, v.key()) for k, v in self.quotients.items()))))
+        return hash((self.fan, frozenset(self.quotients.items())))
 
     def is_zero(self) -> bool:
         return not self.quotients
@@ -159,7 +157,8 @@ class AlgebraElement:
 
     def __mul__(self, other) -> "AlgebraElement":
         """Through a middle cone rho, the quotient of E(sigma, rho) y1 times
-        E(rho, tau) y2 is y1 * y2 times the binomials of `cofactor_rays`."""
+        E(rho, tau) y2 is y1 * y2 times the binomials of `cofactor_rays`,
+        whose product is read from the fan's table."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_fan(other)
@@ -170,7 +169,7 @@ class AlgebraElement:
         out: dict[tuple[Cone, Cone], LaurentPoly] = {}
         for (sigma, rho), y1 in self.quotients.items():
             for tau, y2 in by_row.get(rho, ()):
-                y = times_binomials(y1 * y2, fan, cofactor_rays(sigma, rho, tau))
+                y = y1 * y2 * fan.binomial_product(cofactor_rays(sigma, rho, tau))
                 k = (sigma, tau)
                 out[k] = out[k] + y if k in out else y
         return AlgebraElement._divided(fan, out)
@@ -414,13 +413,17 @@ def transport(x: AlgebraElement, beta: IntMatrix, target: Fan) -> AlgebraElement
 
 
 def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cmax: int = 3) -> LaurentPoly:
-    """Small random polynomial; may degenerate to fewer terms by cancellation."""
-    data = []
+    """Small random polynomial; may degenerate to fewer terms by cancellation.
+
+    Each coefficient is p / q with q drawn from {1, 2}, summed as integers
+    over 2 and reduced once."""
+    choices = [x for x in range(-cmax, cmax + 1) if x]
+    num: dict[tuple[int, ...], int] = {}
     for _ in range(rng.randint(1, terms)):
         e = tuple(rng.randint(-emax, emax) for _ in range(rank))
-        c = Fraction(rng.choice([x for x in range(-cmax, cmax + 1) if x]), rng.randint(1, 2))
-        data.append((e, c))
-    return LaurentPoly(rank, data)
+        c = rng.choice(choices) * (2 // rng.randint(1, 2))
+        num[e] = num.get(e, 0) + c
+    return LaurentPoly._reduced(rank, {e: c for e, c in num.items() if c}, 2)
 
 
 def random_member(

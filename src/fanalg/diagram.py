@@ -256,8 +256,10 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
 
     Entry (sigma, tau) factors as scalar * u-chain * v-chain, with the
     entry's quotient as the scalar; the result does not depend on the chain
-    choice, which `rng` can randomize for testing.  Chain products and torus
-    powers come from the module's caches.
+    choice, which `rng` can randomize for testing.  The scalar sums the
+    integer coefficients of the quotient times monodromies and divides by the
+    quotient's denominator once.  Chain products and torus powers come from
+    the module's caches.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -271,7 +273,7 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
         up = m._chain("u", meet, covering_chain(fan, meet, sigma, rng))
         down = m._chain("v", meet, covering_chain(fan, meet, tau, rng))
         d = m.dims[sigma]
-        scal = linear_combination([(c, m.monodromy(sigma, e)) for e, c in y.terms.items()], d, d)
+        scal = linear_combination([(c, m.monodromy(sigma, e)) for e, c in y.num.items()], d, d, y.den)
         blocks.append((offs[sigma], offs[tau], scal @ up @ down))
     # the blocks over the lcm of their denominators; entries are distinct
     # cone pairs, so blocks do not overlap and the total is canonical as it stands

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from fanalg.algebra import cofactor_rays, times_binomials
+from fanalg.algebra import cofactor_rays
 from fanalg.diagram import DiagramModule, axiom_report, validate
 from fanalg.fan import Cone, Fan, cone_key
 from fanalg.lattice import IntMatrix, Vec, _vec, snf
@@ -136,13 +136,12 @@ def ag_structure(fan: Fan, quotient: QuotientData) -> EqStructure:
     construction, so `associativity_report` checks it, not this function."""
     if quotient.source_rank != fan.rank:
         raise ValueError("quotient matrix does not act on the fan lattice")
-    one = LaurentPoly.one(fan.rank)
     table = {}
     cones = fan.cone_list()
     for sigma in cones:
         for tau in cones:
             for rho in cones:
-                cofactor = times_binomials(one, fan, cofactor_rays(sigma, tau, rho))
+                cofactor = fan.binomial_product(cofactor_rays(sigma, tau, rho))
                 table[(sigma, tau, rho)] = monomial_map(cofactor, quotient.q)
     return EqStructure(fan, quotient, table)
 

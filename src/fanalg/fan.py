@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Sequence
 
 from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, elementary_divisors, primitive
+from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, nullspace
 from fanalg.report import Report
 
@@ -37,15 +38,24 @@ def parse_cone_key(key: str) -> Cone:
 
 
 class Fan:
-    """A fan: primitive rays plus a face-closed set of regular cones."""
+    """A fan: primitive rays plus a face-closed set of regular cones.
 
-    __slots__ = ("rank", "rays", "cones", "maximal")
+    A fan owns, for its lifetime, one table of binomial products: for a
+    sorted tuple of ray indices, the product of t^v - 1 over those rays.  It
+    is filled on first use by `binomial_product`, which the forced divisors
+    and product cofactors of the fan algebra read.  `==` and `hash` ignore
+    it, and every fan built from this one, a `subfan` included, starts with
+    an empty table.
+    """
+
+    __slots__ = ("rank", "rays", "cones", "maximal", "_products")
 
     def __init__(self, rank: int, rays: Sequence[Vec], cones: frozenset[Cone], maximal: tuple[Cone, ...]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", tuple(map(_vec, rays)))
         object.__setattr__(self, "cones", frozenset(cones))
         object.__setattr__(self, "maximal", tuple(maximal))
+        object.__setattr__(self, "_products", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Fan is immutable")
@@ -87,6 +97,17 @@ class Fan:
         for k in range(len(c) + 1):
             out.extend(tuple(s) for s in combinations(c, k))
         return out
+
+    def binomial_product(self, rays: tuple[int, ...]) -> LaurentPoly:
+        """The product of t^v - 1 over the rays with these sorted indices,
+        from the fan's table."""
+        f = self._products.get(rays)
+        if f is None:
+            f = LaurentPoly.one(self.rank)
+            for i in rays:
+                f = f * binomial(self.rays[i])
+            self._products[rays] = f
+        return f
 
     def subfan(self, cone: Sequence[int]) -> "Fan":
         """The fan of faces of one cone, over the same ambient rays."""

@@ -1,10 +1,16 @@
 """Sparse multivariate Laurent polynomials over the exact rationals.
 
-A polynomial is a finite map from integer exponent vectors to nonzero
-rational coefficients.  Besides the ring structure, the module provides the
-two operations the fan algebra depends on: exact division by binomials
-t^v - 1 for primitive v, done coset by coset on the exponents e + Zv with no
-change of coordinates, and the monomial map induced by an integer matrix on
+A polynomial holds integers over one denominator: `num`, a finite map from
+integer exponent vectors to nonzero integers, and `den > 0`, always in the
+canonical form gcd(den, *num.values()) == 1, so the zero polynomial has
+den == 1.  Because the form is unique, `==` and `hash` compare the fields
+directly.  A product is an integer convolution and a sum rescales both
+operands to the lcm of their denominators, each followed by one gcd pass;
+`terms` builds a `Fraction` view on request, and nothing inside the package
+reads it.  Besides the ring structure, the module provides the two
+operations the fan algebra depends on: exact division by binomials t^v - 1
+for primitive v, done coset by coset on the exponents e + Zv with no change
+of coordinates, and the monomial map induced by an integer matrix on
 exponents.
 
 Numbers are coerced once, where they enter: the public constructors
@@ -12,23 +18,31 @@ Numbers are coerced once, where they enter: the public constructors
 through `lattice._vec`, which rejects a float instead of truncating it, and
 each coefficient through `linalg._frac`, the one rational coercion.
 Arithmetic, `one`, `binomial`, `monomial_map` and the quotients of
-`divide_by_binomial` build their terms through the trusted `LaurentPoly._of`.
+`divide_by_binomial` build their integers through the trusted
+`LaurentPoly._of` (already canonical) or `LaurentPoly._reduced` (reduced by
+one gcd pass).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from fanalg.lattice import IntMatrix, Vec, _vec, primitive
 from fanalg.linalg import _frac
 
+_set = object.__setattr__
+
 
 class LaurentPoly:
-    """Laurent polynomial with rational coefficients and integer exponents."""
+    """Laurent polynomial with rational coefficients and integer exponents,
+    held as integers `num` over one positive denominator `den` in canonical
+    form."""
 
-    __slots__ = ("rank", "terms", "_key")
+    __slots__ = ("rank", "num", "den")
 
     def __init__(self, rank: int, terms: Mapping[Vec, Fraction] | Iterable[tuple[Vec, Fraction]] = ()):
         data: dict[Vec, Fraction] = {}
@@ -43,31 +57,46 @@ class LaurentPoly:
                 data.pop(e, None)
             else:
                 data[e] = acc
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", data)
-        object.__setattr__(self, "_key", None)
+        # over the lcm of the denominators, which is canonical as it stands:
+        # a prime power exactly dividing the lcm exactly divides some
+        # denominator, and that coefficient's numerator is prime to it
+        den = lcm(*(c.denominator for c in data.values()))
+        _set(self, "rank", rank)
+        _set(self, "num", {e: c.numerator * (den // c.denominator) for e, c in data.items()})
+        _set(self, "den", den)
 
     @classmethod
-    def _of(cls, rank: int, terms: dict[Vec, Fraction]) -> "LaurentPoly":
-        """The polynomial with these terms, which arithmetic on polynomials
-        has just built with integer-tuple exponents and nonzero Fraction
-        coefficients; they are not coerced again."""
+    def _of(cls, rank: int, num: dict[Vec, int], den: int) -> "LaurentPoly":
+        """num / den, which arithmetic on polynomials has just built in
+        canonical form with integer-tuple exponents and nonzero integers;
+        nothing is coerced, reduced or checked again."""
         f = object.__new__(cls)
-        object.__setattr__(f, "rank", rank)
-        object.__setattr__(f, "terms", terms)
-        object.__setattr__(f, "_key", None)
+        _set(f, "rank", rank)
+        _set(f, "num", num)
+        _set(f, "den", den)
         return f
+
+    @classmethod
+    def _reduced(cls, rank: int, num: dict[Vec, int], den: int) -> "LaurentPoly":
+        """num / den for nonzero integers and a positive den, brought to
+        canonical form by one gcd pass."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        return cls._of(rank, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
-        return cls(rank)
+        return cls._of(rank, {}, 1)
 
     @classmethod
     def one(cls, rank: int) -> "LaurentPoly":
-        return cls._of(rank, {(0,) * rank: Fraction(1)})
+        return cls._of(rank, {(0,) * rank: 1}, 1)
 
     @classmethod
     def constant(cls, rank: int, c) -> "LaurentPoly":
@@ -78,23 +107,35 @@ class LaurentPoly:
         e = tuple(v)
         return cls(len(e), {e: c})
 
-    def key(self) -> tuple:
-        if self._key is None:
-            object.__setattr__(self, "_key", tuple(sorted(self.terms.items())))
-        return self._key
+    @property
+    def terms(self) -> Mapping[Vec, Fraction]:
+        """The coefficients as Fractions, a read-only view built on each read."""
+        d = self.den
+        return MappingProxyType({e: Fraction(c, d) for e, c in self.num.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.rank == other.rank and self.terms == other.terms
+        return (
+            isinstance(other, LaurentPoly)
+            and self.rank == other.rank
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.key()))
+        return hash((self.rank, self.den, frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_unit(self) -> bool:
         """Units of the Laurent ring are the single-term polynomials."""
-        return len(self.terms) == 1
+        return len(self.num) == 1
+
+    def _is_one(self) -> bool:
+        if self.den != 1 or len(self.num) != 1:
+            return False
+        ((e, c),) = self.num.items()
+        return c == 1 and not any(e)
 
     def _check_rank(self, other: "LaurentPoly") -> None:
         if self.rank != other.rank:
@@ -102,35 +143,51 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_rank(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc == 0:
-                out.pop(e, None)
-            else:
+        den = self.den
+        if den == other.den:
+            out = dict(self.num)
+            items = other.num.items()
+        else:
+            den = lcm(den, other.den)
+            fa, fb = den // self.den, den // other.den
+            out = {e: fa * c for e, c in self.num.items()}
+            items = [(e, fb * c) for e, c in other.num.items()]
+        for e, c in items:
+            # c is nonzero, so a zero sum means e was already there
+            acc = out.get(e, 0) + c
+            if acc:
                 out[e] = acc
-        return LaurentPoly._of(self.rank, out)
+            else:
+                del out[e]
+        return LaurentPoly._reduced(self.rank, out, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.rank, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly._of(self.rank, {e: other * x for e, x in self.terms.items()} if other else {})
+            if not other:
+                return LaurentPoly.zero(self.rank)
+            p = other.numerator
+            return LaurentPoly._reduced(self.rank, {e: p * c for e, c in self.num.items()}, other.denominator * self.den)
         self._check_rank(other)
-        out: dict[Vec, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
+        out: dict[Vec, int] = {}
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
                 e = tuple(map(add, e1, e2))
                 acc = out.get(e, 0) + c1 * c2
-                if acc == 0:
-                    out.pop(e, None)
-                else:
+                if acc:
                     out[e] = acc
-        return LaurentPoly._of(self.rank, out)
+                else:
+                    del out[e]
+        return LaurentPoly._reduced(self.rank, out, self.den * other.den)
 
     def __rmul__(self, other) -> "LaurentPoly":
         return self.__mul__(other)
@@ -139,8 +196,10 @@ class LaurentPoly:
         if k < 0:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
-            ((e, c),) = self.terms.items()
-            return LaurentPoly._of(self.rank, {tuple(-x for x in e): 1 / c}) ** (-k)
+            # (c / den) t^e inverts to (den / c) t^-e, canonical since gcd(c, den) == 1
+            ((e, c),) = self.num.items()
+            sign = 1 if c > 0 else -1
+            return LaurentPoly._of(self.rank, {tuple(-x for x in e): sign * self.den}, sign * c) ** (-k)
         out = LaurentPoly.one(self.rank)
         base = self
         while k:
@@ -151,13 +210,14 @@ class LaurentPoly:
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         names = ["t"] if self.rank == 1 else [f"t{i + 1}" for i in range(self.rank)]
         zero = (0,) * self.rank
         parts = []
         # constants last, otherwise descending lexicographic
-        for e, c in sorted(self.terms.items(), key=lambda kv: (kv[0] == zero, tuple(-x for x in kv[0]))):
+        for e, n in sorted(self.num.items(), key=lambda kv: (kv[0] == zero, tuple(-x for x in kv[0]))):
+            c = Fraction(n, self.den)
             factors = []
             for name, k in zip(names, e):
                 if k == 1:
@@ -183,18 +243,19 @@ def binomial(v: Sequence[int]) -> LaurentPoly:
     """The polynomial t^v - 1."""
     e = _vec(v)
     zero = (0,) * len(e)
-    return LaurentPoly._of(len(e), {e: Fraction(1), zero: Fraction(-1)} if e != zero else {})
+    return LaurentPoly._of(len(e), {e: 1, zero: -1} if e != zero else {}, 1)
 
 
 def monomial_map(f: LaurentPoly, q: IntMatrix) -> LaurentPoly:
-    """Ring homomorphism sending t^u to s^(q @ u); colliding images are summed."""
+    """Ring homomorphism sending t^u to s^(q @ u); colliding images are
+    summed, and may sum to a multiple of the denominator."""
     if q.cols != f.rank:
         raise ValueError(f"matrix with {q.cols} columns cannot act on rank {f.rank}")
-    out: dict[Vec, Fraction] = {}
-    for e, c in f.terms.items():
+    out: dict[Vec, int] = {}
+    for e, c in f.num.items():
         e = q.apply(e)
         out[e] = out.get(e, 0) + c
-    return LaurentPoly._of(q.rows, {e: c for e, c in out.items() if c})
+    return LaurentPoly._reduced(q.rows, {e: c for e, c in out.items() if c}, f.den)
 
 
 def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
@@ -205,7 +266,10 @@ def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
     base is the same across a coset, so on each coset f is a univariate
     polynomial in x = t^v.  It is divisible by x - 1 exactly when its
     coefficients sum to zero, and the quotient's coefficient at base + k*v is
-    minus the running sum of f's coefficients at positions up to k.
+    minus the running sum of f's coefficients at positions up to k.  The sums
+    run on the integers `num` and the quotient keeps `den`, which is
+    canonical as it stands: a prime dividing `den` and every quotient
+    coefficient would divide every coefficient of f = q * (t^v - 1).
     """
     v = _vec(v)
     if len(v) != f.rank:
@@ -215,22 +279,22 @@ def divide_by_binomial(f: LaurentPoly, v: Sequence[int]) -> LaurentPoly | None:
     if primitive(v) != v:
         raise ValueError(f"vector {v} is not primitive")
     j = next(i for i, x in enumerate(v) if x)
-    cosets: dict[Vec, dict[int, Fraction]] = {}
-    for e, c in f.terms.items():
+    cosets: dict[Vec, dict[int, int]] = {}
+    for e, c in f.num.items():
         k = e[j] // v[j]
         cosets.setdefault(tuple(a - k * b for a, b in zip(e, v)), {})[k] = c
     # an exponent fixes its coset and k, so each quotient term is set once
-    out_terms: dict[Vec, Fraction] = {}
+    out: dict[Vec, int] = {}
     for base, coeffs in cosets.items():
         hi = max(coeffs)
-        run = Fraction(0)
+        run = 0
         for k in range(min(coeffs), hi):
             run += coeffs.get(k, 0)
             if run:
-                out_terms[tuple(a + k * b for a, b in zip(base, v))] = -run
+                out[tuple(a + k * b for a, b in zip(base, v))] = -run
         if run + coeffs[hi] != 0:
             return None
-    return LaurentPoly._of(f.rank, out_terms)
+    return LaurentPoly._of(f.rank, out, f.den)
 
 
 def divide_by_product(f: LaurentPoly, vs: Sequence[Sequence[int]]) -> LaurentPoly | None:
@@ -252,7 +316,7 @@ def divide_by_product(f: LaurentPoly, vs: Sequence[Sequence[int]]) -> LaurentPol
 
 def poly_to_data(f: LaurentPoly) -> list[dict]:
     """Serializable form: records {"c": "p/q", "e": [exponents]}, sorted."""
-    return [{"c": str(c), "e": list(e)} for e, c in sorted(f.terms.items())]
+    return [{"c": str(Fraction(c, f.den)), "e": list(e)} for e, c in sorted(f.num.items())]
 
 
 def poly_from_data(data: Sequence[Mapping], rank: int) -> LaurentPoly:

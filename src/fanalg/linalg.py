@@ -285,9 +285,10 @@ def block_diag(mats: Iterable[QMat]) -> QMat:
     return QMat._of(tuple(rows), den, len(rows), n)
 
 
-def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int) -> QMat:
-    """The m x n sum of c * a over the terms, accumulated as integers over
-    the lcm of the terms' denominators and reduced by one gcd pass."""
+def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int, over: int = 1) -> QMat:
+    """The m x n sum of c * a over the terms, divided by the positive
+    integer `over`, accumulated as integers over `over` times the lcm of the
+    terms' denominators and reduced by one gcd pass."""
     if any((a.m, a.n) != (m, n) for _, a in terms):
         raise ValueError(f"every term must be {m}x{n}")
     den = lcm(*(c.denominator * a.den for c, a in terms))
@@ -297,7 +298,7 @@ def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: 
         for out, row in zip(acc, a.num):
             for j, x in enumerate(row):
                 out[j] += f * x
-    return QMat._reduced(tuple(map(tuple, acc)), den, m, n)
+    return QMat._reduced(tuple(map(tuple, acc)), over * den, m, n)
 
 
 def kron(a: QMat, b: QMat) -> QMat:

@@ -3,6 +3,13 @@
 Conventions: rationals are "p/q" strings, matrices are row-major flat lists,
 cone keys are comma-joined sorted ray indices with the empty string for the
 zero cone.  parse(serialize(x)) must reproduce x exactly.
+
+Sizes are bounded where data enters, so that a small file cannot ask for an
+unbounded amount of work: a Laurent exponent or a ray coordinate has absolute
+value at most MAX_COORD, a module space has dimension at most MAX_SPACE_DIM,
+and the spaces of one module, descent chart or equivariant module add up to
+at most MAX_TOTAL_DIM.  A value beyond a bound is an input error that names
+its JSON path.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from fanalg.fan import Cone, Fan, build_fan, cone_key, parse_cone_key
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, poly_from_data, poly_to_data
 from fanalg.linalg import QMat
+
+MAX_COORD = 1024
+MAX_SPACE_DIM = 256
+MAX_TOTAL_DIM = 4096
 
 
 def fan_to_data(fan: Fan) -> dict:
@@ -76,6 +87,20 @@ def _int_rows(x, path: str) -> list[list[int]]:
     return [_int_list(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path))]
 
 
+def _coords(x, path: str) -> list[int]:
+    """A list of integers of absolute value at most MAX_COORD: the exponents
+    of a polynomial record or the coordinates of a ray."""
+    out = _int_list(x, path)
+    for i, n in enumerate(out):
+        if abs(n) > MAX_COORD:
+            raise ValueError(f"{path}[{i}]: expected an integer of absolute value at most {MAX_COORD}, got {n}")
+    return out
+
+
+def _coord_rows(x, path: str) -> list[list[int]]:
+    return [_coords(row, f"{path}[{i}]") for i, row in enumerate(_list(x, path))]
+
+
 def _field(obj: Mapping, key: str, path: str, kind):
     """obj[key], checked by kind against the JSON path path.key."""
     if key not in obj:
@@ -98,9 +123,9 @@ def _cone_pair(name: str, path: str) -> tuple[str, str]:
 
 def fan_fields(data, path: str = "$") -> tuple[int, list[list[int]], list[list[int]]]:
     """Rank, rays and maximal cones of a fan object at the JSON path `path`,
-    checked for shape only."""
+    checked for shape, and ray coordinates for size."""
     obj = _object(data, path)
-    return (_field(obj, "rank", path, _int), _field(obj, "rays", path, _int_rows), _field(obj, "max_cones", path, _int_rows))
+    return (_field(obj, "rank", path, _int), _field(obj, "rays", path, _coord_rows), _field(obj, "max_cones", path, _int_rows))
 
 
 def fan_from_data(data: Mapping, path: str = "$") -> Fan:
@@ -147,7 +172,7 @@ def _poly_records(x, path: str) -> list[Mapping]:
     for i, rec in enumerate(_list(x, path)):
         at = f"{path}[{i}]"
         rec = _object(rec, at)
-        _field(rec, "e", at, _int_list)
+        _field(rec, "e", at, _coords)
         recs.append(dict(rec, c=_field(rec, "c", at, _rational)))
     return recs
 
@@ -193,6 +218,11 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
     dims = {}
     for key, d, at in _members(obj.get("spaces", {}), f"{path}.spaces"):
         dims[fan.require_cone(parse_cone_key(key))] = _expect(_int(d, at) >= 0, d, at, "a nonnegative integer")
+        if d > MAX_SPACE_DIM:
+            raise ValueError(f"{at}: expected a dimension of at most {MAX_SPACE_DIM}, got {d}")
+    total = sum(dims.values())
+    if total > MAX_TOTAL_DIM:
+        raise ValueError(f"{path}.spaces: expected a total dimension of at most {MAX_TOTAL_DIM}, got {total}")
     torus = {}
     for key, mats, at in _members(obj.get("torus", {}), f"{path}.torus"):
         c = fan.require_cone(parse_cone_key(key))

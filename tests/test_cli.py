@@ -419,21 +419,33 @@ class TestMalformedInput:
         '$.u["0,1"]': dict(EQMODULE, u={"0,1": []}),
     }
 
-    def test_exit_2_without_traceback(self, tmp_path):
-        # a subprocess, so that an uncaught exception would show on stderr
-        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+    def cases(self, tmp_path):
         good = write_json(tmp_path / "fan.json", self.FAN)
         cases = [(path, ["fan", "check"], data) for path, data in self.FANS.items()]
         cases += [(path, ["alg", "member", good], data) for path, data in self.ELEMENTS.items()]
         cases += [(path, ["mod", "validate"], data) for path, data in self.MODULES.items()]
         cases += [(path, ["desc", "check"], data) for path, data in self.DATA.items()]
         cases += [(path, ["equi", "validate"], data) for path, data in self.EQMODULES.items()]
-        for i, (path, cmd, data) in enumerate(cases):
-            argv = [sys.executable, "-m", "fanalg.cli", *cmd, write_json(tmp_path / f"case{i}.json", data)]
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-            assert proc.returncode == 2, (path, proc.stdout, proc.stderr)
-            assert "Traceback" not in proc.stderr
-            assert proc.stdout.startswith(f"ERROR\tinput\t{path}"), proc.stdout
+        return [(path, [*cmd, write_json(tmp_path / f"case{i}.json", data)]) for i, (path, cmd, data) in enumerate(cases)]
+
+    def test_exit_2_without_traceback(self, tmp_path):
+        # in process: an exception escaping main would fail the case here
+        for path, argv in self.cases(tmp_path):
+            try:
+                code, out = run(argv)
+            except BaseException as e:
+                pytest.fail(f"{path}: {e!r} escaped main")
+            assert code == 2, (path, out)
+            assert out.startswith(f"ERROR\tinput\t{path}"), out
+
+    def test_exit_2_from_the_entry_point(self, tmp_path):
+        # a subprocess, so that an uncaught exception would show on stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        path, argv = self.cases(tmp_path)[0]
+        proc = subprocess.run([sys.executable, "-m", "fanalg.cli", *argv], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (path, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith(f"ERROR\tinput\t{path}"), proc.stdout
 
     NESTED = {
         "$.fan.rays: expected a list, got int": (["mod", "validate"], dict(MODULE, fan=dict(FAN, rays=5))),
@@ -459,3 +471,59 @@ class TestMalformedInput:
             code, out = run(argv)
             assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
 
+
+
+class TestSizeBounds:
+    """Exponents, ray coordinates and module dimensions are bounded where
+    files enter, so that a small file cannot ask for unbounded work."""
+
+    FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+    # a unimodular cone whose first ray has one coordinate past the limit
+    WIDE_FAN = {"rank": 2, "rays": [[1025, 1], [1, 0]], "max_cones": [[0, 1]]}
+    # seventeen one-ray cones and the zero cone, 228 dimensions each
+    RAYS = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1], [1, 2], [2, 1],
+            [-1, 2], [2, -1], [1, -2], [-2, 1], [-1, -2], [-2, -1], [1, 3]]
+    MANY_CONES = {"rank": 2, "rays": RAYS, "max_cones": [[i] for i in range(len(RAYS))]}
+
+    def element(self, exponents):
+        poly = [{"c": "1", "e": exponents}, {"c": "-1", "e": [0, 0]}]
+        return {"entries": [{"row": "0", "col": "", "poly": poly}]}
+
+    def rejects(self, tmp_path, argv, data, message):
+        code, out = run([*argv, write_json(tmp_path / "case.json", data)])
+        assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
+
+    def test_exponents_past_the_limit_are_input_errors(self, tmp_path):
+        fan = write_json(tmp_path / "fan.json", self.FAN)
+        at = "$.entries[0].poly[0].e"
+        self.rejects(tmp_path, ["alg", "member", fan], self.element([1025, 0]),
+                     f"{at}[0]: expected an integer of absolute value at most 1024, got 1025")
+        self.rejects(tmp_path, ["alg", "mul", fan, write_json(tmp_path / "b.json", self.element([1, 0]))],
+                     self.element([0, -3000000]), f"{at}[1]: expected an integer of absolute value at most 1024, got -3000000")
+        code, out = run(["alg", "member", fan, write_json(tmp_path / "edge.json", self.element([1024, 0]))])
+        assert code == 0, out
+
+    def test_ray_coordinates_past_the_limit_are_input_errors(self, tmp_path):
+        message = "rays[0][0]: expected an integer of absolute value at most 1024, got 1025"
+        self.rejects(tmp_path, ["fan", "check"], self.WIDE_FAN, f"$.{message}")
+        module = {"fan": self.WIDE_FAN, "spaces": {"": 1}, "torus": {"": [["2"], ["1"]]}}
+        self.rejects(tmp_path, ["mod", "validate"], module, f"$.fan.{message}")
+        edge = dict(self.WIDE_FAN, rays=[[1024, 1], [1, 0]])
+        code, out = run(["fan", "check", write_json(tmp_path / "edge.json", edge)])
+        assert code == 0, out
+
+    def test_space_dimensions_past_the_limit_are_input_errors(self, tmp_path):
+        message = '.spaces[""]: expected a dimension of at most 256, got 257'
+        self.rejects(tmp_path, ["mod", "validate"], {"fan": self.FAN, "spaces": {"": 257}}, "$" + message)
+        equi = {"fan": self.FAN, "spaces": {"": 257}, "quotient": {"Q": [[1, 0], [0, 1]]}}
+        self.rejects(tmp_path, ["equi", "validate"], equi, "$" + message)
+        datum = {"fan": self.FAN, "charts": {"0,1": {"spaces": {"": 257}}}}
+        self.rejects(tmp_path, ["desc", "check"], datum, '$.charts["0,1"]' + message)
+        edge = serialize.module_from_data({"spaces": {"": 256}}, serialize.fan_from_data(self.FAN))
+        assert edge.dims[()] == 256
+
+    def test_total_dimension_past_the_limit_is_an_input_error(self, tmp_path):
+        spaces = {serialize.cone_key(c): 228 for c in [[]] + self.MANY_CONES["max_cones"]}
+        # the torus field is malformed too: the bound is checked before any matrix is read
+        module = {"fan": self.MANY_CONES, "spaces": spaces, "torus": {"": 5}}
+        self.rejects(tmp_path, ["mod", "validate"], module, "$.spaces: expected a total dimension of at most 4096, got 4104")

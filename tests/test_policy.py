@@ -9,9 +9,11 @@ import pytest
 
 import fanalg
 from fanalg import algebra, diagram, lattice, laurent, linalg, serialize
-from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_rays
+from fanalg import fan as fanmod
+from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, twisted_datum
 from fanalg.diagram import evaluate, hom, validate
+from fanalg.fan import projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
 from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
@@ -189,6 +191,61 @@ def test_matrix_arithmetic_reads_no_fraction_view(p2_fan, monkeypatch):
         use()
         counts[name] = len(reads)
     assert counts == dict.fromkeys(uses, 0)
+
+
+def test_polynomial_arithmetic_reads_no_fraction_view(p2_fan, monkeypatch):
+    # LaurentPoly keeps integers over one denominator; `terms` builds Fractions for callers outside
+    rng = random.Random(11)
+    m = random_valid_module(p2_fan, rng, summands=2)
+    a = random_member(p2_fan, rng)
+    b = random_member(p2_fan, rng)
+    sigma, tau = p2_fan.maximal[0], p2_fan.maximal[1]
+    corner = random_member(p2_fan, rng, row_cone=sigma, col_cone=tau)
+    entries = a.entries
+    f = LaurentPoly(2, {(1, 0): "1/2", (0, 1): "1/2", (2, -1): 3})
+    reads = []
+    view = LaurentPoly.terms
+
+    def counted(poly):
+        reads.append(poly)
+        return view.fget(poly)
+
+    monkeypatch.setattr(LaurentPoly, "terms", property(counted))
+    assert f.terms == view.fget(f) and len(reads) == 1  # the wrapped view is what is counted
+    uses = {
+        "mu(delta(x))": lambda: mu(delta(corner, sigma, tau)),
+        "a * b": lambda: a * b,
+        "evaluate": lambda: evaluate(a, m),
+        "membership_report": lambda: algebra.membership_report(p2_fan, entries),
+        "divide_by_binomial": lambda: divide_by_binomial(binomial((1, 2)) * f, (1, 2)),
+        "monomial_map": lambda: monomial_map(f, IntMatrix([[1, 1], [0, 1]])),
+    }
+    counts = {}
+    for name, use in uses.items():
+        reads.clear()
+        use()
+        counts[name] = len(reads)
+    assert counts == dict.fromkeys(uses, 0)
+
+
+def test_a_second_read_of_entries_builds_no_binomial(monkeypatch):
+    # the fan owns its table of binomial products; a fresh fan starts with it empty
+    fan = projective_plane_fan()
+    x = random_member(fan, random.Random(12), density_pct=100)
+    binomials = count_calls(monkeypatch, "binomial", fanmod)
+    first = x.entries
+    assert binomials  # the first read fills the table
+    binomials.clear()
+    assert x.entries == first
+    assert binomials == []
+
+
+def test_the_divisor_table_is_not_part_of_a_fans_identity():
+    fan, other = projective_plane_fan(), projective_plane_fan()
+    before = hash(other)
+    assert required_divisor(fan, (0, 1), ()) == binomial(fan.rays[0]) * binomial(fan.rays[1])
+    assert fan._products and not other._products
+    assert fan == other and hash(fan) == hash(other) == before
 
 
 def test_result_guards_are_not_assert_statements():

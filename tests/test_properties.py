@@ -2,7 +2,9 @@
 instead of checking derived results again: closure of the algebra, arithmetic
 on divided-form elements against entry-wise arithmetic on their entries, the
 splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
-exact division by t^v - 1, against a sympy oracle when sympy is present; the
+the canonical form of every LaurentPoly operation (integers over one
+denominator), against arithmetic on Fraction coefficients; exact division by
+t^v - 1, against a sympy oracle when sympy is present; the
 integer kernel of QMat products; the canonical form of every QMat operation
 (integers over one denominator), against plain Fraction arithmetic;
 determinants, inverses, rref and nullspaces, against a dense Gauss-Jordan
@@ -29,7 +31,7 @@ from fanalg.diagram import DiagramModule, character_module, conjugate, direct_su
 from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
 from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, primitive, snf
-from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial
+from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, linear_combination, nullspace, random_invertible, rref
 
@@ -207,6 +209,112 @@ def test_division_agrees_with_sympy(sympy, v, data):
     if ours is not None:
         # sympy's quotient is t^(m - vminus) times the Laurent quotient
         assert q == to_sympy(ours, tuple(a - b for a, b in zip(m, vminus)))
+
+
+def frac_sum(*maps):
+    """The sum of Fraction coefficient maps, without zero coefficients."""
+    out = {}
+    for terms in maps:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def frac_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_canonical_poly(f: LaurentPoly, name=""):
+    """Nonzero integers over a positive denominator with gcd 1, so the zero
+    polynomial has den == 1."""
+    assert type(f.den) is int and f.den > 0, name
+    assert all(type(c) is int and c != 0 for c in f.num.values()), name
+    assert all(len(e) == f.rank and all(type(x) is int for x in e) for e in f.num), name
+    assert gcd(f.den, *f.num.values()) == 1, name
+
+
+def poly_pairs():
+    return st.integers(1, 3).flatmap(lambda rank: st.tuples(polys(rank), polys(rank)))
+
+
+@SETTINGS
+@given(poly_pairs(), scalars, st.integers(0, 3), nonzero_scalars)
+@example((LaurentPoly.constant(1, Fraction(1, 2)), LaurentPoly.constant(1, 2)), Fraction(2), 1, Fraction(1, 2))  # 1/2 * 2
+@example((LaurentPoly(1, {(1,): Fraction(1, 2)}), LaurentPoly(1, {(1,): Fraction(1, 2)})), Fraction(0), 0, Fraction(-2, 3))
+@example((LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 4)}), LaurentPoly(2, {(1, 0): Fraction(3, 2)})), Fraction(4), 2, Fraction(3))
+def test_polynomial_arithmetic_is_canonical_and_matches_fraction_arithmetic(pair, c, k, unit_coeff):
+    f, g = pair
+    rank = f.rank
+    tf, tg = dict(f.terms), dict(g.terms)
+    power = {(0,) * rank: Fraction(1)}
+    for _ in range(k):
+        power = frac_product(power, tf)
+    e = next(iter(tf), (1,) * rank)
+    unit = LaurentPoly.monomial(e, unit_coeff)
+    cases = {
+        "+": (f + g, frac_sum(tf, tg)),
+        "-": (f - g, frac_sum(tf, {e: -x for e, x in tg.items()})),
+        "x - x": (f - f, {}),
+        "negation": (-f, {e: -x for e, x in tf.items()}),
+        "*": (f * g, frac_product(tf, tg)),
+        "scalar *": (f * c, frac_sum({e: c * x for e, x in tf.items()})),
+        "* scalar": (c * f, frac_sum({e: c * x for e, x in tf.items()})),
+        "**": (f**k, power),
+        "negative power of a unit": (unit ** -(k + 1), {tuple(-(k + 1) * x for x in e): 1 / unit_coeff ** (k + 1)}),
+        "LaurentPoly(terms)": (LaurentPoly(rank, tf), tf),
+    }
+    for name, (out, terms) in cases.items():
+        assert_canonical_poly(out, name)
+        assert dict(out.terms) == terms, name
+        assert all(type(x) is Fraction for x in out.terms.values()), name
+    outs = [out for out, _ in cases.values()] + [f, g]
+    for x in outs:
+        for y in outs:
+            assert (x == y) == ((x.rank, dict(x.terms)) == (y.rank, dict(y.terms)))
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@st.composite
+def colliding_maps(draw):
+    """A polynomial and an integer matrix with entries in [-1, 1], which
+    sends several exponents to one."""
+    rank = draw(st.integers(1, 3))
+    f = draw(polys(rank))
+    rows = draw(st.lists(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank), max_size=3))
+    return f, IntMatrix(rows, shape=(len(rows), rank))
+
+
+@SETTINGS
+@given(colliding_maps())
+@example((LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}), IntMatrix([[1, 1]])))  # (t1 + t2)/2 -> s
+@example((LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)}), IntMatrix([[1, 1]])))  # collides to zero
+def test_monomial_map_is_canonical_and_matches_fraction_arithmetic(case):
+    f, q = case
+    out = monomial_map(f, q)
+    assert_canonical_poly(out)
+    assert out.rank == q.rows
+    assert dict(out.terms) == frac_sum(*({q.apply(e): c} for e, c in f.terms.items()))
+
+
+@SETTINGS
+@given(primitive_vectors(), st.data())
+def test_division_is_canonical_and_matches_fraction_arithmetic(v, data):
+    rank = len(v)
+    f = binomial(v) * data.draw(polys(rank))
+    stray = data.draw(st.booleans())
+    if stray:
+        f = f + LaurentPoly.monomial(data.draw(exponents(rank)), data.draw(nonzero_scalars))
+    q = divide_by_binomial(f, v)
+    assert q is not None or stray
+    if q is not None:
+        assert_canonical_poly(q)
+        assert frac_product(dict(q.terms), dict(binomial(v).terms)) == dict(f.terms)
 
 
 def matrices(m, n):
