@@ -19,7 +19,7 @@ from fanalg.laurent import (
     divide_by_product,
     monomial_map,
 )
-from fanalg.fan import Fan, build_fan, chart_normalization, covering_pairs, is_fan
+from fanalg.fan import Fan, build_fan, covering_pairs
 from fanalg.algebra import (
     AlgebraElement,
     central,
@@ -68,9 +68,7 @@ __all__ = [
     "monomial_map",
     "Fan",
     "build_fan",
-    "is_fan",
     "covering_pairs",
-    "chart_normalization",
     "AlgebraElement",
     "membership_report",
     "matrix_unit",

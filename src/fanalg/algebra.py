@@ -304,8 +304,10 @@ class Word:
 
 
 def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]:
-    """Write each entry as scalar * u-chain * v-chain and verify by multiplying
-    out; the scalar is the entry's quotient."""
+    """Write each entry as scalar * u-chain * v-chain; the scalar is the
+    entry's quotient.  The words are not multiplied back out: a word expands
+    to its entry by the choice of the chains, a theorem the tests assert as a
+    property."""
     fan = x.fan
     words = []
     for (sigma, tau), y in sorted(x.quotients.items()):
@@ -317,8 +319,6 @@ def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]
             u_chain=tuple(covering_chain(fan, meet, sigma, rng)),
             v_chain=tuple(covering_chain(fan, meet, tau, rng)),
         )
-        if w.expand(fan) != AlgebraElement._divided(fan, {(sigma, tau): y}):
-            raise AssertionError(f"word at {_pair_key(sigma, tau)} does not multiply out to the entry")
         words.append(w)
     return words
 

@@ -158,10 +158,11 @@ def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
 
     Every cone takes its space from a chosen containing chart; arrows are
     transported into the chosen representatives through the gluing maps.  The
-    datum is checked once, here (Rejected carries the `check_cocycle` report);
-    the output is validated and its restrictions are isomorphic to the charts.
-    policy picks that chart: "lex_min" or "lex_max" among the maximal cones
-    containing the cone.
+    datum is checked once, here (Rejected carries the `check_cocycle` report),
+    and the output is not checked again: valid charts whose gluing maps pass
+    the cocycle check glue to a valid module that restricts to each chart, a
+    theorem the tests assert as a property.  policy picks that chart:
+    "lex_min" or "lex_max" among the maximal cones containing the cone.
     """
     if policy not in ("lex_min", "lex_max"):
         raise ValueError(f"unknown chart policy {policy!r}: use 'lex_min' or 'lex_max'")
@@ -179,27 +180,7 @@ def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
         back = d.glue_block(b, a, tau)
         u[(tau, sigma)] = d.charts[b].u[(tau, sigma)] @ move
         v[(tau, sigma)] = back @ d.charts[b].v[(tau, sigma)]
-    out = DiagramModule(fan, dims, torus, u, v, nt=next(iter(d.charts.values())).nt if d.charts else fan.rank)
-    out_rep = validate(out)
-    if not out_rep.ok:
-        raise AssertionError("glued module is invalid:\n" + out_rep.render())
-    for sigma in fan.maximal:
-        if not _restriction_iso(d, out, sigma, chart_of):
-            raise AssertionError(f"glued module does not restrict to the chart at ({cone_key(sigma)})")
-    return out
-
-
-def _restriction_iso(d: DescentDatum, glued: DiagramModule, sigma: Cone, chart_of: Mapping[Cone, Cone]) -> bool:
-    """The gluing maps themselves exhibit restrict(glued, sigma) ~ chart sigma."""
-    from fanalg.diagram import BlockMap, is_morphism
-
-    sub = restrict(glued, sigma)
-    chart = d.charts[sigma]
-    blocks = {}
-    for rho in sub.fan.cones:
-        blocks[rho] = d.glue_block(chart_of[rho], sigma, rho)
-    f = BlockMap(sub, chart, blocks)
-    return f.is_isomorphism() and is_morphism(f)
+    return DiagramModule(fan, dims, torus, u, v)
 
 
 def tautological_datum(m: DiagramModule) -> DescentDatum:

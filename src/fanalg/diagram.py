@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
-from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan, standard_fan
+from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
 from fanalg.linalg import QMat, _frac, block_diag, kron, linear_combination, nullspace, random_invertible
 from fanalg.report import Report
@@ -393,35 +393,6 @@ def relation_report(fan: Fan) -> RelationReport:
     return RelationReport(tuple(entries))
 
 
-def check_relations(m: DiagramModule, report: RelationReport | None = None) -> Report:
-    """Verify every reported operator identity on a valid module, computing
-    the operators from the arrows rather than from the torus matrices."""
-    fan = m.fan
-    if report is None:
-        report = relation_report(fan)
-    rep = Report()
-    for entry in report.entries:
-        d = m.dims[entry.cone]
-        mats = []
-        for op in entry.ops:
-            tau, sigma = op.pair
-            uu = m.u[(tau, sigma)]
-            vv = m.v[(tau, sigma)]
-            if op.kind == "M":
-                mats.append(QMat.identity(d) + vv @ uu)
-            else:
-                mats.append(QMat.identity(d) + uu @ vv)
-        for rel in entry.relations:
-            acc = QMat.identity(d)
-            for mat, c in zip(mats, rel):
-                if c:
-                    acc = acc @ mat.pow_int(c)
-            if not acc.is_identity():
-                labels = " ".join(op.label for op, c in zip(entry.ops, rel) if c)
-                rep.add("relation", f"V({cone_key(entry.cone)})", f"{labels} = id fails")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # module constructors
 
@@ -474,26 +445,6 @@ def character_module(fan: Fan, values: Sequence[Fraction]) -> DiagramModule:
         u[(tau, sigma)] = QMat([[chi(fan.rays[ray]) - 1]])
         v[(tau, sigma)] = QMat([[Fraction(1)]])
     return DiagramModule(fan, dims, torus, u, v)
-
-
-def one_ray_module(u0: QMat, v0: QMat, fan: Fan | None = None) -> DiagramModule:
-    """Module on the one-ray fan from an arrow pair with id + v u invertible;
-    the torus matrices are then forced."""
-    if fan is None:
-        fan = standard_fan(1)
-    if len(fan.rays) != 1 or fan.rank != 1:
-        raise ValueError("expected a one-ray fan of rank one")
-    ray = fan.rays[0]
-    lower = QMat.identity(v0.m) + v0 @ u0
-    upper = QMat.identity(u0.m) + u0 @ v0
-    if not lower.is_invertible():
-        raise ValueError("id + v u must be invertible")
-    # the ray is (1) or (-1); monodromy of the ray equals S^(ray)
-    s_lower = lower if ray[0] == 1 else lower.inverse()
-    s_upper = upper if ray[0] == 1 else upper.inverse()
-    dims = {(): v0.m, (0,): u0.m}
-    torus = {(): (s_lower,), (0,): (s_upper,)}
-    return DiagramModule(fan, dims, torus, {((), (0,)): u0}, {((), (0,)): v0})
 
 
 def tensor_module(m1: DiagramModule, m2: DiagramModule) -> DiagramModule:
@@ -578,10 +529,6 @@ class BlockMap:
         return all(b.is_identity() for b in self.blocks.values())
 
 
-def identity_map(m: DiagramModule) -> BlockMap:
-    return BlockMap(m, m, {c: QMat.identity(m.dims[c]) for c in m.fan.cones})
-
-
 def _intertwining(ma: DiagramModule, mb: DiagramModule):
     """The equations f_x a = b f_y on a map f from ma to mb, as (x, y, a, b):
     the torus matrices per cone, then u and v per covering pair."""
@@ -591,11 +538,6 @@ def _intertwining(ma: DiagramModule, mb: DiagramModule):
     for tau, sigma in ma.u:
         yield sigma, tau, ma.u[(tau, sigma)], mb.u[(tau, sigma)]
         yield tau, sigma, ma.v[(tau, sigma)], mb.v[(tau, sigma)]
-
-
-def is_morphism(f: BlockMap) -> bool:
-    """Blocks intertwine torus matrices and both arrow families."""
-    return all(f.blocks[x] @ a == b @ f.blocks[y] for x, y, a, b in _intertwining(f.source, f.target))
 
 
 def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:

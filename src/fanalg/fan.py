@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, elementary_divisors, primitive
+from fanalg.lattice import IntMatrix, Vec, _vec, elementary_divisors, primitive
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, nullspace
 from fanalg.report import Report
@@ -251,10 +251,6 @@ def fan_report(fan: Fan) -> Report:
     return rep
 
 
-def is_fan(fan: Fan) -> bool:
-    return fan_report(fan).ok
-
-
 def covering_pairs(fan: Fan) -> list[tuple[Cone, Cone, int]]:
     """All pairs tau < sigma with one extra ray, with that ray's index."""
     out = []
@@ -263,19 +259,6 @@ def covering_pairs(fan: Fan) -> list[tuple[Cone, Cone, int]]:
             tau = tuple(x for x in sigma if x != i)
             out.append((tau, sigma, i))
     return sorted(out, key=lambda p: (len(p[1]), p[1], p[0]))
-
-
-def chart_normalization(fan: Fan, cone: Sequence[int]) -> IntMatrix:
-    """Unimodular matrix sending the cone's rays to the first basis vectors,
-    rays taken in the cone's canonical (sorted index) order."""
-    c = fan.require_cone(cone)
-    vecs = fan.ray_vectors(c)
-    w = complete_to_basis(vecs, rank=fan.rank)
-    beta = w.inverse()
-    for j, v in enumerate(vecs):
-        if beta.apply(v) != tuple(1 if i == j else 0 for i in range(fan.rank)):
-            raise AssertionError(f"chart normalization of ({cone_key(c)}) misses ray {j}")
-    return beta
 
 
 # ---------------------------------------------------------------------------

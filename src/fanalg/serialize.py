@@ -8,8 +8,10 @@ Sizes are bounded where data enters, so that a small file cannot ask for an
 unbounded amount of work: a Laurent exponent or a ray coordinate has absolute
 value at most MAX_COORD, a module space has dimension at most MAX_SPACE_DIM,
 and the spaces of one module, descent chart or equivariant module add up to
-at most MAX_TOTAL_DIM.  A value beyond a bound is an input error that names
-its JSON path.
+at most MAX_TOTAL_DIM.  A quotient's Q and cutting characters have entries
+of absolute value at most MAX_COORD, and at most MAX_SPACE_DIM rows and
+columns; a declared quotient rank is at most MAX_SPACE_DIM.  A value beyond
+a bound is an input error that names its JSON path.
 """
 
 from __future__ import annotations
@@ -254,11 +256,32 @@ def quotient_to_data(q: QuotientData) -> dict:
     return {"Q": [list(r) for r in q.q.entries] if q.q.rows else [], "rank": q.q.cols}
 
 
+def _rank(x, path: str) -> int:
+    """A declared lattice rank, bounded like a space dimension."""
+    r = _int(x, path)
+    if not 0 <= r <= MAX_SPACE_DIM:
+        raise ValueError(f"{path}: expected a rank from 0 to {MAX_SPACE_DIM}, got {r}")
+    return r
+
+
+def _lattice_rows(x, path: str) -> list[list[int]]:
+    """The rows of Q or of the cutting characters, with entries bounded as
+    coordinates.  The Smith form of an r x n matrix builds r x r and n x n
+    transforms, so r and n are bounded like a space dimension."""
+    rows = _coord_rows(x, path)
+    if len(rows) > MAX_SPACE_DIM:
+        raise ValueError(f"{path}: expected at most {MAX_SPACE_DIM} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) > MAX_SPACE_DIM:
+            raise ValueError(f"{path}[{i}]: expected at most {MAX_SPACE_DIM} entries, got {len(row)}")
+    return rows
+
+
 def _quotient(data, path: str) -> QuotientData:
     obj = _object(data, path)
-    rank = _field(obj, "rank", path, _int) if "rank" in obj else None
+    rank = _field(obj, "rank", path, _rank) if "rank" in obj else None
     if "Q" in obj:
-        rows = _field(obj, "Q", path, _int_rows)
+        rows = _field(obj, "Q", path, _lattice_rows)
         if rank is None and not rows:
             raise ValueError("empty Q needs an explicit rank")
         if rank is None:
@@ -266,7 +289,7 @@ def _quotient(data, path: str) -> QuotientData:
         mat = IntMatrix([tuple(r) for r in rows], shape=(len(rows), rank))
         return quotient_presentation(q=mat)
     if "characters" in obj:
-        return quotient_presentation(characters=_field(obj, "characters", path, _int_rows), rank=rank)
+        return quotient_presentation(characters=_field(obj, "characters", path, _lattice_rows), rank=rank)
     raise ValueError("quotient data needs a Q matrix or characters")
 
 

@@ -11,7 +11,6 @@ from fanalg.diagram import (
     character_module,
     conjugate,
     direct_sum,
-    one_ray_module,
     point_module,
     tensor_module,
     validate,
@@ -26,7 +25,7 @@ from fanalg.fan import (
 )
 from fanalg.linalg import QMat, random_invertible
 
-from support import random_valid_module
+from support import one_ray_module, random_valid_module
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from fanalg.algebra import (
 )
 from fanalg.descent import check_cocycle, glue, tautological_datum, twisted_datum, DescentDatum
 from fanalg.diagram import (
-    check_relations,
     dupont_demo,
     relation_report,
     rep_check,
@@ -50,7 +49,7 @@ from fanalg.lattice import IntMatrix, snf
 from fanalg.linalg import QMat
 
 from conftest import module_zoo
-from support import find_isomorphism, random_valid_module
+from support import check_relations, find_isomorphism, random_valid_module
 
 
 def announce(num: int, text: str, ok: bool) -> None:

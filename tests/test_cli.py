@@ -527,3 +527,28 @@ class TestSizeBounds:
         # the torus field is malformed too: the bound is checked before any matrix is read
         module = {"fan": self.MANY_CONES, "spaces": spaces, "torus": {"": 5}}
         self.rejects(tmp_path, ["mod", "validate"], module, "$.spaces: expected a total dimension of at most 4096, got 4104")
+
+    def test_quotient_entries_past_the_limit_are_input_errors(self, tmp_path):
+        # a ray's monodromy is a torus power T^(Q w), so an entry of Q is an exponent
+        one_ray = {"rank": 1, "rays": [[1]], "max_cones": [[0]]}
+        torus = {"": [["2"]], "0": [["2"]]}
+        equi = {"fan": one_ray, "quotient": {"Q": [[30000000]]}, "spaces": {"": 1, "0": 1}, "torus": torus}
+        self.rejects(tmp_path, ["equi", "validate"], equi,
+                     "$.quotient.Q[0][0]: expected an integer of absolute value at most 1024, got 30000000")
+        self.rejects(tmp_path, ["equi", "present"], {"characters": [[1, 0], [0, -1025]]},
+                     "$.characters[1][1]: expected an integer of absolute value at most 1024, got -1025")
+        edge = dict(equi, quotient={"Q": [[1024]]}, torus={"": [["1"]], "0": [["1"]]}, v={"0|": ["1"]})
+        code, out = run(["equi", "validate", write_json(tmp_path / "edge.json", edge)])
+        assert code == 0, out
+        code, out = run(["equi", "present", write_json(tmp_path / "chars.json", {"characters": [[1024, -1024]]})])
+        assert code == 0, out
+
+    def test_quotient_ranks_past_the_limit_are_input_errors(self, tmp_path):
+        # the Smith form of an r x n matrix builds r x r and n x n transforms
+        self.rejects(tmp_path, ["equi", "present"], {"Q": [], "rank": 257}, "$.rank: expected a rank from 0 to 256, got 257")
+        self.rejects(tmp_path, ["equi", "present"], {"characters": [], "rank": -1}, "$.rank: expected a rank from 0 to 256, got -1")
+        self.rejects(tmp_path, ["equi", "present"], {"Q": [[1] + [0] * 256]}, "$.Q[0]: expected at most 256 entries, got 257")
+        self.rejects(tmp_path, ["equi", "present"], {"characters": [[1]] * 257}, "$.characters: expected at most 256 rows, got 257")
+        for spec in ({"Q": [], "rank": 256}, {"Q": [[1] + [0] * 255]}, {"characters": [[2]] * 256}):
+            code, out = run(["equi", "present", write_json(tmp_path / "edge.json", spec)])
+            assert code == 0, out

@@ -8,15 +8,11 @@ from fanalg.algebra import central, matrix_unit, random_member, required_divisor
 from fanalg.diagram import (
     DiagramModule,
     character_module,
-    check_relations,
     conjugate,
     direct_sum,
     dupont_demo,
     evaluate,
     hom,
-    identity_map,
-    is_morphism,
-    one_ray_module,
     point_module,
     relation_report,
     rep_check,
@@ -29,7 +25,7 @@ from fanalg.linalg import QMat, random_invertible
 from fanalg.report import Report
 
 from conftest import module_zoo, random_one_ray
-from support import find_isomorphism, random_valid_module
+from support import check_relations, find_isomorphism, identity_map, is_morphism, one_ray_module, random_valid_module
 
 
 def simple_c_module():

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import fanalg
-from fanalg import algebra, diagram, lattice, laurent, linalg, serialize
+from fanalg import algebra, descent, diagram, equivariant, lattice, laurent, linalg, serialize
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
-from fanalg.descent import check_cocycle, twisted_datum
+from fanalg.descent import check_cocycle, glue, twisted_datum
 from fanalg.diagram import evaluate, hom, validate
+from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
@@ -42,6 +43,27 @@ def test_mu_delta_checks_nothing(p2_fan, membership_calls):
             x = random_member(p2_fan, rng, row_cone=sigma, col_cone=tau)
             assert mu(delta(x, sigma, tau)) == x
     assert membership_calls == []
+
+
+def test_glue_validates_each_chart_once_and_not_its_output(p2_fan, monkeypatch):
+    rng = random.Random(8)
+    d = twisted_datum(random_valid_module(p2_fan, rng, summands=2), rng)
+    validates = count_calls(monkeypatch, "validate", descent)
+    glue(d)
+    # one call per chart, inside check_cocycle
+    assert len(validates) == len(p2_fan.maximal)
+
+
+def test_inflate_checks_its_module_once_and_not_its_output(c_fan, monkeypatch):
+    s = QMat([[2]])  # s^2 = 1 + v u
+    m = EqDiagramModule(
+        c_fan, quotient_presentation(q=[[2]]), {(): 1, (0,): 1}, {(): (s,), (0,): (s,)},
+        {((), (0,)): QMat([[3]])}, {((), (0,)): QMat([[1]])},
+    )
+    # validate_equivariant reads axiom_report from equivariant, validate from diagram
+    axioms = count_calls(monkeypatch, "axiom_report", equivariant, diagram)
+    inflate(m)
+    assert len(axioms) == 1
 
 
 def test_entries_passed_in_are_still_checked(c_fan, membership_calls):

@@ -1,7 +1,10 @@
 """Properties over generated inputs for the theorems the library relies on
 instead of checking derived results again: closure of the algebra, arithmetic
 on divided-form elements against entry-wise arithmetic on their entries, the
-splitting mu(delta(x)) = x, and associativity of the base-changed algebra;
+splitting mu(delta(x)) = x, factorization words that expand to their
+entries, and associativity of the base-changed algebra; gluing of
+cocycle-passing descent data to a valid module that restricts to each chart,
+and inflation of valid equivariant modules to valid plain modules;
 the canonical form of every LaurentPoly operation (integers over one
 denominator), against arithmetic on Fraction coefficients; exact division by
 t^v - 1, against a sympy oracle when sympy is present; the
@@ -26,16 +29,17 @@ import pytest
 from hypothesis import assume, configuration, example, given, settings
 from hypothesis import strategies as st
 
-from fanalg.algebra import AlgebraElement, delta, idempotent, membership_report, mu, random_member, transport, unit
-from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, is_morphism, point_module
-from fanalg.equivariant import ag_structure, associativity_report, quotient_presentation
-from fanalg.fan import hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
+from fanalg.algebra import AlgebraElement, delta, factorize, idempotent, membership_report, mu, random_member, transport, unit
+from fanalg.descent import _chart_of, glue, restrict, twisted_datum
+from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
+from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
+from fanalg.fan import covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, linear_combination, nullspace, random_invertible, rref
 
-from support import random_valid_module
+from support import is_morphism, random_valid_module
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -46,6 +50,8 @@ configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "fanalg-hypo
 
 P1xP1 = product_fan(projective_line_fan(), projective_line_fan())
 FANS = {"C2": standard_fan(2), "P2": projective_plane_fan(), "P1xP1": P1xP1, "F1": hirzebruch_fan(1)}
+P2xP1 = product_fan(projective_plane_fan(), projective_line_fan())
+STOCK_FANS = dict(FANS, C1=standard_fan(1), P1=projective_line_fan(), P2xP1=P2xP1)
 SWAP = IntMatrix([[0, 1], [1, 0]])
 
 fan_names = st.sampled_from(sorted(FANS))
@@ -150,6 +156,19 @@ def test_mu_delta_round_trip(name, seed, data):
         assert membership_report(fan, w.left_factor(i).entries).ok
         assert membership_report(fan, w.right_factor(i).entries).ok
     assert mu(w) == x
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_FANS))
+@settings(SETTINGS, max_examples=5)
+@given(seeds)
+def test_factorization_words_expand_to_their_entries(name, seed):
+    fan = STOCK_FANS[name]
+    x = random_member(fan, random.Random(seed))
+    for rng in (None, random.Random(seed)):  # canonical chains, then shuffled ones
+        words = factorize(x, rng)
+        assert [(w.row, w.col) for w in words] == sorted(x.quotients)
+        for w in words:
+            assert w.expand(fan) == AlgebraElement._divided(fan, {(w.row, w.col): x.quotients[(w.row, w.col)]})
 
 
 @settings(SETTINGS, max_examples=8)
@@ -728,6 +747,69 @@ def test_evaluate_is_a_representation_with_warm_and_cold_caches(name, seed):
         assert evaluate(a + b, module) == ea + eb
         assert evaluate(a, module, rng=random.Random(seed)) == ea
         assert evaluate(b, module, rng=random.Random(seed + 1)) == eb
+
+
+GLUE_FANS = dict(FANS, P2xP1=P2xP1)
+
+
+@pytest.mark.parametrize("policy", ["lex_min", "lex_max"])
+@pytest.mark.parametrize("name", sorted(GLUE_FANS))
+@settings(SETTINGS, max_examples=5)
+@given(seeds)
+def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(name, policy, seed):
+    fan = GLUE_FANS[name]
+    rng = random.Random(seed)
+    d = twisted_datum(random_valid_module(fan, rng), rng)
+    glued = glue(d, policy)
+    assert validate(glued).ok
+    # the gluing maps into chart sigma, from the chart each face was taken from,
+    # are an isomorphism of modules from the restriction onto the chart
+    chart_of = {rho: _chart_of(fan, rho, policy) for rho in fan.cones}
+    for sigma in fan.maximal:
+        sub = restrict(glued, sigma)
+        f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
+        assert f.is_isomorphism() and is_morphism(f)
+
+
+# quotient matrices Q by the rank of the fan they act on: the identity, a
+# cyclic quotient, and for rank 2 a quotient whose rows are not its columns
+QUOTIENTS = {
+    1: {"identity": [[1]], "cyclic": [[3]]},
+    2: {"identity": [[1, 0], [0, 1]], "cyclic": [[2, 0], [0, 1]], "mixed": [[1, 1], [0, 2]]},
+}
+EQ_FANS = {"C1": standard_fan(1), "C2": standard_fan(2), "P2": projective_plane_fan(), "F1": hirzebruch_fan(1)}
+EQ_CASES = [(name, q) for name, fan in sorted(EQ_FANS.items()) for q in QUOTIENTS[fan.rank]]
+
+
+def quotient_character(fan, qd, values):
+    """A character of the quotient torus through Q: torus scalars `values`,
+    u = chi(Q ray) - 1 and v = 1 on every covering pair."""
+
+    def chi(w):
+        out = Fraction(1)
+        for x, k in zip(values, qd.q.apply(w)):
+            out *= Fraction(x) ** k
+        return out
+
+    u = {(tau, sigma): QMat([[chi(fan.rays[ray]) - 1]]) for tau, sigma, ray in covering_pairs(fan)}
+    v = {key: QMat([[1]]) for key in u}
+    torus = {c: tuple(QMat([[x]]) for x in values) for c in fan.cones}
+    return DiagramModule(fan, dict.fromkeys(fan.cones, 1), torus, u, v, nt=qd.target_rank)
+
+
+@pytest.mark.parametrize(("name", "quotient"), EQ_CASES)
+@settings(SETTINGS, max_examples=5)
+@given(seeds, st.data())
+def test_inflating_a_valid_equivariant_module_gives_a_valid_module(name, quotient, seed, data):
+    fan = EQ_FANS[name]
+    qd = quotient_presentation(q=QUOTIENTS[fan.rank][quotient])
+    characters = st.lists(st.sampled_from([2, -1, 3, Fraction(1, 2)]), min_size=qd.target_rank, max_size=qd.target_rank)
+    m = quotient_character(fan, qd, data.draw(characters))
+    for _ in range(data.draw(st.integers(0, 2))):
+        m = direct_sum(m, quotient_character(fan, qd, data.draw(characters)))
+    rng = random.Random(seed)
+    m = conjugate(m, {c: random_invertible(m.dims[c], rng) for c in fan.cones})
+    assert validate(inflate(EqDiagramModule(fan, qd, m.dims, m.torus, m.u, m.v))).ok
 
 
 @SETTINGS
