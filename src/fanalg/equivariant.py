@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 from fanalg.algebra import cofactor_rays
@@ -148,14 +149,20 @@ def ag_structure(fan: Fan, quotient: QuotientData) -> EqStructure:
 
 def associativity_report(s: EqStructure, samples: int | None = None, seed: int = 0) -> Report:
     """Check (f1 f2) f3 = f1 (f2 f3) on basis 4-tuples, exhaustively for
-    small fans or on a seeded sample, which the report records as a skip."""
+    small fans or on a seeded sample, which the report records as a skip.
+    A sampled 4-tuple is read off its index in lexicographic order, so the
+    list of all 4-tuples is never built."""
     rep = Report()
     cones = s.fan.cone_list()
-    quads = [(a, b, c, d) for a in cones for b in cones for c in cones for d in cones]
-    if samples is not None and len(quads) > samples:
-        rep.skip(f"associativity checked on {samples} sampled basis 4-tuples of {len(quads)}")
+    n = len(cones)
+    total = n**4
+    quads = product(cones, repeat=4)
+    if samples is not None and total > samples:
+        rep.skip(f"associativity checked on {samples} sampled basis 4-tuples of {total}")
         rng = random.Random(seed)
-        quads = [quads[rng.randrange(len(quads))] for _ in range(samples)]
+        picks = [rng.randrange(total) for _ in range(samples)]
+        # the cone indices of the k-th 4-tuple are the base-n digits of k
+        quads = [tuple(cones[k // n**e % n] for e in (3, 2, 1, 0)) for k in picks]
     for a, b, c, d in quads:
         left = s.constant(a, b, c) * s.constant(a, c, d)
         right = s.constant(b, c, d) * s.constant(a, b, d)

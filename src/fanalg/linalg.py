@@ -15,6 +15,13 @@ transposes, block sums and Kronecker products work on the integers.  `rows`,
 `__getitem__` and `flat` build `Fraction` views on request; nothing inside
 the package reads them on a hot path.
 
+The checks compare products without building them: `_products_equal`
+decides a @ b == c @ d and `_is_product` decides x == a @ b or
+x == I + a @ b, entry by entry on the integer rows cross-multiplied by the
+denominators, with no gcd pass and no new matrix, stopping at the first
+entry that differs.  Both iterate over the shapes, so a product through a
+zero-dimensional middle space is compared as the zero matrix it is.
+
 Every elimination reads one sparse, fully reduced row echelon form, built by
 `_echelon` from the integer rows without leaving the integers: a
 fraction-free Gauss-Jordan elimination (Bareiss, Montante) that holds D times
@@ -250,6 +257,45 @@ class QMat:
     def flat(self) -> list[Fraction]:
         d = self.den
         return [Fraction(x, d) for row in self.num for x in row]
+
+
+def _columns(b: QMat) -> list[tuple[int, ...]]:
+    """The integer columns of b; a b with no rows still has b.n (empty) columns."""
+    return list(zip(*b.num)) if b.m else [()] * b.n
+
+
+def _products_equal(a: QMat, b: QMat, c: QMat, d: QMat) -> bool:
+    """a @ b == c @ d, decided entry by entry on the integer rows without
+    building either product: (A B) den(c) den(d) == (C D) den(a) den(b)."""
+    if a.n != b.m or c.n != d.m:
+        raise ValueError(f"shape mismatch {a.m}x{a.n} @ {b.m}x{b.n} vs {c.m}x{c.n} @ {d.m}x{d.n}")
+    if a.m != c.m or b.n != d.n:
+        return False
+    f, g = c.den * d.den, a.den * b.den
+    bcols, dcols = _columns(b), _columns(d)
+    for ra, rc in zip(a.num, c.num):
+        for cb, cd in zip(bcols, dcols):
+            if f * sum(map(mul, ra, cb)) != g * sum(map(mul, rc, cd)):
+                return False
+    return True
+
+
+def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
+    """x == a @ b, or x == I + a @ b with plus_identity, decided entry by entry
+    on the integer rows without building the product:
+    X den(a) den(b) == (A B + [I] den(a) den(b)) den(x)."""
+    if a.n != b.m or plus_identity and a.m != b.n:
+        raise ValueError(f"shape mismatch {'I + ' if plus_identity else ''}{a.m}x{a.n} @ {b.m}x{b.n}")
+    if x.m != a.m or x.n != b.n:
+        return False
+    g, dx = a.den * b.den, x.den
+    s = g if plus_identity else 0
+    bcols = _columns(b)
+    for i, (rx, ra) in enumerate(zip(x.num, a.num)):
+        for j, (e, cb) in enumerate(zip(rx, bcols)):
+            if e * g != (sum(map(mul, ra, cb)) + (s if i == j else 0)) * dx:
+                return False
+    return True
 
 
 def _eye(n: int, d: int) -> tuple[tuple[int, ...], ...]:

@@ -8,10 +8,12 @@ Sizes are bounded where data enters, so that a small file cannot ask for an
 unbounded amount of work: a Laurent exponent or a ray coordinate has absolute
 value at most MAX_COORD, a module space has dimension at most MAX_SPACE_DIM,
 and the spaces of one module, descent chart or equivariant module add up to
-at most MAX_TOTAL_DIM.  A quotient's Q and cutting characters have entries
-of absolute value at most MAX_COORD, and at most MAX_SPACE_DIM rows and
-columns; a declared quotient rank is at most MAX_SPACE_DIM.  A value beyond
-a bound is an input error that names its JSON path.
+at most MAX_TOTAL_DIM.  A fan's rank is from 0 to MAX_SPACE_DIM, and its
+generating cones have at most MAX_FACES faces, counted per cone, so a cone
+has at most log2(MAX_FACES) rays.  A quotient's Q and cutting characters
+have entries of absolute value at most MAX_COORD, and at most MAX_SPACE_DIM
+rows and columns; a declared quotient rank is at most MAX_SPACE_DIM.  A
+value beyond a bound is an input error that names its JSON path.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from fanalg.linalg import QMat
 MAX_COORD = 1024
 MAX_SPACE_DIM = 256
 MAX_TOTAL_DIM = 4096
+MAX_FACES = 256
 
 
 def fan_to_data(fan: Fan) -> dict:
@@ -123,11 +126,28 @@ def _cone_pair(name: str, path: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _generating_cones(x, path: str) -> list[list[int]]:
+    """The generating cones of a fan, whose faces, 2^k for a cone of k rays
+    and counted per cone, add up to at most MAX_FACES; this bounds the face
+    closure before `build_fan` computes it."""
+    cones = _int_rows(x, path)
+    faces = 0
+    for i, cone in enumerate(cones):
+        faces += 1 << min(len(cone), MAX_FACES.bit_length())  # capped: a longer cone is past the bound anyway
+        if faces > MAX_FACES:
+            raise ValueError(f"{path}[{i}]: expected at most {MAX_FACES} faces over the generating cones, got more up to this cone")
+    return cones
+
+
 def fan_fields(data, path: str = "$") -> tuple[int, list[list[int]], list[list[int]]]:
     """Rank, rays and maximal cones of a fan object at the JSON path `path`,
-    checked for shape, and ray coordinates for size."""
+    checked for shape, and the rank, ray coordinates and faces for size."""
     obj = _object(data, path)
-    return (_field(obj, "rank", path, _int), _field(obj, "rays", path, _coord_rows), _field(obj, "max_cones", path, _int_rows))
+    return (
+        _field(obj, "rank", path, _rank),
+        _field(obj, "rays", path, _coord_rows),
+        _field(obj, "max_cones", path, _generating_cones),
+    )
 
 
 def fan_from_data(data: Mapping, path: str = "$") -> Fan:
@@ -257,7 +277,8 @@ def quotient_to_data(q: QuotientData) -> dict:
 
 
 def _rank(x, path: str) -> int:
-    """A declared lattice rank, bounded like a space dimension."""
+    """A declared lattice rank, of a fan or a quotient, bounded like a space
+    dimension."""
     r = _int(x, path)
     if not 0 <= r <= MAX_SPACE_DIM:
         raise ValueError(f"{path}: expected a rank from 0 to {MAX_SPACE_DIM}, got {r}")

@@ -1,9 +1,12 @@
 """Shared fixtures: stock fans and the constructed-module zoo."""
 
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import configuration
 
 from fanalg.descent import glue, twisted_datum
 from fanalg.diagram import (
@@ -26,6 +29,10 @@ from fanalg.fan import (
 from fanalg.linalg import QMat, random_invertible
 
 from support import one_ray_module, random_valid_module
+
+# hypothesis also caches the constants it reads from local source files, at
+# collection time, under ./.hypothesis by default; keep that out of the checkout
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "fanalg-hypothesis")
 
 
 @pytest.fixture(scope="session")

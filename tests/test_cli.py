@@ -474,8 +474,9 @@ class TestMalformedInput:
 
 
 class TestSizeBounds:
-    """Exponents, ray coordinates and module dimensions are bounded where
-    files enter, so that a small file cannot ask for unbounded work."""
+    """Exponents, ray coordinates, fan ranks and faces, and module dimensions
+    are bounded where files enter, so that a small file cannot ask for
+    unbounded work."""
 
     FAN = {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
     # a unimodular cone whose first ray has one coordinate past the limit
@@ -527,6 +528,35 @@ class TestSizeBounds:
         # the torus field is malformed too: the bound is checked before any matrix is read
         module = {"fan": self.MANY_CONES, "spaces": spaces, "torus": {"": 5}}
         self.rejects(tmp_path, ["mod", "validate"], module, "$.spaces: expected a total dimension of at most 4096, got 4104")
+
+    @staticmethod
+    def unit_fan(rank, *cones):
+        """The given cones over the unit vectors of the lattice."""
+        return {"rank": rank, "rays": [[int(i == j) for i in range(rank)] for j in range(rank)], "max_cones": list(cones)}
+
+    def test_fan_ranks_past_the_limit_are_input_errors(self, tmp_path):
+        # a negative rank was a finding "cone () has more rays than the rank", with exit 1
+        self.rejects(tmp_path, ["fan", "check"], {"rank": -1, "rays": [], "max_cones": [[]]},
+                     "$.rank: expected a rank from 0 to 256, got -1")
+        self.rejects(tmp_path, ["fan", "check"], self.unit_fan(257, [0]), "$.rank: expected a rank from 0 to 256, got 257")
+        self.rejects(tmp_path, ["mod", "validate"], {"fan": self.unit_fan(257, [0]), "spaces": {"": 1}},
+                     "$.fan.rank: expected a rank from 0 to 256, got 257")
+        code, out = run(["fan", "check", write_json(tmp_path / "edge.json", self.unit_fan(256, [0]))])
+        assert code == 0, out
+
+    def test_face_closures_past_the_limit_are_input_errors(self, tmp_path, monkeypatch):
+        # a cone of k rays has 2^k faces, counted per generating cone before the closure is built
+        builds = count_calls(monkeypatch, "build_fan", serialize, cli)
+        message = "expected at most 256 faces over the generating cones, got more up to this cone"
+        self.rejects(tmp_path, ["fan", "check"], self.unit_fan(18, list(range(18))), f"$.max_cones[0]: {message}")
+        self.rejects(tmp_path, ["fan", "check"], self.unit_fan(8, list(range(7)), list(range(1, 8)), [0]),
+                     f"$.max_cones[2]: {message}")
+        self.rejects(tmp_path, ["desc", "check"], {"fan": self.unit_fan(9, list(range(9))), "charts": {}},
+                     f"$.fan.max_cones[0]: {message}")
+        assert builds == []
+        for fan in (self.unit_fan(8, list(range(8))), self.unit_fan(8, list(range(7)), list(range(1, 8)))):
+            code, out = run(["fan", "check", write_json(tmp_path / "edge.json", fan)])
+            assert code == 0, out
 
     def test_quotient_entries_past_the_limit_are_input_errors(self, tmp_path):
         # a ray's monodromy is a torus power T^(Q w), so an entry of Q is an exponent

@@ -1,0 +1,105 @@
+"""The CLI contract on mutated input files: exit 0, 1 or 2, never a traceback,
+in bounded time.
+
+Each case starts from a golden input file, with a fan given by path read
+into the file, and applies one to three mutations at nodes of its JSON tree:
+drop a field or an entry, change a value's type, put a huge or negative
+integer in its place, give a member a bad cone key, or turn an object into a
+list and a list into an object.  `cli.main` runs in process, so an exception
+escaping it fails the case here.
+"""
+
+import copy
+import io
+import json
+import time
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fanalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = {
+    "fan_p2.json": ["fan", "check"],
+    "module_p2.json": ["mod", "validate"],
+    "descent_p2.json": ["desc", "check"],
+    "eqmodule_c1.json": ["equi", "validate"],
+}
+SECONDS_PER_CASE = 5.0
+
+NUMBERS = [-1, 0, 2, 257, 1025, 4097, 2**31, -(2**63), 10**30]
+VALUES = [None, True, "x", "1/0", "", 0.5, 1e300, [], {}, [[]], [None], {"": None}]
+CONE_KEYS = ["9", "-1", "a", "0,0", "1,0", "0,1,2", " 0", "0|", "|", "0|1|2", "00", ","]
+
+
+def load(name):
+    data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    if isinstance(data.get("fan"), str):
+        data["fan"] = json.loads((GOLDEN / data["fan"]).read_text(encoding="utf-8"))
+    return data
+
+
+def nodes(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from nodes(value, path + (key,))
+
+
+def mutate(doc, path, kind, data):
+    """The document with one mutation of the given kind at `path`."""
+    if not path:
+        return copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
+    elif kind == "number":
+        parent[key] = data.draw(st.sampled_from(NUMBERS))
+    elif kind == "cone_key" and isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(CONE_KEYS))] = parent.pop(key)
+    elif kind == "reshape" and isinstance(node, dict):
+        parent[key] = list(node.values())
+    elif kind == "reshape" and isinstance(node, list):
+        parent[key] = {str(i): x for i, x in enumerate(node)}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.data())
+def test_mutated_files_keep_the_exit_code_contract(workdir, name, data):
+    doc = copy.deepcopy(load(name))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(nodes(doc))), label="path")
+        kind = data.draw(st.sampled_from(["drop", "retype", "number", "cone_key", "reshape"]), label="kind")
+        doc = mutate(doc, path, kind, data)
+    case = workdir / name
+    case.write_text(json.dumps(doc), encoding="utf-8")
+    buf = io.StringIO()
+    start = time.perf_counter()
+    try:
+        with redirect_stdout(buf):
+            code = main([*COMMANDS[name], str(case)])
+    except BaseException as e:
+        pytest.fail(f"{e!r} escaped main on {json.dumps(doc)[:2000]}")
+    elapsed = time.perf_counter() - start
+    out = buf.getvalue()
+    assert code in (0, 1, 2), out
+    assert code != 2 or out.startswith("ERROR\tinput\t"), out
+    assert elapsed < SECONDS_PER_CASE, f"{elapsed:.1f} s on {json.dumps(doc)[:2000]}"

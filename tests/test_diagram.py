@@ -71,6 +71,22 @@ class TestValidate:
             "SUMMARY: fail (3 findings)",
         ]
 
+    def test_a_square_through_a_zero_space_is_compared(self, c2_fan):
+        # u is 1 on ()<(1)<(0,1) but passes through V(0) = 0 the other way round,
+        # so one side of the u square is a product over a zero-dimensional middle space
+        one = QMat([[1]])
+        m = DiagramModule(
+            c2_fan,
+            {(): 1, (0,): 0, (1,): 1, (0, 1): 1},
+            {},
+            {((), (1,)): one, ((1,), (0, 1)): one},
+            {},
+        )
+        assert validate(m).render().splitlines() == [
+            "A3\tsquare ()<(0,1)\tu square does not commute",
+            "SUMMARY: fail (1 finding)",
+        ]
+
     def test_dim_reported_separately(self, c_fan):
         m = DiagramModule(
             c_fan,

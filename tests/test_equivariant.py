@@ -7,12 +7,14 @@ from fanalg.algebra import cofactor_rays
 from fanalg.diagram import validate
 from fanalg.equivariant import (
     EqDiagramModule,
+    EqStructure,
     ag_structure,
     associativity_report,
     inflate,
     quotient_presentation,
     validate_equivariant,
 )
+from fanalg.fan import cone_key
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
@@ -123,6 +125,24 @@ class TestStructure:
         sampled = associativity_report(ag_structure(f1_fan, qd), samples=20)
         assert sampled.ok and sampled.skipped == ["associativity checked on 20 sampled basis 4-tuples of 6561"]
         assert associativity_report(ag_structure(p2_fan, qd), samples=None).skipped == []
+
+    def test_a_sample_is_drawn_by_index_into_the_lexicographic_4_tuples(self, f1_fan):
+        # distinct monomial constants make most 4-tuples fail, so the findings
+        # name the sampled 4-tuples in the order they were drawn
+        s = ag_structure(f1_fan, quotient_presentation(q=[[1, 2]]))
+        broken = EqStructure(s.fan, s.quotient, {k: LaurentPoly.monomial((i,)) for i, k in enumerate(s.table)})
+        cones = f1_fan.cone_list()
+        quads = [(a, b, c, d) for a in cones for b in cones for c in cones for d in cones]
+        rng = random.Random(7)
+        drawn = [quads[rng.randrange(len(quads))] for _ in range(30)]
+
+        def associative(a, b, c, d):
+            return broken.constant(a, b, c) * broken.constant(a, c, d) == broken.constant(b, c, d) * broken.constant(a, b, d)
+
+        failing = [q for q in drawn if not associative(*q)]
+        rep = associativity_report(broken, samples=30, seed=7)
+        assert len(failing) > 20
+        assert [f.location for f in rep.findings] == ["".join(f"({cone_key(c)})" for c in q) for q in failing]
 
     def test_multiply_in_basis(self, c_fan):
         q = quotient_presentation(q=[[2]])

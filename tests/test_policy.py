@@ -66,6 +66,24 @@ def test_inflate_checks_its_module_once_and_not_its_output(c_fan, monkeypatch):
     assert len(axioms) == 1
 
 
+@pytest.mark.parametrize("fan_name", ["c2_fan", "p1xp1_fan"])
+def test_a_passing_validate_builds_no_product(fan_name, request, monkeypatch):
+    # the axioms compare products on the integer rows; these fans' rays are
+    # unit vectors, so no monodromy is a product of torus powers either
+    m = random_valid_module(request.getfixturevalue(fan_name), random.Random(9), summands=3)
+    products = count_calls(monkeypatch, "__matmul__", QMat)
+    assert validate(m).ok
+    assert products == []
+
+
+def test_a_passing_cocycle_check_builds_no_product(p1xp1_fan, monkeypatch):
+    rng = random.Random(10)
+    d = twisted_datum(random_valid_module(p1xp1_fan, rng, summands=2), rng)
+    products = count_calls(monkeypatch, "__matmul__", QMat)
+    assert check_cocycle(d).ok
+    assert products == []
+
+
 def test_entries_passed_in_are_still_checked(c_fan, membership_calls):
     bad = {((0,), ()): LaurentPoly.one(1)}
     with pytest.raises(ValueError, match="not a member"):

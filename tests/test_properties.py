@@ -8,8 +8,10 @@ and inflation of valid equivariant modules to valid plain modules;
 the canonical form of every LaurentPoly operation (integers over one
 denominator), against arithmetic on Fraction coefficients; exact division by
 t^v - 1, against a sympy oracle when sympy is present; the
-integer kernel of QMat products; the canonical form of every QMat operation
-(integers over one denominator), against plain Fraction arithmetic;
+integer kernel of QMat products; the comparisons of products that the axiom
+and cocycle checks make without building them, against QMat arithmetic; the
+canonical form of every QMat operation (integers over one denominator),
+against plain Fraction arithmetic;
 determinants, inverses, rref and nullspaces, against a dense Gauss-Jordan
 oracle and a sympy oracle when sympy is present, also on integers up to
 10^40, on tall rank-deficient systems like those of `hom` and where the
@@ -20,13 +22,11 @@ between character and point modules; and the Smith normal form, against a
 sympy oracle when sympy is present."""
 
 import random
-import tempfile
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
-from hypothesis import assume, configuration, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanalg.algebra import AlgebraElement, delta, factorize, idempotent, membership_report, mu, random_member, transport, unit
@@ -43,10 +43,6 @@ from support import is_morphism, random_valid_module
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
-
-# hypothesis also caches the constants it reads from local source files, at
-# collection time, under ./.hypothesis by default; keep that out of the checkout
-configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "fanalg-hypothesis")
 
 P1xP1 = product_fan(projective_line_fan(), projective_line_fan())
 FANS = {"C2": standard_fan(2), "P2": projective_plane_fan(), "P1xP1": P1xP1, "F1": hirzebruch_fan(1)}
@@ -361,6 +357,53 @@ def test_product_equals_the_fraction_sum(pair):
     assert (out.m, out.n) == (a.m, b.n)
     assert out.rows == tuple(tuple(row) for row in naive)
     assert all(type(x) is Fraction for row in out.rows for x in row)
+
+
+def small_matrices(m, n):
+    """Entries from -2 to 2 over denominators 1 to 3, often zero."""
+    entry = st.one_of(st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    return st.lists(entry, min_size=m * n, max_size=m * n).map(lambda flat: QMat.from_flat(m, n, flat))
+
+
+@st.composite
+def product_comparisons(draw):
+    """(a, b, c, d, x) with a @ b and c @ d defined and every side 0 to 3.  c @ d
+    is often a @ b rescaled and x often a @ b or I + a @ b, so that equal
+    products come up; the outer shapes of c @ d and x sometimes differ."""
+    m, k, n, l = (draw(st.integers(0, 3)) for _ in range(4))
+    a, b = draw(small_matrices(m, k)), draw(small_matrices(k, n))
+    if draw(st.booleans()):
+        s = draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(3, 2)]))
+        c, d = a.scale(s), b.scale(1 / s)
+    else:
+        c, d = draw(small_matrices(draw(st.sampled_from([m, m, 3 - m])), l)), draw(small_matrices(l, n))
+    kind = draw(st.sampled_from(["product", "shifted", "random"]))
+    if kind == "product":
+        x = a @ b
+    elif kind == "shifted" and m == n:
+        x = QMat.identity(m) + a @ b
+    else:
+        x = draw(small_matrices(m, draw(st.sampled_from([n, n, 3 - n]))))
+    return a, b, c, d, x
+
+
+@settings(SETTINGS, max_examples=60)
+@given(product_comparisons())
+@example((QMat([["1/2"]]), QMat([[2]]), QMat([[1]]), QMat([[1]]), QMat([[2]])))
+@example((QMat.zero(1, 0), QMat.zero(0, 1), QMat([[1]]), QMat([[1]]), QMat([[1]])))
+def test_product_comparisons_equal_the_products(case):
+    """The comparisons the checks use decide what QMat arithmetic decides,
+    also where a side or the middle space has dimension 0."""
+    a, b, c, d, x = case
+    equal = a @ b == c @ d
+    assert linalg._products_equal(a, b, c, d) == equal
+    assert linalg._products_equal(c, d, a, b) == equal
+    assert linalg._is_product(x, a, b) == (x == a @ b)
+    if a.m == b.n:
+        assert linalg._is_product(x, a, b, plus_identity=True) == (x == QMat.identity(a.m) + a @ b)
+    else:
+        with pytest.raises(ValueError):
+            linalg._is_product(x, a, b, plus_identity=True)
 
 
 @st.composite
