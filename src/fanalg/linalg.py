@@ -193,9 +193,7 @@ class QMat:
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
-        if self.n == 0:
-            return QMat.zero(self.m, other.n)
-        cols = list(zip(*other.num))
+        cols = _columns(other)
         out = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num)
         return QMat._reduced(out, self.den * other.den, self.m, other.n)
 
