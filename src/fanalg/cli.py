@@ -35,6 +35,18 @@ from fanalg.report import Rejected, Report
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
+# Measured in process with Python 3.11 on one core of a shared 2-vCPU host.
+# `equi structure` builds and prints a table of cones^3 structure constants:
+# 32 cones are 32,768 entries, about 1.3 s and 41 MB, and 64 cones took 11 s
+# and 185 MB.
+MAX_STRUCTURE_CONES = 32
+# A trial of `alg mudelta` on maximal cones (sigma, tau) draws a member over
+# 2^|sigma| * 2^|tau| cone-pair slots, so a run fills trials * F^2 slots, F
+# being the number of faces of the maximal cones counted per cone.  Runs took
+# about 14 to 22 us per slot: 3.2 s for P2xP1 at 100 trials (230,400 slots)
+# and 4.8 s at the limit, one 8-ray cone at 4 trials.
+MAX_MUDELTA_SLOTS = 2**18
+
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -125,6 +137,12 @@ def cmd_alg_mul(args) -> int:
 
 def cmd_alg_mudelta(args) -> int:
     fan = _load_fan_file(args.fan)
+    slots = args.trials * sum(2 ** len(c) for c in fan.maximal) ** 2
+    if slots > MAX_MUDELTA_SLOTS:
+        raise ValueError(
+            f"--trials {args.trials}: expected at most {MAX_MUDELTA_SLOTS} member slots, "
+            f"trials times the squared face count of the maximal cones, got {slots}"
+        )
     rng = random.Random(args.seed)
     rep = Report()
     total = 0
@@ -227,6 +245,11 @@ def cmd_equi_present(args) -> int:
 
 def cmd_equi_structure(args) -> int:
     fan = _load_fan_file(args.fan)
+    if len(fan.cones) > MAX_STRUCTURE_CONES:
+        raise ValueError(
+            f"$.max_cones: expected at most {MAX_STRUCTURE_CONES} cones for a table of cones^3 "
+            f"structure constants, got {len(fan.cones)}"
+        )
     q = serialize.quotient_from_data(_load_json(args.quotient))
     s = ag_structure(fan, q)
     rep = associativity_report(s, samples=None if len(fan.cones) <= 7 else 200, seed=args.seed)

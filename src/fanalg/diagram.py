@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
-from fanalg.linalg import QMat, _frac, _is_product, _products_equal, block_diag, kron, linear_combination, nullspace, random_invertible
+from fanalg.linalg import QMat, _combination_times, _frac, _is_product, _products_equal, block_diag, kron, nullspace, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -46,12 +46,13 @@ class DiagramModule:
     for plain modules and the quotient rank for equivariant ones.
 
     A module is immutable, so it owns two caches for its lifetime, filled on
-    first use: torus powers keyed by (cone, j, k), and u-chain and v-chain
-    products keyed by their covering chains.  Every derived module is a new
-    instance with empty caches.
+    first use: torus powers keyed by (cone, j, k), and path products keyed by
+    cone pair (`_path`).  Every derived module is a new instance with empty
+    caches.  Monodromies are not cached on the module: `evaluate` keeps its
+    own table of them for the length of one call.
     """
 
-    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_chains")
+    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths")
 
     def __init__(
         self,
@@ -85,7 +86,7 @@ class DiagramModule:
         object.__setattr__(self, "u", MappingProxyType(full_u))
         object.__setattr__(self, "v", MappingProxyType(full_v))
         object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_chains", {})
+        object.__setattr__(self, "_paths", {})
 
     def __setattr__(self, *a):
         raise AttributeError("DiagramModule is immutable")
@@ -138,15 +139,22 @@ class DiagramModule:
             self._powers[key] = out
         return out
 
-    def _chain(self, kind: str, lower: Cone, chain: Sequence[PairKey]) -> QMat:
-        """The u arrows composed up a covering chain from the face `lower`
-        (kind "u"), or the v arrows composed back down it (kind "v"), cached."""
-        key = (kind, lower, tuple(chain))
-        out = self._chains.get(key)
+    def _path(self, sigma: Cone, tau: Cone, rng: random.Random | None = None) -> QMat:
+        """The path product P(sigma, tau) = u-chain @ v-chain: the v arrows
+        down from tau to the meet of the two cones, then the u arrows up to
+        sigma, along the covering chains that add rays in increasing index
+        order.  It is cached by cone pair; chains shuffled by `rng` are built
+        fresh and not cached."""
+        key = (sigma, tau)
+        out = self._paths.get(key) if rng is None else None
         if out is None:
-            arrows = [self.u[pair] for pair in reversed(chain)] if kind == "u" else [self.v[pair] for pair in chain]
-            out = reduce(matmul, arrows) if arrows else QMat.identity(self.dims[lower])
-            self._chains[key] = out
+            meet = tuple(sorted(set(sigma) & set(tau)))
+            ups = covering_chain(self.fan, meet, sigma, rng)
+            downs = covering_chain(self.fan, meet, tau, rng)
+            arrows = [self.u[pair] for pair in reversed(ups)] + [self.v[pair] for pair in downs]
+            out = reduce(matmul, arrows) if arrows else QMat.identity(self.dims[meet])
+            if rng is None:
+                self._paths[key] = out
         return out
 
 
@@ -256,37 +264,45 @@ def validate(m: DiagramModule) -> Report:
 def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = None) -> QMat:
     """Total matrix of an algebra element on the direct sum of the spaces.
 
-    Entry (sigma, tau) factors as scalar * u-chain * v-chain, with the
-    entry's quotient as the scalar; the result does not depend on the chain
-    choice, which `rng` can randomize for testing.  The scalar sums the
-    integer coefficients of the quotient times monodromies and divides by the
-    quotient's denominator once.  Chain products and torus powers come from
-    the module's caches.
+    Entry (sigma, tau) with quotient y maps to (sum of c * M(e)) @ P / y.den,
+    summed over the integer coefficients c of y at exponents e, where M(e)
+    is the monodromy of e on sigma and P = `m._path(sigma, tau)` is the
+    u-chain @ v-chain product from the meet of the two cones.  The result
+    does not depend on the chain choice, which `rng` can randomize for
+    testing.
+
+    The module owns the path products and torus powers for its lifetime.
+    This call owns a table of monodromies keyed by (sigma, e), so each is
+    built once per call and dropped with it.  Each entry is one call of the
+    integer kernel `linalg._combination_times`, which builds no matrix and
+    makes no gcd pass; the blocks are placed over the lcm of their
+    denominators and reduced once, by one `QMat._reduced` for the total.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
     if m.nt != m.fan.rank:
         raise ValueError("evaluation needs a plain module; inflate equivariant modules first")
-    fan = m.fan
     offs = m.offsets()
+    monodromies: dict[tuple[Cone, Vec], QMat] = {}
     blocks = []
     for (sigma, tau), y in sorted(x.quotients.items()):
-        meet = tuple(sorted(set(sigma) & set(tau)))
-        up = m._chain("u", meet, covering_chain(fan, meet, sigma, rng))
-        down = m._chain("v", meet, covering_chain(fan, meet, tau, rng))
-        d = m.dims[sigma]
-        scal = linear_combination([(c, m.monodromy(sigma, e)) for e, c in y.num.items()], d, d, y.den)
-        blocks.append((offs[sigma], offs[tau], scal @ up @ down))
-    # the blocks over the lcm of their denominators; entries are distinct
-    # cone pairs, so blocks do not overlap and the total is canonical as it stands
+        terms = []
+        for e, c in y.num.items():
+            mono = monodromies.get((sigma, e))
+            if mono is None:
+                mono = monodromies[(sigma, e)] = m.monodromy(sigma, e)
+            terms.append((c, mono))
+        rows, den = _combination_times(terms, m._path(sigma, tau, rng))
+        blocks.append((offs[sigma], offs[tau], rows, den * y.den))
+    # entries are distinct cone pairs, so the blocks do not overlap
     n = m.total_dim()
-    den = lcm(*(b.den for _, _, b in blocks))
+    den = lcm(*(d for _, _, _, d in blocks))
     total = [[0] * n for _ in range(n)]
-    for r0, c0, block in blocks:
-        f = den // block.den
-        for i, row in enumerate(block.num):
-            total[r0 + i][c0 : c0 + block.n] = [f * a for a in row]
-    return QMat._of(tuple(map(tuple, total)), den, n, n)
+    for r0, c0, rows, d in blocks:
+        f = den // d
+        for i, row in enumerate(rows):
+            total[r0 + i][c0 : c0 + len(row)] = [f * a for a in row]
+    return QMat._reduced(tuple(map(tuple, total)), den, n, n)
 
 
 @dataclass

@@ -9,11 +9,10 @@ A `QMat` holds integers over one denominator: `num`, a tuple of int rows,
 and `den > 0`, always in the canonical form gcd(den, *entries) == 1, so the
 zero matrix has den == 1.  Because the form is unique, `==` and `hash`
 compare the fields directly.  Products take integer dot products and then
-one gcd pass; sums rescale both operands to the lcm of their denominators,
-and `linear_combination` does so for many terms at once; negation,
-transposes, block sums and Kronecker products work on the integers.  `rows`,
-`__getitem__` and `flat` build `Fraction` views on request; nothing inside
-the package reads them on a hot path.
+one gcd pass; sums rescale both operands to the lcm of their denominators;
+negation, transposes, block sums and Kronecker products work on the
+integers.  `rows`, `__getitem__` and `flat` build `Fraction` views on
+request; nothing inside the package reads them on a hot path.
 
 The checks compare products without building them: `_products_equal`
 decides a @ b == c @ d and `_is_product` decides x == a @ b or
@@ -21,6 +20,11 @@ x == I + a @ b, entry by entry on the integer rows cross-multiplied by the
 denominators, with no gcd pass and no new matrix, stopping at the first
 entry that differs.  Both iterate over the shapes, so a product through a
 zero-dimensional middle space is compared as the zero matrix it is.
+
+`_combination_times` is the one kernel of `diagram.evaluate`: it returns
+(sum of c * a) @ b for integer coefficients c as integer rows over a
+denominator, with no gcd pass and no new matrix, so that `evaluate` places
+every block of its total matrix and reduces once.
 
 Every elimination reads one sparse, fully reduced row echelon form, built by
 `_echelon` from the integer rows without leaving the integers: a
@@ -296,6 +300,29 @@ def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
     return True
 
 
+def _combination_times(terms: Sequence[tuple[int, QMat]], b: QMat) -> tuple[list[list[int]], int]:
+    """(sum of c * a over the terms) @ b, for integers c and square terms a
+    of side b.m, as integer rows over a positive denominator, not reduced.
+
+    The terms are summed as integers over the lcm of their denominators and
+    multiplied into the integer columns of b: no `QMat` is built and no gcd
+    pass is made, so a caller that places many such blocks reduces once.
+    The rows are those of the terms, so with b.m == 0 there are none."""
+    if not terms or any(a.m != b.m or a.n != b.m for _, a in terms):
+        raise ValueError(f"expected square terms of side {b.m}")
+    den = lcm(*[a.den for _, a in terms])
+    (c, a), *rest = terms
+    f = c * (den // a.den)
+    acc = [[f * x for x in row] for row in a.num]
+    for c, a in rest:
+        f = c * (den // a.den)
+        for out, row in zip(acc, a.num):
+            for j, x in enumerate(row):
+                out[j] += f * x
+    cols = _columns(b)
+    return [[sum(map(mul, row, col)) for col in cols] for row in acc], den * b.den
+
+
 def _eye(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """d times the n x n identity, as integer rows."""
     return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
@@ -327,22 +354,6 @@ def block_diag(mats: Iterable[QMat]) -> QMat:
         rows += [left + tuple(f * x for x in row) + right for row in b.num]
         c += b.n
     return QMat._of(tuple(rows), den, len(rows), n)
-
-
-def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int, over: int = 1) -> QMat:
-    """The m x n sum of c * a over the terms, divided by the positive
-    integer `over`, accumulated as integers over `over` times the lcm of the
-    terms' denominators and reduced by one gcd pass."""
-    if any((a.m, a.n) != (m, n) for _, a in terms):
-        raise ValueError(f"every term must be {m}x{n}")
-    den = lcm(*(c.denominator * a.den for c, a in terms))
-    acc = [[0] * n for _ in range(m)]
-    for c, a in terms:
-        f = c.numerator * (den // (c.denominator * a.den))
-        for out, row in zip(acc, a.num):
-            for j, x in enumerate(row):
-                out[j] += f * x
-    return QMat._reduced(tuple(map(tuple, acc)), over * den, m, n)
 
 
 def kron(a: QMat, b: QMat) -> QMat:

@@ -1,11 +1,16 @@
 """Helpers that only the tests use: a random valid module generator, the
 one-ray module, maps of modules, relation and chart checks, an isomorphism
-search, an independent structure-constant oracle, and a call counter."""
+search, an independent structure-constant oracle, an entry-by-entry
+evaluation oracle with its `linear_combination`, and a call counter."""
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import matmul
+from typing import Sequence
 
-from fanalg.algebra import matrix_unit, required_divisor, required_rays
+from fanalg.algebra import AlgebraElement, covering_chain, matrix_unit, required_divisor, required_rays
 from fanalg.diagram import (
     BlockMap,
     DiagramModule,
@@ -151,6 +156,50 @@ def structure_against_algebra(fan: Fan, sigma: Cone, tau: Cone, rho: Cone) -> La
     out = divide_by_product(poly, [fan.rays[i] for i in required_rays(sigma, rho)])
     assert out is not None
     return out
+
+
+def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int, over: int = 1) -> QMat:
+    """The m x n sum of c * a over the terms, divided by the positive
+    integer `over`, accumulated as integers over `over` times the lcm of the
+    terms' denominators and reduced by one gcd pass."""
+    if any((a.m, a.n) != (m, n) for _, a in terms):
+        raise ValueError(f"every term must be {m}x{n}")
+    den = lcm(*(c.denominator * a.den for c, a in terms))
+    acc = [[0] * n for _ in range(m)]
+    for c, a in terms:
+        f = c.numerator * (den // (c.denominator * a.den))
+        for out, row in zip(acc, a.num):
+            for j, x in enumerate(row):
+                out[j] += f * x
+    return QMat._reduced(tuple(map(tuple, acc)), over * den, m, n)
+
+
+def evaluate_by_entries(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = None) -> QMat:
+    """The oracle for `diagram.evaluate`, in QMat arithmetic entry by entry:
+    entry (sigma, tau) with quotient y is linear_combination(c, M(e)) / y.den
+    @ u-chain @ v-chain, with one monodromy per term and chains from
+    `covering_chain` (shuffled by `rng` in the same order as `evaluate`)."""
+    if x.fan != m.fan:
+        raise ValueError("fan mismatch")
+    offs = m.offsets()
+    blocks = []
+    for (sigma, tau), y in sorted(x.quotients.items()):
+        meet = tuple(sorted(set(sigma) & set(tau)))
+        ups = [m.u[pair] for pair in reversed(covering_chain(m.fan, meet, sigma, rng))]
+        downs = [m.v[pair] for pair in covering_chain(m.fan, meet, tau, rng)]
+        up = reduce(matmul, ups) if ups else QMat.identity(m.dims[meet])
+        down = reduce(matmul, downs) if downs else QMat.identity(m.dims[meet])
+        d = m.dims[sigma]
+        scal = linear_combination([(c, m.monodromy(sigma, e)) for e, c in y.num.items()], d, d, y.den)
+        blocks.append((offs[sigma], offs[tau], scal @ up @ down))
+    n = m.total_dim()
+    den = lcm(*(b.den for _, _, b in blocks))
+    total = [[0] * n for _ in range(n)]
+    for r0, c0, block in blocks:
+        f = den // block.den
+        for i, row in enumerate(block.num):
+            total[r0 + i][c0 : c0 + block.n] = [f * a for a in row]
+    return QMat._of(tuple(map(tuple, total)), den, n, n)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -558,6 +558,33 @@ class TestSizeBounds:
             code, out = run(["fan", "check", write_json(tmp_path / "edge.json", fan)])
             assert code == 0, out
 
+    def test_structure_tables_past_the_limit_are_input_errors(self, tmp_path, monkeypatch):
+        # the table has cones^3 entries; one rank-6 cone has 64 cones, rank 5 has 32
+        tables = count_calls(monkeypatch, "ag_structure", cli)
+        self.rejects(tmp_path, ["equi", "structure", write_json(tmp_path / "fan.json", self.unit_fan(6, list(range(6))))],
+                     {"Q": [[1, 2, 3, 4, 5, 6]]},
+                     "$.max_cones: expected at most 32 cones for a table of cones^3 structure constants, got 64")
+        assert tables == []
+        edge = write_json(tmp_path / "edge.json", self.unit_fan(5, list(range(5))))
+        code, out = run(["equi", "structure", edge, write_json(tmp_path / "q5.json", {"Q": [[1, 2, 3, 4, 5]]})])
+        assert code == 0 and len(out.splitlines()) == 32**3 + 2, out[-500:]
+
+    def test_mudelta_runs_past_the_limit_are_input_errors(self, tmp_path, monkeypatch):
+        # a trial on maximal cones (sigma, tau) fills 2^|sigma| * 2^|tau| slots; an 8-ray
+        # cone has 256 faces, so 100 trials fill 6,553,600 slots and 4 trials 262,144
+        members = count_calls(monkeypatch, "random_member", cli)
+        message = "expected at most 262144 member slots, trials times the squared face count of the maximal cones"
+        cone8 = self.unit_fan(8, list(range(8)))
+        self.rejects(tmp_path, ["alg", "mudelta"], cone8, f"--trials 100: {message}, got 6553600")
+        self.rejects(tmp_path, ["--trials", "5", "alg", "mudelta"], cone8, f"--trials 5: {message}, got 327680")
+        assert members == []
+        # a real run at the limit takes about 5 s, so its members are stubbed here
+        monkeypatch.setattr(cli, "random_member", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "delta", lambda x, sigma, tau: x)
+        monkeypatch.setattr(cli, "mu", lambda y: y)
+        code, out = run(["--trials", "4", "alg", "mudelta", write_json(tmp_path / "edge.json", cone8)])
+        assert (code, out.splitlines()[0]) == (0, "checked 4 members over 1 ordered maximal cone pairs"), out
+
     def test_quotient_entries_past_the_limit_are_input_errors(self, tmp_path):
         # a ray's monodromy is a torus power T^(Q w), so an entry of Q is an exponent
         one_ray = {"rank": 1, "rays": [[1]], "max_cones": [[0]]}

@@ -6,7 +6,8 @@ into the file, and applies one to three mutations at nodes of its JSON tree:
 drop a field or an entry, change a value's type, put a huge or negative
 integer in its place, give a member a bad cone key, or turn an object into a
 list and a list into an object.  `cli.main` runs in process, so an exception
-escaping it fails the case here.
+escaping it fails the case here.  The module file is run through both
+`mod validate` and `mod repcheck`, which evaluates algebra elements on it.
 """
 
 import copy
@@ -23,11 +24,13 @@ from hypothesis import strategies as st
 from fanalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = {
-    "fan_p2.json": ["fan", "check"],
-    "module_p2.json": ["mod", "validate"],
-    "descent_p2.json": ["desc", "check"],
-    "eqmodule_c1.json": ["equi", "validate"],
+# case id: the golden file and the command run on it
+CASES = {
+    "fan_p2.json": ("fan_p2.json", ["fan", "check"]),
+    "module_p2.json": ("module_p2.json", ["mod", "validate"]),
+    "module_p2.json-repcheck": ("module_p2.json", ["--trials", "1", "mod", "repcheck"]),
+    "descent_p2.json": ("descent_p2.json", ["desc", "check"]),
+    "eqmodule_c1.json": ("eqmodule_c1.json", ["equi", "validate"]),
 }
 SECONDS_PER_CASE = 5.0
 
@@ -80,22 +83,23 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("case", sorted(CASES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.data())
-def test_mutated_files_keep_the_exit_code_contract(workdir, name, data):
+def test_mutated_files_keep_the_exit_code_contract(workdir, case, data):
+    name, argv = CASES[case]
     doc = copy.deepcopy(load(name))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         path = data.draw(st.sampled_from(list(nodes(doc))), label="path")
         kind = data.draw(st.sampled_from(["drop", "retype", "number", "cone_key", "reshape"]), label="kind")
         doc = mutate(doc, path, kind, data)
-    case = workdir / name
-    case.write_text(json.dumps(doc), encoding="utf-8")
+    target = workdir / name
+    target.write_text(json.dumps(doc), encoding="utf-8")
     buf = io.StringIO()
     start = time.perf_counter()
     try:
         with redirect_stdout(buf):
-            code = main([*COMMANDS[name], str(case)])
+            code = main([*argv, str(target)])
     except BaseException as e:
         pytest.fail(f"{e!r} escaped main on {json.dumps(doc)[:2000]}")
     elapsed = time.perf_counter() - start

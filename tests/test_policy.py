@@ -152,6 +152,23 @@ def test_second_evaluate_reads_the_module_caches(p2_fan, monkeypatch):
     assert (inverses, powers) == ([], [])
 
 
+def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
+    # a warm module: the paths are cached by cone pair, each monodromy is built
+    # once per call, and the blocks are placed as integer rows and reduced once
+    m = random_valid_module(p2_fan, random.Random(4), summands=2)
+    x = random_member(p2_fan, random.Random(5), density_pct=100)
+    first = evaluate(x, m)
+    chains = count_calls(monkeypatch, "covering_chain", algebra, diagram)
+    monodromies = count_calls(monkeypatch, "monodromy", diagram.DiagramModule)
+    products = count_calls(monkeypatch, "__matmul__", QMat)
+    reductions = count_calls(monkeypatch, "_reduced", QMat)
+    assert evaluate(x, m) == first
+    distinct = {(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num}
+    assert len(distinct) < sum(len(y.num) for y in x.quotients.values())  # some monodromy repeats
+    counts = (len(chains), len(monodromies), len(reductions) - len(products))
+    assert counts == (0, len(distinct), 1)
+
+
 def test_every_elimination_is_one_echelon_call(monkeypatch):
     calls = count_calls(monkeypatch, "_echelon", linalg)
     a = QMat([[2, 1, 0], [1, 1, 0], [0, 3, 1]])

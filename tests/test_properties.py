@@ -17,7 +17,9 @@ oracle and a sympy oracle when sympy is present, also on integers up to
 10^40, on tall rank-deficient systems like those of `hom` and where the
 fraction-free elimination's pivot value is negative; matrix entries read
 from files as `Fraction(str(x))` reads them, with the same errors;
-evaluation as a representation on modules with warm and cold caches; hom
+evaluation as a representation on modules with warm and cold caches, and
+against an entry-by-entry QMat oracle on valid and corrupted modules and on
+modules with zero-dimensional spaces; hom
 between character and point modules; and the Smith normal form, against a
 sympy oracle when sympy is present."""
 
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanalg.algebra import AlgebraElement, delta, factorize, idempotent, membership_report, mu, random_member, transport, unit
+from fanalg.algebra import AlgebraElement, central, delta, factorize, idempotent, membership_report, mu, random_member, transport, unit
 from fanalg.descent import _chart_of, glue, restrict, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
@@ -37,9 +39,9 @@ from fanalg.fan import covering_pairs, hirzebruch_fan, product_fan, projective_l
 from fanalg.lattice import IntMatrix, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
-from fanalg.linalg import QMat, block_diag, kron, linear_combination, nullspace, random_invertible, rref
+from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
 
-from support import is_morphism, random_valid_module
+from support import evaluate_by_entries, is_morphism, linear_combination, random_valid_module
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -790,6 +792,70 @@ def test_evaluate_is_a_representation_with_warm_and_cold_caches(name, seed):
         assert evaluate(a + b, module) == ea + eb
         assert evaluate(a, module, rng=random.Random(seed)) == ea
         assert evaluate(b, module, rng=random.Random(seed + 1)) == eb
+
+
+def random_arrows(rng, m, n):
+    return QMat.from_flat(m, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m * n)])
+
+
+def random_module_with_zero_spaces(fan, rng):
+    """Spaces of dimension 0 to 2, invertible but not commuting torus
+    matrices and random arrows: a module evaluate accepts, valid or not,
+    with paths through zero-dimensional meets."""
+    dims = {c: rng.randint(0, 2) for c in fan.cones}
+    torus = {c: tuple(random_invertible(dims[c], rng) for _ in range(fan.rank)) for c in fan.cones}
+    u = {(t, s): random_arrows(rng, dims[s], dims[t]) for t, s, _ in covering_pairs(fan)}
+    v = {(t, s): random_arrows(rng, dims[t], dims[s]) for t, s, _ in covering_pairs(fan)}
+    return DiagramModule(fan, dims, torus, u, v)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A member and a valid module, a copy with one u and one v arrow scaled,
+    or a module with zero-dimensional spaces."""
+    fan = FANS[draw(fan_names)]
+    rng = random.Random(draw(seeds))
+    kind = draw(st.sampled_from(["valid", "corrupted", "zero spaces"]))
+    if kind == "zero spaces":
+        m = random_module_with_zero_spaces(fan, rng)
+    else:
+        m = random_valid_module(fan, rng, summands=2)
+    if kind == "corrupted":
+        u, v = dict(m.u), dict(m.v)
+        key = rng.choice(sorted(u))
+        u[key] = u[key].scale(draw(nonzero_scalars))
+        key = rng.choice(sorted(v))
+        v[key] = v[key].scale(draw(nonzero_scalars))
+        m = DiagramModule(fan, m.dims, m.torus, u, v)
+    x = random_member(fan, rng, density_pct=draw(st.sampled_from([35, 100])), terms=3, emax=2)
+    return x, m
+
+
+# the module of test_a_square_through_a_zero_space_is_compared: u is 1 on
+# ()<(1)<(0,1), and the chain ()<(0)<(0,1) runs through V(0) = 0
+C2 = FANS["C2"]
+C2_ZERO_MEET = DiagramModule(
+    C2, {(): 1, (0,): 0, (1,): 1, (0, 1): 1}, {}, {((), (1,)): QMat([[1]]), ((1,), (0, 1)): QMat([[1]])}, {}
+)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(evaluation_cases(), seeds)
+@example((unit(C2).scale(0), C2_ZERO_MEET), 0)  # no block: lcm() = 1
+@example((random_member(C2, random.Random(0), density_pct=100), C2_ZERO_MEET), 0)
+@example((central(C2, LaurentPoly(2, {(0, 0): "1/2", (1, 0): "1/2"})), C2_ZERO_MEET), 0)  # den 2, reduced away
+def test_evaluate_equals_the_entry_by_entry_oracle(case, seed):
+    """evaluate, with its path cache, per-call monomial table and one
+    reduction, gives the matrix of QMat arithmetic entry by entry, on cold
+    and warm caches and on chains shuffled by an rng."""
+    x, m = case
+    want = evaluate_by_entries(x, m)
+    for _ in range(2):
+        got = evaluate(x, m)
+        assert (got.m, got.n) == (m.total_dim(), m.total_dim())
+        assert got == want and gcd(got.den, *[a for row in got.num for a in row]) == 1
+    assert evaluate(x, m, rng=random.Random(seed)) == evaluate_by_entries(x, m, rng=random.Random(seed))
+    assert evaluate(x, m) == want  # shuffled chains do not enter the cache
 
 
 GLUE_FANS = dict(FANS, P2xP1=P2xP1)
