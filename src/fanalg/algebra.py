@@ -184,8 +184,8 @@ class AlgebraElement:
 
     def supported_in(self, sigma: Cone, tau: Cone) -> bool:
         """True when all rows are faces of sigma and all columns faces of tau."""
-        s, t = set(sigma), set(tau)
-        return all(set(r) <= s and set(c) <= t for (r, c) in self.quotients)
+        s, t = frozenset(sigma), frozenset(tau)
+        return all(s.issuperset(r) and t.issuperset(c) for (r, c) in self.quotients)
 
     def __str__(self) -> str:
         if not self.quotients:
@@ -328,26 +328,22 @@ class TensorWord:
     """Normal form of an element of e_sigma A e_meet tensor e_meet A e_tau.
 
     Each term n E_(alpha, beta) of the source splits as the pure tensor
-    n E_(alpha, alpha&beta) (x) E_(alpha&beta, beta); only these normal-form
-    tensors are ever materialized.  A term stores (alpha, beta, y) with y the
-    quotient of n; the left factor has the same forced divisor as n, so its
-    quotient is y, and the right factor has none.
+    n E_(alpha, m) (x) E_(m, beta) with m = alpha & beta; only these
+    normal-form tensors are ever materialized.  A term stores (alpha, beta, y)
+    with y the quotient of n; the left factor has the same forced divisor as
+    n, so its quotient is y, and the right factor has none.
+
+    The product of a term's two factors has the cofactor of `cofactor_rays`
+    through m, ((alpha - m) & beta) | ((m - beta) - alpha), which is empty:
+    alpha - m misses beta, and m lies in beta.  So the factors multiply back
+    to E_(alpha, beta) with the term's own quotient y, for every term of
+    every TensorWord, not only for those `delta` builds.
     """
 
     fan: Fan
     sigma: Cone
     tau: Cone
     terms: tuple[tuple[Cone, Cone, LaurentPoly], ...]
-
-    def left_factor(self, i: int) -> AlgebraElement:
-        alpha, beta, y = self.terms[i]
-        meet = tuple(sorted(set(alpha) & set(beta)))
-        return AlgebraElement._divided(self.fan, {(alpha, meet): y})
-
-    def right_factor(self, i: int) -> AlgebraElement:
-        alpha, beta, _ = self.terms[i]
-        meet = tuple(sorted(set(alpha) & set(beta)))
-        return _unit_quotient(self.fan, meet, beta)
 
 
 def delta(x: AlgebraElement, sigma: Sequence[int], tau: Sequence[int]) -> TensorWord:
@@ -366,14 +362,16 @@ def delta(x: AlgebraElement, sigma: Sequence[int], tau: Sequence[int]) -> Tensor
 def mu(w: TensorWord) -> AlgebraElement:
     """Multiply the tensor factors back together.
 
-    The word comes from `delta` of a member, so the factors, their products
-    and the sum are members by closure and none of them is checked again.
+    The factors of a term (alpha, beta, y) multiply to the quotient y at
+    (alpha, beta), since their cofactor is empty (see `TensorWord`), so mu
+    is one pass that sums the quotients by cone pair.  No factor is built
+    and nothing is multiplied or checked: a theorem, which the tests assert
+    as a property against multiplying the factors out.
     """
     total: dict[tuple[Cone, Cone], LaurentPoly] = {}
-    for i in range(len(w.terms)):
-        prod = w.left_factor(i) * w.right_factor(i)
-        for k, y in prod.quotients.items():
-            total[k] = total[k] + y if k in total else y
+    for alpha, beta, y in w.terms:
+        k = (alpha, beta)
+        total[k] = total[k] + y if k in total else y
     return AlgebraElement._divided(w.fan, total)
 
 

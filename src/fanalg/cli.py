@@ -174,7 +174,10 @@ def cmd_mod_validate(args) -> int:
 def cmd_mod_repcheck(args) -> int:
     data, fan = _load_with_fan(args.module)
     m = serialize.module_from_data(data, fan)
-    rep = rep_check(m, trials=args.trials, seed=args.seed)
+    try:
+        rep = rep_check(m, trials=args.trials, seed=args.seed)
+    except Rejected as e:
+        return _emit(e.report, "mod repcheck")
     print(f"checked {rep.trials} random element pairs")
     return _emit(rep, "mod repcheck")
 

@@ -61,6 +61,8 @@ class Fan:
         raise AttributeError("Fan is immutable")
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Fan)
             and self.rank == other.rank

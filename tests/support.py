@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a random valid module generator, the
 one-ray module, maps of modules, relation and chart checks, an isomorphism
 search, an independent structure-constant oracle, an entry-by-entry
-evaluation oracle with its `linear_combination`, and a call counter."""
+evaluation oracle with its `linear_combination`, the factors of a tensor word
+with a product-based `mu` oracle, and a call counter."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import lcm
 from operator import matmul
 from typing import Sequence
 
-from fanalg.algebra import AlgebraElement, covering_chain, matrix_unit, required_divisor, required_rays
+from fanalg.algebra import AlgebraElement, TensorWord, _unit_quotient, covering_chain, matrix_unit, required_divisor, required_rays
 from fanalg.diagram import (
     BlockMap,
     DiagramModule,
@@ -156,6 +157,31 @@ def structure_against_algebra(fan: Fan, sigma: Cone, tau: Cone, rho: Cone) -> La
     out = divide_by_product(poly, [fan.rays[i] for i in required_rays(sigma, rho)])
     assert out is not None
     return out
+
+
+def left_factor(w: TensorWord, i: int) -> AlgebraElement:
+    """E(alpha, alpha & beta) with quotient y, for term i = (alpha, beta, y)."""
+    alpha, beta, y = w.terms[i]
+    meet = tuple(sorted(set(alpha) & set(beta)))
+    return AlgebraElement._divided(w.fan, {(alpha, meet): y})
+
+
+def right_factor(w: TensorWord, i: int) -> AlgebraElement:
+    """E(alpha & beta, beta) with quotient 1, for term i = (alpha, beta, y)."""
+    alpha, beta, _ = w.terms[i]
+    meet = tuple(sorted(set(alpha) & set(beta)))
+    return _unit_quotient(w.fan, meet, beta)
+
+
+def mu_by_products(w: TensorWord) -> AlgebraElement:
+    """The oracle for `algebra.mu`: the sum over the terms of the algebra
+    product of the left factor and the right factor."""
+    total: dict[tuple[Cone, Cone], LaurentPoly] = {}
+    for i in range(len(w.terms)):
+        prod = left_factor(w, i) * right_factor(w, i)
+        for k, y in prod.quotients.items():
+            total[k] = total[k] + y if k in total else y
+    return AlgebraElement._divided(w.fan, total)
 
 
 def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: int, over: int = 1) -> QMat:

@@ -23,6 +23,8 @@ from fanalg.fan import build_fan, standard_fan
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.lattice import IntMatrix
 
+from support import left_factor, right_factor
+
 
 class TestMembership:
     def test_projective_line_pattern(self, p1_fan):
@@ -202,8 +204,8 @@ class TestMuDelta:
         w = delta(x, (0, 1), (0, 2))
         (alpha, beta, poly), = w.terms
         assert alpha == (0, 1) and beta == (0,)
-        assert w.left_factor(0) == x
-        assert w.right_factor(0) == matrix_unit(p2_fan, (0,), (0,))
+        assert left_factor(w, 0) == x
+        assert right_factor(w, 0) == matrix_unit(p2_fan, (0,), (0,))
 
     def test_support_violation(self, p2_fan):
         x = matrix_unit(p2_fan, (1, 2), (1, 2))

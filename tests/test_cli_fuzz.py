@@ -7,7 +7,9 @@ drop a field or an entry, change a value's type, put a huge or negative
 integer in its place, give a member a bad cone key, or turn an object into a
 list and a list into an object.  `cli.main` runs in process, so an exception
 escaping it fails the case here.  The module file is run through both
-`mod validate` and `mod repcheck`, which evaluates algebra elements on it.
+`mod validate` and `mod repcheck`, which evaluates algebra elements on it,
+and the fan file through both `fan check` and `alg mudelta`, which splits
+and multiplies back members of its corners.
 """
 
 import copy
@@ -27,6 +29,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # case id: the golden file and the command run on it
 CASES = {
     "fan_p2.json": ("fan_p2.json", ["fan", "check"]),
+    "fan_p2.json-mudelta": ("fan_p2.json", ["--trials", "1", "alg", "mudelta"]),
     "module_p2.json": ("module_p2.json", ["mod", "validate"]),
     "module_p2.json-repcheck": ("module_p2.json", ["--trials", "1", "mod", "repcheck"]),
     "descent_p2.json": ("descent_p2.json", ["desc", "check"]),

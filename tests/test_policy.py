@@ -45,6 +45,19 @@ def test_mu_delta_checks_nothing(p2_fan, membership_calls):
     assert membership_calls == []
 
 
+def test_mu_builds_one_element_and_multiplies_nothing(p2_fan, monkeypatch):
+    # the factors of a normal-form term multiply to its own quotient, so mu
+    # sums the quotients and builds only its result
+    sigma, tau = p2_fan.maximal[0], p2_fan.maximal[1]
+    corner = random_member(p2_fan, random.Random(13), row_cone=sigma, col_cone=tau, density_pct=100)
+    products = count_calls(monkeypatch, "__mul__", AlgebraElement)
+    poly_products = count_calls(monkeypatch, "__mul__", LaurentPoly)
+    built = count_calls(monkeypatch, "_divided", AlgebraElement)
+    y = mu(delta(corner, sigma, tau))
+    assert (len(products), len(poly_products), len(built)) == (0, 0, 1)
+    assert y == corner
+
+
 def test_glue_validates_each_chart_once_and_not_its_output(p2_fan, monkeypatch):
     rng = random.Random(8)
     d = twisted_datum(random_valid_module(p2_fan, rng, summands=2), rng)

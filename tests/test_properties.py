@@ -1,8 +1,11 @@
 """Properties over generated inputs for the theorems the library relies on
 instead of checking derived results again: closure of the algebra, arithmetic
 on divided-form elements against entry-wise arithmetic on their entries, the
-splitting mu(delta(x)) = x, factorization words that expand to their
-entries, and associativity of the base-changed algebra; gluing of
+splitting mu(delta(x)) = x, the one-pass mu against multiplying out the
+factors of every term, on delta outputs and on hand-built words whose terms
+repeat a cone pair, cancel to zero or have an empty meet; factorization
+words that expand to their entries, and associativity of the base-changed
+algebra; gluing of
 cocycle-passing descent data to a valid module that restricts to each chart,
 and inflation of valid equivariant modules to valid plain modules;
 the canonical form of every LaurentPoly operation (integers over one
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanalg.algebra import AlgebraElement, central, delta, factorize, idempotent, membership_report, mu, random_member, transport, unit
+from fanalg.algebra import AlgebraElement, TensorWord, central, delta, factorize, idempotent, membership_report, mu, random_member, random_poly, transport, unit
 from fanalg.descent import _chart_of, glue, restrict, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
@@ -41,7 +44,7 @@ from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_m
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
 
-from support import evaluate_by_entries, is_morphism, linear_combination, random_valid_module
+from support import evaluate_by_entries, is_morphism, left_factor, linear_combination, mu_by_products, random_valid_module, right_factor
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -151,9 +154,40 @@ def test_mu_delta_round_trip(name, seed, data):
     x = random_member(fan, random.Random(seed), row_cone=sigma, col_cone=tau)
     w = delta(x, sigma, tau)
     for i in range(len(w.terms)):
-        assert membership_report(fan, w.left_factor(i).entries).ok
-        assert membership_report(fan, w.right_factor(i).entries).ok
+        assert membership_report(fan, left_factor(w, i).entries).ok
+        assert membership_report(fan, right_factor(w, i).entries).ok
     assert mu(w) == x
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_FANS))
+@SETTINGS
+@given(seeds, st.data())
+def test_mu_equals_the_sum_of_factor_products(name, seed, data):
+    # mu sums quotients by cone pair, because the factors of a term
+    # E(alpha, m) y (x) E(m, beta), m = alpha & beta, have an empty cofactor
+    fan = STOCK_FANS[name]
+    rng = random.Random(seed)
+    sigma = data.draw(st.sampled_from(fan.maximal))
+    tau = data.draw(st.sampled_from(fan.maximal))
+    w = delta(random_member(fan, rng, row_cone=sigma, col_cone=tau), sigma, tau)
+    assert mu(w) == mu_by_products(w)
+    # a hand-built word over any cone pairs: a pair given twice, a pair whose
+    # terms cancel to zero and a pair with an empty meet, among random terms
+    cones = fan.cone_list()
+    pairs = st.tuples(st.sampled_from(cones), st.sampled_from(cones))
+    apart = [(a, b) for a in cones for b in cones if not set(a) & set(b)]
+    y1, y2, y3, y4 = (random_poly(fan.rank, rng) for _ in range(4))
+    twice, cancelled = data.draw(pairs), data.draw(pairs)
+    terms = [
+        (*twice, y1),
+        (*twice, y2),
+        (*cancelled, y3),
+        (*cancelled, -y3),
+        (*data.draw(st.sampled_from(apart)), y4),
+        *((*pair, random_poly(fan.rank, rng)) for pair in data.draw(st.lists(pairs, max_size=4))),
+    ]
+    hand_built = TensorWord(fan, sigma, tau, tuple(data.draw(st.permutations(terms))))
+    assert mu(hand_built) == mu_by_products(hand_built)
 
 
 @pytest.mark.parametrize("name", sorted(STOCK_FANS))
