@@ -28,10 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
-from fanalg.lattice import IntMatrix
+from fanalg.lattice import IntMatrix, Vec
 from fanalg.laurent import LaurentPoly, divide_by_product, monomial_map
 from fanalg.report import Report
 
@@ -158,7 +160,12 @@ class AlgebraElement:
     def __mul__(self, other) -> "AlgebraElement":
         """Through a middle cone rho, the quotient of E(sigma, rho) y1 times
         E(rho, tau) y2 is y1 * y2 times the binomials of `cofactor_rays`,
-        whose product is read from the fan's table."""
+        whose product is read from the fan's table.
+
+        The terms (y1, y2, cofactor rays) of each output cone pair are
+        collected first, and `_sum_of_products` sums them as integers over
+        one denominator and reduces once per pair: no LaurentPoly is
+        multiplied and no intermediate polynomial is built."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_fan(other)
@@ -166,13 +173,11 @@ class AlgebraElement:
         by_row: dict[Cone, list[tuple[Cone, LaurentPoly]]] = {}
         for (rho, tau), y in other.quotients.items():
             by_row.setdefault(rho, []).append((tau, y))
-        out: dict[tuple[Cone, Cone], LaurentPoly] = {}
+        terms: dict[tuple[Cone, Cone], list[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]] = {}
         for (sigma, rho), y1 in self.quotients.items():
             for tau, y2 in by_row.get(rho, ()):
-                y = y1 * y2 * fan.binomial_product(cofactor_rays(sigma, rho, tau))
-                k = (sigma, tau)
-                out[k] = out[k] + y if k in out else y
-        return AlgebraElement._divided(fan, out)
+                terms.setdefault((sigma, tau), []).append((y1, y2, cofactor_rays(sigma, rho, tau)))
+        return AlgebraElement._divided(fan, {k: _sum_of_products(fan, ts) for k, ts in terms.items()})
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
@@ -196,6 +201,25 @@ class AlgebraElement:
         return "; ".join(parts)
 
     __repr__ = __str__
+
+
+def _sum_of_products(fan: Fan, terms: list[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]) -> LaurentPoly:
+    """The sum of y1 * y2 * binomial_product(rays) over the terms, as integer
+    coefficients over the lcm of the terms' denominators y1.den * y2.den (a
+    binomial product has denominator 1), reduced by one gcd pass."""
+    den = lcm(*(y1.den * y2.den for y1, y2, _ in terms))
+    total: dict[Vec, int] = {}
+    for y1, y2, rays in terms:
+        f = den // (y1.den * y2.den)
+        cofactor = fan.binomial_product(rays).num.items()
+        for e1, c1 in y1.num.items():
+            for e2, c2 in y2.num.items():
+                e12 = tuple(map(add, e1, e2))
+                c12 = f * c1 * c2
+                for e3, c3 in cofactor:
+                    e = tuple(map(add, e12, e3))
+                    total[e] = total.get(e, 0) + c12 * c3
+    return LaurentPoly._reduced(fan.rank, {e: c for e, c in total.items() if c}, den)
 
 
 def matrix_unit(fan: Fan, sigma: Sequence[int], tau: Sequence[int], poly: LaurentPoly | int | Fraction = 1) -> AlgebraElement:
@@ -414,12 +438,16 @@ def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cm
     """Small random polynomial; may degenerate to fewer terms by cancellation.
 
     Each coefficient is p / q with q drawn from {1, 2}, summed as integers
-    over 2 and reduced once."""
+    over 2 and reduced once.  Every draw is one `rng.randrange(n)`, which
+    takes the same value from the generator as `randint` and `choice` over n
+    values, with less overhead."""
     choices = [x for x in range(-cmax, cmax + 1) if x]
+    draw = rng.randrange
+    width = 2 * emax + 1
     num: dict[tuple[int, ...], int] = {}
-    for _ in range(rng.randint(1, terms)):
-        e = tuple(rng.randint(-emax, emax) for _ in range(rank))
-        c = rng.choice(choices) * (2 // rng.randint(1, 2))
+    for _ in range(draw(terms) + 1):
+        e = tuple(draw(width) - emax for _ in range(rank))
+        c = choices[draw(len(choices))] * (2 // (draw(2) + 1))
         num[e] = num.get(e, 0) + c
     return LaurentPoly._reduced(rank, {e: c for e, c in num.items() if c}, 2)
 
@@ -438,8 +466,8 @@ def random_member(
     density_pct is the percentage chance of filling each cone-pair slot;
     an integer so that sampling stays float-free like everything else.
     """
-    rows = fan.cone_list() if row_cone is None else fan.subfan(row_cone).cone_list()
-    cols = fan.cone_list() if col_cone is None else fan.subfan(col_cone).cone_list()
+    rows = fan.cone_list() if row_cone is None else fan.faces_of(row_cone)
+    cols = fan.cone_list() if col_cone is None else fan.faces_of(col_cone)
     quotients = {}
     pairs = [(s, t) for s in rows for t in cols]
     for pair in pairs:

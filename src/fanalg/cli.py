@@ -46,6 +46,12 @@ MAX_STRUCTURE_CONES = 32
 # about 14 to 22 us per slot: 3.2 s for P2xP1 at 100 trials (230,400 slots)
 # and 4.8 s at the limit, one 8-ray cone at 4 trials.
 MAX_MUDELTA_SLOTS = 2**18
+# `mod hom` solves one linear system in the sum over cones of dim_a * dim_b
+# unknowns, with about three times as many equations.  Its elimination grows
+# much faster than that count on dense input: conjugated sums of characters
+# took 1.0 s at 252 unknowns on P2, and 3.4 s at 242 and 6.8 s at 288 on the
+# one-ray fan, while identity arrows took 1.0 s at 1,152 unknowns.
+MAX_HOM_UNKNOWNS = 256
 
 
 def _load_json(path: str):
@@ -195,6 +201,12 @@ def cmd_mod_hom(args) -> int:
         raise ValueError("fan mismatch between the two modules")
     ma = serialize.module_from_data(data_a, fan_a)
     mb = serialize.module_from_data(data_b, fan_b)
+    unknowns = sum(ma.dims[c] * mb.dims[c] for c in fan_a.cones)
+    if unknowns > MAX_HOM_UNKNOWNS:
+        raise ValueError(
+            f"{args.a} and {args.b}: expected at most {MAX_HOM_UNKNOWNS} unknowns for hom, "
+            f"the sum over cones of dim_a * dim_b, got {unknowns}"
+        )
     dim, basis = hom(ma, mb)
     print(f"hom dimension {dim}")
     for i, f in enumerate(basis):

@@ -47,7 +47,7 @@ class DescentDatum:
 
 def _overlap_cones(fan: Fan, sigma: Cone, tau: Cone) -> list[Cone]:
     common = tuple(sorted(set(sigma) & set(tau)))
-    return fan.subfan(common).cone_list() if fan.is_cone(common) else []
+    return fan.faces_of(common) if fan.is_cone(common) else []
 
 
 def check_cocycle(d: DescentDatum) -> Report:
@@ -136,7 +136,7 @@ def check_cocycle(d: DescentDatum) -> Report:
                 base = tuple(sorted(triple))
                 if not d.fan.is_cone(base):
                     continue
-                for rho in d.fan.subfan(base).cone_list():
+                for rho in d.fan.faces_of(base):
                     direct = d.glue_block(sigma, omega, rho)
                     if not _is_product(direct, d.glue_block(tau, omega, rho), d.glue_block(sigma, tau, rho)):
                         rep.add(

@@ -1,8 +1,10 @@
 """Helpers that only the tests use: a random valid module generator, the
 one-ray module, maps of modules, relation and chart checks, an isomorphism
-search, an independent structure-constant oracle, an entry-by-entry
-evaluation oracle with its `linear_combination`, the factors of a tensor word
-with a product-based `mu` oracle, and a call counter."""
+search, an independent structure-constant oracle, a term-by-term product
+oracle, an entry-by-entry evaluation oracle with its `linear_combination`,
+the intertwining equations of the generators' images as a hom oracle, the
+factors of a tensor word with a product-based `mu` oracle, and a call
+counter."""
 
 import random
 from fractions import Fraction
@@ -11,7 +13,17 @@ from math import lcm
 from operator import matmul
 from typing import Sequence
 
-from fanalg.algebra import AlgebraElement, TensorWord, _unit_quotient, covering_chain, matrix_unit, required_divisor, required_rays
+from fanalg.algebra import (
+    AlgebraElement,
+    TensorWord,
+    _unit_quotient,
+    cofactor_rays,
+    covering_chain,
+    generators,
+    matrix_unit,
+    required_divisor,
+    required_rays,
+)
 from fanalg.diagram import (
     BlockMap,
     DiagramModule,
@@ -20,6 +32,7 @@ from fanalg.diagram import (
     character_module,
     conjugate,
     direct_sum,
+    evaluate,
     hom,
     point_module,
     relation_report,
@@ -28,7 +41,7 @@ from fanalg.diagram import (
 from fanalg.fan import Cone, Fan, cone_key, standard_fan
 from fanalg.lattice import IntMatrix, complete_to_basis
 from fanalg.laurent import LaurentPoly, divide_by_product
-from fanalg.linalg import QMat, random_invertible
+from fanalg.linalg import QMat, block_diag, random_invertible
 from fanalg.report import Report
 
 
@@ -157,6 +170,51 @@ def structure_against_algebra(fan: Fan, sigma: Cone, tau: Cone, rho: Cone) -> La
     out = divide_by_product(poly, [fan.rays[i] for i in required_rays(sigma, rho)])
     assert out is not None
     return out
+
+
+def mul_by_terms(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The oracle for `AlgebraElement.__mul__`, in LaurentPoly arithmetic term
+    by term: through each middle cone rho, the quotient y1 * y2 * cofactor of
+    E(sigma, rho) y1 times E(rho, tau) y2, summed by cone pair."""
+    fan = a.fan
+    out: dict[tuple[Cone, Cone], LaurentPoly] = {}
+    for (sigma, rho), y1 in a.quotients.items():
+        for (rho2, tau), y2 in b.quotients.items():
+            if rho2 != rho:
+                continue
+            y = y1 * y2 * fan.binomial_product(cofactor_rays(sigma, rho, tau))
+            out[(sigma, tau)] = out[(sigma, tau)] + y if (sigma, tau) in out else y
+    return AlgebraElement._divided(fan, out)
+
+
+def generator_equations(ma: DiagramModule, mb: DiagramModule) -> QMat:
+    """The equations X evaluate(g, ma) = evaluate(g, mb) X over the generators
+    g of the algebra, on a total matrix X of shape dim mb x dim ma whose entry
+    (p, q) is unknown p * dim ma + q, one integer row per entry of each
+    equation.  By the module-algebra equivalence their solutions are the
+    module maps, a hom oracle from the algebra side."""
+    na, nb = ma.total_dim(), mb.total_dim()
+    rows = []
+    for g in generators(ma.fan):
+        a, b = evaluate(g.element, ma), evaluate(g.element, mb)
+        d = lcm(a.den, b.den)
+        fa, fb = d // a.den, d // b.den
+        for p in range(nb):
+            for q in range(na):
+                row = [0] * (nb * na)
+                for r in range(na):
+                    row[p * na + r] += fa * a.num[r][q]
+                for r in range(nb):
+                    row[r * na + q] -= fb * b.num[p][r]
+                rows.append(row)
+    return QMat._of(tuple(map(tuple, rows)), 1, len(rows), nb * na)
+
+
+def total_matrix(f: BlockMap) -> QMat:
+    """The blocks of a module map placed on the diagonal of one total matrix,
+    rows of the target and columns of the source in cone order."""
+    cones = f.source.fan.cone_list()
+    return block_diag([f.blocks[c] for c in cones])
 
 
 def left_factor(w: TensorWord, i: int) -> AlgebraElement:

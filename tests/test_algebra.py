@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from fanalg.algebra import (
     transport,
     unit,
 )
-from fanalg.fan import build_fan, standard_fan
+from fanalg.fan import build_fan, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.lattice import IntMatrix
 
@@ -280,3 +281,25 @@ class TestOneRayFixture:
         # the inverse lies in the algebra, so s maps to a unit
         s_inv = central(c_fan, LaurentPoly.monomial((-1,)))
         assert s * s_inv == one
+
+
+class TestRandomMember:
+    # sha256 of the draws below, written with the code that drew through
+    # `randint`, `choice` and `subfan`; a faster sampler must draw the same
+    # members and leave the generator in the same state
+    DRAWS_SHA256 = "536b8b8013bc23423aaf3e315acd9fd871fd601c189f0f18282f2e668d51a25c"
+
+    def test_draws_are_pinned(self):
+        p1 = projective_line_fan()
+        fans = [standard_fan(1), standard_fan(2), p1, projective_plane_fan(), hirzebruch_fan(1), product_fan(p1, p1),
+                product_fan(projective_plane_fan(), p1)]
+        h = hashlib.sha256()
+        for i, fan in enumerate(fans):
+            rng = random.Random(i)
+            draws = [random_member(fan, rng) for _ in range(20)]
+            draws += [random_member(fan, rng, row_cone=sigma, col_cone=tau, density_pct=100, terms=3, emax=2)
+                      for sigma in fan.maximal for tau in fan.maximal]
+            for x in draws:
+                h.update(repr(sorted((k, sorted(y.num.items()), y.den) for k, y in x.quotients.items())).encode())
+            h.update(repr(("next", rng.getrandbits(64))).encode())
+        assert h.hexdigest() == self.DRAWS_SHA256

@@ -585,6 +585,25 @@ class TestSizeBounds:
         code, out = run(["--trials", "4", "alg", "mudelta", write_json(tmp_path / "edge.json", cone8)])
         assert (code, out.splitlines()[0]) == (0, "checked 4 members over 1 ordered maximal cone pairs"), out
 
+    def test_hom_systems_past_the_limit_are_input_errors(self, tmp_path, monkeypatch):
+        # hom solves for sum over cones of dim_a * dim_b unknowns: 2 * 12^2 = 288 here
+        homs = count_calls(monkeypatch, "hom", cli)
+        one_ray = {"rank": 1, "rays": [[1]], "max_cones": [[0]]}
+
+        def module(name, spaces):
+            return write_json(tmp_path / name, {"fan": one_ray, "spaces": spaces})
+
+        a = module("a.json", {"": 12, "0": 12})
+        b = module("b.json", {"": 12, "0": 12})
+        code, out = run(["mod", "hom", a, b])
+        assert code == 2, out
+        assert out.splitlines()[0] == (f"ERROR\tinput\t{a} and {b}: expected at most 256 unknowns for hom, "
+                                       "the sum over cones of dim_a * dim_b, got 288")
+        assert homs == []
+        edge = module("edge.json", {"": 16})
+        code, out = run(["mod", "hom", edge, edge])
+        assert (code, out.splitlines()[0]) == (0, "hom dimension 256"), out[:500]
+
     def test_quotient_entries_past_the_limit_are_input_errors(self, tmp_path):
         # a ray's monodromy is a torus power T^(Q w), so an entry of Q is an exponent
         one_ray = {"rank": 1, "rays": [[1]], "max_cones": [[0]]}

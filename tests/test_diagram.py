@@ -215,7 +215,7 @@ class TestRepCheck:
     def test_first_failing_trial_is_the_finding(self, c_fan, monkeypatch):
         # an evaluation that is not multiplicative: the k-th call gives k * id
         calls = iter(range(1, 1000))
-        monkeypatch.setattr(diagram, "evaluate", lambda x, m: QMat.identity(m.total_dim()).scale(next(calls)))
+        monkeypatch.setattr(diagram, "_evaluate", lambda x, m, monodromies: QMat.identity(m.total_dim()).scale(next(calls)))
         out = rep_check(simple_c_module(), trials=5)
         assert not out.ok and out.trials == 1
         assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]

@@ -5,9 +5,11 @@ from fanalg.fan import (
     cone_key,
     covering_pairs,
     fan_report,
+    hirzebruch_fan,
     parse_cone_key,
     product_fan,
     projective_line_fan,
+    projective_plane_fan,
     standard_fan,
 )
 from fanalg.lattice import IntMatrix
@@ -139,6 +141,17 @@ class TestKeysAndSubfans:
         sub = p2_fan.subfan((0, 1))
         assert sub.cones == frozenset({(), (0,), (1,), (0, 1)})
         assert sub.maximal == ((0, 1),)
+
+    @pytest.mark.parametrize(
+        "fan",
+        [standard_fan(1), standard_fan(2), projective_line_fan(), projective_plane_fan(), hirzebruch_fan(1),
+         product_fan(projective_line_fan(), projective_line_fan()), product_fan(projective_plane_fan(), projective_line_fan())],
+        ids=["C1", "C2", "P1", "P2", "F1", "P1xP1", "P2xP1"],
+    )
+    def test_faces_are_listed_in_the_order_of_the_subfan(self, fan):
+        # readers that only list the faces of a cone use faces_of, which builds no Fan
+        for c in fan.cone_list():
+            assert fan.faces_of(c) == fan.subfan(c).cone_list()
 
     def test_unknown_cone(self, p2_fan):
         with pytest.raises(ValueError, match="unknown cone"):

@@ -12,14 +12,14 @@ from fanalg import algebra, descent, diagram, equivariant, lattice, laurent, lin
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, glue, twisted_datum
-from fanalg.diagram import evaluate, hom, validate
+from fanalg.diagram import evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
 from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
 
-from support import count_calls, random_valid_module
+from support import count_calls, mul_by_terms, random_valid_module
 
 
 @pytest.fixture
@@ -180,6 +180,49 @@ def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
     assert len(distinct) < sum(len(y.num) for y in x.quotients.values())  # some monodromy repeats
     counts = (len(chains), len(monodromies), len(reductions) - len(products))
     assert counts == (0, len(distinct), 1)
+
+
+def test_rep_check_builds_each_monodromy_once_per_call(p2_fan, monkeypatch):
+    m = random_valid_module(p2_fan, random.Random(4), summands=2)
+    built = []
+    real = diagram.DiagramModule.monodromy
+
+    def counted(self, cone, w, exponent=None):
+        built.append((cone, tuple(w)))
+        return real(self, cone, w, exponent)
+
+    monkeypatch.setattr(diagram.DiagramModule, "monodromy", counted)
+    # A4 builds monodromies too: rep_check's validate builds these first
+    assert validate(m).ok
+    by_validate = list(built)
+    built.clear()
+    assert rep_check(m, trials=20, seed=3).ok
+    assert built[: len(by_validate)] == by_validate
+    built = built[len(by_validate) :]
+    assert len(built) == len(set(built))
+    # the members rep_check draws and multiplies, replayed: one table per
+    # evaluation would build a monodromy once per element instead
+    rng = random.Random(3)
+    keys = []
+    for _ in range(20):
+        a, b = random_member(p2_fan, rng), random_member(p2_fan, rng)
+        for x in (a, b, a * b):
+            keys.append({(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num})
+    assert set(built) == set().union(*keys)
+    assert len(built) < sum(map(len, keys))
+
+
+def test_a_product_multiplies_no_polynomial(p2_fan, monkeypatch):
+    # the terms of each cone pair are summed as integers over one denominator
+    rng = random.Random(12)
+    a, b = (random_member(p2_fan, rng, density_pct=100, terms=3, emax=2) for _ in range(2))
+    want = mul_by_terms(a, b)  # also fills the fan's table of cofactors
+    products = count_calls(monkeypatch, "__mul__", LaurentPoly)
+    reductions = count_calls(monkeypatch, "_reduced", LaurentPoly)
+    got = a * b
+    assert products == []
+    assert len(reductions) == len(got.quotients) == len(want.quotients)
+    assert got == want
 
 
 def test_every_elimination_is_one_echelon_call(monkeypatch):

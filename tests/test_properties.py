@@ -22,9 +22,12 @@ fraction-free elimination's pivot value is negative; matrix entries read
 from files as `Fraction(str(x))` reads them, with the same errors;
 evaluation as a representation on modules with warm and cold caches, and
 against an entry-by-entry QMat oracle on valid and corrupted modules and on
-modules with zero-dimensional spaces; hom
-between character and point modules; and the Smith normal form, against a
-sympy oracle when sympy is present."""
+modules with zero-dimensional spaces; linearity of evaluation, on which
+`rep_check` relies to compare only products; algebra products against the
+term-by-term LaurentPoly product; hom between character and point modules,
+and hom as the solution space of the intertwining equations of the
+generators' images; and the Smith normal form, against a sympy oracle when
+sympy is present."""
 
 import random
 from fractions import Fraction
@@ -44,7 +47,18 @@ from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_m
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
 
-from support import evaluate_by_entries, is_morphism, left_factor, linear_combination, mu_by_products, random_valid_module, right_factor
+from support import (
+    evaluate_by_entries,
+    generator_equations,
+    is_morphism,
+    left_factor,
+    linear_combination,
+    mu_by_products,
+    mul_by_terms,
+    random_valid_module,
+    right_factor,
+    total_matrix,
+)
 
 # reproducible, and no example database written next to the tests
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -890,6 +904,84 @@ def test_evaluate_equals_the_entry_by_entry_oracle(case, seed):
         assert got == want and gcd(got.den, *[a for row in got.num for a in row]) == 1
     assert evaluate(x, m, rng=random.Random(seed)) == evaluate_by_entries(x, m, rng=random.Random(seed))
     assert evaluate(x, m) == want  # shuffled chains do not enter the cache
+
+
+@settings(SETTINGS, max_examples=30)
+@given(fan_names, seeds, st.booleans(), nonzero_scalars)
+def test_evaluate_is_linear(name, seed, valid, c):
+    """evaluate is linear by construction, each block being a combination of
+    the quotient's coefficients, so `rep_check` compares only products: sums,
+    scalar multiples and the zero element, on valid modules and on invalid
+    ones with zero-dimensional spaces."""
+    fan = FANS[name]
+    rng = random.Random(seed)
+    m = random_valid_module(fan, rng, summands=2) if valid else random_module_with_zero_spaces(fan, rng)
+    a = random_member(fan, rng, terms=3, emax=2)
+    b = random_member(fan, rng, density_pct=100, terms=3, emax=2)
+    ea, eb = evaluate(a, m), evaluate(b, m)
+    n = m.total_dim()
+    assert evaluate(a + b, m) == ea + eb
+    assert evaluate(a - b, m) == ea + eb.scale(-1)
+    assert evaluate(c * a, m) == evaluate(a.scale(c), m) == ea.scale(c)
+    assert evaluate(a - a, m) == evaluate(a.scale(0), m) == QMat.zero(n, n)
+
+
+HOM_FANS = {"C1": standard_fan(1), "C2": FANS["C2"], "P1": projective_line_fan(), "P2": FANS["P2"], "F1": FANS["F1"]}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_FANS))
+@settings(SETTINGS, max_examples=8)
+@given(seeds, st.sampled_from(["other", "conjugate", "same"]), st.booleans())
+def test_hom_is_the_solution_space_of_the_generators_images(name, seed, target, conjugated):
+    """By the module-algebra equivalence, a map of total matrices X is a
+    module map exactly when X evaluate(g, A) = evaluate(g, B) X for every
+    generator g of the algebra; the idempotents make X block-diagonal.  The
+    solutions of those equations are the space `hom` reports."""
+    fan = HOM_FANS[name]
+    rng = random.Random(seed)
+    ma = random_valid_module(fan, rng, summands=rng.randint(1, 2), conjugated=conjugated)
+    if target == "other":
+        mb = random_valid_module(fan, rng, summands=rng.randint(1, 2), conjugated=conjugated)
+    elif target == "conjugate":
+        mb = conjugate(ma, {c: random_invertible(ma.dims[c], rng) for c in fan.cones})
+    else:
+        mb = ma
+    eqs = generator_equations(ma, mb)
+    dim, basis = hom(ma, mb)
+    assert len(nullspace(eqs)) == dim
+    for f in basis:
+        x = total_matrix(f)
+        assert (x.m, x.n) == (mb.total_dim(), ma.total_dim())
+        assert (eqs @ column(x.flat())).is_zero()
+
+
+@st.composite
+def algebra_elements(draw, fan):
+    """A sum of up to four matrix units with random quotients over
+    denominators up to 4, or a random member, dense on fans of up to 9
+    cones."""
+    if draw(st.booleans()):
+        density = 100 if len(fan.cones) <= 9 else 35  # a dense P2xP1 product has 21^3 terms
+        return random_member(fan, random.Random(draw(seeds)), density_pct=density, terms=3, emax=2)
+    cones = fan.cone_list()
+    pairs = st.tuples(st.sampled_from(cones), st.sampled_from(cones))
+    return AlgebraElement._divided(fan, draw(st.dictionaries(pairs, polys(fan.rank), max_size=4)))
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_FANS))
+@SETTINGS
+@given(st.data())
+def test_product_equals_the_term_by_term_product(name, data):
+    """The product kernel sums the integer coefficients of every term of a cone
+    pair over one denominator; it equals LaurentPoly arithmetic term by term,
+    canonical form included."""
+    fan = STOCK_FANS[name]
+    a = data.draw(algebra_elements(fan))
+    b = data.draw(algebra_elements(fan))
+    got = a * b
+    assert got == mul_by_terms(a, b)
+    for y in got.quotients.values():
+        assert_canonical_poly(y)
 
 
 GLUE_FANS = dict(FANS, P2xP1=P2xP1)
