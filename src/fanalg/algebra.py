@@ -313,19 +313,6 @@ class Word:
     u_chain: tuple[tuple[Cone, Cone], ...]  # climbing row&col meet -> row
     v_chain: tuple[tuple[Cone, Cone], ...]  # descending col -> meet
 
-    def expand(self, fan: Fan) -> AlgebraElement:
-        out = central(fan, self.scalar)
-        # u-generators step from the meet up to the row cone; the algebra
-        # product therefore takes the chain pairs from the top down
-        for tau, sigma in reversed(self.u_chain):
-            out = out * _unit_quotient(fan, sigma, tau)
-        # v-generators compose E(meet,c1) E(c1,c2) ... = E(meet, col)
-        for low, high in self.v_chain:
-            out = out * _unit_quotient(fan, low, high)
-        if not self.u_chain and not self.v_chain:
-            out = out * _unit_quotient(fan, self.row, self.col)
-        return out
-
 
 def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]:
     """Write each entry as scalar * u-chain * v-chain; the scalar is the

@@ -50,9 +50,22 @@ def _overlap_cones(fan: Fan, sigma: Cone, tau: Cone) -> list[Cone]:
     return fan.faces_of(common) if fan.is_cone(common) else []
 
 
+def _block_at(sigma: Cone, tau: Cone, rho: Cone) -> str:
+    """The location of the block at rho of the gluing map from chart sigma
+    to chart tau."""
+    return f"({cone_key(sigma)})->({cone_key(tau)}) at ({cone_key(rho)})"
+
+
+def _pair_at(sigma: Cone, tau: Cone, lo: Cone, hi: Cone) -> str:
+    """The location of the covering pair lo < hi on the overlap of charts
+    sigma and tau."""
+    return f"({cone_key(sigma)})->({cone_key(tau)}) pair ({cone_key(lo)})<({cone_key(hi)})"
+
+
 def check_cocycle(d: DescentDatum) -> Report:
     """Well-formedness, intertwining, inverse pairs, and the triple condition;
-    products are compared without being built."""
+    products are compared without being built, and a location is built only
+    for a finding."""
     rep = Report()
     fan = d.fan
     maxc = list(fan.maximal)
@@ -75,17 +88,16 @@ def check_cocycle(d: DescentDatum) -> Report:
                 continue
             blocks = d.glue_maps[(sigma, tau)]
             for rho in _overlap_cones(fan, sigma, tau):
-                loc = f"({cone_key(sigma)})->({cone_key(tau)}) at ({cone_key(rho)})"
                 if rho not in blocks:
-                    rep.add("glue", loc, "missing block")
+                    rep.add("glue", _block_at(sigma, tau, rho), "missing block")
                     continue
                 b = blocks[rho]
                 ds = d.charts[sigma].dims[rho]
                 dt = d.charts[tau].dims[rho]
                 if (b.m, b.n) != (dt, ds):
-                    rep.add("shape", loc, f"block is {b.m}x{b.n}, expected {dt}x{ds}")
+                    rep.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
                 elif not b.is_invertible():
-                    rep.add("invertible", loc, "block is singular")
+                    rep.add("invertible", _block_at(sigma, tau, rho), "block is singular")
     if not rep.ok:
         return rep
 
@@ -98,18 +110,16 @@ def check_cocycle(d: DescentDatum) -> Report:
             overlap = _overlap_cones(fan, sigma, tau)
             oset = set(overlap)
             for rho in overlap:
-                loc = f"({cone_key(sigma)})->({cone_key(tau)}) at ({cone_key(rho)})"
                 phi = d.glue_block(sigma, tau, rho)
                 for j in range(ms.nt):
                     if not _products_equal(phi, ms.torus[rho][j], mt.torus[rho][j], phi):
-                        rep.add("intertwine", loc, f"torus matrix {j + 1} not intertwined")
+                        rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
             for (lo, hi) in ms.u:
                 if lo in oset and hi in oset:
-                    loc = f"({cone_key(sigma)})->({cone_key(tau)}) pair ({cone_key(lo)})<({cone_key(hi)})"
                     if not _products_equal(d.glue_block(sigma, tau, hi), ms.u[(lo, hi)], mt.u[(lo, hi)], d.glue_block(sigma, tau, lo)):
-                        rep.add("intertwine", loc, "u arrow not intertwined")
+                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
                     if not _products_equal(d.glue_block(sigma, tau, lo), ms.v[(lo, hi)], mt.v[(lo, hi)], d.glue_block(sigma, tau, hi)):
-                        rep.add("intertwine", loc, "v arrow not intertwined")
+                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
 
     # inverse pairs
     for sigma in maxc:

@@ -39,6 +39,10 @@ def _pair_label(tau: Cone, sigma: Cone) -> str:
     return f"({cone_key(tau)})<({cone_key(sigma)})"
 
 
+def _square_label(tau: Cone, sigma: Cone) -> str:
+    return f"square {_pair_label(tau, sigma)}"
+
+
 class DiagramModule:
     """Spaces, torus matrices and u/v arrows indexed by the cones of a fan.
 
@@ -166,7 +170,8 @@ class DiagramModule:
 def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None) -> Report:
     """Check A1 to A4; dimension problems and singular torus matrices
     short-circuit the checks after them.  Products are compared without
-    being built (`linalg._products_equal`, `linalg._is_product`)."""
+    being built (`linalg._products_equal`, `linalg._is_product`), and a
+    location is built only for a finding."""
     fan = m.fan
     rep = Report()
     for c in fan.cone_list():
@@ -223,15 +228,14 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
                 tau = tuple(x for x in sigma if x not in (a, b))
                 rho = tuple(sorted(tau + (a,)))
                 rho2 = tuple(sorted(tau + (b,)))
-                loc = f"square ({cone_key(tau)})<({cone_key(sigma)})"
                 if not _products_equal(m.u[(rho, sigma)], m.u[(tau, rho)], m.u[(rho2, sigma)], m.u[(tau, rho2)]):
-                    rep.add("A3", loc, "u square does not commute")
+                    rep.add("A3", _square_label(tau, sigma), "u square does not commute")
                 if not _products_equal(m.v[(tau, rho)], m.v[(rho, sigma)], m.v[(tau, rho2)], m.v[(rho2, sigma)]):
-                    rep.add("A3", loc, "v square does not commute")
+                    rep.add("A3", _square_label(tau, sigma), "v square does not commute")
                 if not _products_equal(m.v[(rho, sigma)], m.u[(rho2, sigma)], m.u[(tau, rho)], m.v[(tau, rho2)]):
-                    rep.add("A3", loc, "mixed square does not commute")
+                    rep.add("A3", _square_label(tau, sigma), "mixed square does not commute")
                 if not _products_equal(m.v[(rho2, sigma)], m.u[(rho, sigma)], m.u[(tau, rho2)], m.v[(tau, rho)]):
-                    rep.add("A3", loc, "mixed square does not commute (other orientation)")
+                    rep.add("A3", _square_label(tau, sigma), "mixed square does not commute (other orientation)")
 
     for tau, sigma, ray in covering_pairs(fan):
         w = fan.rays[ray]
@@ -555,9 +559,6 @@ class BlockMap:
 
     def block(self, cone: Cone) -> QMat:
         return self.blocks[tuple(sorted(cone))]
-
-    def is_isomorphism(self) -> bool:
-        return all(b.is_square() and b.is_invertible() for b in self.blocks.values())
 
     def is_identity(self) -> bool:
         return all(b.is_identity() for b in self.blocks.values())

@@ -125,10 +125,6 @@ class EqStructure:
                     out[key] = acc
         return out
 
-    def unit_element(self) -> dict[tuple[Cone, Cone], LaurentPoly]:
-        one = LaurentPoly.one(self.quotient.target_rank)
-        return {(c, c): one for c in self.fan.cones}
-
 
 def ag_structure(fan: Fan, quotient: QuotientData) -> EqStructure:
     """Structure-constant table: c(sigma,tau,rho) is the image under the

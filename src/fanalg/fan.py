@@ -40,15 +40,21 @@ def parse_cone_key(key: str) -> Cone:
 class Fan:
     """A fan: primitive rays plus a face-closed set of regular cones.
 
-    A fan owns, for its lifetime, one table of binomial products: for a
-    sorted tuple of ray indices, the product of t^v - 1 over those rays.  It
-    is filled on first use by `binomial_product`, which the forced divisors
-    and product cofactors of the fan algebra read.  `==` and `hash` ignore
-    it, and every fan built from this one, a `subfan` included, starts with
-    an empty table.
+    A fan is immutable, so it owns four tables for its lifetime, each built
+    on first use:
+    - `_order`, the cones in the canonical order, which `cone_list` copies;
+    - `_pairs`, the covering pairs in their canonical order, which
+      `covering_pairs` copies;
+    - `_by_key`, the cone of each canonical key, which `cone_of_key` reads
+      in one probe;
+    - `_products`, binomial products: for a sorted tuple of ray indices, the
+      product of t^v - 1 over those rays, filled by `binomial_product`, which
+      the forced divisors and product cofactors of the fan algebra read.
+    `==` and `hash` ignore them, and every fan built from this one, a
+    `subfan` included, starts with empty tables.
     """
 
-    __slots__ = ("rank", "rays", "cones", "maximal", "_products")
+    __slots__ = ("rank", "rays", "cones", "maximal", "_products", "_order", "_pairs", "_by_key")
 
     def __init__(self, rank: int, rays: Sequence[Vec], cones: frozenset[Cone], maximal: tuple[Cone, ...]):
         object.__setattr__(self, "rank", rank)
@@ -56,6 +62,9 @@ class Fan:
         object.__setattr__(self, "cones", frozenset(cones))
         object.__setattr__(self, "maximal", tuple(maximal))
         object.__setattr__(self, "_products", {})
+        object.__setattr__(self, "_order", None)
+        object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_by_key", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Fan is immutable")
@@ -78,8 +87,32 @@ class Fan:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, cones={len(self.cones)})"
 
     def cone_list(self) -> list[Cone]:
-        """All cones in the canonical order: by dimension, then lexicographic."""
-        return sorted(self.cones, key=lambda c: (len(c), c))
+        """All cones in the canonical order: by dimension, then lexicographic;
+        a fresh list, copied from the fan's table."""
+        return list(self._cone_order())
+
+    def _cone_order(self) -> tuple[Cone, ...]:
+        if self._order is None:
+            object.__setattr__(self, "_order", tuple(sorted(self.cones, key=lambda c: (len(c), c))))
+        return self._order
+
+    def _covering_pairs(self) -> tuple[tuple[Cone, Cone, int], ...]:
+        if self._pairs is None:
+            out = []
+            for sigma in self._cone_order():
+                for i in sigma:
+                    out.append((tuple(x for x in sigma if x != i), sigma, i))
+            object.__setattr__(self, "_pairs", tuple(sorted(out, key=lambda p: (len(p[1]), p[1], p[0]))))
+        return self._pairs
+
+    def cone_of_key(self, key: str) -> Cone:
+        """The cone of a key from a file: one probe in the fan's table for the
+        canonical key that `cone_key` writes, and `require_cone` of
+        `parse_cone_key` for any other key."""
+        if self._by_key is None:
+            object.__setattr__(self, "_by_key", {cone_key(c): c for c in self.cones})
+        c = self._by_key.get(key)
+        return self.require_cone(parse_cone_key(key)) if c is None else c
 
     def is_cone(self, cone: Sequence[int]) -> bool:
         return tuple(sorted(cone)) in self.cones
@@ -89,9 +122,6 @@ class Fan:
         if c not in self.cones:
             raise ValueError(f"unknown cone ({cone_key(c)})")
         return c
-
-    def ray_vectors(self, cone: Sequence[int]) -> list[Vec]:
-        return [self.rays[i] for i in sorted(cone)]
 
     def faces_of(self, cone: Sequence[int]) -> list[Cone]:
         c = self.require_cone(cone)
@@ -254,13 +284,10 @@ def fan_report(fan: Fan) -> Report:
 
 
 def covering_pairs(fan: Fan) -> list[tuple[Cone, Cone, int]]:
-    """All pairs tau < sigma with one extra ray, with that ray's index."""
-    out = []
-    for sigma in fan.cone_list():
-        for i in sigma:
-            tau = tuple(x for x in sigma if x != i)
-            out.append((tau, sigma, i))
-    return sorted(out, key=lambda p: (len(p[1]), p[1], p[0]))
+    """All pairs tau < sigma with one extra ray, with that ray's index, by
+    the upper cone in the canonical order and then the lower cone; a fresh
+    list, copied from the fan's table."""
+    return list(fan._covering_pairs())
 
 
 # ---------------------------------------------------------------------------

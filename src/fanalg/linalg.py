@@ -36,9 +36,11 @@ does not change its reduced echelon form, so det(num / den) is
 reads -row[fc] / D.
 
 Numbers are coerced once, where they enter: the public constructors
-(`QMat(rows)`, `from_flat`, `diagonal`) and the file readers of `serialize`
-pass each entry through `_frac`, the one rational coercion of the package,
-and check the shape.  Every matrix the library builds goes through the
+(`QMat(rows)`, `from_flat`, `diagonal`) pass each entry through `_frac`, the
+one rational coercion of the package, and check the shape.  The file readers
+of `serialize` read ints and the canonical "p" and "p/q" strings straight
+into integer rows over a denominator, built by `QMat._reduced`, and pass any
+other entry through `_frac`.  Every matrix the library builds goes through the
 trusted `QMat._of` (integers already in canonical form), `QMat._reduced`
 (integers over a denominator, reduced by one gcd pass) or
 `QMat._of_fractions` (rationals the library has just computed), which

@@ -4,6 +4,16 @@ Conventions: rationals are "p/q" strings, matrices are row-major flat lists,
 cone keys are comma-joined sorted ray indices with the empty string for the
 zero cone.  parse(serialize(x)) must reproduce x exactly.
 
+The readers do each piece of work once.  A matrix entry that is an int or a
+string in the form `str(Fraction)` writes is read straight into integers, and
+each matrix is built as integer rows over the lcm of its denominators,
+reduced once; any other entry goes through the one rational coercion,
+`linalg._frac`, so the reader accepts the values and reports the errors that
+`Fraction` parsing gives.  The path of a matrix entry is formatted only for
+an error.  A cone key is looked up in the table of canonical keys that the
+fan owns for its lifetime (`Fan.cone_of_key`); any other key is parsed and
+checked.
+
 Sizes are bounded where data enters, so that a small file cannot ask for an
 unbounded amount of work: a Laurent exponent or a ray coordinate has absolute
 value at most MAX_COORD, a module space has dimension at most MAX_SPACE_DIM,
@@ -19,6 +29,7 @@ value beyond a bound is an input error that names its JSON path.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Mapping
 
 from fanalg import linalg
@@ -26,7 +37,7 @@ from fanalg.algebra import AlgebraElement
 from fanalg.descent import DescentDatum
 from fanalg.diagram import DiagramModule
 from fanalg.equivariant import EqDiagramModule, QuotientData, quotient_presentation
-from fanalg.fan import Cone, Fan, build_fan, cone_key, parse_cone_key
+from fanalg.fan import Cone, Fan, build_fan, cone_key
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, poly_from_data, poly_to_data
 from fanalg.linalg import QMat
@@ -167,14 +178,51 @@ def _mat_to_data(m: QMat) -> list[str]:
     return [str(x) for x in m.flat()]
 
 
+def _canonical(x) -> tuple[int, int] | None:
+    """(p, q) for an int or for a string in the form that `str(Fraction)`
+    writes: "p", or "p/q" in lowest terms with q > 1, in ASCII digits with
+    no leading zero, no "+" and no "-0".  None for any other value, which
+    the general coercion `_rational` reads instead."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is not str or not x.isascii():
+        return None
+    p, slash, q = x.partition("/")
+    digits = p[1:] if p[:1] == "-" else p
+    if not digits.isdigit() or digits[0] == "0" and len(p) > 1:
+        return None
+    try:
+        if not slash:
+            return int(p), 1
+        if q.isdigit() and q[0] != "0":
+            n, d = int(p), int(q)
+            if d > 1 and gcd(n, d) == 1:
+                return n, d
+    except ValueError:  # past the interpreter's digit limit; `_rational` reports it
+        pass
+    return None
+
+
 def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
     """The rows x cols matrix of a row-major list of rationals, held as
-    integer rows over one denominator; every entry is checked before the
+    integer rows over the lcm of the entries' denominators and reduced once.
+    Ints and canonical strings are read straight into integers; any other
+    entry goes through `_rational`.  Every entry is checked before the
     count."""
-    es = [_rational(x, path, i) for i, x in enumerate(_list(flat, path))]
-    if len(es) != rows * cols:
-        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(es)} entries")
-    return QMat._of_fractions([es[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
+    nums, dens = [], []
+    for i, x in enumerate(_list(flat, path)):
+        pq = _canonical(x)
+        if pq is None:
+            f = _rational(x, path, i)
+            pq = f.numerator, f.denominator
+        nums.append(pq[0])
+        dens.append(pq[1])
+    if len(nums) != rows * cols:
+        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(nums)} entries")
+    den = lcm(*dens)
+    if den != 1:
+        nums = [p * (den // q) for p, q in zip(nums, dens)]
+    return QMat._reduced(tuple(tuple(nums[i * cols : (i + 1) * cols]) for i in range(rows)), den, rows, cols)
 
 
 def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
@@ -206,8 +254,8 @@ def entries_from_data(data: Mapping, fan: Fan) -> dict[tuple[Cone, Cone], Lauren
     for i, rec in enumerate(_field(_object(data, "$"), "entries", "$", _list)):
         path = f"$.entries[{i}]"
         rec = _object(rec, path)
-        sigma = fan.require_cone(parse_cone_key(_field(rec, "row", path, _str)))
-        tau = fan.require_cone(parse_cone_key(_field(rec, "col", path, _str)))
+        sigma = fan.cone_of_key(_field(rec, "row", path, _str))
+        tau = fan.cone_of_key(_field(rec, "col", path, _str))
         if (sigma, tau) in entries:
             raise ValueError(f"{path}: repeated cone pair ({cone_key(sigma)})x({cone_key(tau)})")
         entries[(sigma, tau)] = poly_from_data(_field(rec, "poly", path, _poly_records), fan.rank)
@@ -239,7 +287,7 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
     obj = _object(data, path)
     dims = {}
     for key, d, at in _members(obj.get("spaces", {}), f"{path}.spaces"):
-        dims[fan.require_cone(parse_cone_key(key))] = _expect(_int(d, at) >= 0, d, at, "a nonnegative integer")
+        dims[fan.cone_of_key(key)] = _expect(_int(d, at) >= 0, d, at, "a nonnegative integer")
         if d > MAX_SPACE_DIM:
             raise ValueError(f"{at}: expected a dimension of at most {MAX_SPACE_DIM}, got {d}")
     total = sum(dims.values())
@@ -247,7 +295,7 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
         raise ValueError(f"{path}.spaces: expected a total dimension of at most {MAX_TOTAL_DIM}, got {total}")
     torus = {}
     for key, mats, at in _members(obj.get("torus", {}), f"{path}.torus"):
-        c = fan.require_cone(parse_cone_key(key))
+        c = fan.cone_of_key(key)
         d = dims.get(c, 0)
         if len(_list(mats, at)) != nt:
             raise ValueError(f"{at}: expected {nt} torus matrices, got {len(mats)}")
@@ -255,14 +303,14 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
     u = {}
     for key, flat, at in _members(obj.get("u", {}), f"{path}.u"):
         tau_k, sigma_k = _cone_pair(key, at)
-        tau = fan.require_cone(parse_cone_key(tau_k))
-        sigma = fan.require_cone(parse_cone_key(sigma_k))
+        tau = fan.cone_of_key(tau_k)
+        sigma = fan.cone_of_key(sigma_k)
         u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0), at)
     v = {}
     for key, flat, at in _members(obj.get("v", {}), f"{path}.v"):
         sigma_k, tau_k = _cone_pair(key, at)
-        sigma = fan.require_cone(parse_cone_key(sigma_k))
-        tau = fan.require_cone(parse_cone_key(tau_k))
+        sigma = fan.cone_of_key(sigma_k)
+        tau = fan.cone_of_key(tau_k)
         v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0), at)
     return dims, torus, u, v
 
@@ -351,20 +399,20 @@ def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
     obj = _object(data, "$")
     charts = {}
     for key, body, at in _members(_field(obj, "charts", "$", _object), "$.charts"):
-        sigma = fan.require_cone(parse_cone_key(key))
+        sigma = fan.cone_of_key(key)
         sub = fan.subfan(sigma)
         dims, torus, u, v = _module_parts(body, sub, fan.rank, at)
         charts[sigma] = DiagramModule(sub, dims, torus, u, v)
     glue_maps: dict[tuple[Cone, Cone], dict[Cone, QMat]] = {}
     for key, blocks, at in _members(obj.get("glue", {}), "$.glue"):
         sig_k, tau_k = _cone_pair(key, at)
-        sigma = fan.require_cone(parse_cone_key(sig_k))
-        tau = fan.require_cone(parse_cone_key(tau_k))
+        sigma = fan.cone_of_key(sig_k)
+        tau = fan.cone_of_key(tau_k)
         if sigma not in charts or tau not in charts:
             raise ValueError(f"{at}: glues a cone that has no chart")
         out = {}
         for rho_k, flat, block_at in _members(blocks, at):
-            rho = fan.require_cone(parse_cone_key(rho_k))
+            rho = fan.cone_of_key(rho_k)
             out[rho] = _mat_from_data(flat, charts[tau].dims.get(rho, 0), charts[sigma].dims.get(rho, 0), block_at)
         glue_maps[(sigma, tau)] = out
     return DescentDatum(fan, charts, glue_maps)

@@ -1,10 +1,11 @@
 """Helpers that only the tests use: a random valid module generator, the
-one-ray module, maps of modules, relation and chart checks, an isomorphism
-search, an independent structure-constant oracle, a term-by-term product
+one-ray module, the rays of a cone, the expansion of a factorized word, the
+unit of an equivariant structure, maps of modules and the isomorphism test
+on them, relation and chart checks, an isomorphism search, an independent structure-constant oracle, a term-by-term product
 oracle, an entry-by-entry evaluation oracle with its `linear_combination`,
 the intertwining equations of the generators' images as a hom oracle, the
-factors of a tensor word with a product-based `mu` oracle, and a call
-counter."""
+factors of a tensor word with a product-based `mu` oracle, the Fraction-based
+reader of matrix entries as an oracle for `serialize`, and a call counter."""
 
 import random
 from fractions import Fraction
@@ -13,10 +14,13 @@ from math import lcm
 from operator import matmul
 from typing import Sequence
 
+from fanalg import serialize
 from fanalg.algebra import (
     AlgebraElement,
     TensorWord,
+    Word,
     _unit_quotient,
+    central,
     cofactor_rays,
     covering_chain,
     generators,
@@ -38,8 +42,9 @@ from fanalg.diagram import (
     relation_report,
     validate,
 )
+from fanalg.equivariant import EqStructure
 from fanalg.fan import Cone, Fan, cone_key, standard_fan
-from fanalg.lattice import IntMatrix, complete_to_basis
+from fanalg.lattice import IntMatrix, Vec, complete_to_basis
 from fanalg.laurent import LaurentPoly, divide_by_product
 from fanalg.linalg import QMat, block_diag, random_invertible
 from fanalg.report import Report
@@ -89,6 +94,38 @@ def one_ray_module(u0: QMat, v0: QMat, fan: Fan | None = None) -> DiagramModule:
     return DiagramModule(fan, dims, torus, {((), (0,)): u0}, {((), (0,)): v0})
 
 
+def ray_vectors(fan: Fan, cone) -> list[Vec]:
+    """The rays of a cone, in its canonical (sorted index) order."""
+    return [fan.rays[i] for i in sorted(cone)]
+
+
+def expand(w: Word, fan: Fan) -> AlgebraElement:
+    """The product of a factorized word: its central scalar, then the
+    u-generators up, then the v-generators down."""
+    out = central(fan, w.scalar)
+    # u-generators step from the meet up to the row cone; the algebra
+    # product therefore takes the chain pairs from the top down
+    for tau, sigma in reversed(w.u_chain):
+        out = out * _unit_quotient(fan, sigma, tau)
+    # v-generators compose E(meet,c1) E(c1,c2) ... = E(meet, col)
+    for low, high in w.v_chain:
+        out = out * _unit_quotient(fan, low, high)
+    if not w.u_chain and not w.v_chain:
+        out = out * _unit_quotient(fan, w.row, w.col)
+    return out
+
+
+def unit_element(s: EqStructure) -> dict[tuple[Cone, Cone], LaurentPoly]:
+    """The unit of an equivariant structure, in the f basis."""
+    one = LaurentPoly.one(s.quotient.target_rank)
+    return {(c, c): one for c in s.fan.cones}
+
+
+def is_isomorphism(f: BlockMap) -> bool:
+    """Every block of a module map is square and invertible."""
+    return all(b.is_square() and b.is_invertible() for b in f.blocks.values())
+
+
 def identity_map(m: DiagramModule) -> BlockMap:
     return BlockMap(m, m, {c: QMat.identity(m.dims[c]) for c in m.fan.cones})
 
@@ -130,7 +167,7 @@ def check_relations(m: DiagramModule, report: RelationReport | None = None) -> R
 def chart_normalization(fan: Fan, cone) -> IntMatrix:
     """Unimodular matrix sending the cone's rays to the first basis vectors,
     rays taken in the cone's canonical (sorted index) order."""
-    return complete_to_basis(fan.ray_vectors(fan.require_cone(cone)), rank=fan.rank).inverse()
+    return complete_to_basis(ray_vectors(fan, fan.require_cone(cone)), rank=fan.rank).inverse()
 
 
 def find_isomorphism(ma: DiagramModule, mb: DiagramModule, seed: int = 0, attempts: int = 40) -> BlockMap | None:
@@ -141,7 +178,7 @@ def find_isomorphism(ma: DiagramModule, mb: DiagramModule, seed: int = 0, attemp
     if dim == 0:
         return None if ma.total_dim() else identity_map(ma)
     for f in basis:
-        if f.is_isomorphism():
+        if is_isomorphism(f):
             return f
     rng = random.Random(seed)
     cones = ma.fan.cone_list()
@@ -155,7 +192,7 @@ def find_isomorphism(ma: DiagramModule, mb: DiagramModule, seed: int = 0, attemp
                     acc = acc + f.blocks[c].scale(x)
             blocks[c] = acc
         cand = BlockMap(ma, mb, blocks)
-        if cand.is_isomorphism():
+        if is_isomorphism(cand):
             return cand
     return None
 
@@ -284,6 +321,16 @@ def evaluate_by_entries(x: AlgebraElement, m: DiagramModule, rng: random.Random 
         for i, row in enumerate(block.num):
             total[r0 + i][c0 : c0 + block.n] = [f * a for a in row]
     return QMat._of(tuple(map(tuple, total)), den, n, n)
+
+
+def mat_from_data_by_fractions(flat, rows: int, cols: int, path: str) -> QMat:
+    """The oracle for `serialize._mat_from_data`: the reader that makes one
+    Fraction per entry through `serialize._rational` and places them over the
+    lcm of their denominators; every entry is checked before the count."""
+    es = [serialize._rational(x, path, i) for i, x in enumerate(serialize._list(flat, path))]
+    if len(es) != rows * cols:
+        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(es)} entries")
+    return QMat._of_fractions([es[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
 
 
 def count_calls(monkeypatch, name, *modules):

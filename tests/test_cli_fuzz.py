@@ -7,9 +7,11 @@ drop a field or an entry, change a value's type, put a huge or negative
 integer in its place, give a member a bad cone key, or turn an object into a
 list and a list into an object.  `cli.main` runs in process, so an exception
 escaping it fails the case here.  The module file is run through both
-`mod validate` and `mod repcheck`, which evaluates algebra elements on it,
-and the fan file through both `fan check` and `alg mudelta`, which splits
-and multiplies back members of its corners.
+`mod validate`, `mod repcheck`, which evaluates algebra elements on it, and
+`mod hom`, as either of its two files; the fan file through both `fan check`
+and `alg mudelta`, which splits and multiplies back members of its corners;
+the descent datum through `desc check` and `desc glue`, and the equivariant
+module through `equi validate` and `equi inflate`, which write a module.
 """
 
 import copy
@@ -26,19 +28,26 @@ from hypothesis import strategies as st
 from fanalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-# case id: the golden file and the command run on it
+# case id: the golden file that is mutated and the command run on it, in
+# which FILE stands for the mutated file, OUT for a file the command writes
+# and another .json name for a golden file
+FILE, OUT = "FILE", "OUT"
 CASES = {
-    "fan_p2.json": ("fan_p2.json", ["fan", "check"]),
-    "fan_p2.json-mudelta": ("fan_p2.json", ["--trials", "1", "alg", "mudelta"]),
-    "module_p2.json": ("module_p2.json", ["mod", "validate"]),
-    "module_p2.json-repcheck": ("module_p2.json", ["--trials", "1", "mod", "repcheck"]),
-    "descent_p2.json": ("descent_p2.json", ["desc", "check"]),
-    "eqmodule_c1.json": ("eqmodule_c1.json", ["equi", "validate"]),
+    "fan_p2.json": ("fan_p2.json", ["fan", "check", FILE]),
+    "fan_p2.json-mudelta": ("fan_p2.json", ["--trials", "1", "alg", "mudelta", FILE]),
+    "module_p2.json": ("module_p2.json", ["mod", "validate", FILE]),
+    "module_p2.json-repcheck": ("module_p2.json", ["--trials", "1", "mod", "repcheck", FILE]),
+    "module_p2.json-hom-source": ("module_p2.json", ["mod", "hom", FILE, "module_p2_other.json"]),
+    "module_p2.json-hom-target": ("module_p2.json", ["mod", "hom", "module_p2_other.json", FILE]),
+    "descent_p2.json": ("descent_p2.json", ["desc", "check", FILE]),
+    "descent_p2.json-glue": ("descent_p2.json", ["desc", "glue", FILE, "-o", OUT]),
+    "eqmodule_c1.json": ("eqmodule_c1.json", ["equi", "validate", FILE]),
+    "eqmodule_c1.json-inflate": ("eqmodule_c1.json", ["equi", "inflate", FILE, "-o", OUT]),
 }
 SECONDS_PER_CASE = 5.0
 
 NUMBERS = [-1, 0, 2, 257, 1025, 4097, 2**31, -(2**63), 10**30]
-VALUES = [None, True, "x", "1/0", "", 0.5, 1e300, [], {}, [[]], [None], {"": None}]
+VALUES = [None, True, "x", "1/0", "", 0.5, 1e300, [], {}, [[]], [None], {"": None}, "2/4", "+3", "3/-2", "-0"]
 CONE_KEYS = ["9", "-1", "a", "0,0", "1,0", "0,1,2", " 0", "0|", "|", "0|1|2", "00", ","]
 
 
@@ -98,11 +107,13 @@ def test_mutated_files_keep_the_exit_code_contract(workdir, case, data):
         doc = mutate(doc, path, kind, data)
     target = workdir / name
     target.write_text(json.dumps(doc), encoding="utf-8")
+    paths = {FILE: target, OUT: workdir / "out.json"}
+    argv = [str(paths.get(a, GOLDEN / a if a.endswith(".json") else a)) for a in argv]
     buf = io.StringIO()
     start = time.perf_counter()
     try:
         with redirect_stdout(buf):
-            code = main([*argv, str(target)])
+            code = main(argv)
     except BaseException as e:
         pytest.fail(f"{e!r} escaped main on {json.dumps(doc)[:2000]}")
     elapsed = time.perf_counter() - start

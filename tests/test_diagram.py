@@ -25,7 +25,7 @@ from fanalg.linalg import QMat, random_invertible
 from fanalg.report import Report
 
 from conftest import module_zoo, random_one_ray
-from support import check_relations, find_isomorphism, identity_map, is_morphism, one_ray_module, random_valid_module
+from support import check_relations, find_isomorphism, identity_map, is_isomorphism, is_morphism, one_ray_module, random_valid_module
 
 
 def simple_c_module():
@@ -323,7 +323,7 @@ class TestHom:
         g = {c: random_invertible(m.dims[c], rng) for c in p1_fan.cones}
         m2 = conjugate(m, g)
         iso = find_isomorphism(m, m2)
-        assert iso is not None and iso.is_isomorphism() and is_morphism(iso)
+        assert iso is not None and is_isomorphism(iso) and is_morphism(iso)
 
     def test_endomorphisms_of_a_double_sum(self, p2_fan):
         # both summands have scalar endomorphisms only, so End is 2x2 matrices

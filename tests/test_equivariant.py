@@ -19,7 +19,7 @@ from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
 
-from support import structure_against_algebra
+from support import structure_against_algebra, unit_element
 
 
 class TestQuotientPresentation:
@@ -147,10 +147,10 @@ class TestStructure:
     def test_multiply_in_basis(self, c_fan):
         q = quotient_presentation(q=[[2]])
         s = ag_structure(c_fan, q)
-        one = s.unit_element()
+        one = unit_element(s)
         x = {((0,), ()): LaurentPoly.one(1)}
         assert s.multiply(one, x) == x
-        assert s.multiply(x, s.unit_element()) == x
+        assert s.multiply(x, unit_element(s)) == x
         # f(r|0) f(0|r) = (s^2 - 1) f(r|r)
         y = {((), (0,)): LaurentPoly.one(1)}
         assert s.multiply(x, y) == {((0,), (0,)): binomial((2,))}

@@ -15,7 +15,7 @@ from fanalg.fan import (
 from fanalg.lattice import IntMatrix
 from fanalg.report import Report
 
-from support import chart_normalization
+from support import chart_normalization, ray_vectors
 
 
 class TestBuild:
@@ -127,7 +127,7 @@ class TestChartNormalization:
         for c in p2_fan.cone_list():
             beta = chart_normalization(p2_fan, c)
             assert abs(beta.det()) == 1
-            for j, v in enumerate(p2_fan.ray_vectors(c)):
+            for j, v in enumerate(ray_vectors(p2_fan, c)):
                 assert beta.apply(v) == tuple(1 if i == j else 0 for i in range(2))
 
 

@@ -12,7 +12,7 @@ from fanalg import algebra, descent, diagram, equivariant, lattice, laurent, lin
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, glue, twisted_datum
-from fanalg.diagram import evaluate, hom, rep_check, validate
+from fanalg.diagram import character_module, evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
@@ -361,6 +361,46 @@ def test_the_divisor_table_is_not_part_of_a_fans_identity():
     assert fan == other and hash(fan) == hash(other) == before
 
 
+def test_repeated_validates_sort_the_covering_pairs_once(monkeypatch):
+    # the fan owns its cone order and covering pairs; a module and each
+    # validate of it read them from the fan's tables
+    fan = projective_plane_fan()
+    sorts = []
+
+    def counted(items, **kwargs):
+        items = list(items)
+        first = items[0] if items else None
+        if isinstance(first, tuple):
+            sorts.append("pairs" if first and isinstance(first[0], tuple) else "cones")
+        return sorted(items, **kwargs)
+
+    monkeypatch.setattr(fanmod, "sorted", counted, raising=False)
+    m = random_valid_module(fan, random.Random(9), summands=2)
+    for _ in range(3):
+        assert validate(m).ok
+    assert (sorts.count("cones"), sorts.count("pairs")) == (1, 1)
+
+
+def test_the_cone_tables_are_not_part_of_a_fans_identity():
+    fan, other = projective_plane_fan(), projective_plane_fan()
+    before = hash(other)
+    cones, pairs = fan.cone_list(), fanmod.covering_pairs(fan)
+    assert fan.cone_of_key("0,1") == (0, 1)
+    assert None not in (fan._order, fan._pairs, fan._by_key)
+    assert (other._order, other._pairs, other._by_key) == (None, None, None)
+    assert fan == other and hash(fan) == hash(other) == before
+    # readers get fresh lists, so a caller cannot change the tables
+    cones.clear()
+    pairs.clear()
+    assert fan.cone_list() == other.cone_list() and fanmod.covering_pairs(fan) == fanmod.covering_pairs(other)
+    sub = fan.subfan((0, 1))
+    assert (sub._order, sub._pairs, sub._by_key) == (None, None, None)
+    assert sub.cone_list() == [(), (0,), (1,), (0, 1)]
+    assert fanmod.covering_pairs(sub) == [((), (0,), 0), ((), (1,), 1), ((0,), (0, 1), 1), ((1,), (0, 1), 0)]
+    with pytest.raises(ValueError, match="unknown cone"):
+        sub.cone_of_key("2")
+
+
 def test_result_guards_are_not_assert_statements():
     # python -O strips assert statements; guards must raise explicitly
     src = Path(fanalg.__file__).parent
@@ -412,14 +452,11 @@ def test_built_numbers_are_not_coerced_again(p2_fan, coercions):
 
 
 def test_public_constructors_and_files_still_coerce(p2_fan, coercions):
-    m = random_valid_module(p2_fan, random.Random(8), summands=2)
-    data = serialize.module_to_data(m)
     uses = {
         "QMat": lambda: QMat([["1/2", 3]]),
         "QMat.from_flat": lambda: QMat.from_flat(1, 2, ["1/2", 3]),
         "QMat.diagonal": lambda: QMat.diagonal([1, "2/3"]),
         "LaurentPoly": lambda: LaurentPoly(1, [((1,), "1/2")]),
-        "module file": lambda: serialize.module_from_data(data, p2_fan),
     }
     for name, use in uses.items():
         coercions.clear()
@@ -427,7 +464,20 @@ def test_public_constructors_and_files_still_coerce(p2_fan, coercions):
         assert coercions, name
     assert QMat([["1/2", 3]]).rows == ((Fraction(1, 2), Fraction(3)),)
     assert QMat.from_flat(1, 2, ["1/2", 3]) == QMat([["1/2", 3]])
+    # a file's entries in the form str(Fraction) writes are read straight into
+    # integers; any other entry is coerced
+    m = random_valid_module(p2_fan, random.Random(8), summands=2)
+    data = serialize.module_to_data(m)
+    coercions.clear()
     assert serialize.module_from_data(data, p2_fan) == m
+    assert coercions == []
+    m = character_module(p2_fan, [Fraction(3), Fraction(1, 2)])
+    data = serialize.module_to_data(m)
+    assert data["torus"][""] == [["3"], ["1/2"]]
+    data["torus"][""] = [["+3"], ["2/4"]]
+    coercions.clear()
+    assert serialize.module_from_data(data, p2_fan) == m
+    assert len(coercions) == 2
 
 
 def test_public_constructors_reject_ragged_and_float_input():

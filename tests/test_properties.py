@@ -19,7 +19,9 @@ determinants, inverses, rref and nullspaces, against a dense Gauss-Jordan
 oracle and a sympy oracle when sympy is present, also on integers up to
 10^40, on tall rank-deficient systems like those of `hom` and where the
 fraction-free elimination's pivot value is negative; matrix entries read
-from files as `Fraction(str(x))` reads them, with the same errors;
+from files as `Fraction(str(x))` reads them, with the same errors, and
+whole matrices read straight into integers against the Fraction-based
+reader, with the same errors;
 evaluation as a representation on modules with warm and cold caches, and
 against an entry-by-entry QMat oracle on valid and corrupted modules and on
 modules with zero-dimensional spaces; linearity of evaluation, on which
@@ -49,10 +51,13 @@ from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, 
 
 from support import (
     evaluate_by_entries,
+    expand,
     generator_equations,
+    is_isomorphism,
     is_morphism,
     left_factor,
     linear_combination,
+    mat_from_data_by_fractions,
     mu_by_products,
     mul_by_terms,
     random_valid_module,
@@ -214,7 +219,7 @@ def test_factorization_words_expand_to_their_entries(name, seed):
         words = factorize(x, rng)
         assert [(w.row, w.col) for w in words] == sorted(x.quotients)
         for w in words:
-            assert w.expand(fan) == AlgebraElement._divided(fan, {(w.row, w.col): x.quotients[(w.row, w.col)]})
+            assert expand(w, fan) == AlgebraElement._divided(fan, {(w.row, w.col): x.quotients[(w.row, w.col)]})
 
 
 @settings(SETTINGS, max_examples=8)
@@ -793,6 +798,51 @@ def test_a_matrix_entry_reads_as_the_fraction_of_its_string(x):
         assert str(err.value) == f'$.torus[""][0][0]: expected a rational, {want}'
 
 
+LONG = "7" * 4301  # one digit past the interpreter's default limit for int()
+# entries that Fraction reads but that str(Fraction) does not write, and a
+# numeral at the digit limit
+READABLE_STRINGS = ("2/4", "+3", "-0", "007", "0/5", "3/1", "-6/4", " 3", "06/04", "1e3", "0.5", "\u0663", LONG[1:], "1/" + LONG[1:])
+UNREADABLE = ("1/0", "0/0", "3/-2", "x", "", "nan", LONG, "-" + LONG, "1/" + LONG, True, None, [], {"1": 2})
+readable_entries = st.one_of(
+    st.integers(),
+    st.fractions().map(str),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(READABLE_STRINGS),
+)
+
+
+@st.composite
+def flat_matrices(draw):
+    """A shape and a row-major list of mostly readable entries, one of which
+    may be replaced by any entry, whose length may be one off the shape."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n = max(0, rows * cols + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    flat = draw(st.lists(readable_entries, min_size=n, max_size=n))
+    if flat and draw(st.booleans()):
+        flat[draw(st.integers(0, n - 1))] = draw(st.one_of(st.sampled_from(UNREADABLE), matrix_entries))
+    return flat, rows, cols
+
+
+def read_or_error(reader, flat, rows, cols):
+    try:
+        return reader(flat, rows, cols, "$.m")
+    except ValueError as e:
+        return str(e)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(flat_matrices())
+@example((["2/4", "+3", "-0", "3/1"], 2, 2))
+@example((["1/2", "1/0"], 1, 2))
+@example(([LONG], 1, 1))
+@example((["1", "2", "3"], 1, 2))
+def test_matrices_read_straight_into_integers_match_the_fraction_reader(case):
+    got = read_or_error(serialize._mat_from_data, *case)
+    assert got == read_or_error(mat_from_data_by_fractions, *case)
+    if isinstance(got, QMat):
+        assert all(type(x) is int for row in got.num for x in row) and type(got.den) is int
+
+
 def basic_modules(fan):
     """A point module at any cone, or a character with small nonzero values."""
     points = st.sampled_from(fan.cone_list()).map(lambda c: point_module(fan, c))
@@ -1003,7 +1053,7 @@ def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(na
     for sigma in fan.maximal:
         sub = restrict(glued, sigma)
         f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
-        assert f.is_isomorphism() and is_morphism(f)
+        assert is_isomorphism(f) and is_morphism(f)
 
 
 # quotient matrices Q by the rank of the fan they act on: the identity, a
