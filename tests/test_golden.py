@@ -4,8 +4,9 @@ golden/ holds the input files and, per case in cases.json, the argv, the exit
 code and the stdout, recorded before the code they pin was changed: the alg
 cases before algebra elements were kept in divided form, the `mod relations`
 and `equi present` cases before matrix files were read straight into integers
-and fans kept their cone tables, the others before every check result became
-a Report.  Arguments ending in .json name files in golden/.
+and fans kept their cone tables, the two `characters` quotient cases before a
+quotient stopped carrying its Smith data, the others before every check result
+became a Report.  Arguments ending in .json name files in golden/.
 """
 
 import io
