@@ -30,6 +30,7 @@ from fanalg.descent import check_cocycle, glue
 from fanalg.diagram import dupont_demo, hom, relation_report, rep_check, validate
 from fanalg.equivariant import ag_structure, associativity_report, inflate, validate_equivariant
 from fanalg.fan import build_fan, cone_key, covering_pairs, fan_report, projective_line_fan, standard_fan
+from fanalg.lattice import snf
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.report import Rejected, Report
 
@@ -245,15 +246,16 @@ def cmd_desc_glue(args) -> int:
 
 
 def cmd_equi_present(args) -> int:
-    q = serialize.quotient_from_data(_load_json(args.spec))
-    print(f"quotient map: {q.target_rank} x {q.source_rank}")
-    for row in q.q.entries:
+    q = serialize.quotient_from_data(_load_json(args.spec)).q
+    u, dmat, v = snf(q)
+    print(f"quotient map: {q.rows} x {q.cols}")
+    for row in q.entries:
         print("Q " + " ".join(str(x) for x in row))
-    print("invariant factors d_i: " + (" ".join(str(x) for x in q.d) if q.d else "(none)"))
+    print("invariant factors d_i: " + (" ".join(str(dmat[i, i]) for i in range(q.rows)) or "(none)"))
     print("coordinates: z_i -> u_i^d_i after the recorded unimodular changes")
-    for row in q.row_transform.entries:
+    for row in u.entries:
         print("U " + " ".join(str(x) for x in row))
-    for row in q.col_transform.entries:
+    for row in v.entries:
         print("V " + " ".join(str(x) for x in row))
     return PASS
 

@@ -2,10 +2,10 @@
 
 A closed subgroup of the torus is presented by the induced map Q of
 cocharacter lattices, either directly or through the characters cutting the
-subgroup out.  The Smith form of Q supplies the diagonal presentation: in
-suitable coordinates the quotient map raises the i-th coordinate to the
-power d_i, discrete factors contributing roots of monodromy and connected
-factors killing it.
+subgroup out.  A quotient is Q alone, checked once to have full row rank,
+and every reader pushes monodromy exponents through Q.  Its Smith form, in
+which the quotient map raises the i-th coordinate to the power d_i, is built
+only where it is printed, by `fanalg equi present`.
 
 The base-changed algebra is kept abstract: a free module on the basis
 elements f(sigma, tau) = (forced divisor) E(sigma, tau) with structure
@@ -25,19 +25,16 @@ from fanalg.diagram import DiagramModule, axiom_report
 from fanalg.fan import Cone, Fan, cone_key
 from fanalg.lattice import IntMatrix, Vec, _vec, snf
 from fanalg.laurent import LaurentPoly, monomial_map
-from fanalg.linalg import QMat
+from fanalg.linalg import QMat, _echelon
 from fanalg.report import Report
 
 
 @dataclass(frozen=True)
 class QuotientData:
     """Full-row-rank integer matrix presenting the quotient of cocharacter
-    lattices, with its Smith data U @ Q @ V = D and the invariants d_i."""
+    lattices; `quotient_presentation` checks the rank."""
 
     q: IntMatrix
-    d: tuple[int, ...]
-    row_transform: IntMatrix
-    col_transform: IntMatrix
 
     @property
     def source_rank(self) -> int:
@@ -87,11 +84,9 @@ def quotient_presentation(
             raise ValueError("rank required for an empty matrix")
         q = IntMatrix(rows, shape=(len(rows), rank))
 
-    u, dmat, v = snf(q)
-    d = tuple(dmat[i, i] for i in range(min(q.rows, q.cols)))
-    if len(d) < q.rows or any(x == 0 for x in d):
+    if len(_echelon(q.entries)[0]) < q.rows:
         raise ValueError("rank-deficient Q: the quotient map must be onto a torus")
-    return QuotientData(q, d, u, v)
+    return QuotientData(q)
 
 
 @dataclass(frozen=True)

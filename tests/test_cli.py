@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -618,6 +619,19 @@ class TestSizeBounds:
         assert code == 0, out
         code, out = run(["equi", "present", write_json(tmp_path / "chars.json", {"characters": [[1024, -1024]]})])
         assert code == 0, out
+
+    def test_a_large_quotient_is_read_in_well_under_a_second(self, tmp_path):
+        # reading Q checks its rank by fraction-free elimination and builds no
+        # Smith transforms, whose entries grow to thousands of digits on a
+        # random Q of this size; with them, this read took over 30 s
+        rng = random.Random(64)
+        q = [[rng.randint(-1024, 1024) for _ in range(64)] for _ in range(64)]
+        eq = {"fan": {"rank": 64, "rays": [], "max_cones": [[]]}, "quotient": {"Q": q},
+              "spaces": {"": 1}, "torus": {"": [["1"]] * 64}}
+        path = write_json(tmp_path / "eq.json", eq)
+        start = time.perf_counter()
+        assert run(["equi", "validate", path]) == (0, "equi validate: SUMMARY: pass\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_quotient_ranks_past_the_limit_are_input_errors(self, tmp_path):
         # the Smith form of an r x n matrix builds r x r and n x n transforms

@@ -15,7 +15,7 @@ from fanalg.equivariant import (
     validate_equivariant,
 )
 from fanalg.fan import cone_key
-from fanalg.lattice import IntMatrix
+from fanalg.lattice import IntMatrix, elementary_divisors, snf
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
 
@@ -26,22 +26,23 @@ class TestQuotientPresentation:
     def test_cyclic_subgroup(self):
         q = quotient_presentation(characters=[[5]])
         assert q.q == IntMatrix([[5]])
-        assert q.d == (5,)
+        assert elementary_divisors(q.q) == [5]
 
     def test_whole_torus(self):
         q = quotient_presentation(characters=[], rank=2)
         assert q.q.rows == 0 and q.q.cols == 2
-        assert q.d == ()
+        assert elementary_divisors(q.q) == []
 
     def test_trivial_subgroup(self):
         q = quotient_presentation(characters=[[1, 0], [0, 1]])
         assert q.q == IntMatrix.identity(2)
-        assert q.d == (1, 1)
+        assert elementary_divisors(q.q) == [1, 1]
 
     def test_direct_matrix(self):
         q = quotient_presentation(q=[[2, 0], [0, 3]])
-        assert q.d == (1, 6)
-        assert q.row_transform @ q.q @ q.col_transform == IntMatrix([[1, 0], [0, 6]])
+        u, d, v = snf(q.q)
+        assert elementary_divisors(q.q) == [1, 6]
+        assert u @ q.q @ v == d == IntMatrix([[1, 0], [0, 6]])
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError, match="rank-deficient"):
@@ -53,13 +54,14 @@ class TestQuotientPresentation:
         # subgroup cut out by t1^2 t2^2 = 1: one circle factor and a 2-torsion part
         q = quotient_presentation(characters=[[2, 2]])
         assert q.q.rows == 1
-        assert q.d == (2,)
+        assert elementary_divisors(q.q) == [2]
         assert q.q.apply((1, -1)) == (0,)
 
     def test_smith_presentation_invariants(self):
         q = quotient_presentation(q=[[4, 6], [2, 2]])
-        assert len(q.d) == 2 and all(x >= 1 for x in q.d)
-        assert q.d[1] % q.d[0] == 0
+        d = elementary_divisors(q.q)
+        assert len(d) == 2 and all(x >= 1 for x in d)
+        assert d[1] % d[0] == 0
 
 
 class TestStructure:
@@ -107,7 +109,7 @@ class TestStructure:
 
     def test_mixed_rank_two_quotient(self, c2_fan):
         qd = quotient_presentation(q=[[1, 1], [0, 2]])
-        assert qd.d == (1, 2)
+        assert elementary_divisors(qd.q) == [1, 2]
         s = ag_structure(c2_fan, qd)
         # monodromy images: column j of Q gives the exponent of the j-th loop
         assert s.constant((0,), (), (0,)) == binomial((1, 0))

@@ -1,14 +1,17 @@
 """The check policy: each property is checked once, where data enters."""
 
 import ast
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fanalg
-from fanalg import algebra, descent, diagram, equivariant, lattice, laurent, linalg, serialize
+from fanalg import algebra, cli, descent, diagram, equivariant, lattice, laurent, linalg, serialize
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, glue, twisted_datum
@@ -20,6 +23,8 @@ from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_
 from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
 
 from support import count_calls, mul_by_terms, random_valid_module
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -399,6 +404,24 @@ def test_the_cone_tables_are_not_part_of_a_fans_identity():
     assert fanmod.covering_pairs(sub) == [((), (0,), 0), ((), (1,), 1), ((0,), (0, 1), 1), ((1,), (0, 1), 0)]
     with pytest.raises(ValueError, match="unknown cone"):
         sub.cone_of_key("2")
+
+
+def test_only_equi_present_builds_smith_data(tmp_path, monkeypatch):
+    # a quotient is its full-row-rank Q: reading one checks the rank by
+    # elimination, and only `equi present` builds the Smith form it prints
+    data = json.loads((GOLDEN / "eqmodule_c1.json").read_text(encoding="utf-8"))
+    fan = serialize.fan_from_data(data["fan"])
+    calls = count_calls(monkeypatch, "snf", lattice, equivariant, cli)
+    spec = {"Q": [[2, 0, 1], [1, 3, 0]]}
+    assert serialize.quotient_from_data(spec).q == IntMatrix([[2, 0, 1], [1, 3, 0]])
+    assert serialize.eq_module_from_data(data, fan).quotient.q == IntMatrix([[2]])
+    assert calls == []
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["equi", "present", str(path)]) == 0
+    assert calls == ["snf"]
+    assert "invariant factors d_i: 1 1\n" in out.getvalue()
 
 
 def test_result_guards_are_not_assert_statements():
