@@ -246,17 +246,17 @@ def cmd_desc_glue(args) -> int:
 
 
 def cmd_equi_present(args) -> int:
+    """Print Q and its Smith form U @ Q @ V = D.  The report is built before
+    any of it is printed, so a failure half way leaves no partial report."""
     q = serialize.quotient_from_data(_load_json(args.spec)).q
     u, dmat, v = snf(q)
-    print(f"quotient map: {q.rows} x {q.cols}")
-    for row in q.entries:
-        print("Q " + " ".join(str(x) for x in row))
-    print("invariant factors d_i: " + (" ".join(str(dmat[i, i]) for i in range(q.rows)) or "(none)"))
-    print("coordinates: z_i -> u_i^d_i after the recorded unimodular changes")
-    for row in u.entries:
-        print("U " + " ".join(str(x) for x in row))
-    for row in v.entries:
-        print("V " + " ".join(str(x) for x in row))
+    d = " ".join(str(dmat[i, i]) for i in range(q.rows))
+    lines = [f"quotient map: {q.rows} x {q.cols}"]
+    lines += ["Q " + " ".join(map(str, row)) for row in q.entries]
+    lines += [f"invariant factors d_i: {d or '(none)'}", "coordinates: z_i -> u_i^d_i after the recorded unimodular changes"]
+    lines += ["U " + " ".join(map(str, row)) for row in u.entries]
+    lines += ["V " + " ".join(map(str, row)) for row in v.entries]
+    print("\n".join(lines))
     return PASS
 
 

@@ -258,6 +258,24 @@ class TestEquivariantCommands:
         code, out = run(["equi", "present", path])
         assert code == 0 and "invariant factors d_i: 1 6" in out
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the integer string limit needs Python 3.11")
+    def test_present_prints_no_partial_report(self, tmp_path):
+        # the transforms of a random 20 x 20 Q have entries of over a thousand
+        # digits; past the interpreter's limit for printing an integer the
+        # command fails before it prints any line of its report
+        rng = random.Random(20)
+        path = write_json(tmp_path / "q.json", {"Q": [[rng.randint(-1024, 1024) for _ in range(20)] for _ in range(20)]})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(["equi", "present", path])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out.startswith("ERROR\tinput\t"), out[:200]
+        assert not any(line.startswith("Q ") for line in out.splitlines())
+        code, out = run(["equi", "present", path])
+        assert code == 0 and out.count("\nQ ") == 20
+
     def test_structure(self, tmp_path, c_fan):
         fan_path = write_json(tmp_path / "c.json", serialize.fan_to_data(c_fan))
         q_path = write_json(tmp_path / "q.json", {"Q": [[2]]})
