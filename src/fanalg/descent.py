@@ -45,8 +45,10 @@ class DescentDatum:
         return self.glue_maps[(sigma, tau)][rho]
 
 
-def _overlap_cones(fan: Fan, sigma: Cone, tau: Cone) -> list[Cone]:
-    common = tuple(sorted(set(sigma) & set(tau)))
+def _overlap_cones(fan: Fan, *charts: Cone) -> list[Cone]:
+    """The faces of the cone common to the charts; none when their common
+    rays span no cone of the fan."""
+    common = tuple(sorted(set(charts[0]).intersection(*charts[1:])))
     return fan.faces_of(common) if fan.is_cone(common) else []
 
 
@@ -64,11 +66,20 @@ def _pair_at(sigma: Cone, tau: Cone, lo: Cone, hi: Cone) -> str:
 
 def check_cocycle(d: DescentDatum) -> Report:
     """Well-formedness, intertwining, inverse pairs, and the triple condition;
-    products are compared without being built, and a location is built only
-    for a finding."""
+    products are compared without being built, a location is built only for a
+    finding, and the faces common to each pair and each triple of charts are
+    listed once per call."""
     rep = Report()
     fan = d.fan
     maxc = list(fan.maximal)
+    faces: dict[frozenset, list[Cone]] = {}
+
+    def overlap(*charts: Cone) -> list[Cone]:
+        key = frozenset(charts)
+        if key not in faces:
+            faces[key] = _overlap_cones(fan, *charts)
+        return faces[key]
+
     for sigma in maxc:
         if sigma not in d.charts:
             rep.add("chart", f"({cone_key(sigma)})", "missing chart module")
@@ -87,7 +98,7 @@ def check_cocycle(d: DescentDatum) -> Report:
                 rep.add("glue", f"({cone_key(sigma)})->({cone_key(tau)})", "missing gluing map")
                 continue
             blocks = d.glue_maps[(sigma, tau)]
-            for rho in _overlap_cones(fan, sigma, tau):
+            for rho in overlap(sigma, tau):
                 if rho not in blocks:
                     rep.add("glue", _block_at(sigma, tau, rho), "missing block")
                     continue
@@ -107,9 +118,9 @@ def check_cocycle(d: DescentDatum) -> Report:
             if sigma == tau:
                 continue
             ms, mt = d.charts[sigma], d.charts[tau]
-            overlap = _overlap_cones(fan, sigma, tau)
-            oset = set(overlap)
-            for rho in overlap:
+            common = overlap(sigma, tau)
+            oset = set(common)
+            for rho in common:
                 phi = d.glue_block(sigma, tau, rho)
                 for j in range(ms.nt):
                     if not _products_equal(phi, ms.torus[rho][j], mt.torus[rho][j], phi):
@@ -126,7 +137,7 @@ def check_cocycle(d: DescentDatum) -> Report:
         for tau in maxc:
             if sigma >= tau:
                 continue
-            for rho in _overlap_cones(fan, sigma, tau):
+            for rho in overlap(sigma, tau):
                 fwd = d.glue_block(sigma, tau, rho)
                 bwd = d.glue_block(tau, sigma, rho)
                 if not _is_product(QMat.identity(fwd.n), bwd, fwd):
@@ -142,11 +153,7 @@ def check_cocycle(d: DescentDatum) -> Report:
             for omega in maxc:
                 if len({sigma, tau, omega}) < 3:
                     continue
-                triple = set(sigma) & set(tau) & set(omega)
-                base = tuple(sorted(triple))
-                if not d.fan.is_cone(base):
-                    continue
-                for rho in d.fan.faces_of(base):
+                for rho in overlap(sigma, tau, omega):
                     direct = d.glue_block(sigma, omega, rho)
                     if not _is_product(direct, d.glue_block(tau, omega, rho), d.glue_block(sigma, tau, rho)):
                         rep.add(

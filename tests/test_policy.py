@@ -6,6 +6,7 @@ import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random
 from fanalg.descent import check_cocycle, glue, twisted_datum
 from fanalg.diagram import character_module, evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
-from fanalg.fan import projective_plane_fan
+from fanalg.fan import Fan, projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
 from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
@@ -404,6 +405,17 @@ def test_the_cone_tables_are_not_part_of_a_fans_identity():
     assert fanmod.covering_pairs(sub) == [((), (0,), 0), ((), (1,), 1), ((0,), (0, 1), 1), ((1,), (0, 1), 0)]
     with pytest.raises(ValueError, match="unknown cone"):
         sub.cone_of_key("2")
+
+
+def test_the_cocycle_check_lists_each_overlap_once(p2_fan, f1_fan, monkeypatch):
+    # three loops read each pair of charts and six orderings each triple, but
+    # the faces common to a pair or a triple are listed once per call
+    for fan, charts in ((p2_fan, 3), (f1_fan, 4)):
+        d = twisted_datum(random_valid_module(fan, random.Random(3)), random.Random(4))
+        calls = count_calls(monkeypatch, "faces_of", Fan)
+        assert check_cocycle(d).ok
+        assert len(calls) == comb(charts, 2) + comb(charts, 3)
+        monkeypatch.undo()
 
 
 def test_only_equi_present_builds_smith_data(tmp_path, monkeypatch):
