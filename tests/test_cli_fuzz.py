@@ -8,10 +8,12 @@ integer in its place, give a member a bad cone key, or turn an object into a
 list and a list into an object.  `cli.main` runs in process, so an exception
 escaping it fails the case here.  The module file is run through both
 `mod validate`, `mod repcheck`, which evaluates algebra elements on it, and
-`mod hom`, as either of its two files; the fan file through both `fan check`
-and `alg mudelta`, which splits and multiplies back members of its corners;
-the descent datum through `desc check` and `desc glue`, and the equivariant
-module through `equi validate` and `equi inflate`, which write a module.
+`mod hom`, as either of its two files; the fan file through `fan check`,
+`alg mudelta`, which splits and multiplies back members of its corners, and
+`equi structure`; the descent datum through `desc check` and `desc glue`; the
+equivariant module through `equi validate` and `equi inflate`, which write a
+module; and a quotient, given by Q or by cutting characters, through `equi
+present`, and by Q as the second file of `equi structure`.
 """
 
 import copy
@@ -43,6 +45,10 @@ CASES = {
     "descent_p2.json-glue": ("descent_p2.json", ["desc", "glue", FILE, "-o", OUT]),
     "eqmodule_c1.json": ("eqmodule_c1.json", ["equi", "validate", FILE]),
     "eqmodule_c1.json-inflate": ("eqmodule_c1.json", ["equi", "inflate", FILE, "-o", OUT]),
+    "fan_p2.json-structure": ("fan_p2.json", ["equi", "structure", FILE, "quotient.json"]),
+    "quotient.json": ("quotient.json", ["equi", "present", FILE]),
+    "quotient.json-structure": ("quotient.json", ["equi", "structure", "fan_p2.json", FILE]),
+    "quotient_characters.json": ("quotient_characters.json", ["equi", "present", FILE]),
 }
 SECONDS_PER_CASE = 5.0
 
