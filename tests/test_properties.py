@@ -28,8 +28,8 @@ modules with zero-dimensional spaces; linearity of evaluation, on which
 `rep_check` relies to compare only products; algebra products against the
 term-by-term LaurentPoly product; hom between character and point modules,
 and hom as the solution space of the intertwining equations of the
-generators' images; and the Smith normal form, against a sympy oracle when
-sympy is present."""
+generators' images; and the Smith and row Hermite normal forms, against
+sympy oracles when sympy is present."""
 
 import random
 from fractions import Fraction
@@ -44,7 +44,7 @@ from fanalg.descent import _chart_of, glue, restrict, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
 from fanalg.fan import covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
-from fanalg.lattice import IntMatrix, primitive, snf
+from fanalg.lattice import IntMatrix, hnf_rows, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
@@ -1123,3 +1123,18 @@ def test_snf_agrees_with_sympy(sympy, rows, cols, data):
     theirs = smith_normal_form(sympy.Matrix(rows, cols, flat), domain=sympy.ZZ)
     # invariant factors are defined up to sign
     assert [d[i, i] for i in range(min(rows, cols))] == [abs(theirs[i, i]) for i in range(min(rows, cols))]
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(1, 5), st.data())
+def test_hnf_rows_agrees_with_sympy(sympy, rows, cols, data):
+    # sympy's Hermite form of the transpose has columns spanning the row
+    # lattice, and hnf_rows is canonical, so both bases give the same rows;
+    # the inputs stay small, since hnf_rows lets its entries grow
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    flat = data.draw(st.lists(st.integers(-20, 20), min_size=rows * cols, max_size=rows * cols))
+    mat = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+    theirs = hermite_normal_form(sympy.Matrix(rows, cols, flat).T)
+    columns = [[int(theirs[i, j]) for i in range(theirs.rows)] for j in range(theirs.cols)]
+    assert hnf_rows(mat) == hnf_rows(columns)
