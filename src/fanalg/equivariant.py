@@ -54,7 +54,8 @@ def quotient_presentation(
 
     The lattice of characters vanishing on the subgroup is the row lattice of
     the character matrix; its Hermite-style basis, read off the Smith form,
-    gives the rows of Q.
+    gives the rows of Q.  Q is checked once to have full row rank, by
+    counting the rows that fraction-free elimination keeps.
     """
     if (q is None) == (characters is None):
         raise ValueError("provide exactly one of a quotient matrix or characters")

@@ -336,7 +336,9 @@ def _rank(x, path: str) -> int:
 def _lattice_rows(x, path: str) -> list[list[int]]:
     """The rows of Q or of the cutting characters, with entries bounded as
     coordinates.  The Smith form of an r x n matrix builds r x r and n x n
-    transforms, so r and n are bounded like a space dimension."""
+    transforms, so r and n are bounded like a space dimension; it is built
+    only by `equi present` and, for the character matrix, by the
+    `characters` path of `quotient_presentation`."""
     rows = _coord_rows(x, path)
     if len(rows) > MAX_SPACE_DIM:
         raise ValueError(f"{path}: expected at most {MAX_SPACE_DIM} rows, got {len(rows)}")
