@@ -21,6 +21,15 @@ denominators, with no gcd pass and no new matrix, stopping at the first
 entry that differs.  Both iterate over the shapes, so a product through a
 zero-dimensional middle space is compared as the zero matrix it is.
 
+Rank-one objects, such as a character on every cone, have 1x1 blocks only,
+and most operands of the checks in descent and validation are 1x1.  So the
+kernels choose a scalar path by shape: for 1x1 operands `_products_equal` and
+`_is_product` compare cross-multiplied integers, `@` multiplies the two
+entries and reduces by one gcd, `is_invertible` tests the entry against zero
+and `inverse` returns den / x with the sign on the numerator; a 1x1 inverse
+or invertibility test makes no `_echelon` call.  Each returns the canonical
+`QMat` the general path gives, and raises the same errors.
+
 `_combination_times` is the one kernel of `diagram.evaluate`: it returns
 (sum of c * a) @ b for integer coefficients c as integer rows over a
 denominator, with no gcd pass and no new matrix, so that `evaluate` places
@@ -199,6 +208,10 @@ class QMat:
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
+        if self.m == self.n == other.n == 1:
+            p, d = self.num[0][0] * other.num[0][0], self.den * other.den
+            g = gcd(p, d)
+            return QMat._of(((p // g,),), d // g, 1, 1)
         cols = _columns(other)
         out = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num)
         return QMat._reduced(out, self.den * other.den, self.m, other.n)
@@ -231,12 +244,19 @@ class QMat:
         return Q(-d if swaps % 2 else d, self.den**self.m)
 
     def is_invertible(self) -> bool:
+        if self.m == self.n == 1:
+            return self.num[0][0] != 0
         return self.is_square() and len(_echelon(self.num)[0]) == self.m
 
     def inverse(self) -> "QMat":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.m
+        if n == 1:
+            x = self.num[0][0]
+            if not x:
+                raise ValueError("matrix is singular")
+            return QMat._of(((self.den if x > 0 else -self.den,),), abs(x), 1, 1)
         # (num / den)^-1 = den * num^-1, and [num | den I] reduces to [I | den * num^-1]
         # exactly when num is invertible; [num | den I] always has rank n
         held, d = _echelon(a + e for a, e in zip(self.num, _eye(n, self.den)))
@@ -276,6 +296,8 @@ def _products_equal(a: QMat, b: QMat, c: QMat, d: QMat) -> bool:
     if a.m != c.m or b.n != d.n:
         return False
     f, g = c.den * d.den, a.den * b.den
+    if a.m == a.n == b.n == c.n == 1:
+        return f * a.num[0][0] * b.num[0][0] == g * c.num[0][0] * d.num[0][0]
     bcols, dcols = _columns(b), _columns(d)
     for ra, rc in zip(a.num, c.num):
         for cb, cd in zip(bcols, dcols):
@@ -294,6 +316,8 @@ def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
         return False
     g, dx = a.den * b.den, x.den
     s = g if plus_identity else 0
+    if x.m == x.n == a.n == 1:
+        return x.num[0][0] * g == (a.num[0][0] * b.num[0][0] + s) * dx
     bcols = _columns(b)
     for i, (rx, ra) in enumerate(zip(x.num, a.num)):
         for j, (e, cb) in enumerate(zip(rx, bcols)):

@@ -7,9 +7,11 @@ zero cone.  parse(serialize(x)) must reproduce x exactly.
 The readers do each piece of work once.  A matrix entry that is an int or a
 string in the form `str(Fraction)` writes is read straight into integers, and
 each matrix is built as integer rows over the lcm of its denominators,
-reduced once; any other entry goes through the one rational coercion,
-`linalg._frac`, so the reader accepts the values and reports the errors that
-`Fraction` parsing gives.  The path of a matrix entry is formatted only for
+reduced once; a 1x1 matrix of one canonical entry, the block of a rank-one
+object, is built from that entry as it stands, which is already in lowest
+terms.  Any other entry goes through the one rational coercion,
+`linalg._frac`, so the reader accepts the values and reports the errors
+that `Fraction` parsing gives.  The path of a matrix entry is formatted only for
 an error.  A cone key is looked up in the table of canonical keys that the
 fan owns for its lifetime (`Fan.cone_of_key`); any other key is parsed and
 checked.
@@ -206,11 +208,16 @@ def _canonical(x) -> tuple[int, int] | None:
 def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
     """The rows x cols matrix of a row-major list of rationals, held as
     integer rows over the lcm of the entries' denominators and reduced once.
-    Ints and canonical strings are read straight into integers; any other
-    entry goes through `_rational`.  Every entry is checked before the
-    count."""
+    Ints and canonical strings are read straight into integers, and one
+    such entry of a 1x1 matrix is its canonical form; any other entry goes
+    through `_rational`.  Every entry is checked before the count."""
+    flat = _list(flat, path)
+    if rows == cols == 1 and len(flat) == 1:
+        pq = _canonical(flat[0])
+        if pq is not None:
+            return QMat._of(((pq[0],),), pq[1], 1, 1)
     nums, dens = [], []
-    for i, x in enumerate(_list(flat, path)):
+    for i, x in enumerate(flat):
         pq = _canonical(x)
         if pq is None:
             f = _rational(x, path, i)

@@ -179,12 +179,19 @@ def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
     first = evaluate(x, m)
     chains = count_calls(monkeypatch, "covering_chain", algebra, diagram)
     monodromies = count_calls(monkeypatch, "monodromy", diagram.DiagramModule)
-    products = count_calls(monkeypatch, "__matmul__", QMat)
     reductions = count_calls(monkeypatch, "_reduced", QMat)
+    reducing_products = []
+    matmul = QMat.__matmul__
+
+    def counted(a, b):
+        reducing_products.append((a.m, a.n, b.n) != (1, 1, 1))  # a 1x1 product reduces by one gcd of its own
+        return matmul(a, b)
+
+    monkeypatch.setattr(QMat, "__matmul__", counted)
     assert evaluate(x, m) == first
     distinct = {(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num}
     assert len(distinct) < sum(len(y.num) for y in x.quotients.values())  # some monodromy repeats
-    counts = (len(chains), len(monodromies), len(reductions) - len(products))
+    counts = (len(chains), len(monodromies), len(reductions) - sum(reducing_products))
     assert counts == (0, len(distinct), 1)
 
 
@@ -249,6 +256,26 @@ def test_every_elimination_is_one_echelon_call(monkeypatch):
         use()
         counts[name] = len(calls)
     assert counts == dict.fromkeys(uses, 1)
+
+
+def test_one_by_one_matrices_take_the_scalar_path(monkeypatch):
+    # a rank-one block is compared, multiplied, inverted and read as one number:
+    # no columns, no elimination and no gcd pass over rows
+    def general_path(*args):
+        raise AssertionError("a 1x1 operand took the general path")
+
+    monkeypatch.setattr(linalg, "_columns", general_path)
+    monkeypatch.setattr(linalg, "_echelon", general_path)
+    monkeypatch.setattr(QMat, "_reduced", general_path)
+    a, b, zero = QMat([["-2/3"]]), QMat([["-3/2"]]), QMat([[0]])
+    assert serialize._mat_from_data(["-2/3"], 1, 1, "$.m") == a
+    assert a @ b == QMat.identity(1) and a @ zero == zero
+    assert linalg._products_equal(a, b, b, a) and not linalg._products_equal(a, a, b, b)
+    assert linalg._is_product(QMat.identity(1), a, b) and linalg._is_product(QMat([[2]]), b, a, plus_identity=True)
+    assert a.is_invertible() and not zero.is_invertible()
+    assert a.inverse() == b
+    with pytest.raises(ValueError, match="singular"):
+        zero.inverse()
 
 
 def test_echelon_on_integer_rows_holds_only_ints():

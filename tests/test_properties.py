@@ -445,6 +445,9 @@ def product_comparisons(draw):
 @settings(SETTINGS, max_examples=60)
 @given(product_comparisons())
 @example((QMat([["1/2"]]), QMat([[2]]), QMat([[1]]), QMat([[1]]), QMat([[2]])))
+@example((QMat([[0]]), QMat([["-5/3"]]), QMat([["3/4"]]), QMat([[0]]), QMat([[0]])))
+@example((QMat([["-2/3"]]), QMat([["3/2"]]), QMat([[-1]]), QMat([[1]]), QMat([[0]])))  # x == I + a @ b
+@example((QMat([[2]]), QMat([[-3]]), QMat([[6]]), QMat([[1]]), QMat([[-5]])))
 @example((QMat.zero(1, 0), QMat.zero(0, 1), QMat([[1]]), QMat([[1]]), QMat([[1]])))
 def test_product_comparisons_equal_the_products(case):
     """The comparisons the checks use decide what QMat arithmetic decides,
@@ -513,6 +516,8 @@ def laplace_det(a: QMat) -> Fraction:
 @example((QMat.zero(0, 0), QMat.zero(0, 0)))
 @example((QMat([[0, 1], [1, 0]]), QMat([[0, 0], [1, 0]])))
 @example((QMat([[0, 0, 2], [3, 0, 0], [0, 5, 0]]), QMat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])))
+@example((QMat([[0]]), QMat([["-3/4"]])))
+@example((QMat([["-3/4"]]), QMat([["-4/3"]])))
 def test_determinant_and_inverse(pair):
     a, b = pair
     assert a.det() == laplace_det(a) and b.det() == laplace_det(b)
@@ -603,6 +608,8 @@ def is_canonical(x: QMat) -> bool:
 @SETTINGS
 @given(square_pairs(), scalars, st.integers(-2, 3))
 @example((QMat([["1/2"]]), QMat([[2]])), Fraction(2), 1)  # a plain product of the denominators is not canonical
+@example((QMat([["-3/4"]]), QMat([[0]])), Fraction(-1, 2), -1)
+@example((QMat([[0]]), QMat([["-4/3"]])), Fraction(3), 2)
 @example((QMat([["1/2", "1/3"]] * 2), QMat([["1/2", "2/3"]] * 2)), Fraction(0), -1)
 @example((QMat([["1/2", 0], [0, "1/2"]]), QMat.identity(2)), Fraction(2), -1)  # integer part of the identity
 @example((QMat.zero(0, 0), QMat.zero(0, 0)), Fraction(1, 3), -2)
@@ -836,6 +843,13 @@ def read_or_error(reader, flat, rows, cols):
 @example((["1/2", "1/0"], 1, 2))
 @example(([LONG], 1, 1))
 @example((["1", "2", "3"], 1, 2))
+@example((["-3/4"], 1, 1))
+@example(([0], 1, 1))
+@example((["2/4"], 1, 1))
+@example((["-0"], 1, 1))
+@example((["+1"], 1, 1))
+@example((["7" * 5001], 1, 1))
+@example((["1/2"], 1, 1))
 def test_matrices_read_straight_into_integers_match_the_fraction_reader(case):
     got = read_or_error(serialize._mat_from_data, *case)
     assert got == read_or_error(mat_from_data_by_fractions, *case)
