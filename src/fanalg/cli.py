@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -83,6 +84,18 @@ def _load_with_fan(path: str):
     data = _load_json(path)
     fan = _resolve_fan(serialize.fan_slot(data), Path(path).parent)
     return data, fan
+
+
+def _fan_source(data, path: str) -> tuple[str, str]:
+    """What the "fan" slot of the file at `path` names: the real path of a fan
+    file, or the JSON text of a fan object, in which 1, 1.0 and true differ."""
+    slot = serialize.fan_slot(data)
+    if not isinstance(slot, str):
+        return "object", json.dumps(slot, sort_keys=True)
+    try:
+        return "file", os.path.realpath(Path(path).parent / slot)
+    except ValueError:  # a NUL byte, which names no file; reading the fan reports it
+        return "unreadable", slot
 
 
 def _emit(report: Report, label: str) -> int:
@@ -197,7 +210,11 @@ def cmd_mod_relations(args) -> int:
 
 def cmd_mod_hom(args) -> int:
     data_a, fan_a = _load_with_fan(args.a)
-    data_b, fan_b = _load_with_fan(args.b)
+    data_b = _load_json(args.b)
+    if _fan_source(data_b, args.b) == _fan_source(data_a, args.a):
+        fan_b = fan_a
+    else:
+        fan_b = _resolve_fan(serialize.fan_slot(data_b), Path(args.b).parent)
     if fan_a != fan_b:
         raise ValueError("fan mismatch between the two modules")
     ma = serialize.module_from_data(data_a, fan_a)

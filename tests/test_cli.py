@@ -203,6 +203,20 @@ class TestModuleCommands:
         code, out = run(["mod", "hom", pa, pb])
         assert code == 0 and "hom dimension" in out
 
+    @pytest.mark.parametrize("fan_of_b, builds", [("the same relative path", 1), ("an absolute path", 1), ("an object", 2)])
+    def test_hom_builds_a_fan_both_files_name_once(self, tmp_path, monkeypatch, fan_of_b, builds):
+        golden = Path(__file__).parent / "golden"
+        b = golden / "module_p2_other.json"
+        if fan_of_b != "the same relative path":
+            data = json.loads(b.read_text(encoding="utf-8"))
+            fan_file = golden / data["fan"]
+            data["fan"] = str(fan_file) if fan_of_b == "an absolute path" else json.loads(fan_file.read_text(encoding="utf-8"))
+            b = write_json(tmp_path / "b.json", data)
+        built = count_calls(monkeypatch, "build_fan", serialize)
+        code, out = run(["mod", "hom", str(golden / "module_p2.json"), str(b)])
+        assert (code, len(built)) == (0, builds)
+        assert out == (golden / "mod_hom.stdout").read_text(encoding="utf-8")
+
 
 class TestDescentCommands:
     def test_check_and_glue(self, tmp_path, p2_fan):
