@@ -9,11 +9,14 @@ list and a list into an object.  `cli.main` runs in process, so an exception
 escaping it fails the case here.  The module file is run through both
 `mod validate`, `mod repcheck`, which evaluates algebra elements on it, and
 `mod hom`, as either of its two files; the fan file through `fan check`,
-`alg mudelta`, which splits and multiplies back members of its corners, and
-`equi structure`; the descent datum through `desc check` and `desc glue`; the
-equivariant module through `equi validate` and `equi inflate`, which write a
-module; and a quotient, given by Q or by cutting characters, through `equi
-present`, and by Q as the second file of `equi structure`.
+`fan faces`, `alg mudelta`, which splits and multiplies back members of its
+corners, `alg member` and `alg mul`, as their fan, and `equi structure`; an
+algebra element through `alg member` and as the first factor of `alg mul`;
+the F1 fan file through `mod relations`; the descent datum through `desc
+check` and `desc glue`; the equivariant module through `equi validate` and
+`equi inflate`, which write a module; and a quotient, given by Q or by
+cutting characters, through `equi present`, and by Q as the second file of
+`equi structure`.
 """
 
 import copy
@@ -36,7 +39,13 @@ GOLDEN = Path(__file__).parent / "golden"
 FILE, OUT = "FILE", "OUT"
 CASES = {
     "fan_p2.json": ("fan_p2.json", ["fan", "check", FILE]),
+    "fan_p2.json-faces": ("fan_p2.json", ["fan", "faces", FILE]),
     "fan_p2.json-mudelta": ("fan_p2.json", ["--trials", "1", "alg", "mudelta", FILE]),
+    "fan_p2.json-member": ("fan_p2.json", ["alg", "member", FILE, "element_p2_a.json"]),
+    "fan_p2.json-mul": ("fan_p2.json", ["alg", "mul", FILE, "element_p2_a.json", "element_p2_b.json"]),
+    "element_p2_a.json-member": ("element_p2_a.json", ["alg", "member", "fan_p2.json", FILE]),
+    "element_p2_a.json-mul": ("element_p2_a.json", ["alg", "mul", "fan_p2.json", FILE, "element_p2_b.json"]),
+    "fan_f1.json-relations": ("fan_f1.json", ["mod", "relations", FILE]),
     "module_p2.json": ("module_p2.json", ["mod", "validate", FILE]),
     "module_p2.json-repcheck": ("module_p2.json", ["--trials", "1", "mod", "repcheck", FILE]),
     "module_p2.json-hom-source": ("module_p2.json", ["mod", "hom", FILE, "module_p2_other.json"]),
