@@ -8,6 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import configuration
 
+# the helpers' own asserts, such as the validity check in
+# random_valid_module, are rewritten like those of test modules, so they also
+# run under python -O; this must come before support is imported
+pytest.register_assert_rewrite("support")
+
 from fanalg.descent import glue, twisted_datum
 from fanalg.diagram import (
     DiagramModule,
