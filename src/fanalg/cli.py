@@ -94,7 +94,7 @@ def _fan_source(data, path: str) -> tuple[str, str]:
         return "object", json.dumps(slot, sort_keys=True)
     try:
         return "file", os.path.realpath(Path(path).parent / slot)
-    except ValueError:  # a NUL byte, which names no file; reading the fan reports it
+    except ValueError:  # a NUL byte or a lone surrogate names no file; reading the fan reports it
         return "unreadable", slot
 
 
