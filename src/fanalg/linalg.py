@@ -22,12 +22,12 @@ entry that differs.  Both iterate over the shapes, so a product through a
 zero-dimensional middle space is compared as the zero matrix it is.
 
 Rank-one objects, such as a character on every cone, have 1x1 blocks only,
-and most operands of the checks in descent and validation are 1x1.  So the
-kernels choose a scalar path by shape: for 1x1 operands `_products_equal` and
-`_is_product` compare cross-multiplied integers, `@` multiplies the two
-entries and reduces by one gcd, `is_invertible` tests the entry against zero
-and `inverse` returns den / x with the sign on the numerator; a 1x1 inverse
-or invertibility test makes no `_echelon` call.  Each returns the canonical
+so the checks of descent and validation on them see only 1x1 operands.  The
+kernels therefore choose a scalar path by shape: for 1x1 operands
+`_products_equal` and `_is_product` compare cross-multiplied integers, `@`
+multiplies the two entries and reduces by one gcd, `is_invertible` tests the
+entry against zero and `inverse` returns den / x with the sign on the
+numerator; a 1x1 inverse or invertibility test makes no `_echelon` call.  Each returns the canonical
 `QMat` the general path gives, and raises the same errors.
 
 `_combination_times` is the one kernel of `diagram.evaluate`: it returns
