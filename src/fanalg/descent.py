@@ -68,7 +68,18 @@ def check_cocycle(d: DescentDatum) -> Report:
     """Well-formedness, intertwining, inverse pairs, and the triple condition;
     products are compared without being built, a location is built only for a
     finding, and the faces common to each pair and each triple of charts are
-    listed once per call."""
+    listed once per call.
+
+    Each verdict is computed once per unordered pair and triple of charts.
+    The inverse pairs are decided first and reported in their place, after
+    the intertwining.  When they all hold, every block is square and
+    invertible with phi(tau, sigma) the inverse of phi(sigma, tau), so
+    phi(tau, sigma) passes each intertwining item exactly when
+    phi(sigma, tau) does, and the six orderings of a triple state one cocycle
+    condition: the verdict of the first ordering is reused for the others,
+    and the findings of every ordering are still reported, in the same order
+    as when each is computed.  When an inverse pair fails, every ordering is
+    computed on its own."""
     rep = Report()
     fan = d.fan
     maxc = list(fan.maximal)
@@ -112,7 +123,25 @@ def check_cocycle(d: DescentDatum) -> Report:
     if not rep.ok:
         return rep
 
-    # intertwining: each phi is a morphism of the restricted modules
+    # inverse pairs, decided first and reported after the intertwining
+    not_inverse = []
+    for sigma in maxc:
+        for tau in maxc:
+            if sigma >= tau:
+                continue
+            fwds, bwds = d.glue_maps[(sigma, tau)], d.glue_maps[(tau, sigma)]
+            for rho in overlap(sigma, tau):
+                fwd = fwds[rho]
+                if not _is_product(QMat.identity(fwd.n), bwds[rho], fwd):
+                    not_inverse.append((sigma, tau, rho))
+    # the verdicts of each unordered pair or triple, in report order, are
+    # shared by its orderings only when every pair of maps is mutually inverse
+    shared = not not_inverse
+    verdicts: dict[frozenset, list[bool]] = {}
+
+    # intertwining: each phi is a morphism of the restricted modules; the
+    # covering pairs of both charts are in the fan's order, so the items of
+    # both orderings of a pair come in one order
     for sigma in maxc:
         for tau in maxc:
             if sigma == tau:
@@ -120,32 +149,34 @@ def check_cocycle(d: DescentDatum) -> Report:
             ms, mt = d.charts[sigma], d.charts[tau]
             common = overlap(sigma, tau)
             oset = set(common)
-            for rho in common:
-                phi = d.glue_block(sigma, tau, rho)
-                for j in range(ms.nt):
-                    if not _products_equal(phi, ms.torus[rho][j], mt.torus[rho][j], phi):
-                        rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
-            for (lo, hi) in ms.u:
-                if lo in oset and hi in oset:
-                    if not _products_equal(d.glue_block(sigma, tau, hi), ms.u[(lo, hi)], mt.u[(lo, hi)], d.glue_block(sigma, tau, lo)):
-                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
-                    if not _products_equal(d.glue_block(sigma, tau, lo), ms.v[(lo, hi)], mt.v[(lo, hi)], d.glue_block(sigma, tau, hi)):
-                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
-
-    # inverse pairs
-    for sigma in maxc:
-        for tau in maxc:
-            if sigma >= tau:
+            arrows = [(lo, hi) for (lo, hi) in ms.u if lo in oset and hi in oset]
+            pair = frozenset((sigma, tau))
+            got = verdicts.get(pair) if shared else None
+            if got is None:
+                phi = d.glue_maps[(sigma, tau)]
+                got = []
+                for rho in common:
+                    got += [_products_equal(phi[rho], s, t, phi[rho]) for s, t in zip(ms.torus[rho], mt.torus[rho])]
+                for key in arrows:
+                    lo, hi = key
+                    got.append(_products_equal(phi[hi], ms.u[key], mt.u[key], phi[lo]))
+                    got.append(_products_equal(phi[lo], ms.v[key], mt.v[key], phi[hi]))
+                verdicts[pair] = got
+            if all(got):
                 continue
-            for rho in overlap(sigma, tau):
-                fwd = d.glue_block(sigma, tau, rho)
-                bwd = d.glue_block(tau, sigma, rho)
-                if not _is_product(QMat.identity(fwd.n), bwd, fwd):
-                    rep.add(
-                        "inverse",
-                        f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})",
-                        "maps are not mutually inverse",
-                    )
+            ok = iter(got)
+            for rho in common:
+                for j in range(ms.nt):
+                    if not next(ok):
+                        rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
+            for lo, hi in arrows:
+                if not next(ok):
+                    rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
+                if not next(ok):
+                    rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
+
+    for sigma, tau, rho in not_inverse:
+        rep.add("inverse", f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})", "maps are not mutually inverse")
 
     # cocycle on ordered triples
     for sigma in maxc:
@@ -153,9 +184,14 @@ def check_cocycle(d: DescentDatum) -> Report:
             for omega in maxc:
                 if len({sigma, tau, omega}) < 3:
                     continue
-                for rho in overlap(sigma, tau, omega):
-                    direct = d.glue_block(sigma, omega, rho)
-                    if not _is_product(direct, d.glue_block(tau, omega, rho), d.glue_block(sigma, tau, rho)):
+                common = overlap(sigma, tau, omega)
+                triple = frozenset((sigma, tau, omega))
+                got = verdicts.get(triple) if shared else None
+                if got is None:
+                    direct, second, first = d.glue_maps[(sigma, omega)], d.glue_maps[(tau, omega)], d.glue_maps[(sigma, tau)]
+                    got = verdicts[triple] = [_is_product(direct[rho], second[rho], first[rho]) for rho in common]
+                for rho, ok in zip(common, got):
+                    if not ok:
                         rep.add(
                             "cocycle",
                             f"({cone_key(sigma)})->({cone_key(tau)})->({cone_key(omega)}) at ({cone_key(rho)})",
@@ -220,16 +256,17 @@ def tautological_datum(m: DiagramModule) -> DescentDatum:
 def twisted_datum(m: DiagramModule, rng: random.Random) -> DescentDatum:
     """Tautological datum conjugated chartwise by random invertibles; the
     gluing maps compensate, so the datum still glues to a module isomorphic
-    to the original."""
-    from fanalg.diagram import conjugate
+    to the original.  Each twist is inverted once."""
+    from fanalg.diagram import _conjugated
 
     fan = m.fan
     twists: dict[Cone, dict[Cone, QMat]] = {}
     for sigma in fan.maximal:
         twists[sigma] = {rho: random_invertible(m.dims[rho], rng) for rho in fan.subfan(sigma).cones}
+    untwists = {sigma: {rho: g.inverse() for rho, g in gs.items()} for sigma, gs in twists.items()}
     charts = {}
     for sigma in fan.maximal:
-        charts[sigma] = conjugate(restrict(m, sigma), twists[sigma])
+        charts[sigma] = _conjugated(restrict(m, sigma), twists[sigma], untwists[sigma])
     glue_maps = {}
     for sigma in fan.maximal:
         for tau in fan.maximal:
@@ -237,6 +274,6 @@ def twisted_datum(m: DiagramModule, rng: random.Random) -> DescentDatum:
                 continue
             blocks = {}
             for rho in _overlap_cones(fan, sigma, tau):
-                blocks[rho] = twists[tau][rho] @ twists[sigma][rho].inverse()
+                blocks[rho] = twists[tau][rho] @ untwists[sigma][rho]
             glue_maps[(sigma, tau)] = blocks
     return DescentDatum(fan, charts, glue_maps)

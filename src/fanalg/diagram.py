@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
 from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
-from fanalg.linalg import QMat, _combination_times, _frac, _is_product, _products_equal, block_diag, kron, nullspace, random_invertible
+from fanalg.linalg import QMat, _combination_times, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, block_diag, kron, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -47,7 +47,10 @@ class DiagramModule:
     """Spaces, torus matrices and u/v arrows indexed by the cones of a fan.
 
     `nt` is the number of torus matrices per cone; it equals the fan rank
-    for plain modules and the quotient rank for equivariant ones.
+    for plain modules and the quotient rank for equivariant ones.  A cone
+    with no torus matrices given gets identities, and a covering pair with
+    no arrow given gets a zero one; these are built only for a missing key,
+    so a module read from a file that lists every arrow builds none.
 
     A module is immutable, so it owns two caches for its lifetime, filled on
     first use: torus powers keyed by (cone, j, k), and path products keyed by
@@ -82,8 +85,9 @@ class DiagramModule:
         full_v = {}
         for tau, sigma, _ in covering_pairs(fan):
             key = (tau, sigma)
-            full_u[key] = u.get(key, QMat.zero(full_dims[sigma], full_dims[tau]))
-            full_v[key] = v.get(key, QMat.zero(full_dims[tau], full_dims[sigma]))
+            uu, vv = u.get(key), v.get(key)
+            full_u[key] = QMat.zero(full_dims[sigma], full_dims[tau]) if uu is None else uu
+            full_v[key] = QMat.zero(full_dims[tau], full_dims[sigma]) if vv is None else vv
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "nt", nt)
         object.__setattr__(self, "dims", MappingProxyType(full_dims))
@@ -530,20 +534,35 @@ def direct_sum(a: DiagramModule, b: DiagramModule) -> DiagramModule:
 
 
 def conjugate(m: DiagramModule, gs: Mapping[Cone, QMat]) -> DiagramModule:
-    """Base change by invertible blocks per cone; validity is preserved."""
-    full = {}
+    """Base change by invertible blocks per cone; validity is preserved.
+    Each block is inverted once, which is also its check: a singular or
+    non-square block is a bad base change."""
+    full, inverses = {}, {}
     for c in m.fan.cones:
-        g = gs.get(c, QMat.identity(m.dims[c]))
-        if g.m != m.dims[c] or not g.is_invertible():
+        g = gs.get(c)
+        if g is None:
+            full[c] = inverses[c] = QMat.identity(m.dims[c])
+            continue
+        if g.m != m.dims[c]:
             raise ValueError(f"bad base change at ({cone_key(c)})")
+        try:
+            inverses[c] = g.inverse()
+        except ValueError:
+            raise ValueError(f"bad base change at ({cone_key(c)})") from None
         full[c] = g
-    torus = {c: tuple(full[c] @ s @ full[c].inverse() for s in m.torus[c]) for c in m.fan.cones}
+    return _conjugated(m, full, inverses)
+
+
+def _conjugated(m: DiagramModule, gs: Mapping[Cone, QMat], inverses: Mapping[Cone, QMat]) -> DiagramModule:
+    """The base change of m by a block gs[c] on every cone, given with its
+    inverse; nothing is checked."""
+    torus = {c: tuple(gs[c] @ s @ inverses[c] for s in m.torus[c]) for c in m.fan.cones}
     u = {}
     v = {}
     for (tau, sigma), mat in m.u.items():
-        u[(tau, sigma)] = full[sigma] @ mat @ full[tau].inverse()
+        u[(tau, sigma)] = gs[sigma] @ mat @ inverses[tau]
     for (tau, sigma), mat in m.v.items():
-        v[(tau, sigma)] = full[tau] @ mat @ full[sigma].inverse()
+        v[(tau, sigma)] = gs[tau] @ mat @ inverses[sigma]
     return DiagramModule(m.fan, dict(m.dims), torus, u, v, nt=m.nt)
 
 
@@ -564,55 +583,103 @@ class BlockMap:
         return all(b.is_identity() for b in self.blocks.values())
 
 
-def _intertwining(ma: DiagramModule, mb: DiagramModule):
-    """The equations f_x a = b f_y on a map f from ma to mb, as (x, y, a, b):
-    the torus matrices per cone, then u and v per covering pair."""
-    for c in ma.fan.cone_list():
-        for sa, sb in zip(ma.torus[c], mb.torus[c]):
-            yield c, c, sa, sb
-    for tau, sigma in ma.u:
-        yield sigma, tau, ma.u[(tau, sigma)], mb.u[(tau, sigma)]
-        yield tau, sigma, ma.v[(tau, sigma)], mb.v[(tau, sigma)]
+def _torus_commutant(sas: Sequence[QMat], sbs: Sequence[QMat], db: int, da: int) -> list[list[int]]:
+    """Stage 1 of `hom` on one cone: a primitive integer basis of the db x da
+    blocks f with f a = b f for each pair (a, b) of torus matrices, each
+    block read row-major as a vector.  A 1x1 block commutes with scalars
+    exactly when they are equal, with no elimination."""
+    if db * da == 0:
+        return []
+    if db == da == 1:
+        return [[1]] if all(a == b for a, b in zip(sas, sbs)) else []
+    rows = []
+    for a, b in zip(sas, sbs):
+        # f a - b f = 0, times lcm(a.den, b.den) so that each equation is one integer row
+        d = lcm(a.den, b.den)
+        fa, fb = d // a.den, d // b.den
+        for p in range(db):
+            for q in range(da):
+                row = [0] * (db * da)
+                for r in range(da):
+                    row[p * da + r] += fa * a.num[r][q]
+                for r in range(db):
+                    row[r * da + q] -= fb * b.num[p][r]
+                rows.append(row)
+    return _primitive_kernel(rows, db * da)
 
 
 def hom(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
-    """Exact solution space of the intertwining equations."""
+    """Exact solution space of the intertwining equations, in stages.
+
+    A map is one block f_c of shape dims_b x dims_a per cone.  Stage 1 takes,
+    on each cone alone, a basis of the blocks that commute with the torus
+    matrices.  Stage 2 writes the u and v equations in the coordinates of
+    those bases and takes their nullspace.  Stage 3 maps the solutions back
+    and brings them to the basis `linalg.nullspace` gives for the whole
+    system: the reduced echelon form in reversed column order, in which each
+    vector has its last nonzero entry, a 1, at a free column and a zero at
+    every other free column.  That basis is unique, so it does not depend on
+    the stages.  One elimination over all unknowns keeps one common pivot
+    value, so the minors of cones that do not interact multiply into every
+    later row; in stages each cone's minors stay in its own elimination, and
+    the bases of stages 1 and 2 are primitive integer vectors, so the next
+    stage starts from small integer entries."""
     if ma.fan != mb.fan or ma.nt != mb.nt:
         raise ValueError("fan mismatch")
-    fan = ma.fan
-    cones = fan.cone_list()
+    cones = ma.fan.cone_list()
+    shape = {c: (mb.dims[c], ma.dims[c]) for c in cones}
+    commutants = {c: _torus_commutant(ma.torus[c], mb.torus[c], *shape[c]) for c in cones}
+
+    # stage 2: f_x a - b f_y = 0 for each arrow, with f_c = sum of y_i * commutants[c][i]
     offs = {}
-    pos = 0
+    nvars = 0
     for c in cones:
-        offs[c] = pos
-        pos += mb.dims[c] * ma.dims[c]
-    nvars = pos
+        offs[c] = nvars
+        nvars += len(commutants[c])
     rows: list[list[int]] = []
+    for key in ma.u:
+        tau, sigma = key
+        for x, y, a, b in ((sigma, tau, ma.u[key], mb.u[key]), (tau, sigma, ma.v[key], mb.v[key])):
+            (dbx, dax), (dby, day) = shape[x], shape[y]
+            d = lcm(a.den, b.den)
+            fa, fb = d // a.den, d // b.den
+            eqs = [[0] * nvars for _ in range(dbx * day)]
+            for i, k in enumerate(commutants[x]):
+                # entry (p, q) of f a for the basis block k
+                for p in range(dbx):
+                    for q in range(day):
+                        eqs[p * day + q][offs[x] + i] += fa * sum(k[p * dax + r] * a.num[r][q] for r in range(dax))
+            for i, k in enumerate(commutants[y]):
+                # entry (p, q) of b f for the basis block k
+                for p in range(dbx):
+                    for q in range(day):
+                        eqs[p * day + q][offs[y] + i] -= fb * sum(b.num[p][r] * k[r * day + q] for r in range(dby))
+            rows += eqs
+    solutions = _primitive_kernel(rows, nvars)
 
-    def var(c: Cone, p: int, q: int) -> int:
-        # entry (p, q) of the block at cone c, block shape (dims_b, dims_a)
-        return offs[c] + p * ma.dims[c] + q
-
-    for x, y, a, b in _intertwining(ma, mb):
-        # f_x a - b f_y = 0, times lcm(a.den, b.den) so that each equation is one integer row
-        d = lcm(a.den, b.den)
-        fa, fb = d // a.den, d // b.den
-        for p in range(mb.dims[x]):
-            for q in range(ma.dims[y]):
-                row = [0] * nvars
-                for r in range(ma.dims[x]):
-                    row[var(x, p, r)] += fa * a.num[r][q]
-                for r in range(mb.dims[y]):
-                    row[var(y, r, q)] -= fb * b.num[p][r]
-                rows.append(row)
-
-    basis = nullspace(QMat._of(tuple(map(tuple, rows)), 1, len(rows), nvars))
-    maps = []
-    for vec in basis:
-        blocks = {}
+    # stage 3: the solutions over all block entries, columns reversed, in reduced echelon form
+    width = sum(db * da for db, da in shape.values())
+    maps_back = []
+    for sol in solutions:
+        vec = []
         for c in cones:
-            db, da = mb.dims[c], ma.dims[c]
-            blocks[c] = QMat._of_fractions([[vec[var(c, p, q)] for q in range(da)] for p in range(db)], db, da)
+            entries = [0] * (shape[c][0] * shape[c][1])
+            for coeff, k in zip(sol[offs[c] : offs[c] + len(commutants[c])], commutants[c]):
+                if coeff:
+                    entries = [e + coeff * x for e, x in zip(entries, k)]
+            vec += entries
+        maps_back.append(vec[::-1])
+    held, d = _echelon(maps_back)
+    maps = []
+    for pivot in sorted(held, reverse=True):  # increasing free column
+        row = held[pivot]
+        vec = [row.get(width - 1 - j, 0) for j in range(width)]
+        blocks = {}
+        pos = 0
+        for c in cones:
+            db, da = shape[c]
+            blocks[c] = _over_pivot((vec[pos + p * da : pos + (p + 1) * da] for p in range(db)), d, db, da)
+            pos += db * da
         maps.append(BlockMap(ma, mb, blocks))
     return len(maps), maps
 

@@ -465,18 +465,33 @@ def rref(mat: QMat) -> tuple[QMat, list[int]]:
     return _over_pivot(rows, d, mat.m, mat.n), pivots
 
 
-def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, one canonical vector per free column, read
-    off the held rows of one echelon form."""
-    held, d = _echelon(mat.num)
+def _primitive_kernel(rows: Iterable[Sequence[int]], n: int) -> list[list[int]]:
+    """A basis of the right kernel of integer rows with n columns, one vector
+    per free column of one echelon form, in increasing free column order: the
+    vector `nullspace` gives, scaled to a primitive integer vector, whose
+    entries have gcd 1 and whose entry at its free column is positive."""
+    held, d = _echelon(rows)
     basis = []
-    for fc in range(mat.n):
+    for fc in range(n):
         if fc in held:
             continue
-        vec = [Q(0)] * mat.n
-        vec[fc] = Q(1)
+        vec = [0] * n
+        vec[fc] = d
         for pc, row in held.items():
-            if fc in row:
-                vec[pc] = Q(-row[fc], d)
-        basis.append(tuple(vec))
+            x = row.get(fc)
+            if x:
+                vec[pc] = -x
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis
+
+
+def nullspace(mat: QMat) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel, one canonical vector per free column: the
+    primitive kernel vector over its entry at the free column, which is its
+    last nonzero entry, since a held row reaches only later free columns."""
+    basis = []
+    for vec in _primitive_kernel(mat.num, mat.n):
+        last = max(j for j, x in enumerate(vec) if x)
+        basis.append(tuple(Q(x, vec[last]) for x in vec))
     return basis

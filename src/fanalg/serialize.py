@@ -4,17 +4,23 @@ Conventions: rationals are "p/q" strings, matrices are row-major flat lists,
 cone keys are comma-joined sorted ray indices with the empty string for the
 zero cone.  parse(serialize(x)) must reproduce x exactly.
 
-The readers do each piece of work once.  A matrix entry that is an int or a
-string in the form `str(Fraction)` writes is read straight into integers, and
-each matrix is built as integer rows over the lcm of its denominators,
-reduced once; a 1x1 matrix of one canonical entry, the block of a rank-one
-object, is built from that entry as it stands, which is already in lowest
-terms.  Any other entry goes through the one rational coercion,
-`linalg._frac`, so the reader accepts the values and reports the errors
-that `Fraction` parsing gives.  The path of a matrix entry is formatted only for
+The readers do each piece of work once.  Each `*_from_data` call owns, for
+its own lifetime, a table from each canonical string entry to the one 1x1
+`QMat` of its value, so an entry repeated across a file, such as the few
+dozen distinct numbers in the hundreds of 1x1 blocks of a descent file, is
+parsed once and a 1x1 block of it is that shared matrix; the table is a
+local of the call and is dropped with it.  Only strings in the form
+`str(Fraction)` writes are keys, so `1`, `true`, `1.0` and `"1"` never
+alias.  An int entry is read straight into integers, and each matrix is
+built as integer rows over the lcm of its entries' denominators, which is
+canonical as it stands (`linalg._over_lcm`), with no gcd pass.  Any other
+entry goes through the one rational coercion, `linalg._frac`, on each
+occurrence, so the reader accepts the values and reports the errors that
+`Fraction` parsing gives.  The path of a matrix entry is formatted only for
 an error.  A cone key is looked up in the table of canonical keys that the
 fan owns for its lifetime (`Fan.cone_of_key`); any other key is parsed and
-checked.
+checked.  The writer formats each entry from the integers of its matrix,
+with one gcd, and builds no `Fraction`.
 
 Sizes are bounded where data enters, so that a small file cannot ask for an
 unbounded amount of work: a Laurent exponent or a ray coordinate has absolute
@@ -127,7 +133,9 @@ def _field(obj: Mapping, key: str, path: str, kind):
 
 
 def _members(x, path: str) -> list[tuple[str, Any, str]]:
-    """(name, value, JSON path of the value) for each member of an object."""
+    """(name, value, JSON path of the value) for each member of an object.
+    The path is formatted for every member: one f-string costs less than
+    building an object that would format it only for an error."""
     return [(name, value, f'{path}["{name}"]') for name, value in _object(x, path).items()]
 
 
@@ -177,7 +185,16 @@ def fan_slot(data) -> Mapping | str:
 
 
 def _mat_to_data(m: QMat) -> list[str]:
-    return [str(x) for x in m.flat()]
+    """The entries as `str(Fraction)` writes them, formatted from the integers."""
+    d = m.den
+    if d == 1:
+        return [str(x) for row in m.num for x in row]
+    out = []
+    for row in m.num:
+        for x in row:
+            g = gcd(x, d)
+            out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+    return out
 
 
 def _canonical(x) -> tuple[int, int] | None:
@@ -205,31 +222,46 @@ def _canonical(x) -> tuple[int, int] | None:
     return None
 
 
-def _mat_from_data(flat, rows: int, cols: int, path: str) -> QMat:
+def _entry(x, path: str, index: int, table: dict[str, QMat]) -> QMat:
+    """The 1x1 matrix of one entry that is not in the table: a canonical
+    string is added to it, and any other entry is read by `_rational`."""
+    pq = _canonical(x)
+    if pq is None:
+        f = _rational(x, path, index)
+        return QMat._of(((f.numerator,),), f.denominator, 1, 1)
+    one = QMat._of(((pq[0],),), pq[1], 1, 1)
+    if type(x) is str:
+        table[x] = one
+    return one
+
+
+def _mat_from_data(flat, rows: int, cols: int, path: str, table: dict[str, QMat] | None = None) -> QMat:
     """The rows x cols matrix of a row-major list of rationals, held as
-    integer rows over the lcm of the entries' denominators and reduced once.
-    Ints and canonical strings are read straight into integers, and one
-    such entry of a 1x1 matrix is its canonical form; any other entry goes
-    through `_rational`.  Every entry is checked before the count."""
+    integer rows over the lcm of the entries' denominators, each entry in
+    lowest terms, so canonical with no gcd pass.  A canonical string is
+    looked up in `table`, the reading call's table of entries, and one such
+    entry of a 1x1 matrix is the table's matrix; an int is read straight
+    into integers, and any other entry goes through `_rational`.  Every
+    entry is checked before the count."""
     flat = _list(flat, path)
+    if table is None:
+        table = {}
     if rows == cols == 1 and len(flat) == 1:
-        pq = _canonical(flat[0])
-        if pq is not None:
-            return QMat._of(((pq[0],),), pq[1], 1, 1)
-    nums, dens = [], []
+        x = flat[0]
+        one = table.get(x) if type(x) is str else None
+        return _entry(x, path, 0, table) if one is None else one
+    ones = []
     for i, x in enumerate(flat):
-        pq = _canonical(x)
-        if pq is None:
-            f = _rational(x, path, i)
-            pq = f.numerator, f.denominator
-        nums.append(pq[0])
-        dens.append(pq[1])
-    if len(nums) != rows * cols:
-        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(nums)} entries")
-    den = lcm(*dens)
-    if den != 1:
-        nums = [p * (den // q) for p, q in zip(nums, dens)]
-    return QMat._reduced(tuple(tuple(nums[i * cols : (i + 1) * cols]) for i in range(rows)), den, rows, cols)
+        one = table.get(x) if type(x) is str else None
+        ones.append(_entry(x, path, i, table) if one is None else one)
+    if len(ones) != rows * cols:
+        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(ones)} entries")
+    den = lcm(*[one.den for one in ones])
+    if den == 1:
+        nums = [one.num[0][0] for one in ones]
+    else:
+        nums = [one.num[0][0] * (den // one.den) for one in ones]
+    return QMat._of(tuple(tuple(nums[i * cols : (i + 1) * cols]) for i in range(rows)), den, rows, cols)
 
 
 def element_to_data(x: AlgebraElement, fan_data: Any | None = None) -> dict:
@@ -290,7 +322,9 @@ def module_to_data(m: DiagramModule, fan_data: Any | None = None) -> dict:
     return out
 
 
-def _module_parts(data, fan: Fan, nt: int, path: str):
+def _module_parts(data, fan: Fan, nt: int, path: str, table: dict[str, QMat]):
+    """Spaces, torus matrices and arrows of a module body, reading matrix
+    entries through the calling reader's table."""
     obj = _object(data, path)
     dims = {}
     for key, d, at in _members(obj.get("spaces", {}), f"{path}.spaces"):
@@ -306,24 +340,24 @@ def _module_parts(data, fan: Fan, nt: int, path: str):
         d = dims.get(c, 0)
         if len(_list(mats, at)) != nt:
             raise ValueError(f"{at}: expected {nt} torus matrices, got {len(mats)}")
-        torus[c] = tuple(_mat_from_data(flat, d, d, f"{at}[{i}]") for i, flat in enumerate(mats))
+        torus[c] = tuple(_mat_from_data(flat, d, d, f"{at}[{i}]", table) for i, flat in enumerate(mats))
     u = {}
     for key, flat, at in _members(obj.get("u", {}), f"{path}.u"):
         tau_k, sigma_k = _cone_pair(key, at)
         tau = fan.cone_of_key(tau_k)
         sigma = fan.cone_of_key(sigma_k)
-        u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0), at)
+        u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0), at, table)
     v = {}
     for key, flat, at in _members(obj.get("v", {}), f"{path}.v"):
         sigma_k, tau_k = _cone_pair(key, at)
         sigma = fan.cone_of_key(sigma_k)
         tau = fan.cone_of_key(tau_k)
-        v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0), at)
+        v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0), at, table)
     return dims, torus, u, v
 
 
 def module_from_data(data: Mapping, fan: Fan) -> DiagramModule:
-    dims, torus, u, v = _module_parts(data, fan, fan.rank, "$")
+    dims, torus, u, v = _module_parts(data, fan, fan.rank, "$", {})
     return DiagramModule(fan, dims, torus, u, v)
 
 
@@ -386,7 +420,7 @@ def eq_module_to_data(m: EqDiagramModule, fan_data: Any | None = None) -> dict:
 
 def eq_module_from_data(data: Mapping, fan: Fan) -> EqDiagramModule:
     quotient = _field(_object(data, "$"), "quotient", "$", _quotient)
-    dims, torus, u, v = _module_parts(data, fan, quotient.target_rank, "$")
+    dims, torus, u, v = _module_parts(data, fan, quotient.target_rank, "$", {})
     return EqDiagramModule(fan, quotient, dims, torus, u, v)
 
 
@@ -406,11 +440,12 @@ def descent_to_data(d: DescentDatum, fan_data: Any | None = None) -> dict:
 
 def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
     obj = _object(data, "$")
+    table: dict[str, QMat] = {}
     charts = {}
     for key, body, at in _members(_field(obj, "charts", "$", _object), "$.charts"):
         sigma = fan.cone_of_key(key)
         sub = fan.subfan(sigma)
-        dims, torus, u, v = _module_parts(body, sub, fan.rank, at)
+        dims, torus, u, v = _module_parts(body, sub, fan.rank, at, table)
         charts[sigma] = DiagramModule(sub, dims, torus, u, v)
     glue_maps: dict[tuple[Cone, Cone], dict[Cone, QMat]] = {}
     for key, blocks, at in _members(obj.get("glue", {}), "$.glue"):
@@ -419,9 +454,10 @@ def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
         tau = fan.cone_of_key(tau_k)
         if sigma not in charts or tau not in charts:
             raise ValueError(f"{at}: glues a cone that has no chart")
+        dims_s, dims_t = charts[sigma].dims, charts[tau].dims
         out = {}
         for rho_k, flat, block_at in _members(blocks, at):
             rho = fan.cone_of_key(rho_k)
-            out[rho] = _mat_from_data(flat, charts[tau].dims.get(rho, 0), charts[sigma].dims.get(rho, 0), block_at)
+            out[rho] = _mat_from_data(flat, dims_t.get(rho, 0), dims_s.get(rho, 0), block_at, table)
         glue_maps[(sigma, tau)] = out
     return DescentDatum(fan, charts, glue_maps)

@@ -4,8 +4,11 @@ unit of an equivariant structure, maps of modules and the isomorphism test
 on them, relation and chart checks, an isomorphism search, an independent structure-constant oracle, a term-by-term product
 oracle, an entry-by-entry evaluation oracle with its `linear_combination`,
 the intertwining equations of the generators' images as a hom oracle, the
-factors of a tensor word with a product-based `mu` oracle, the Fraction-based
-reader of matrix entries as an oracle for `serialize`, and a call counter."""
+single-pass `hom` over all unknowns as an oracle for the staged one, the
+cocycle check that computes every ordering of each pair and triple on its own
+as an oracle for `descent.check_cocycle`, the factors of a tensor word with a
+product-based `mu` oracle, the Fraction-based reader of matrix entries as an
+oracle for `serialize`, and a call counter."""
 
 import random
 from fractions import Fraction
@@ -28,11 +31,11 @@ from fanalg.algebra import (
     required_divisor,
     required_rays,
 )
+from fanalg.descent import DescentDatum, _block_at, _overlap_cones, _pair_at
 from fanalg.diagram import (
     BlockMap,
     DiagramModule,
     RelationReport,
-    _intertwining,
     character_module,
     conjugate,
     direct_sum,
@@ -46,7 +49,7 @@ from fanalg.equivariant import EqStructure
 from fanalg.fan import Cone, Fan, cone_key, standard_fan
 from fanalg.lattice import IntMatrix, Vec, complete_to_basis
 from fanalg.laurent import LaurentPoly, divide_by_product
-from fanalg.linalg import QMat, block_diag, random_invertible
+from fanalg.linalg import QMat, _is_product, _products_equal, block_diag, nullspace, random_invertible
 from fanalg.report import Report
 
 
@@ -128,6 +131,144 @@ def is_isomorphism(f: BlockMap) -> bool:
 
 def identity_map(m: DiagramModule) -> BlockMap:
     return BlockMap(m, m, {c: QMat.identity(m.dims[c]) for c in m.fan.cones})
+
+
+def _intertwining(ma: DiagramModule, mb: DiagramModule):
+    """The equations f_x a = b f_y on a map f from ma to mb, as (x, y, a, b):
+    the torus matrices per cone, then u and v per covering pair."""
+    for c in ma.fan.cone_list():
+        for sa, sb in zip(ma.torus[c], mb.torus[c]):
+            yield c, c, sa, sb
+    for tau, sigma in ma.u:
+        yield sigma, tau, ma.u[(tau, sigma)], mb.u[(tau, sigma)]
+        yield tau, sigma, ma.v[(tau, sigma)], mb.v[(tau, sigma)]
+
+
+def hom_single_pass(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[BlockMap]]:
+    """The oracle for the staged `diagram.hom`: every intertwining equation
+    over all sum of dim_a * dim_b unknowns, in one integer system, and the
+    basis `nullspace` reads off its one echelon form."""
+    if ma.fan != mb.fan or ma.nt != mb.nt:
+        raise ValueError("fan mismatch")
+    cones = ma.fan.cone_list()
+    offs = {}
+    pos = 0
+    for c in cones:
+        offs[c] = pos
+        pos += mb.dims[c] * ma.dims[c]
+    nvars = pos
+    rows: list[list[int]] = []
+
+    def var(c: Cone, p: int, q: int) -> int:
+        # entry (p, q) of the block at cone c, block shape (dims_b, dims_a)
+        return offs[c] + p * ma.dims[c] + q
+
+    for x, y, a, b in _intertwining(ma, mb):
+        # f_x a - b f_y = 0, times lcm(a.den, b.den) so that each equation is one integer row
+        d = lcm(a.den, b.den)
+        fa, fb = d // a.den, d // b.den
+        for p in range(mb.dims[x]):
+            for q in range(ma.dims[y]):
+                row = [0] * nvars
+                for r in range(ma.dims[x]):
+                    row[var(x, p, r)] += fa * a.num[r][q]
+                for r in range(mb.dims[y]):
+                    row[var(y, r, q)] -= fb * b.num[p][r]
+                rows.append(row)
+
+    basis = nullspace(QMat._of(tuple(map(tuple, rows)), 1, len(rows), nvars))
+    maps = []
+    for vec in basis:
+        blocks = {}
+        for c in cones:
+            db, da = mb.dims[c], ma.dims[c]
+            blocks[c] = QMat._of_fractions([[vec[var(c, p, q)] for q in range(da)] for p in range(db)], db, da)
+        maps.append(BlockMap(ma, mb, blocks))
+    return len(maps), maps
+
+
+def check_cocycle_each_ordering(d: DescentDatum) -> Report:
+    """The oracle for `descent.check_cocycle`: the same checks, in the same
+    report order, with every ordering of each pair and triple of charts
+    computed on its own."""
+    rep = Report()
+    fan = d.fan
+    maxc = list(fan.maximal)
+    for sigma in maxc:
+        if sigma not in d.charts:
+            rep.add("chart", f"({cone_key(sigma)})", "missing chart module")
+    if not rep.ok:
+        return rep
+    for sigma in maxc:
+        chart_rep = validate(d.charts[sigma])
+        for f in chart_rep.findings:
+            rep.add("chart", f"({cone_key(sigma)}):{f.location}", f"{f.code}: {f.detail}")
+
+    for sigma in maxc:
+        for tau in maxc:
+            if sigma == tau:
+                continue
+            if (sigma, tau) not in d.glue_maps:
+                rep.add("glue", f"({cone_key(sigma)})->({cone_key(tau)})", "missing gluing map")
+                continue
+            blocks = d.glue_maps[(sigma, tau)]
+            for rho in _overlap_cones(fan, sigma, tau):
+                if rho not in blocks:
+                    rep.add("glue", _block_at(sigma, tau, rho), "missing block")
+                    continue
+                b = blocks[rho]
+                ds = d.charts[sigma].dims[rho]
+                dt = d.charts[tau].dims[rho]
+                if (b.m, b.n) != (dt, ds):
+                    rep.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
+                elif not b.is_invertible():
+                    rep.add("invertible", _block_at(sigma, tau, rho), "block is singular")
+    if not rep.ok:
+        return rep
+
+    for sigma in maxc:
+        for tau in maxc:
+            if sigma == tau:
+                continue
+            ms, mt = d.charts[sigma], d.charts[tau]
+            common = _overlap_cones(fan, sigma, tau)
+            oset = set(common)
+            for rho in common:
+                phi = d.glue_block(sigma, tau, rho)
+                for j in range(ms.nt):
+                    if not _products_equal(phi, ms.torus[rho][j], mt.torus[rho][j], phi):
+                        rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
+            for (lo, hi) in ms.u:
+                if lo in oset and hi in oset:
+                    if not _products_equal(d.glue_block(sigma, tau, hi), ms.u[(lo, hi)], mt.u[(lo, hi)], d.glue_block(sigma, tau, lo)):
+                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
+                    if not _products_equal(d.glue_block(sigma, tau, lo), ms.v[(lo, hi)], mt.v[(lo, hi)], d.glue_block(sigma, tau, hi)):
+                        rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
+
+    for sigma in maxc:
+        for tau in maxc:
+            if sigma >= tau:
+                continue
+            for rho in _overlap_cones(fan, sigma, tau):
+                fwd = d.glue_block(sigma, tau, rho)
+                bwd = d.glue_block(tau, sigma, rho)
+                if not _is_product(QMat.identity(fwd.n), bwd, fwd):
+                    rep.add("inverse", f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})", "maps are not mutually inverse")
+
+    for sigma in maxc:
+        for tau in maxc:
+            for omega in maxc:
+                if len({sigma, tau, omega}) < 3:
+                    continue
+                for rho in _overlap_cones(fan, sigma, tau, omega):
+                    direct = d.glue_block(sigma, omega, rho)
+                    if not _is_product(direct, d.glue_block(tau, omega, rho), d.glue_block(sigma, tau, rho)):
+                        rep.add(
+                            "cocycle",
+                            f"({cone_key(sigma)})->({cone_key(tau)})->({cone_key(omega)}) at ({cone_key(rho)})",
+                            "triple composition disagrees with the direct map",
+                        )
+    return rep
 
 
 def is_morphism(f: BlockMap) -> bool:

@@ -16,9 +16,9 @@ from fanalg import cli, descent, equivariant, serialize
 from fanalg.algebra import matrix_unit, random_member
 from fanalg.cli import main
 from fanalg.descent import tautological_datum, twisted_datum
-from fanalg.diagram import DiagramModule, character_module
+from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
-from fanalg.fan import standard_fan
+from fanalg.fan import projective_plane_fan, standard_fan
 from fanalg.laurent import binomial
 from fanalg.linalg import QMat
 
@@ -664,6 +664,26 @@ class TestSizeBounds:
         start = time.perf_counter()
         assert run(["equi", "validate", path]) == (0, "equi validate: SUMMARY: pass\n")
         assert time.perf_counter() - start < 1.0
+
+    def test_hom_of_a_module_with_large_entries_is_solved_in_stages(self, tmp_path):
+        # three characters on P2, so dimension 3 on every cone and 63 unknowns,
+        # conjugated on every cone by an integer matrix with 50-digit entries:
+        # one elimination over all unknowns carries the minors of every cone
+        # into every row and took about 10 s; in stages each cone's torus
+        # equations are solved alone
+        fan = projective_plane_fan()
+        rng = random.Random(50)
+        m = character_module(fan, (2, 3))
+        for values in ((-1, "1/2"), (3, -2)):
+            m = direct_sum(m, character_module(fan, values))
+        gs = {c: QMat([[rng.choice((-1, 1)) * rng.randint(10**49, 10**50 - 1) for _ in range(3)] for _ in range(3)]) for c in fan.cones}
+        m = conjugate(m, gs)
+        path = write_json(tmp_path / "big.json", serialize.module_to_data(m))
+        start = time.perf_counter()
+        code, out = run(["mod", "hom", path, path])
+        assert time.perf_counter() - start < 3.0
+        assert code == 0 and out.startswith("hom dimension 3\n")
+
 
     def test_quotient_ranks_past_the_limit_are_input_errors(self, tmp_path):
         # the Smith form of an r x n matrix builds r x r and n x n transforms

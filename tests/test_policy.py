@@ -16,12 +16,12 @@ from fanalg import algebra, cli, descent, diagram, equivariant, lattice, laurent
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, glue, twisted_datum
-from fanalg.diagram import character_module, evaluate, hom, rep_check, validate
+from fanalg.diagram import character_module, conjugate, direct_sum, evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import Fan, projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
-from fanalg.linalg import QMat, block_diag, kron, nullspace, rref
+from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
 
 from support import count_calls, mul_by_terms, random_valid_module
 
@@ -295,13 +295,38 @@ def test_echelon_on_integer_rows_holds_only_ints():
         assert all(row[c] == d for c, row in held.items()), rows
 
 
-def test_hom_reads_one_echelon_form_and_pads_no_rref(p2_fan, monkeypatch):
+def test_hom_reads_one_echelon_form_per_stage_and_pads_no_rref(p2_fan, monkeypatch):
+    # stage 1 eliminates the torus equations of each cone alone, and compares
+    # the scalars of a 1x1 block instead; stage 2 eliminates the arrow
+    # equations of all cones, and stage 3 brings the solutions to the
+    # canonical basis
     m = random_valid_module(p2_fan, random.Random(9), summands=2)
     rrefs = count_calls(monkeypatch, "rref", linalg)
-    echelons = count_calls(monkeypatch, "_echelon", linalg)
+    echelons = count_calls(monkeypatch, "_echelon", linalg, diagram)
     dim, _ = hom(m, m)
     assert dim >= 2
-    assert (len(rrefs), len(echelons)) == (0, 1)
+    wide = sum(m.dims[c] > 1 for c in p2_fan.cones)
+    assert 0 < wide < len(p2_fan.cones)
+    assert (len(rrefs), len(echelons)) == (0, wide + 2)
+
+
+def test_each_base_change_is_inverted_once(p2_fan, monkeypatch):
+    # conjugate inverts each block once, which is also its invertibility
+    # check, and twisted_datum each of its twists once; a 1x1 block takes the
+    # scalar path, so the 2x2 blocks of a sum of two characters are counted
+    m = direct_sum(character_module(p2_fan, [2, 3]), character_module(p2_fan, ["1/2", -1]))
+    rng = random.Random(14)
+    gs = {c: random_invertible(2, rng) for c in p2_fan.cones}
+    echelons = count_calls(monkeypatch, "_echelon", linalg)
+    moved = conjugate(m, gs)
+    assert len(echelons) == len(p2_fan.cones)
+    echelons.clear()
+    twisted_datum(moved, rng)
+    assert len(echelons) == sum(len(p2_fan.subfan(sigma).cones) for sigma in p2_fan.maximal)
+    with pytest.raises(ValueError, match=r"bad base change at \(0\)"):
+        conjugate(m, {(0,): QMat([[1, 2], [2, 4]])})
+    with pytest.raises(ValueError, match=r"bad base change at \(0,1\)"):
+        conjugate(m, {(0, 1): QMat([[1, 0, 0], [0, 1, 0]])})
 
 
 def test_matrix_arithmetic_reads_no_fraction_view(p2_fan, monkeypatch):

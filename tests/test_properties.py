@@ -21,14 +21,20 @@ oracle and a sympy oracle when sympy is present, also on integers up to
 fraction-free elimination's pivot value is negative; matrix entries read
 from files as `Fraction(str(x))` reads them, with the same errors, and
 whole matrices read straight into integers against the Fraction-based
-reader, with the same errors;
+reader, with the same errors; matrices written from their integers as
+`str(Fraction)` writes them, and a descent file of repeated entries, `1`,
+`true`, `1.0` and `"1"` among them, read as the Fraction-based reader reads
+each entry;
 evaluation as a representation on modules with warm and cold caches, and
 against an entry-by-entry QMat oracle on valid and corrupted modules and on
 modules with zero-dimensional spaces; linearity of evaluation, on which
 `rep_check` relies to compare only products; algebra products against the
 term-by-term LaurentPoly product; hom between character and point modules,
-and hom as the solution space of the intertwining equations of the
-generators' images; and the Smith and row Hermite normal forms, against
+hom as the solution space of the intertwining equations of the
+generators' images, and the staged hom against the single-pass oracle, also
+on large entries; the cocycle check against the oracle that computes every
+ordering of each pair and triple, on twisted data and four corrupted copies;
+and the Smith and row Hermite normal forms, against
 sympy oracles when sympy is present."""
 
 import random
@@ -40,16 +46,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanalg.algebra import AlgebraElement, TensorWord, central, delta, factorize, idempotent, membership_report, mu, random_member, random_poly, transport, unit
-from fanalg.descent import _chart_of, glue, restrict, twisted_datum
+from fanalg.descent import DescentDatum, _chart_of, check_cocycle, glue, restrict, tautological_datum, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
-from fanalg.fan import covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
+from fanalg.fan import cone_key, covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, hnf_rows, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
 
 from support import (
+    check_cocycle_each_ordering,
+    hom_single_pass,
     evaluate_by_entries,
     expand,
     generator_equations,
@@ -857,6 +865,62 @@ def test_matrices_read_straight_into_integers_match_the_fraction_reader(case):
         assert all(type(x) is int for row in got.num for x in row) and type(got.den) is int
 
 
+@st.composite
+def canonical_matrices(draw):
+    """A matrix of up to 3 x 3 rationals in canonical form: the zero matrix,
+    integer ones and ones whose entries share a factor with the denominator."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=12))
+    flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return QMat._of_fractions([flat[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(canonical_matrices())
+@example(QMat.zero(2, 3))
+@example(QMat([[-4, 0], [7, -1]]))
+@example(QMat([["1/2", "1/3"], ["-5/6", 0]]))  # over 6, the entries 3, 2 and -5 share a factor with it or not
+@example(QMat([["-3/4", "1/2"]]))
+def test_matrices_are_written_as_fraction_strings(m):
+    assert serialize._mat_to_data(m) == [str(x) for x in m.flat()]
+    assert serialize._mat_from_data(serialize._mat_to_data(m), m.m, m.n, "$.m") == m
+
+
+REPEATED_ENTRIES = ("1", 1, True, 1.0, "2/4", "1/2", "-0", "7" * 5001)
+
+
+def read_descent_or_error(data, fan):
+    try:
+        return serialize.descent_from_data(data, fan)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("entries", [
+    REPEATED_ENTRIES,
+    ("1", 1, 1.0, "2/4", "1/2", "-0"),
+    ("1/2", "-0", "1", 1.0, 1, "2/4", "1", True),
+    ("1", 1, "7" * 5001, True),
+], ids=["all", "readable", "bool-last", "numeral-first"])
+def test_a_descent_file_of_repeated_entries_reads_as_the_fraction_reader_reads_it(entries, monkeypatch):
+    """The entries of one file share a table of canonical strings for the
+    read; `1`, `true`, `1.0` and `"1"` are not one key of it, so the file
+    gives the datum, or the first error, of a reader that reads each entry
+    on its own."""
+    fan = projective_plane_fan()
+    data = serialize.descent_to_data(tautological_datum(character_module(fan, (Fraction(2), Fraction(1, 3)))))
+    flats = [flat for chart in data["charts"].values() for mats in chart["torus"].values() for flat in mats]
+    flats += [flat for blocks in data["glue"].values() for flat in blocks.values()]
+    assert len(flats) > 2 * len(entries) and all(len(flat) == 1 for flat in flats)
+    for i, flat in enumerate(flats):
+        flat[0] = entries[i % len(entries)]
+    got = read_descent_or_error(data, fan)
+    monkeypatch.setattr(serialize, "_mat_from_data", lambda flat, rows, cols, path, table=None: mat_from_data_by_fractions(flat, rows, cols, path))
+    assert got == read_descent_or_error(data, fan)
+    # `True in entries` would hold for 1 and 1.0 too
+    assert isinstance(got, str) == any(x is True or x == "7" * 5001 for x in entries)
+
+
 def basic_modules(fan):
     """A point module at any cone, or a character with small nonzero values."""
     points = st.sampled_from(fan.cone_list()).map(lambda c: point_module(fan, c))
@@ -1017,6 +1081,101 @@ def test_hom_is_the_solution_space_of_the_generators_images(name, seed, target, 
         x = total_matrix(f)
         assert (x.m, x.n) == (mb.total_dim(), ma.total_dim())
         assert (eqs @ column(x.flat())).is_zero()
+
+
+def large_entry_base_change(m, rng, digits):
+    """m conjugated on every cone by an integer matrix whose entries have the
+    given number of digits."""
+    lo = 10 ** (digits - 1)
+    while True:
+        gs = {c: QMat([[rng.choice((-1, 1)) * rng.randint(lo, 10 * lo - 1) for _ in range(m.dims[c])] for _ in range(m.dims[c])]) for c in m.fan.cones}
+        if all(g.is_invertible() for g in gs.values()):
+            return conjugate(m, gs)
+
+
+@pytest.mark.parametrize("digits", [1, 12])
+@pytest.mark.parametrize("name", sorted(HOM_FANS))
+@settings(SETTINGS, max_examples=8)
+@given(seeds, st.sampled_from(["other", "conjugate", "same"]), st.booleans())
+def test_staged_hom_equals_the_single_pass_oracle(name, digits, seed, target, conjugated):
+    """`hom` in stages gives the basis, bytes included, of one elimination
+    over all unknowns: the commutant bases and the reversed reduced echelon
+    form of stage 3 do not depend on the order of the equations."""
+    fan = HOM_FANS[name]
+    rng = random.Random(seed)
+    ma = random_valid_module(fan, rng, summands=rng.randint(1, 2), conjugated=conjugated)
+    if digits > 1:
+        ma = large_entry_base_change(ma, rng, digits)
+    if target == "other":
+        mb = random_valid_module(fan, rng, summands=rng.randint(1, 2), conjugated=conjugated)
+    elif target == "conjugate":
+        mb = conjugate(ma, {c: random_invertible(ma.dims[c], rng) for c in fan.cones})
+    else:
+        mb = ma
+    assert hom(ma, mb) == hom_single_pass(ma, mb)
+
+
+COCYCLE_FANS = {"P2": FANS["P2"], "F1": FANS["F1"], "P1xP1": P1xP1}
+CORRUPTIONS = ("none", "one direction", "conjugated pair", "chart arrow", "scaled pair")
+
+
+def corrupted_datum(d, kind):
+    """A copy of a cocycle datum with one fault: a glue block scaled in one
+    direction; both maps of a pair conjugated at a ray cone by twice the
+    identity, which intertwines no nonzero arrow; a chart arrow doubled; or
+    the maps of a pair scaled by 2 and 1/2, which intertwine still."""
+    fan = d.fan
+    maps = {key: dict(blocks) for key, blocks in d.glue_maps.items()}
+    charts = dict(d.charts)
+    # the first pair of charts that share a ray, and that ray
+    sigma, tau = next((s, t) for s in fan.maximal for t in fan.maximal if s < t and set(s) & set(t))
+    rho = (min(set(sigma) & set(tau)),)
+    if kind == "one direction":
+        maps[(sigma, tau)][rho] = maps[(sigma, tau)][rho].scale(2)
+    elif kind == "conjugated pair":
+        maps[(sigma, tau)][rho] = maps[(sigma, tau)][rho].scale(2)
+        maps[(tau, sigma)][rho] = maps[(tau, sigma)][rho].scale(Fraction(1, 2))
+    elif kind == "chart arrow":
+        m = charts[sigma]
+        key = next(k for k in sorted(m.u) if not m.u[k].is_zero())
+        charts[sigma] = DiagramModule(m.fan, m.dims, m.torus, {**m.u, key: m.u[key].scale(2)}, m.v)
+    elif kind == "scaled pair":
+        maps[(sigma, tau)] = {r: b.scale(2) for r, b in maps[(sigma, tau)].items()}
+        maps[(tau, sigma)] = {r: b.scale(Fraction(1, 2)) for r, b in maps[(tau, sigma)].items()}
+    return DescentDatum(fan, charts, maps), (sigma, tau)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@pytest.mark.parametrize("name", sorted(COCYCLE_FANS))
+@settings(SETTINGS, max_examples=4)
+@given(seeds)
+def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(name, kind, seed):
+    """`check_cocycle` computes one verdict per unordered pair and triple of
+    charts when the maps are mutually inverse, and reports the findings of
+    every ordering, in the order of the oracle that computes each ordering on
+    its own."""
+    fan = COCYCLE_FANS[name]
+    rng = random.Random(seed)
+    values = [Fraction(rng.choice([2, 3, -1, -2]), rng.choice([1, 2])) for _ in range(fan.rank)]
+    m = direct_sum(character_module(fan, values), random_valid_module(fan, rng, summands=1, conjugated=False))
+    m = conjugate(m, {c: random_invertible(m.dims[c], rng) for c in fan.cones})
+    d, (sigma, tau) = corrupted_datum(twisted_datum(m, rng), kind)
+    want = check_cocycle_each_ordering(d)
+    assert check_cocycle(d).findings == want.findings
+    codes = {f.code for f in want.findings}
+    if kind == "none":
+        assert want.ok
+    elif kind == "one direction":
+        assert "inverse" in codes
+    elif kind == "conjugated pair":
+        # the character's v arrows are nonzero, so both orderings fail
+        assert "inverse" not in codes and "intertwine" in codes
+        at = {f.location.split(" ")[0] for f in want.findings if f.code == "intertwine"}
+        assert at == {f"({cone_key(sigma)})->({cone_key(tau)})", f"({cone_key(tau)})->({cone_key(sigma)})"}
+    elif kind == "chart arrow":
+        assert not want.ok
+    else:
+        assert codes == {"cocycle"}
 
 
 @st.composite
