@@ -425,16 +425,38 @@ def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cm
     """Small random polynomial; may degenerate to fewer terms by cancellation.
 
     Each coefficient is p / q with q drawn from {1, 2}, summed as integers
-    over 2 and reduced once.  Every draw is one `rng.randrange(n)`, which
-    takes the same value from the generator as `randint` and `choice` over n
-    values, with less overhead."""
+    over 2 and reduced once.  Every draw of one of n values is CPython's rule
+    for `rng.randrange(n)`, inlined: k = n.bit_length(), then getrandbits(k)
+    drawn again while it is at least n, so n == 1 still takes one bit.  The
+    stream, the values and the state of `rng` afterwards are those of
+    `randrange`, which takes the same values as `randint` and `choice` over
+    n values, with less overhead."""
+    if terms < 1 or emax < 0 or cmax < 1:
+        raise ValueError(f"empty range: terms={terms}, emax={emax}, cmax={cmax}")
     choices = [x for x in range(-cmax, cmax + 1) if x]
-    draw = rng.randrange
+    bits = rng.getrandbits
     width = 2 * emax + 1
+    nc = len(choices)
+    kt, kw, kc = terms.bit_length(), width.bit_length(), nc.bit_length()
+    count = bits(kt)
+    while count >= terms:
+        count = bits(kt)
     num: dict[tuple[int, ...], int] = {}
-    for _ in range(draw(terms) + 1):
-        e = tuple(draw(width) - emax for _ in range(rank))
-        c = choices[draw(len(choices))] * (2 // (draw(2) + 1))
+    for _ in range(count + 1):
+        exponent = []
+        for _ in range(rank):
+            r = bits(kw)
+            while r >= width:
+                r = bits(kw)
+            exponent.append(r - emax)
+        e = tuple(exponent)
+        r = bits(kc)
+        while r >= nc:
+            r = bits(kc)
+        q = bits(2)  # one of two values: k = 2
+        while q >= 2:
+            q = bits(2)
+        c = choices[r] * (2 // (q + 1))
         num[e] = num.get(e, 0) + c
     return LaurentPoly._reduced(rank, {e: c for e, c in num.items() if c}, 2)
 
@@ -451,19 +473,31 @@ def random_member(
     """Seeded random member, optionally supported in a corner e_row A e_col.
 
     density_pct is the percentage chance of filling each cone-pair slot;
-    an integer so that sampling stays float-free like everything else.
+    an integer so that sampling stays float-free like everything else.  The
+    draws are those of `rng.randrange`, by the inlined rule `random_poly`
+    states, so the members and the state of `rng` afterwards are those of
+    the `randrange` sampler.
     """
     rows = fan.cone_list() if row_cone is None else fan.faces_of(row_cone)
     cols = fan.cone_list() if col_cone is None else fan.faces_of(col_cone)
+    bits = rng.getrandbits
     quotients = {}
     pairs = [(s, t) for s in rows for t in cols]
     for pair in pairs:
-        if rng.randrange(100) >= density_pct:
+        r = bits(7)  # one of 100 values: k = 7
+        while r >= 100:
+            r = bits(7)
+        if r >= density_pct:
             continue
         y = random_poly(fan.rank, rng, terms=terms, emax=emax)
         if y.is_zero():
             continue
         quotients[pair] = y
     if not quotients:
-        quotients[pairs[rng.randrange(len(pairs))]] = LaurentPoly.one(fan.rank)
+        n = len(pairs)
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        quotients[pairs[r]] = LaurentPoly.one(fan.rank)
     return AlgebraElement._divided(fan, quotients)

@@ -17,7 +17,7 @@ from typing import Mapping
 from fanalg.diagram import DiagramModule, validate
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
 from fanalg.linalg import QMat, _is_product, _products_equal, random_invertible
-from fanalg.report import Report
+from fanalg.report import Finding, Report
 
 
 def restrict(m: DiagramModule, cone) -> DiagramModule:
@@ -79,7 +79,13 @@ def check_cocycle(d: DescentDatum) -> Report:
     condition: the verdict of the first ordering is reused for the others,
     and the findings of every ordering are still reported, in the same order
     as when each is computed.  When an inverse pair fails, every ordering is
-    computed on its own."""
+    computed on its own.
+
+    The inverse pairs also decide invertibility: a square block whose pair
+    holds is invertible, so `is_invertible` runs only on non-square blocks,
+    on the blocks of a failing pair, and on every block when a chart fails
+    or a map or block is missing or misshapen.  The findings come in the
+    same order either way."""
     rep = Report()
     fan = d.fan
     maxc = list(fan.maximal)
@@ -101,6 +107,8 @@ def check_cocycle(d: DescentDatum) -> Report:
         for f in chart_rep.findings:
             rep.add("chart", f"({cone_key(sigma)}):{f.location}", f"{f.code}: {f.detail}")
 
+    # blocks whose invertibility is open, each with its place in the report
+    owed = []
     for sigma in maxc:
         for tau in maxc:
             if sigma == tau:
@@ -118,22 +126,37 @@ def check_cocycle(d: DescentDatum) -> Report:
                 dt = d.charts[tau].dims[rho]
                 if (b.m, b.n) != (dt, ds):
                     rep.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
-                elif not b.is_invertible():
-                    rep.add("invertible", _block_at(sigma, tau, rho), "block is singular")
+                else:
+                    owed.append((len(rep.findings), sigma, tau, rho, b))
+
+    # inverse pairs, decided first when every chart passes and every block is
+    # present and well shaped, and reported after the intertwining; a square
+    # block of a pair that holds is invertible, so only the other blocks are
+    # tested
+    not_inverse = []
+    held = set()
+    if rep.ok:
+        for sigma in maxc:
+            for tau in maxc:
+                if sigma >= tau:
+                    continue
+                fwds, bwds = d.glue_maps[(sigma, tau)], d.glue_maps[(tau, sigma)]
+                for rho in overlap(sigma, tau):
+                    fwd = fwds[rho]
+                    if _is_product(QMat.identity(fwd.n), bwds[rho], fwd):
+                        held.add((sigma, tau, rho))
+                    else:
+                        not_inverse.append((sigma, tau, rho))
+    singular = [
+        (pos, sigma, tau, rho)
+        for pos, sigma, tau, rho, b in owed
+        if not (b.m == b.n and (min(sigma, tau), max(sigma, tau), rho) in held) and not b.is_invertible()
+    ]
+    for k, (pos, sigma, tau, rho) in enumerate(singular):
+        rep.findings.insert(pos + k, Finding("invertible", _block_at(sigma, tau, rho), "block is singular"))
     if not rep.ok:
         return rep
 
-    # inverse pairs, decided first and reported after the intertwining
-    not_inverse = []
-    for sigma in maxc:
-        for tau in maxc:
-            if sigma >= tau:
-                continue
-            fwds, bwds = d.glue_maps[(sigma, tau)], d.glue_maps[(tau, sigma)]
-            for rho in overlap(sigma, tau):
-                fwd = fwds[rho]
-                if not _is_product(QMat.identity(fwd.n), bwds[rho], fwd):
-                    not_inverse.append((sigma, tau, rho))
     # the verdicts of each unordered pair or triple, in report order, are
     # shared by its orderings only when every pair of maps is mutually inverse
     shared = not not_inverse

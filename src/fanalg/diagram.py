@@ -54,13 +54,18 @@ class DiagramModule:
 
     A module is immutable, so it owns two caches for its lifetime, filled on
     first use: torus powers keyed by (cone, j, k), and path products keyed by
-    cone pair (`_path`).  Every derived module is a new instance with empty
-    caches.  Monodromies are not cached on the module: a table of them keyed
-    by (cone, exponent) is owned by one call, of `evaluate` or of
-    `rep_check`, which shares its table across all its evaluations.
+    cone pair (`_path`).  It also keeps its verdict, `_valid`, set by
+    `validate` when the module passes with no findings and no skips, so that
+    each later `validate` of it, and so each `rep_check`, skips the axioms.
+    A module that fails keeps no verdict and is decided again on every call.
+    Every derived module is a new instance with empty caches and no verdict;
+    `==` ignores the caches and the verdict.  Monodromies are not cached on
+    the module: a table of them keyed by (cone, exponent) is owned by one
+    call, of `evaluate` or of `rep_check`, which shares its table across all
+    its evaluations.
     """
 
-    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths")
+    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths", "_valid")
 
     def __init__(
         self,
@@ -96,6 +101,7 @@ class DiagramModule:
         object.__setattr__(self, "v", MappingProxyType(full_v))
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_paths", {})
+        object.__setattr__(self, "_valid", False)
 
     def __setattr__(self, *a):
         raise AttributeError("DiagramModule is immutable")
@@ -261,11 +267,18 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
 
 
 def validate(m: DiagramModule) -> Report:
-    """The A1 to A4 report of a plain module, computed afresh on each call;
-    a module that is not plain raises."""
+    """The A1 to A4 report of a plain module; a module that is not plain
+    raises.  A module that passes keeps that verdict for its lifetime, so a
+    later call returns a new empty report without checking the axioms again;
+    a module that fails is checked again on every call."""
     if m.nt != m.fan.rank:
         raise ValueError("expected a plain module with one torus matrix per lattice coordinate")
-    return axiom_report(m)
+    if m._valid:
+        return Report()
+    rep = axiom_report(m)
+    if rep.ok and not rep.skipped:
+        object.__setattr__(m, "_valid", True)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +298,12 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
     The module owns the path products and torus powers for its lifetime.
     This call owns a table of monodromies keyed by (sigma, e), so each is
     built once per call and dropped with it; `rep_check` evaluates through
-    `_evaluate` with one table for all its trials instead.  Each entry is one
-    call of the integer kernel `linalg._combination_times`, which builds no
-    matrix and makes no gcd pass; the blocks are placed over the lcm of their
-    denominators and reduced once, by one `QMat._reduced` for the total.
+    `_evaluate` with one table for all its trials instead.  An entry whose
+    two spaces are 1-dimensional is summed as one integer; any other entry
+    with no empty side is one call of the integer kernel
+    `linalg._combination_times`.  Neither builds a matrix or makes a gcd
+    pass; the blocks are placed over the lcm of their denominators and
+    reduced once, by one `QMat._reduced` for the total.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -301,22 +316,44 @@ def _evaluate(
     x: AlgebraElement, m: DiagramModule, monodromies: dict[tuple[Cone, Vec], QMat], rng: random.Random | None = None
 ) -> QMat:
     """`evaluate` of a member on a plain module of its fan, unchecked, reading
-    and filling the caller's table of monodromies."""
+    and filling the caller's table of monodromies.
+
+    A block with an empty side is skipped; with `rng` given its path is
+    still drawn, so that the shuffled chains of later blocks see the same
+    draws.  A block whose two spaces are 1-dimensional is one integer: the
+    sum of c * num * (lcm / den) over its monodromies num / den, times the
+    path's one entry, over lcm * path.den * y.den.  Any other block is one
+    call of `linalg._combination_times`."""
     offs = m.offsets()
+    dims = m.dims
+    scalars = []
     blocks = []
     for (sigma, tau), y in sorted(x.quotients.items()):
+        ds, dt = dims[sigma], dims[tau]
+        if not (ds and dt):
+            if rng is not None:
+                m._path(sigma, tau, rng)
+            continue
         terms = []
         for e, c in y.num.items():
             mono = monodromies.get((sigma, e))
             if mono is None:
                 mono = monodromies[(sigma, e)] = m.monodromy(sigma, e)
             terms.append((c, mono))
-        rows, den = _combination_times(terms, m._path(sigma, tau, rng))
-        blocks.append((offs[sigma], offs[tau], rows, den * y.den))
+        path = m._path(sigma, tau, rng)
+        if ds == dt == 1:
+            den = lcm(*[a.den for _, a in terms])
+            acc = sum([c * a.num[0][0] * (den // a.den) for c, a in terms])
+            scalars.append((offs[sigma], offs[tau], acc * path.num[0][0], den * path.den * y.den))
+        else:
+            rows, den = _combination_times(terms, path)
+            blocks.append((offs[sigma], offs[tau], rows, den * y.den))
     # entries are distinct cone pairs, so the blocks do not overlap
     n = m.total_dim()
-    den = lcm(*(d for _, _, _, d in blocks))
+    den = lcm(*(d for _, _, _, d in scalars), *(d for _, _, _, d in blocks))
     total = [[0] * n for _ in range(n)]
+    for r0, c0, a, d in scalars:
+        total[r0][c0] = den // d * a
     for r0, c0, rows, d in blocks:
         f = den // d
         for i, row in enumerate(rows):
@@ -340,8 +377,10 @@ def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
     with the product of the images; the first failing trial is the one
     finding.
 
-    The module is checked once per call, by `validate`, which raises on a
-    module that is not plain.  The members are drawn on the module's fan, so
+    The module is checked once per module, by `validate`, which raises on a
+    module that is not plain: a module that passes keeps the verdict, so
+    later calls on it check no axiom, and one that fails raises on every
+    call.  The members are drawn on the module's fan, so
     the evaluations go through `_evaluate` unchecked, and they share one
     table of monodromies, owned by this call.  Sums are not compared:
     evaluation is linear by construction, a property the tests assert."""

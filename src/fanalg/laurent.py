@@ -34,8 +34,6 @@ from typing import Iterable, Mapping, Sequence
 from fanalg.lattice import IntMatrix, Vec, _vec, primitive
 from fanalg.linalg import _frac
 
-_set = object.__setattr__
-
 
 class LaurentPoly:
     """Laurent polynomial with rational coefficients and integer exponents,
@@ -61,9 +59,9 @@ class LaurentPoly:
         # a prime power exactly dividing the lcm exactly divides some
         # denominator, and that coefficient's numerator is prime to it
         den = lcm(*(c.denominator for c in data.values()))
-        _set(self, "rank", rank)
-        _set(self, "num", {e: c.numerator * (den // c.denominator) for e, c in data.items()})
-        _set(self, "den", den)
+        _set_rank(self, rank)
+        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in data.items()})
+        _set_den(self, den)
 
     @classmethod
     def _of(cls, rank: int, num: dict[Vec, int], den: int) -> "LaurentPoly":
@@ -71,9 +69,9 @@ class LaurentPoly:
         canonical form with integer-tuple exponents and nonzero integers;
         nothing is coerced, reduced or checked again."""
         f = object.__new__(cls)
-        _set(f, "rank", rank)
-        _set(f, "num", num)
-        _set(f, "den", den)
+        _set_rank(f, rank)
+        _set_num(f, num)
+        _set_den(f, den)
         return f
 
     @classmethod
@@ -237,6 +235,11 @@ class LaurentPoly:
         return s.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+# the slot descriptors, which set a slot with no attribute lookup and pass by
+# the `__setattr__` that keeps a LaurentPoly immutable
+_set_rank, _set_num, _set_den = LaurentPoly.rank.__set__, LaurentPoly.num.__set__, LaurentPoly.den.__set__
 
 
 def binomial(v: Sequence[int]) -> LaurentPoly:

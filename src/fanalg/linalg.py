@@ -30,10 +30,11 @@ entry against zero and `inverse` returns den / x with the sign on the
 numerator; a 1x1 inverse or invertibility test makes no `_echelon` call.  Each returns the canonical
 `QMat` the general path gives, and raises the same errors.
 
-`_combination_times` is the one kernel of `diagram.evaluate`: it returns
-(sum of c * a) @ b for integer coefficients c as integer rows over a
-denominator, with no gcd pass and no new matrix, so that `evaluate` places
-every block of its total matrix and reduces once.
+`_combination_times` is the kernel of `diagram.evaluate` for blocks wider
+than 1x1: it returns (sum of c * a) @ b for integer coefficients c as
+integer rows over a denominator, with no gcd pass and no new matrix, so that
+`evaluate` places every block of its total matrix and reduces once; a 1x1
+block is summed there as one integer.
 
 Every elimination reads one sparse, fully reduced row echelon form, built by
 `_echelon` from the integer rows without leaving the integers: a
@@ -65,8 +66,6 @@ from operator import mul, neg
 from typing import Iterable, Sequence
 
 Q = Fraction
-
-_set = object.__setattr__
 
 
 def _frac(x) -> Fraction:
@@ -103,20 +102,20 @@ class QMat:
         if len(frozen) != m or any(len(r) != n for r in frozen):
             raise ValueError("ragged or mis-shaped matrix data")
         num, den = _over_lcm(frozen)
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _of(cls, num: tuple[tuple[int, ...], ...], den: int, m: int, n: int) -> "QMat":
         """The m x n matrix num / den, which the library has just built in
         canonical form; nothing is coerced, reduced or checked again."""
         a = object.__new__(cls)
-        _set(a, "m", m)
-        _set(a, "n", n)
-        _set(a, "num", num)
-        _set(a, "den", den)
+        _set_m(a, m)
+        _set_n(a, n)
+        _set_num(a, num)
+        _set_den(a, den)
         return a
 
     @classmethod
@@ -281,6 +280,11 @@ class QMat:
     def flat(self) -> list[Fraction]:
         d = self.den
         return [Fraction(x, d) for row in self.num for x in row]
+
+
+# the slot descriptors, which set a slot with no attribute lookup and pass by
+# the `__setattr__` that keeps a QMat immutable
+_set_m, _set_n, _set_num, _set_den = QMat.m.__set__, QMat.n.__set__, QMat.num.__set__, QMat.den.__set__
 
 
 def _columns(b: QMat) -> list[tuple[int, ...]]:

@@ -8,7 +8,8 @@ single-pass `hom` over all unknowns as an oracle for the staged one, the
 cocycle check that computes every ordering of each pair and triple on its own
 as an oracle for `descent.check_cocycle`, the factors of a tensor word with a
 product-based `mu` oracle, the Fraction-based reader of matrix entries as an
-oracle for `serialize`, and a call counter."""
+oracle for `serialize`, the `randrange` sampler of random members as an
+oracle for `algebra.random_member`, and a call counter."""
 
 import random
 from fractions import Fraction
@@ -472,6 +473,46 @@ def mat_from_data_by_fractions(flat, rows: int, cols: int, path: str) -> QMat:
     if len(es) != rows * cols:
         raise ValueError(f"a {rows}x{cols} matrix cannot have {len(es)} entries")
     return QMat._of_fractions([es[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
+
+
+def random_poly_by_randrange(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cmax: int = 3) -> LaurentPoly:
+    """The oracle for `algebra.random_poly`: every draw is one
+    `rng.randrange(n)`, in the order the sampler makes them."""
+    choices = [x for x in range(-cmax, cmax + 1) if x]
+    draw = rng.randrange
+    width = 2 * emax + 1
+    num: dict[Vec, int] = {}
+    for _ in range(draw(terms) + 1):
+        e = tuple(draw(width) - emax for _ in range(rank))
+        c = choices[draw(len(choices))] * (2 // (draw(2) + 1))
+        num[e] = num.get(e, 0) + c
+    return LaurentPoly._reduced(rank, {e: c for e, c in num.items() if c}, 2)
+
+
+def random_member_by_randrange(
+    fan: Fan,
+    rng: random.Random,
+    row_cone: Cone | None = None,
+    col_cone: Cone | None = None,
+    density_pct: int = 35,
+    terms: int = 2,
+    emax: int = 1,
+) -> AlgebraElement:
+    """The oracle for `algebra.random_member`, drawing through
+    `rng.randrange` and `random_poly_by_randrange`."""
+    rows = fan.cone_list() if row_cone is None else fan.faces_of(row_cone)
+    cols = fan.cone_list() if col_cone is None else fan.faces_of(col_cone)
+    quotients = {}
+    pairs = [(s, t) for s in rows for t in cols]
+    for pair in pairs:
+        if rng.randrange(100) >= density_pct:
+            continue
+        y = random_poly_by_randrange(fan.rank, rng, terms=terms, emax=emax)
+        if not y.is_zero():
+            quotients[pair] = y
+    if not quotients:
+        quotients[pairs[rng.randrange(len(pairs))]] = LaurentPoly.one(fan.rank)
+    return AlgebraElement._divided(fan, quotients)
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -16,7 +16,7 @@ from fanalg import algebra, cli, descent, diagram, equivariant, lattice, laurent
 from fanalg import fan as fanmod
 from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random_member, required_divisor, required_rays
 from fanalg.descent import check_cocycle, glue, twisted_datum
-from fanalg.diagram import character_module, conjugate, direct_sum, evaluate, hom, rep_check, validate
+from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import Fan, projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
@@ -205,13 +205,9 @@ def test_rep_check_builds_each_monodromy_once_per_call(p2_fan, monkeypatch):
         return real(self, cone, w, exponent)
 
     monkeypatch.setattr(diagram.DiagramModule, "monodromy", counted)
-    # A4 builds monodromies too: rep_check's validate builds these first
-    assert validate(m).ok
-    by_validate = list(built)
-    built.clear()
+    # random_valid_module validated m, which keeps that verdict, so rep_check
+    # checks no axiom and builds monodromies only for its evaluations
     assert rep_check(m, trials=20, seed=3).ok
-    assert built[: len(by_validate)] == by_validate
-    built = built[len(by_validate) :]
     assert len(built) == len(set(built))
     # the members rep_check draws and multiplies, replayed: one table per
     # evaluation would build a monodromy once per element instead
@@ -223,6 +219,66 @@ def test_rep_check_builds_each_monodromy_once_per_call(p2_fan, monkeypatch):
             keys.append({(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num})
     assert set(built) == set().union(*keys)
     assert len(built) < sum(map(len, keys))
+
+
+def test_a_module_keeps_its_verdict_and_a_failing_one_is_decided_again(p2_fan, monkeypatch):
+    m = direct_sum(character_module(p2_fan, [2, 3]), character_module(p2_fan, ["1/2", -1]))
+    axioms = count_calls(monkeypatch, "axiom_report", diagram)
+    for seed in range(3):
+        assert rep_check(m, trials=2, seed=seed).ok
+    assert len(axioms) == 1  # the first call decides, the later ones read the verdict
+    first, second = validate(m), validate(m)
+    assert first is not second and (first.findings, first.skipped) == (second.findings, second.skipped) == ([], [])
+    first.add("x", "y", "a caller may change its report")
+    assert validate(m).ok and len(axioms) == 1
+
+    # a corrupted copy is decided again on every call
+    key = next(k for k in sorted(m.u) if not (m.v[k] @ m.u[k]).is_zero())
+    bad = DiagramModule(p2_fan, m.dims, m.torus, {**m.u, key: m.u[key].scale(2)}, m.v)
+    assert bad == bad and bad != m
+    axioms.clear()
+    for seed in range(3):
+        with pytest.raises(ValueError, match="invalid module"):
+            rep_check(bad, trials=1, seed=seed)
+    assert len(axioms) == 3
+
+    # derived modules start without a verdict, and == ignores it
+    derived = [
+        DiagramModule(p2_fan, m.dims, m.torus, m.u, m.v),
+        conjugate(m, {}),
+        direct_sum(m, m),
+        descent.restrict(m, p2_fan.maximal[0]),
+        glue(twisted_datum(m, random.Random(2))),
+    ]
+    assert derived[0] == derived[1] == m
+    axioms.clear()
+    assert all(validate(x).ok for x in derived)
+    assert len(axioms) == len(derived)
+
+    # the plain-module check comes first, verdict or not
+    eq = EqDiagramModule(p2_fan, quotient_presentation(q=[[1, 0]]), {}, {}, {}, {})
+    object.__setattr__(eq, "_valid", True)
+    with pytest.raises(ValueError, match="plain module"):
+        validate(eq)
+
+
+def test_a_clean_cocycle_check_tests_no_glue_block_for_invertibility(p2_fan, f1_fan, monkeypatch):
+    # a square block whose inverse pair holds is invertible; the charts keep
+    # the verdict of a first validate, so a clean check makes no elimination
+    for fan in (p2_fan, f1_fan):
+        m = direct_sum(character_module(fan, [2, 3]), character_module(fan, ["1/2", -1]))
+        d = twisted_datum(m, random.Random(15))
+        assert all(validate(chart).ok for chart in d.charts.values())
+        echelons = count_calls(monkeypatch, "_echelon", linalg)
+        assert check_cocycle(d).ok
+        assert echelons == []
+        monkeypatch.undo()
+
+
+def test_slots_set_by_descriptor_stay_immutable():
+    for x, name in ((QMat.identity(2), "den"), (QMat([[1, 2]]), "num"), (LaurentPoly.one(2), "den"), (LaurentPoly(1, {(1,): 2}), "rank")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, 3)
 
 
 def test_a_product_multiplies_no_polynomial(p2_fan, monkeypatch):

@@ -68,6 +68,8 @@ from support import (
     mat_from_data_by_fractions,
     mu_by_products,
     mul_by_terms,
+    random_member_by_randrange,
+    random_poly_by_randrange,
     random_valid_module,
     right_factor,
     total_matrix,
@@ -1015,15 +1017,37 @@ C2_ZERO_MEET = DiagramModule(
 )
 
 
+# every space of C3 is 1-dimensional but the zero cone's, and the u arrows
+# make the path from (0) up to (0,1,2) depend on the chain; the first entry
+# is a block with an empty side whose shuffled chain draws from the rng, so
+# with seed 4 the second entry's chain comes out otherwise if that draw is skipped
+C3 = standard_fan(3)
+C3_SCALARS = DiagramModule(
+    C3,
+    {c: 1 if c else 0 for c in C3.cones},
+    {c: (QMat([[2]]), QMat([["3/2"]]), QMat([["-1/3"]])) for c in C3.cones if c},
+    {(t, s): QMat([[Fraction(r + 2, len(s) + r)]]) for t, s, r in covering_pairs(C3) if t},
+    {(t, s): QMat([[Fraction(-1, r + 2)]]) for t, s, r in covering_pairs(C3) if t},
+)
+C3_SCALAR_MEMBER = AlgebraElement._divided(
+    C3,
+    {
+        ((), (0, 1)): LaurentPoly(3, {(1, 0, 0): 1}),
+        ((0, 1, 2), (0,)): LaurentPoly(3, {(1, 0, 0): "1/2", (0, -1, 2): "3/4", (0, 0, 0): 5}),
+    },
+)
+
+
 @settings(SETTINGS, max_examples=60)
 @given(evaluation_cases(), seeds)
 @example((unit(C2).scale(0), C2_ZERO_MEET), 0)  # no block: lcm() = 1
+@example((C3_SCALAR_MEMBER, C3_SCALARS), 4)  # 1x1 and empty blocks only, with an rng
 @example((random_member(C2, random.Random(0), density_pct=100), C2_ZERO_MEET), 0)
 @example((central(C2, LaurentPoly(2, {(0, 0): "1/2", (1, 0): "1/2"})), C2_ZERO_MEET), 0)  # den 2, reduced away
 def test_evaluate_equals_the_entry_by_entry_oracle(case, seed):
-    """evaluate, with its path cache, per-call monomial table and one
-    reduction, gives the matrix of QMat arithmetic entry by entry, on cold
-    and warm caches and on chains shuffled by an rng."""
+    """evaluate, with its path cache, per-call monomial table, integer 1x1
+    blocks and one reduction, gives the matrix of QMat arithmetic entry by
+    entry, on cold and warm caches and on chains shuffled by an rng."""
     x, m = case
     want = evaluate_by_entries(x, m)
     for _ in range(2):
@@ -1116,14 +1140,17 @@ def test_staged_hom_equals_the_single_pass_oracle(name, digits, seed, target, co
 
 
 COCYCLE_FANS = {"P2": FANS["P2"], "F1": FANS["F1"], "P1xP1": P1xP1}
-CORRUPTIONS = ("none", "one direction", "conjugated pair", "chart arrow", "scaled pair")
+CORRUPTIONS = ("none", "one direction", "conjugated pair", "chart arrow", "scaled pair", "singular block", "non-square block")
 
 
 def corrupted_datum(d, kind):
     """A copy of a cocycle datum with one fault: a glue block scaled in one
     direction; both maps of a pair conjugated at a ray cone by twice the
-    identity, which intertwines no nonzero arrow; a chart arrow doubled; or
-    the maps of a pair scaled by 2 and 1/2, which intertwine still."""
+    identity, which intertwines no nonzero arrow; a chart arrow doubled; the
+    maps of a pair scaled by 2 and 1/2, which intertwine still; a glue block
+    replaced by zero; or one chart replaced by its double, every map into it
+    by the stacked [b; b] and every map out of it by [b/2 b/2], which are
+    well shaped, but not square, and mutually inverse in one direction."""
     fan = d.fan
     maps = {key: dict(blocks) for key, blocks in d.glue_maps.items()}
     charts = dict(d.charts)
@@ -1142,6 +1169,16 @@ def corrupted_datum(d, kind):
     elif kind == "scaled pair":
         maps[(sigma, tau)] = {r: b.scale(2) for r, b in maps[(sigma, tau)].items()}
         maps[(tau, sigma)] = {r: b.scale(Fraction(1, 2)) for r, b in maps[(tau, sigma)].items()}
+    elif kind == "singular block":
+        b = maps[(sigma, tau)][rho]
+        maps[(sigma, tau)][rho] = QMat.zero(b.m, b.n)
+    elif kind == "non-square block":
+        charts[tau] = direct_sum(charts[tau], charts[tau])
+        for omega in fan.maximal:
+            if omega != tau:
+                maps[(omega, tau)] = {r: QMat._of(b.num + b.num, b.den, 2 * b.m, b.n) for r, b in maps[(omega, tau)].items()}
+                halves = {r: b.scale(Fraction(1, 2)) for r, b in maps[(tau, omega)].items()}
+                maps[(tau, omega)] = {r: QMat._of(tuple(row + row for row in h.num), h.den, h.m, 2 * h.n) for r, h in halves.items()}
     return DescentDatum(fan, charts, maps), (sigma, tau)
 
 
@@ -1174,6 +1211,8 @@ def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(na
         assert at == {f"({cone_key(sigma)})->({cone_key(tau)})", f"({cone_key(tau)})->({cone_key(sigma)})"}
     elif kind == "chart arrow":
         assert not want.ok
+    elif kind in ("singular block", "non-square block"):
+        assert codes == {"invertible"}
     else:
         assert codes == {"cocycle"}
 
@@ -1205,6 +1244,50 @@ def test_product_equals_the_term_by_term_product(name, data):
     assert got == mul_by_terms(a, b)
     for y in got.quotients.values():
         assert_canonical_poly(y)
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_FANS))
+@SETTINGS
+@given(seeds, st.integers(1, 3), st.integers(0, 2), st.sampled_from([0, 35, 100]), st.data())
+def test_the_sampler_draws_as_randrange(name, seed, terms, emax, density, data):
+    """`random_member` and `random_poly` draw through `getrandbits` by
+    CPython's rule for `randrange`: the members, the polynomials and the
+    state of the generator afterwards are those of the `randrange` sampler."""
+    fan = STOCK_FANS[name]
+    cones = st.none() | st.sampled_from(fan.cone_list())
+    kwargs = dict(row_cone=data.draw(cones), col_cone=data.draw(cones), density_pct=density, terms=terms, emax=emax)
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_member(fan, got, **kwargs) == random_member_by_randrange(fan, want, **kwargs)
+    assert got.getstate() == want.getstate()
+    cmax = data.draw(st.integers(1, 4))
+    assert random_poly(fan.rank, got, terms, emax, cmax) == random_poly_by_randrange(fan.rank, want, terms, emax, cmax)
+    assert got.getstate() == want.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+@SETTINGS
+@given(seeds, st.sampled_from(["valid", "u scaled", "v scaled"]), nonzero_scalars)
+def test_validate_reports_a_base_change_as_the_module(name, seed, kind, c):
+    """Each axiom holds or fails with its base change: `validate` of
+    `conjugate(m, gs)` has the finding codes and locations of `validate(m)`,
+    on valid modules and on copies with one arrow scaled."""
+    fan = FANS[name]
+    rng = random.Random(seed)
+    # a character with no value 1, so that v u is nonzero on the pairs of the first ray
+    values = [rng.choice([2, 3, -1, -2, Fraction(1, 2), Fraction(-3, 2)]) for _ in range(fan.rank)]
+    m = direct_sum(character_module(fan, values), random_valid_module(fan, rng, summands=1))
+    if kind != "valid":
+        # scaling u or v where v u is nonzero breaks A4 unless c == 1
+        u, v = dict(m.u), dict(m.v)
+        arrows = u if kind == "u scaled" else v
+        key = rng.choice(sorted(k for k in arrows if not (v[k] @ u[k]).is_zero()))
+        arrows[key] = arrows[key].scale(c)
+        m = DiagramModule(fan, m.dims, m.torus, u, v)
+    gs = {cone: random_invertible(m.dims[cone], rng) for cone in fan.cones}
+    want = [(f.code, f.location) for f in validate(m).findings]
+    assert [(f.code, f.location) for f in validate(conjugate(m, gs)).findings] == want
+    assert bool(want) == (kind != "valid" and c != 1)
 
 
 GLUE_FANS = dict(FANS, P2xP1=P2xP1)
