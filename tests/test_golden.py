@@ -5,8 +5,9 @@ code and the stdout, recorded before the code they pin was changed: the alg
 cases before algebra elements were kept in divided form, the `mod relations`
 and `equi present` cases before matrix files were read straight into integers
 and fans kept their cone tables, the two `characters` quotient cases before a
-quotient stopped carrying its Smith data, the others before every check result
-became a Report.  Arguments ending in .json name files in golden/.
+quotient stopped carrying its Smith data, the non-regular `fan check` case
+before regularity was read from a Hermite form, the others before every check
+result became a Report.  Arguments ending in .json name files in golden/.
 """
 
 import io
