@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
-from fanalg.lattice import IntMatrix, Vec, hnf_rows, kernel_basis
+from fanalg.lattice import Vec, hnf_rows
 from fanalg.linalg import QMat, _combination_times, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, block_diag, kron, random_invertible
 from fanalg.report import Report
 
@@ -468,8 +468,10 @@ def relation_report(fan: Fan) -> RelationReport:
         if not ops:
             entries.append(ConeRelations(tau, (), ()))
             continue
-        mat = IntMatrix.from_columns([op.vector for op in ops], rows=fan.rank)
-        rels = hnf_rows(kernel_basis(mat))
+        # the rows of the Hermite form of [M^T | I] that vanish on M^T are the
+        # Hermite form of the integer kernel of M, whose columns are the vectors
+        rows = [op.vector + tuple(int(i == j) for j in range(len(ops))) for i, op in enumerate(ops)]
+        rels = [r[fan.rank :] for r in hnf_rows(rows) if not any(r[: fan.rank])]
         entries.append(ConeRelations(tau, tuple(ops), tuple(rels)))
     return RelationReport(tuple(entries))
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
-from fanalg.lattice import IntMatrix, Vec, _vec, elementary_divisors, primitive
+from fanalg.lattice import Vec, _vec, hnf_rows, primitive
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, nullspace
 from fanalg.report import Report
@@ -148,12 +149,26 @@ class Fan:
         return Fan(self.rank, self.rays, faces, (c,))
 
 
+def _divisors(rows: list[Vec], k: int) -> list[int]:
+    """Smith divisors of a matrix of k <= len(rows) columns, for a cone that
+    fails: Hermite forms of the rows and the columns alternate until one is
+    diagonal, and a gcd-lcm sweep makes the diagonal a divisibility chain."""
+    h = hnf_rows(rows)
+    while any(x for i, r in enumerate(h) for j, x in enumerate(r) if i != j):
+        h = hnf_rows(list(zip(*h)))
+    d = [h[i][i] for i in range(len(h))] + [0] * (k - len(h))
+    for i, j in combinations(range(k), 2):
+        d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
+
+
 def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence[int]]) -> Fan:
     """Construct a fan from primitive rays and generating cones.
 
     Computes the face closure, checks every generating cone for regularity
-    (all Smith elementary divisors equal to one), and keeps as maximal the
-    generating cones not contained in another one.
+    (the Hermite form of the rows of its rank x k ray matrix is the k x k
+    identity; only a cone that fails gets its Smith divisors, for the
+    message), and keeps as maximal the cones not contained in another one.
     """
     rays = tuple(map(_vec, rays))
     for r in rays:
@@ -176,9 +191,9 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[
         if len(cone) > rank:
             raise ValueError(f"cone ({cone_key(cone)}) has more rays than the rank")
         if cone:
-            divs = elementary_divisors(IntMatrix.from_columns([rays[i] for i in cone], rows=rank))
-            if any(d != 1 for d in divs):
-                raise ValueError(f"cone with rays ({cone_key(cone)}) fails SNF test: divisors {divs}")
+            rows = list(zip(*(rays[i] for i in cone)))
+            if hnf_rows(rows) != [tuple(int(i == j) for j in range(len(cone))) for i in range(len(cone))]:
+                raise ValueError(f"cone with rays ({cone_key(cone)}) fails SNF test: divisors {_divisors(rows, len(cone))}")
         gens.append(cone)
 
     if not gens:

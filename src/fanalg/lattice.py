@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
-Smith normal form with recorded unimodular transforms, primitive vectors,
-completion of partial bases, and integer kernels.  Everything is computed
-over arbitrary-precision integers; rationals appear only internally, in
-the determinant and the inverse, which `QMat` computes.  Integers are
-coerced once, where they enter, by `_vec`, which rejects a float.
+The row Hermite normal form, with its entries kept small, decides regularity
+and finds integer relations.  The Smith normal form with recorded unimodular
+transforms serves quotient presentations and the completion of partial bases.
+Primitive vectors complete the module.  Rationals appear only internally, in
+the determinant and the inverse, which `QMat` computes.  Integers are coerced
+once, where they enter, by `_vec`, which rejects a float.
 """
 
 from __future__ import annotations
@@ -215,11 +216,6 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def elementary_divisors(m: IntMatrix) -> list[int]:
-    _, d, _ = snf(m)
-    return [d[i, i] for i in range(min(m.rows, m.cols))]
-
-
 def primitive(v: Sequence[int]) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     v = _vec(v)
@@ -264,53 +260,39 @@ def complete_to_basis(vs: Sequence[Sequence[int]], rank: int | None = None) -> I
     return w
 
 
-def kernel_basis(m: IntMatrix) -> list[Vec]:
-    """Basis of the integer kernel {x : m @ x = 0}, from the Smith form."""
-    _, d, v = snf(m)
-    rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
-    return [v.column(j) for j in range(rank, m.cols)]
-
-
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[Vec]:
     """Canonical generating set of the row lattice (row Hermite normal form).
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and zero rows are dropped.  Used wherever a lattice of relations has to be
-    reported deterministically.
+    and zero rows are dropped.  Rows are inserted one at a time into a basis
+    kept in this form: the extended gcd, run on a new row and the basis row
+    whose pivot column holds the new row's first nonzero entry, leaves the gcd
+    in the basis row and a zero in the new one.  Each insertion ends with one
+    pass, in increasing column order, that reduces the entries above each
+    pivot.  This keeps the entries polynomial in size (Kannan and Bachem, SIAM
+    J. Comput. 8, 1979; Cohen, GTM 138, section 2.4).
     """
-    a = [list(_vec(r)) for r in rows]
-    if not a:
-        return []
-    n = len(a[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][c] != 0:
-                if piv is None or abs(a[i][c]) < abs(a[piv][c]):
-                    piv = i
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        while True:
-            done = True
-            for i in range(r + 1, len(a)):
-                if a[i][c] != 0:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c] != 0:
-                        a[r], a[i] = a[i], a[r]
-                        done = False
-            if done:
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        v = list(_vec(row))
+        for c in range(len(v)):
+            if v[c] == 0:
+                continue
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v if v[c] > 0 else [-x for x in v]
                 break
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            if a[i][c] != 0:
-                # reduce entries above the pivot into [0, pivot)
-                q = a[i][c] // a[r][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == len(a):
-            break
-    return [tuple(row) for row in a[:r] if any(row)]
+            while v[c]:
+                # floor division leaves a remainder of the sign of b[c] > 0
+                q = v[c] // b[c]
+                v = [y - q * x for x, y in zip(b, v)]
+                if v[c]:
+                    b, v = v, b
+            basis[c] = b
+        cols = sorted(basis)
+        for j, c in enumerate(cols):
+            for d in cols[:j]:
+                q = basis[d][c] // basis[c][c]
+                if q:
+                    basis[d] = [x - q * y for x, y in zip(basis[d], basis[c])]
+    return [tuple(basis[c]) for c in sorted(basis)]

@@ -9,7 +9,9 @@ cocycle check that computes every ordering of each pair and triple on its own
 as an oracle for `descent.check_cocycle`, the factors of a tensor word with a
 product-based `mu` oracle, the Fraction-based reader of matrix entries as an
 oracle for `serialize`, the `randrange` sampler of random members as an
-oracle for `algebra.random_member`, and a call counter."""
+oracle for `algebra.random_member`, the Smith oracles `elementary_divisors`
+and `kernel_basis` with the textbook `hnf_rows_textbook` for the lattice
+kernel, and a call counter."""
 
 import random
 from fractions import Fraction
@@ -48,7 +50,7 @@ from fanalg.diagram import (
 )
 from fanalg.equivariant import EqStructure
 from fanalg.fan import Cone, Fan, cone_key, standard_fan
-from fanalg.lattice import IntMatrix, Vec, complete_to_basis
+from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, snf
 from fanalg.laurent import LaurentPoly, divide_by_product
 from fanalg.linalg import QMat, _is_product, _products_equal, block_diag, nullspace, random_invertible
 from fanalg.report import Report
@@ -513,6 +515,60 @@ def random_member_by_randrange(
     if not quotients:
         quotients[pairs[rng.randrange(len(pairs))]] = LaurentPoly.one(fan.rank)
     return AlgebraElement._divided(fan, quotients)
+
+
+def elementary_divisors(m: IntMatrix) -> list[int]:
+    """The diagonal of the Smith form of m: the divisors that decide a cone."""
+    _, d, _ = snf(m)
+    return [d[i, i] for i in range(min(m.rows, m.cols))]
+
+
+def kernel_basis(m: IntMatrix) -> list[Vec]:
+    """Basis of the integer kernel {x : m @ x = 0}, from the Smith form."""
+    _, d, v = snf(m)
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
+    return [v.column(j) for j in range(rank, m.cols)]
+
+
+def hnf_rows_textbook(rows: Sequence[Sequence[int]]) -> list[Vec]:
+    """Row Hermite normal form by textbook elimination, with no control of
+    the size of the entries: an oracle for `lattice.hnf_rows` on small inputs."""
+    a = [list(_vec(r)) for r in rows]
+    if not a:
+        return []
+    n = len(a[0])
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, len(a)):
+            if a[i][c] != 0:
+                if piv is None or abs(a[i][c]) < abs(a[piv][c]):
+                    piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        while True:
+            done = True
+            for i in range(r + 1, len(a)):
+                if a[i][c] != 0:
+                    q = a[i][c] // a[r][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                    if a[i][c] != 0:
+                        a[r], a[i] = a[i], a[r]
+                        done = False
+            if done:
+                break
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            if a[i][c] != 0:
+                # reduce entries above the pivot into [0, pivot)
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return [tuple(row) for row in a[:r] if any(row)]
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -15,11 +15,11 @@ from fanalg.equivariant import (
     validate_equivariant,
 )
 from fanalg.fan import cone_key
-from fanalg.lattice import IntMatrix, elementary_divisors, snf
+from fanalg.lattice import IntMatrix, snf
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
 
-from support import structure_against_algebra, unit_element
+from support import elementary_divisors, structure_against_algebra, unit_element
 
 
 class TestQuotientPresentation:

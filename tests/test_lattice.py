@@ -5,12 +5,12 @@ import pytest
 from fanalg.lattice import (
     IntMatrix,
     complete_to_basis,
-    elementary_divisors,
     hnf_rows,
-    kernel_basis,
     primitive,
     snf,
 )
+
+from support import elementary_divisors, kernel_basis
 
 
 def diag_of(d: IntMatrix) -> list[int]:

@@ -544,6 +544,17 @@ def test_only_equi_present_builds_smith_data(tmp_path, monkeypatch):
     assert "invariant factors d_i: 1 1\n" in out.getvalue()
 
 
+def test_regular_fans_and_relations_build_no_smith_data(f1_fan, monkeypatch):
+    # a cone is regular when the Hermite form of the rows of its ray matrix is
+    # the identity, and the relations among ray vectors are read from the
+    # Hermite form of [M^T | I]; only a cone that fails has divisors to print
+    calls = count_calls(monkeypatch, "snf", lattice)
+    p2xp1 = fanmod.product_fan(projective_plane_fan(), fanmod.projective_line_fan())
+    assert len(p2xp1.maximal) == 6
+    assert diagram.relation_report(p2xp1).entries and diagram.relation_report(f1_fan).entries
+    assert calls == []
+
+
 def test_result_guards_are_not_assert_statements():
     # python -O strips assert statements; guards must raise explicitly
     src = Path(fanalg.__file__).parent

@@ -34,8 +34,12 @@ hom as the solution space of the intertwining equations of the
 generators' images, and the staged hom against the single-pass oracle, also
 on large entries; the cocycle check against the oracle that computes every
 ordering of each pair and triple, on twisted data and four corrupted copies;
-and the Smith and row Hermite normal forms, against
-sympy oracles when sympy is present."""
+the Smith and row Hermite normal forms, against
+sympy oracles when sympy is present; the row Hermite form against the
+textbook elimination; the regularity of a cone, and the divisors reported
+when it fails, against the Smith form, also on dependent rays; and the
+relations among the ray vectors of each cone against the Hermite form of
+the Smith kernel."""
 
 import random
 from fractions import Fraction
@@ -47,9 +51,9 @@ from hypothesis import strategies as st
 
 from fanalg.algebra import AlgebraElement, TensorWord, central, delta, factorize, idempotent, membership_report, mu, random_member, random_poly, transport, unit
 from fanalg.descent import DescentDatum, _chart_of, check_cocycle, glue, restrict, tautological_datum, twisted_datum
-from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, validate
+from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, relation_report, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
-from fanalg.fan import cone_key, covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
+from fanalg.fan import build_fan, cone_key, covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, hnf_rows, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
 from fanalg import linalg, serialize
@@ -57,12 +61,15 @@ from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, 
 
 from support import (
     check_cocycle_each_ordering,
+    elementary_divisors,
     hom_single_pass,
     evaluate_by_entries,
     expand,
     generator_equations,
+    hnf_rows_textbook,
     is_isomorphism,
     is_morphism,
+    kernel_basis,
     left_factor,
     linear_combination,
     mat_from_data_by_fractions,
@@ -1382,15 +1389,81 @@ def test_snf_agrees_with_sympy(sympy, rows, cols, data):
 
 
 @SETTINGS
-@given(st.integers(0, 4), st.integers(1, 5), st.data())
+@given(st.integers(0, 6), st.integers(1, 8), st.data())
 def test_hnf_rows_agrees_with_sympy(sympy, rows, cols, data):
     # sympy's Hermite form of the transpose has columns spanning the row
-    # lattice, and hnf_rows is canonical, so both bases give the same rows;
-    # the inputs stay small, since hnf_rows lets its entries grow
+    # lattice, and hnf_rows is canonical, so both bases give the same rows
     from sympy.matrices.normalforms import hermite_normal_form
 
-    flat = data.draw(st.lists(st.integers(-20, 20), min_size=rows * cols, max_size=rows * cols))
+    flat = data.draw(st.lists(st.integers(-1024, 1024), min_size=rows * cols, max_size=rows * cols))
     mat = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
     theirs = hermite_normal_form(sympy.Matrix(rows, cols, flat).T)
     columns = [[int(theirs[i, j]) for i in range(theirs.rows)] for j in range(theirs.cols)]
     assert hnf_rows(mat) == hnf_rows(columns)
+
+
+@settings(SETTINGS, max_examples=100)
+@example(mat=[[2, 4, -6, 1], [3, 6, -9, 0], [1, 2, -3, -1]])
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(st.lists(st.integers(-20, 20), min_size=cols, max_size=cols), max_size=5)))
+def test_hnf_rows_equals_the_textbook_oracle(mat):
+    # the reduced row Hermite form is unique, so the insertion order and the
+    # control of the entries cannot change it; the example has dependent rows
+    assert hnf_rows(mat) == hnf_rows_textbook(mat)
+
+
+@st.composite
+def cone_rays(draw):
+    """k <= rank distinct primitive rays with entries in [-4, 4]; in about
+    half the draws the last ray is a combination of the others, so the rays
+    are dependent."""
+    rank = draw(st.integers(1, 4))
+    k = draw(st.integers(1, rank))
+    vectors = st.tuples(*[st.integers(-4, 4)] * rank).filter(any).map(primitive)
+    rays = draw(st.lists(vectors, min_size=k, max_size=k, unique=True))
+    if k > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        last = [sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(rank)]
+        assume(any(last) and primitive(last) not in rays[:-1])
+        rays[-1] = primitive(last)
+    return rank, rays
+
+
+@settings(SETTINGS, max_examples=200)
+@example(cone=(2, [(1, 0), (1, 2)]))
+@example(cone=(2, [(1, 0), (-1, 0)]))
+@example(cone=(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+@given(cone_rays())
+def test_a_cone_is_regular_exactly_when_its_smith_divisors_are_one(cone):
+    # build_fan reads regularity from the Hermite form, and the divisors it
+    # reports for a cone that fails from alternating Hermite forms
+    rank, rays = cone
+    divisors = elementary_divisors(IntMatrix.from_columns(rays, rows=rank))
+    try:
+        build_fan(rank, rays, [range(len(rays))])
+    except ValueError as e:
+        assert any(d != 1 for d in divisors)
+        assert str(e) == f"cone with rays ({cone_key(range(len(rays)))}) fails SNF test: divisors {divisors}"
+    else:
+        assert divisors == [1] * len(rays)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(st.integers(1, 4), st.data())
+def test_relations_are_the_hermite_form_of_the_integer_kernel(rank, data):
+    # one-ray cones on random primitive rays, and the regular cones among a
+    # few drawn subsets, so that cones carry both N and M operators
+    vectors = st.tuples(*[st.integers(-6, 6)] * rank).filter(any).map(primitive)
+    rays = data.draw(st.lists(vectors, min_size=1, max_size=7, unique=True))
+    subsets = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=rank, unique=True)
+    cones = [[i] for i in range(len(rays))]
+    for c in data.draw(st.lists(subsets, max_size=4)):
+        try:
+            build_fan(rank, rays, [c])
+        except ValueError:
+            continue
+        cones.append(c)
+    for e in relation_report(build_fan(rank, rays, cones)).entries:
+        assert e.ops or e.relations == ()
+        if e.ops:
+            m = IntMatrix.from_columns([op.vector for op in e.ops], rows=rank)
+            assert list(e.relations) == hnf_rows(kernel_basis(m))

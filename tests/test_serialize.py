@@ -8,11 +8,10 @@ from fanalg import serialize
 from fanalg.algebra import random_member
 from fanalg.descent import twisted_datum
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
-from fanalg.lattice import elementary_divisors
 from fanalg.laurent import LaurentPoly
 from fanalg.linalg import QMat
 
-from support import random_valid_module
+from support import elementary_divisors, random_valid_module
 
 
 class TestFanFormat:
