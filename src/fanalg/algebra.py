@@ -281,22 +281,19 @@ def generators(fan: Fan) -> list[Generator]:
     return out
 
 
-def covering_chain(fan: Fan, lower: Cone, upper: Cone, rng: random.Random | None = None) -> list[tuple[Cone, Cone]]:
-    """Covering pairs climbing from a face to a cone, one new ray at a time.
-
-    The default adds rays in increasing index order; passing an rng shuffles
-    the order, which downstream results must not depend on.
+def covering_chain(fan: Fan, lower: Cone, upper: Cone) -> list[tuple[Cone, Cone]]:
+    """Covering pairs climbing from a face to a cone, one new ray at a time,
+    in increasing index order.  Any other order gives the same products on a
+    valid module and the same expansions in the algebra, properties the tests
+    assert on chains they shuffle themselves.
     """
     lower = tuple(sorted(lower))
     upper = tuple(sorted(upper))
     if not set(lower) <= set(upper):
         raise ValueError(f"({cone_key(lower)}) is not a face of ({cone_key(upper)})")
-    new = sorted(set(upper) - set(lower))
-    if rng is not None:
-        rng.shuffle(new)
     chain = []
     cur = lower
-    for i in new:
+    for i in sorted(set(upper) - set(lower)):
         nxt = tuple(sorted(cur + (i,)))
         chain.append((cur, nxt))
         cur = nxt
@@ -314,11 +311,11 @@ class Word:
     v_chain: tuple[tuple[Cone, Cone], ...]  # descending col -> meet
 
 
-def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]:
+def factorize(x: AlgebraElement) -> list[Word]:
     """Write each entry as scalar * u-chain * v-chain; the scalar is the
-    entry's quotient.  The words are not multiplied back out: a word expands
-    to its entry by the choice of the chains, a theorem the tests assert as a
-    property."""
+    entry's quotient and the chains are those of `covering_chain`.  The words
+    are not multiplied back out: a word expands to its entry whatever the
+    order of its chains, a theorem the tests assert as a property."""
     fan = x.fan
     words = []
     for (sigma, tau), y in sorted(x.quotients.items()):
@@ -327,8 +324,8 @@ def factorize(x: AlgebraElement, rng: random.Random | None = None) -> list[Word]
             row=sigma,
             col=tau,
             scalar=y,
-            u_chain=tuple(covering_chain(fan, meet, sigma, rng)),
-            v_chain=tuple(covering_chain(fan, meet, tau, rng)),
+            u_chain=tuple(covering_chain(fan, meet, sigma)),
+            v_chain=tuple(covering_chain(fan, meet, tau)),
         )
         words.append(w)
     return words

@@ -57,7 +57,7 @@ MAX_MUDELTA_SLOTS = 2**18
 MAX_HOM_UNKNOWNS = 256
 
 
-def _load_json(path: str):
+def _load_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -73,7 +73,7 @@ def _dump_json(data, path: str | None) -> None:
 def _resolve_fan(data, base: Path):
     """The "fan" slot holds either an inline fan object or a path to one."""
     if isinstance(data, str):
-        return serialize.fan_from_data(_load_json(str((base / data) if not Path(data).is_absolute() else Path(data))))
+        return serialize.fan_from_data(_load_json(base / data))  # an absolute path replaces base
     return serialize.fan_from_data(data, "$.fan")
 
 

@@ -223,29 +223,27 @@ def check_cocycle(d: DescentDatum) -> Report:
     return rep
 
 
-def _chart_of(fan: Fan, rho: Cone, policy: str) -> Cone:
-    holders = sorted(s for s in fan.maximal if set(rho) <= set(s))
+def _chart_of(fan: Fan, rho: Cone) -> Cone:
+    """The least maximal cone, in sorted order, that contains rho."""
+    holders = [s for s in fan.maximal if set(rho) <= set(s)]
     if not holders:
         raise ValueError(f"cone ({cone_key(rho)}) lies in no maximal cone")
-    return holders[0] if policy == "lex_min" else holders[-1]
+    return min(holders)
 
 
-def glue(d: DescentDatum, policy: str = "lex_min") -> DiagramModule:
+def glue(d: DescentDatum) -> DiagramModule:
     """Glue a cocycle-passing datum into a global module.
 
-    Every cone takes its space from a chosen containing chart; arrows are
-    transported into the chosen representatives through the gluing maps.  The
-    datum is checked once, here (Rejected carries the `check_cocycle` report),
-    and the output is not checked again: valid charts whose gluing maps pass
-    the cocycle check glue to a valid module that restricts to each chart, a
-    theorem the tests assert as a property.  policy picks that chart:
-    "lex_min" or "lex_max" among the maximal cones containing the cone.
+    Every cone takes its space from the least maximal cone that contains it
+    (`_chart_of`); arrows are transported into those representatives through
+    the gluing maps.  The datum is checked once, here (Rejected carries the
+    `check_cocycle` report), and the output is not checked again: valid
+    charts whose gluing maps pass the cocycle check glue to a valid module
+    that restricts to each chart, a theorem the tests assert as a property.
     """
-    if policy not in ("lex_min", "lex_max"):
-        raise ValueError(f"unknown chart policy {policy!r}: use 'lex_min' or 'lex_max'")
     check_cocycle(d).require("descent datum rejected")
     fan = d.fan
-    chart_of = {rho: _chart_of(fan, rho, policy) for rho in fan.cones}
+    chart_of = {rho: _chart_of(fan, rho) for rho in fan.cones}
     dims = {rho: d.charts[chart_of[rho]].dims[rho] for rho in fan.cones}
     torus = {rho: d.charts[chart_of[rho]].torus[rho] for rho in fan.cones}
     u = {}

@@ -24,7 +24,7 @@ from functools import reduce
 from math import lcm
 from operator import index, matmul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from fanalg.algebra import AlgebraElement, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
@@ -52,11 +52,17 @@ class DiagramModule:
     no arrow given gets a zero one; these are built only for a missing key,
     so a module read from a file that lists every arrow builds none.
 
+    `monodromy(cone, w)` takes a vector w of the fan's lattice; here it is
+    the product of the torus powers w_j, and a subclass that reads its torus
+    matrices in other coordinates overrides it.  Every reader of
+    monodromies, `axiom_report` and `evaluate` among them, goes through it.
+
     A module is immutable, so it owns two caches for its lifetime, filled on
     first use: torus powers keyed by (cone, j, k), and path products keyed by
-    cone pair (`_path`).  It also keeps its verdict, `_valid`, set by
-    `validate` when the module passes with no findings and no skips, so that
-    each later `validate` of it, and so each `rep_check`, skips the axioms.
+    cone pair (`_path`), along the one canonical choice of covering chains.
+    It also keeps its verdict, `_valid`, set by `validate` when the module
+    passes with no findings and no skips, so that each later `validate` of
+    it, and so each `rep_check`, skips the axioms.
     A module that fails keeps no verdict and is decided again on every call.
     Every derived module is a new instance with empty caches and no verdict;
     `==` ignores the caches and the verdict.  Monodromies are not cached on
@@ -132,11 +138,10 @@ class DiagramModule:
             pos += self.dims[c]
         return out
 
-    def monodromy(self, cone: Cone, w: Vec, exponent: Callable[[Vec], Vec] | None = None) -> QMat:
+    def monodromy(self, cone: Cone, w: Vec) -> QMat:
         """Torus action of the lattice vector w on the space of a cone, as a
         product of cached torus powers."""
-        e = tuple(w) if exponent is None else exponent(tuple(w))
-        factors = [self._power(cone, j, k) for j, k in enumerate(e) if k]
+        factors = [self._power(cone, j, k) for j, k in enumerate(w) if k]
         return reduce(matmul, factors) if factors else QMat.identity(self.dims[cone])
 
     def _power(self, cone: Cone, j: int, k: int) -> QMat:
@@ -154,22 +159,19 @@ class DiagramModule:
             self._powers[key] = out
         return out
 
-    def _path(self, sigma: Cone, tau: Cone, rng: random.Random | None = None) -> QMat:
+    def _path(self, sigma: Cone, tau: Cone) -> QMat:
         """The path product P(sigma, tau) = u-chain @ v-chain: the v arrows
         down from tau to the meet of the two cones, then the u arrows up to
         sigma, along the covering chains that add rays in increasing index
-        order.  It is cached by cone pair; chains shuffled by `rng` are built
-        fresh and not cached."""
+        order.  It is cached by cone pair."""
         key = (sigma, tau)
-        out = self._paths.get(key) if rng is None else None
+        out = self._paths.get(key)
         if out is None:
             meet = tuple(sorted(set(sigma) & set(tau)))
-            ups = covering_chain(self.fan, meet, sigma, rng)
-            downs = covering_chain(self.fan, meet, tau, rng)
+            ups = covering_chain(self.fan, meet, sigma)
+            downs = covering_chain(self.fan, meet, tau)
             arrows = [self.u[pair] for pair in reversed(ups)] + [self.v[pair] for pair in downs]
-            out = reduce(matmul, arrows) if arrows else QMat.identity(self.dims[meet])
-            if rng is None:
-                self._paths[key] = out
+            out = self._paths[key] = reduce(matmul, arrows) if arrows else QMat.identity(self.dims[meet])
         return out
 
 
@@ -177,7 +179,7 @@ class DiagramModule:
 # validation
 
 
-def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None) -> Report:
+def axiom_report(m: DiagramModule) -> Report:
     """Check A1 to A4; dimension problems and singular torus matrices
     short-circuit the checks after them.  Products are compared without
     being built (`linalg._products_equal`, `linalg._is_product`), and a
@@ -251,8 +253,8 @@ def axiom_report(m: DiagramModule, exponent: Callable[[Vec], Vec] | None = None)
         w = fan.rays[ray]
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
-        lower_ok = _is_product(m.monodromy(tau, w, exponent), vv, uu, plus_identity=True)
-        upper_ok = _is_product(m.monodromy(sigma, w, exponent), uu, vv, plus_identity=True)
+        lower_ok = _is_product(m.monodromy(tau, w), vv, uu, plus_identity=True)
+        upper_ok = _is_product(m.monodromy(sigma, w), uu, vv, plus_identity=True)
         if not lower_ok:
             rep.add("A4", _pair_label(tau, sigma), "monodromy of the new ray is not id + v u on the lower cone")
         if not upper_ok:
@@ -285,15 +287,15 @@ def validate(m: DiagramModule) -> Report:
 # evaluation and the representation check
 
 
-def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = None) -> QMat:
+def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
     """Total matrix of an algebra element on the direct sum of the spaces.
 
     Entry (sigma, tau) with quotient y maps to (sum of c * M(e)) @ P / y.den,
     summed over the integer coefficients c of y at exponents e, where M(e)
     is the monodromy of e on sigma and P = `m._path(sigma, tau)` is the
-    u-chain @ v-chain product from the meet of the two cones.  The result
-    does not depend on the chain choice, which `rng` can randomize for
-    testing.
+    u-chain @ v-chain product from the meet of the two cones.  On a valid
+    module the result does not depend on the choice of the chains, by the
+    commuting squares of A3.
 
     The module owns the path products and torus powers for its lifetime.
     This call owns a table of monodromies keyed by (sigma, e), so each is
@@ -309,21 +311,18 @@ def evaluate(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = No
         raise ValueError("fan mismatch")
     if m.nt != m.fan.rank:
         raise ValueError("evaluation needs a plain module; inflate equivariant modules first")
-    return _evaluate(x, m, {}, rng)
+    return _evaluate(x, m, {})
 
 
-def _evaluate(
-    x: AlgebraElement, m: DiagramModule, monodromies: dict[tuple[Cone, Vec], QMat], rng: random.Random | None = None
-) -> QMat:
+def _evaluate(x: AlgebraElement, m: DiagramModule, monodromies: dict[tuple[Cone, Vec], QMat]) -> QMat:
     """`evaluate` of a member on a plain module of its fan, unchecked, reading
     and filling the caller's table of monodromies.
 
-    A block with an empty side is skipped; with `rng` given its path is
-    still drawn, so that the shuffled chains of later blocks see the same
-    draws.  A block whose two spaces are 1-dimensional is one integer: the
-    sum of c * num * (lcm / den) over its monodromies num / den, times the
-    path's one entry, over lcm * path.den * y.den.  Any other block is one
-    call of `linalg._combination_times`."""
+    A block with an empty side is skipped.  A block whose two spaces are
+    1-dimensional is one integer: the sum of c * num * (lcm / den) over its
+    monodromies num / den, times the path's one entry, over
+    lcm * path.den * y.den.  Any other block is one call of
+    `linalg._combination_times`."""
     offs = m.offsets()
     dims = m.dims
     scalars = []
@@ -331,8 +330,6 @@ def _evaluate(
     for (sigma, tau), y in sorted(x.quotients.items()):
         ds, dt = dims[sigma], dims[tau]
         if not (ds and dt):
-            if rng is not None:
-                m._path(sigma, tau, rng)
             continue
         terms = []
         for e, c in y.num.items():
@@ -340,7 +337,7 @@ def _evaluate(
             if mono is None:
                 mono = monodromies[(sigma, e)] = m.monodromy(sigma, e)
             terms.append((c, mono))
-        path = m._path(sigma, tau, rng)
+        path = m._path(sigma, tau)
         if ds == dt == 1:
             den = lcm(*[a.den for _, a in terms])
             acc = sum([c * a.num[0][0] * (den // a.den) for c, a in terms])

@@ -3,9 +3,9 @@
 A closed subgroup of the torus is presented by the induced map Q of
 cocharacter lattices, either directly or through the characters cutting the
 subgroup out.  A quotient is Q alone, checked once to have full row rank,
-and every reader pushes monodromy exponents through Q.  Its Smith form, in
-which the quotient map raises the i-th coordinate to the power d_i, is built
-only where it is printed, by `fanalg equi present`.
+and an equivariant module's `monodromy` pushes every exponent through Q.
+Its Smith form, in which the quotient map raises the i-th coordinate to the
+power d_i, is built only where it is printed, by `fanalg equi present`.
 
 The base-changed algebra is kept abstract: a free module on the basis
 elements f(sigma, tau) = (forced divisor) E(sigma, tau) with structure
@@ -53,9 +53,11 @@ def quotient_presentation(
     """Build QuotientData from a quotient matrix or from cutting characters.
 
     The lattice of characters vanishing on the subgroup is the row lattice of
-    the character matrix; its Hermite-style basis, read off the Smith form,
-    gives the rows of Q.  Q is checked once to have full row rank, by
-    counting the rows that fraction-free elimination keeps.
+    the character matrix C.  With U C V = D its Smith form, that lattice is
+    spanned by the rows d_i * (V^-1)_i for the nonzero divisors d_i, and
+    these rows, as they stand and not reduced, are the rows of Q.  Q is
+    checked once to have full row rank, by counting the rows that
+    fraction-free elimination keeps.
     """
     if (q is None) == (characters is None):
         raise ValueError("provide exactly one of a quotient matrix or characters")
@@ -191,26 +193,29 @@ class EqDiagramModule(DiagramModule):
             and super().__eq__(other)
         )
 
+    def monodromy(self, cone: Cone, w: Vec) -> QMat:
+        """Torus action of the fan lattice vector w: the torus matrices are in
+        quotient coordinates, so w is pushed through Q first."""
+        return super().monodromy(cone, self.quotient.q.apply(w))
+
 
 def validate_equivariant(m: EqDiagramModule) -> Report:
-    """Plain axioms with monodromy exponents pushed through the quotient map,
-    so rays killed by the quotient force vanishing compositions."""
+    """The plain axioms, read through the module's `monodromy`, which pushes
+    exponents through the quotient map, so rays killed by the quotient force
+    vanishing compositions."""
     if not isinstance(m, EqDiagramModule):
         raise ValueError("expected an equivariant module")
-
-    def exponent(w: Vec) -> Vec:
-        return m.quotient.q.apply(w)
-
-    return axiom_report(m, exponent)
+    return axiom_report(m)
 
 
 def inflate(m: EqDiagramModule) -> DiagramModule:
     """Restrict along the base change: plain torus matrix j is the monodromy
-    of column j of Q in quotient coordinates.  The module is checked once,
-    here: on failure Rejected carries the report.  The output is not checked
-    again: inflating a valid equivariant module gives a valid plain module, a
-    theorem the tests assert as a property."""
+    of the unit vector e_j, which is that of column j of Q in quotient
+    coordinates.  The module is checked once, here: on failure Rejected
+    carries the report.  The output is not checked again: inflating a valid
+    equivariant module gives a valid plain module, a theorem the tests assert
+    as a property."""
     validate_equivariant(m).require("invalid equivariant module")
-    columns = m.quotient.q.columns()
-    torus = {c: tuple(m.monodromy(c, col) for col in columns) for c in m.fan.cones}
+    units = IntMatrix.identity(m.fan.rank).entries
+    torus = {c: tuple(m.monodromy(c, e) for e in units) for c in m.fan.cones}
     return DiagramModule(m.fan, dict(m.dims), torus, dict(m.u), dict(m.v))

@@ -104,9 +104,6 @@ class IntMatrix:
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[Vec]:
-        return [self.column(j) for j in range(self.cols)]
-
     def det(self) -> int:
         """Exact determinant, read from the one fraction-free elimination."""
         if self.rows != self.cols:

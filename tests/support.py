@@ -2,7 +2,8 @@
 one-ray module, the rays of a cone, the expansion of a factorized word, the
 unit of an equivariant structure, maps of modules and the isomorphism test
 on them, relation and chart checks, an isomorphism search, an independent structure-constant oracle, a term-by-term product
-oracle, an entry-by-entry evaluation oracle with its `linear_combination`,
+oracle, covering chains shuffled by an rng, an entry-by-entry evaluation
+oracle with its `linear_combination`,
 the intertwining equations of the generators' images as a hom oracle, the
 single-pass `hom` over all unknowns as an oracle for the staged one, the
 cocycle check that computes every ordering of each pair and triple on its own
@@ -439,19 +440,37 @@ def linear_combination(terms: Sequence[tuple[Fraction | int, QMat]], m: int, n: 
     return QMat._reduced(tuple(map(tuple, acc)), over * den, m, n)
 
 
+def shuffled_chain(fan: Fan, lower: Cone, upper: Cone, rng: random.Random | None) -> list[tuple[Cone, Cone]]:
+    """A chain of covering pairs from a face up to a cone, like
+    `algebra.covering_chain`, that adds the new rays in an order shuffled by
+    `rng`; with `rng` None, the chain of `covering_chain` itself."""
+    if rng is None:
+        return covering_chain(fan, lower, upper)
+    new = sorted(set(upper) - set(lower))
+    rng.shuffle(new)
+    chain = []
+    cur = tuple(sorted(lower))
+    for i in new:
+        nxt = tuple(sorted(cur + (i,)))
+        chain.append((cur, nxt))
+        cur = nxt
+    return chain
+
+
 def evaluate_by_entries(x: AlgebraElement, m: DiagramModule, rng: random.Random | None = None) -> QMat:
     """The oracle for `diagram.evaluate`, in QMat arithmetic entry by entry:
     entry (sigma, tau) with quotient y is linear_combination(c, M(e)) / y.den
     @ u-chain @ v-chain, with one monodromy per term and chains from
-    `covering_chain` (shuffled by `rng` in the same order as `evaluate`)."""
+    `shuffled_chain`: the canonical ones, or with `rng` shuffled ones, which
+    give the same matrix only on a valid module."""
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
     offs = m.offsets()
     blocks = []
     for (sigma, tau), y in sorted(x.quotients.items()):
         meet = tuple(sorted(set(sigma) & set(tau)))
-        ups = [m.u[pair] for pair in reversed(covering_chain(m.fan, meet, sigma, rng))]
-        downs = [m.v[pair] for pair in covering_chain(m.fan, meet, tau, rng)]
+        ups = [m.u[pair] for pair in reversed(shuffled_chain(m.fan, meet, sigma, rng))]
+        downs = [m.v[pair] for pair in shuffled_chain(m.fan, meet, tau, rng)]
         up = reduce(matmul, ups) if ups else QMat.identity(m.dims[meet])
         down = reduce(matmul, downs) if downs else QMat.identity(m.dims[meet])
         d = m.dims[sigma]

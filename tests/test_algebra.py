@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from fanalg.fan import build_fan, hirzebruch_fan, product_fan, projective_line_f
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.lattice import IntMatrix
 
-from support import expand, left_factor, right_factor
+from support import expand, left_factor, right_factor, shuffled_chain
 
 
 class TestMembership:
@@ -167,11 +168,13 @@ class TestFactorize:
     def test_chain_independence(self, p2_fan):
         f12 = binomial((1, 0)) * binomial((0, 1))
         x = matrix_unit(p2_fan, (0, 1), (), f12)
+        (w,) = factorize(x)
         expansions = set()
         for seed in range(4):
-            w = factorize(x, random.Random(seed))[0]
-            expansions.add(str(expand(w, p2_fan)))
-        assert len(expansions) == 1
+            rng = random.Random(seed)
+            shuffled = replace(w, u_chain=tuple(shuffled_chain(p2_fan, (), (0, 1), rng)), v_chain=())
+            expansions.add(str(expand(shuffled, p2_fan)))
+        assert expansions == {str(expand(w, p2_fan))}
 
     def test_two_u_chains_multiply_equal(self, p2_fan):
         # chain independence as an identity between generator products

@@ -93,17 +93,6 @@ class TestGlue:
             iso = find_isomorphism(g, m)
             assert iso is not None and is_isomorphism(iso)
 
-    def test_policy_independence(self, p2_fan):
-        m = random_valid_module(p2_fan, random.Random(7))
-        d = twisted_datum(m, random.Random(8))
-        a = glue(d, policy="lex_min")
-        b = glue(d, policy="lex_max")
-        assert find_isomorphism(a, b) is not None
-
-    def test_unknown_policy_rejected(self, p2_fan):
-        with pytest.raises(ValueError, match="unknown chart policy 'lexmin'"):
-            glue(tautological_datum(random_valid_module(p2_fan, random.Random(7))), policy="lexmin")
-
     def test_rejects_cocycle_failure(self, p2_fan):
         m = random_valid_module(p2_fan, random.Random(9), summands=2, conjugated=False)
         d = tautological_datum(m)

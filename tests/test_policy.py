@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
@@ -200,9 +201,9 @@ def test_rep_check_builds_each_monodromy_once_per_call(p2_fan, monkeypatch):
     built = []
     real = diagram.DiagramModule.monodromy
 
-    def counted(self, cone, w, exponent=None):
+    def counted(self, cone, w):
         built.append((cone, tuple(w)))
-        return real(self, cone, w, exponent)
+        return real(self, cone, w)
 
     monkeypatch.setattr(diagram.DiagramModule, "monodromy", counted)
     # random_valid_module validated m, which keeps that verdict, so rep_check
@@ -562,6 +563,25 @@ def test_result_guards_are_not_assert_statements():
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # every import in the package, top-level or inside a function, names
+    # fanalg itself (relative imports included) or a standard-library module
+    src = Path(fanalg.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["fanalg" if node.level else node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            found += [f"{path.name}:{node.lineno} {t}" for t in sorted(top - {"fanalg"} - sys.stdlib_module_names)]
     assert found == []
 
 

@@ -4,10 +4,12 @@ on divided-form elements against entry-wise arithmetic on their entries, the
 splitting mu(delta(x)) = x, the one-pass mu against multiplying out the
 factors of every term, on delta outputs and on hand-built words whose terms
 repeat a cone pair, cancel to zero or have an empty meet; factorization
-words that expand to their entries, and associativity of the base-changed
-algebra; gluing of
+words that expand to their entries, on canonical and shuffled chains, and
+associativity of the base-changed algebra; gluing of
 cocycle-passing descent data to a valid module that restricts to each chart,
-and inflation of valid equivariant modules to valid plain modules;
+and inflation of valid equivariant modules to valid plain modules, with
+`validate` and `evaluate` reading a square-Q module through Q as `inflate`
+does;
 the canonical form of every LaurentPoly operation (integers over one
 denominator), against arithmetic on Fraction coefficients; exact division by
 t^v - 1, against a sympy oracle when sympy is present; the
@@ -42,6 +44,7 @@ relations among the ray vectors of each cone against the Hermite form of
 the Smith kernel."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -52,7 +55,7 @@ from hypothesis import strategies as st
 from fanalg.algebra import AlgebraElement, TensorWord, central, delta, factorize, idempotent, membership_report, mu, random_member, random_poly, transport, unit
 from fanalg.descent import DescentDatum, _chart_of, check_cocycle, glue, restrict, tautological_datum, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, relation_report, validate
-from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation
+from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation, validate_equivariant
 from fanalg.fan import build_fan, cone_key, covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix, hnf_rows, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, monomial_map
@@ -79,6 +82,7 @@ from support import (
     random_poly_by_randrange,
     random_valid_module,
     right_factor,
+    shuffled_chain,
     total_matrix,
 )
 
@@ -232,11 +236,18 @@ def test_mu_equals_the_sum_of_factor_products(name, seed, data):
 def test_factorization_words_expand_to_their_entries(name, seed):
     fan = STOCK_FANS[name]
     x = random_member(fan, random.Random(seed))
-    for rng in (None, random.Random(seed)):  # canonical chains, then shuffled ones
-        words = factorize(x, rng)
-        assert [(w.row, w.col) for w in words] == sorted(x.quotients)
-        for w in words:
-            assert expand(w, fan) == AlgebraElement._divided(fan, {(w.row, w.col): x.quotients[(w.row, w.col)]})
+    words = factorize(x)
+    assert [(w.row, w.col) for w in words] == sorted(x.quotients)
+    rng = random.Random(seed)
+    for w in words:
+        meet = tuple(sorted(set(w.row) & set(w.col)))
+        shuffled = replace(
+            w,
+            u_chain=tuple(shuffled_chain(fan, meet, w.row, rng)),
+            v_chain=tuple(shuffled_chain(fan, meet, w.col, rng)),
+        )
+        for word in (w, shuffled):  # canonical chains, then shuffled ones
+            assert expand(word, fan) == AlgebraElement._divided(fan, {(w.row, w.col): x.quotients[(w.row, w.col)]})
 
 
 @settings(SETTINGS, max_examples=8)
@@ -975,8 +986,9 @@ def test_evaluate_is_a_representation_with_warm_and_cold_caches(name, seed):
     for module in (m, DiagramModule(m.fan, m.dims, m.torus, m.u, m.v)):
         assert evaluate(a * b, module) == ea @ eb
         assert evaluate(a + b, module) == ea + eb
-        assert evaluate(a, module, rng=random.Random(seed)) == ea
-        assert evaluate(b, module, rng=random.Random(seed + 1)) == eb
+    # m is valid, so chains shuffled by an rng give the same matrices
+    assert evaluate_by_entries(a, m, random.Random(seed)) == ea
+    assert evaluate_by_entries(b, m, random.Random(seed + 1)) == eb
 
 
 def random_arrows(rng, m, n):
@@ -1024,10 +1036,8 @@ C2_ZERO_MEET = DiagramModule(
 )
 
 
-# every space of C3 is 1-dimensional but the zero cone's, and the u arrows
-# make the path from (0) up to (0,1,2) depend on the chain; the first entry
-# is a block with an empty side whose shuffled chain draws from the rng, so
-# with seed 4 the second entry's chain comes out otherwise if that draw is skipped
+# every space of C3 is 1-dimensional but the zero cone's, so the member's
+# first entry is a block with an empty side and its second a 1x1 block
 C3 = standard_fan(3)
 C3_SCALARS = DiagramModule(
     C3,
@@ -1046,23 +1056,23 @@ C3_SCALAR_MEMBER = AlgebraElement._divided(
 
 
 @settings(SETTINGS, max_examples=60)
-@given(evaluation_cases(), seeds)
-@example((unit(C2).scale(0), C2_ZERO_MEET), 0)  # no block: lcm() = 1
-@example((C3_SCALAR_MEMBER, C3_SCALARS), 4)  # 1x1 and empty blocks only, with an rng
-@example((random_member(C2, random.Random(0), density_pct=100), C2_ZERO_MEET), 0)
-@example((central(C2, LaurentPoly(2, {(0, 0): "1/2", (1, 0): "1/2"})), C2_ZERO_MEET), 0)  # den 2, reduced away
-def test_evaluate_equals_the_entry_by_entry_oracle(case, seed):
+@given(evaluation_cases())
+@example((unit(C2).scale(0), C2_ZERO_MEET))  # no block: lcm() = 1
+@example((C3_SCALAR_MEMBER, C3_SCALARS))  # 1x1 and empty blocks only
+@example((random_member(C2, random.Random(0), density_pct=100), C2_ZERO_MEET))
+@example((central(C2, LaurentPoly(2, {(0, 0): "1/2", (1, 0): "1/2"})), C2_ZERO_MEET))  # den 2, reduced away
+def test_evaluate_equals_the_entry_by_entry_oracle(case):
     """evaluate, with its path cache, per-call monomial table, integer 1x1
     blocks and one reduction, gives the matrix of QMat arithmetic entry by
-    entry, on cold and warm caches and on chains shuffled by an rng."""
+    entry, on cold and warm caches.  Both take the canonical chains: the
+    modules may be invalid, and only a valid one gives every chain the same
+    path."""
     x, m = case
     want = evaluate_by_entries(x, m)
     for _ in range(2):
         got = evaluate(x, m)
         assert (got.m, got.n) == (m.total_dim(), m.total_dim())
         assert got == want and gcd(got.den, *[a for row in got.num for a in row]) == 1
-    assert evaluate(x, m, rng=random.Random(seed)) == evaluate_by_entries(x, m, rng=random.Random(seed))
-    assert evaluate(x, m) == want  # shuffled chains do not enter the cache
 
 
 @settings(SETTINGS, max_examples=30)
@@ -1300,19 +1310,18 @@ def test_validate_reports_a_base_change_as_the_module(name, seed, kind, c):
 GLUE_FANS = dict(FANS, P2xP1=P2xP1)
 
 
-@pytest.mark.parametrize("policy", ["lex_min", "lex_max"])
 @pytest.mark.parametrize("name", sorted(GLUE_FANS))
 @settings(SETTINGS, max_examples=5)
 @given(seeds)
-def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(name, policy, seed):
+def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(name, seed):
     fan = GLUE_FANS[name]
     rng = random.Random(seed)
     d = twisted_datum(random_valid_module(fan, rng), rng)
-    glued = glue(d, policy)
+    glued = glue(d)
     assert validate(glued).ok
     # the gluing maps into chart sigma, from the chart each face was taken from,
     # are an isomorphism of modules from the restriction onto the chart
-    chart_of = {rho: _chart_of(fan, rho, policy) for rho in fan.cones}
+    chart_of = {rho: _chart_of(fan, rho) for rho in fan.cones}
     for sigma in fan.maximal:
         sub = restrict(glued, sigma)
         f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
@@ -1345,19 +1354,48 @@ def quotient_character(fan, qd, values):
     return DiagramModule(fan, dict.fromkeys(fan.cones, 1), torus, u, v, nt=qd.target_rank)
 
 
-@pytest.mark.parametrize(("name", "quotient"), EQ_CASES)
-@settings(SETTINGS, max_examples=5)
-@given(seeds, st.data())
-def test_inflating_a_valid_equivariant_module_gives_a_valid_module(name, quotient, seed, data):
-    fan = EQ_FANS[name]
-    qd = quotient_presentation(q=QUOTIENTS[fan.rank][quotient])
+def drawn_quotient_module(fan, qd, seed, data):
+    """A valid equivariant module: a direct sum of one to three drawn
+    quotient characters, base-changed by random invertibles."""
     characters = st.lists(st.sampled_from([2, -1, 3, Fraction(1, 2)]), min_size=qd.target_rank, max_size=qd.target_rank)
     m = quotient_character(fan, qd, data.draw(characters))
     for _ in range(data.draw(st.integers(0, 2))):
         m = direct_sum(m, quotient_character(fan, qd, data.draw(characters)))
     rng = random.Random(seed)
     m = conjugate(m, {c: random_invertible(m.dims[c], rng) for c in fan.cones})
-    assert validate(inflate(EqDiagramModule(fan, qd, m.dims, m.torus, m.u, m.v))).ok
+    return EqDiagramModule(fan, qd, m.dims, m.torus, m.u, m.v)
+
+
+@pytest.mark.parametrize(("name", "quotient"), EQ_CASES)
+@settings(SETTINGS, max_examples=5)
+@given(seeds, st.data())
+def test_inflating_a_valid_equivariant_module_gives_a_valid_module(name, quotient, seed, data):
+    fan = EQ_FANS[name]
+    qd = quotient_presentation(q=QUOTIENTS[fan.rank][quotient])
+    assert validate(inflate(drawn_quotient_module(fan, qd, seed, data))).ok
+
+
+# a square Q that is not the identity: `validate` and `evaluate` accept such a
+# module as it is, since it has one torus matrix per lattice coordinate
+SQUARE_EQ_CASES = [("C1", "cyclic"), ("C2", "mixed")]
+
+
+@pytest.mark.parametrize(("name", "quotient"), SQUARE_EQ_CASES)
+@settings(SETTINGS, max_examples=5)
+@given(seeds, st.data())
+def test_every_reader_of_a_square_quotient_module_pushes_exponents_through_q(name, quotient, seed, data):
+    fan = EQ_FANS[name]
+    qd = quotient_presentation(q=QUOTIENTS[fan.rank][quotient])
+    m = drawn_quotient_module(fan, qd, seed, data)
+    # scaling a u arrow whose v u is nonzero breaks A4 on its lower cone
+    key = data.draw(st.sampled_from(sorted(k for k in m.u if not (m.v[k] @ m.u[k]).is_zero())))
+    bad = EqDiagramModule(fan, qd, m.dims, m.torus, {**m.u, key: m.u[key].scale(2)}, m.v)
+    for module, valid in ((m, True), (bad, False)):
+        want = [(f.code, f.location, f.detail) for f in validate_equivariant(module).findings]
+        assert [(f.code, f.location, f.detail) for f in validate(module).findings] == want
+        assert (want == []) == valid
+    x = random_member(fan, random.Random(seed))
+    assert evaluate(x, m) == evaluate(x, inflate(m))
 
 
 @SETTINGS
