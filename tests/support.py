@@ -50,7 +50,7 @@ from fanalg.diagram import (
     validate,
 )
 from fanalg.equivariant import EqStructure
-from fanalg.fan import Cone, Fan, cone_key, standard_fan
+from fanalg.fan import Cone, Fan, cone_key, covering_pairs, standard_fan
 from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, snf
 from fanalg.laurent import LaurentPoly, divide_by_product
 from fanalg.linalg import QMat, _is_product, _products_equal, block_diag, nullspace, random_invertible
@@ -273,6 +273,26 @@ def check_cocycle_each_ordering(d: DescentDatum) -> Report:
                             "triple composition disagrees with the direct map",
                         )
     return rep
+
+
+def glue_from_charts(d: DescentDatum, chart_of: dict[Cone, Cone]) -> DiagramModule:
+    """The oracle for `descent.glue`, unchecked: each cone rho takes its
+    space from chart chart_of[rho], any maximal cone that contains it, and
+    each arrow is transported into those charts through the gluing maps.
+    With the least containing chart for every cone it is `glue`; with any
+    other choice, the gluing maps between the two choices are an isomorphism
+    onto it."""
+    fan = d.fan
+    u = {}
+    v = {}
+    for tau, sigma, _ in covering_pairs(fan):
+        a = chart_of[tau]
+        b = chart_of[sigma]
+        u[(tau, sigma)] = d.charts[b].u[(tau, sigma)] @ d.glue_block(a, b, tau)
+        v[(tau, sigma)] = d.glue_block(b, a, tau) @ d.charts[b].v[(tau, sigma)]
+    dims = {rho: d.charts[chart_of[rho]].dims[rho] for rho in fan.cones}
+    torus = {rho: d.charts[chart_of[rho]].torus[rho] for rho in fan.cones}
+    return DiagramModule(fan, dims, torus, u, v)
 
 
 def is_morphism(f: BlockMap) -> bool:

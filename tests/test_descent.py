@@ -20,7 +20,7 @@ from fanalg.diagram import (
 from fanalg.fan import projective_line_fan
 from fanalg.linalg import QMat
 
-from support import find_isomorphism, is_isomorphism, random_valid_module
+from support import find_isomorphism, glue_from_charts, is_isomorphism, random_valid_module
 
 
 class TestRestrict:
@@ -92,6 +92,13 @@ class TestGlue:
             assert validate(g).ok
             iso = find_isomorphism(g, m)
             assert iso is not None and is_isomorphism(iso)
+
+    def test_chart_choice_independence(self, p2_fan):
+        # each cone taken from its greatest containing chart, not its least
+        m = random_valid_module(p2_fan, random.Random(7))
+        d = twisted_datum(m, random.Random(8))
+        greatest = {rho: max(s for s in p2_fan.maximal if set(rho) <= set(s)) for rho in p2_fan.cones}
+        assert find_isomorphism(glue(d), glue_from_charts(d, greatest)) is not None
 
     def test_rejects_cocycle_failure(self, p2_fan):
         m = random_valid_module(p2_fan, random.Random(9), summands=2, conjugated=False)

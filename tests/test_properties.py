@@ -7,6 +7,7 @@ repeat a cone pair, cancel to zero or have an empty meet; factorization
 words that expand to their entries, on canonical and shuffled chains, and
 associativity of the base-changed algebra; gluing of
 cocycle-passing descent data to a valid module that restricts to each chart,
+isomorphic to the module glued from any other choice of charts,
 and inflation of valid equivariant modules to valid plain modules, with
 `validate` and `evaluate` reading a square-Q module through Q as `inflate`
 does;
@@ -69,6 +70,7 @@ from support import (
     evaluate_by_entries,
     expand,
     generator_equations,
+    glue_from_charts,
     hnf_rows_textbook,
     is_isomorphism,
     is_morphism,
@@ -1326,6 +1328,27 @@ def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(na
         sub = restrict(glued, sigma)
         f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
         assert is_isomorphism(f) and is_morphism(f)
+
+
+@pytest.mark.parametrize("name", sorted(GLUE_FANS))
+@settings(SETTINGS, max_examples=5)
+@given(seeds)
+def test_gluing_from_any_choice_of_charts_gives_an_isomorphic_module(name, seed):
+    """glue takes each cone from its least containing chart; taking each from
+    any containing chart, drawn at random, glues to a valid module onto which
+    the gluing maps between the two choices are an isomorphism."""
+    fan = GLUE_FANS[name]
+    rng = random.Random(seed)
+    d = twisted_datum(random_valid_module(fan, rng), rng)
+    glued = glue(d)
+    holders = {rho: [s for s in fan.maximal if set(rho) <= set(s)] for rho in fan.cones}
+    least = {rho: min(hs) for rho, hs in holders.items()}
+    assert glue_from_charts(d, least) == glued
+    drawn = {rho: rng.choice(hs) for rho, hs in holders.items()}
+    other = glue_from_charts(d, drawn)
+    assert validate(other).ok
+    f = BlockMap(glued, other, {rho: d.glue_block(least[rho], drawn[rho], rho) for rho in fan.cones})
+    assert is_isomorphism(f) and is_morphism(f)
 
 
 # quotient matrices Q by the rank of the fan they act on: the identity, a
