@@ -52,26 +52,30 @@ class DiagramModule:
     no arrow given gets a zero one; these are built only for a missing key,
     so a module read from a file that lists every arrow builds none.
 
-    `monodromy(cone, w)` takes a vector w of the fan's lattice; here it is
-    the product of the torus powers w_j, and a subclass that reads its torus
-    matrices in other coordinates overrides it.  Every reader of
-    monodromies, `axiom_report` and `evaluate` among them, goes through it.
+    `monodromy(cone, w)` takes a vector w of the fan's lattice and returns
+    the product of the torus powers k_j, where k = `_exponent(w)` is w in the
+    coordinates of the torus matrices: w itself here, and a subclass that
+    reads its torus matrices in other coordinates overrides `_exponent`.
+    Every reader of monodromies, `axiom_report`, `evaluate` and its scalar
+    path `_scalar_sum` among them, goes through that one hook.
 
-    A module is immutable, so it owns two caches for its lifetime, filled on
-    first use: torus powers keyed by (cone, j, k), and path products keyed by
-    cone pair (`_path`), along the one canonical choice of covering chains.
+    A module is immutable, so it owns three caches for its lifetime, filled
+    on first use: torus powers keyed by (cone, j, k); path products keyed by
+    cone pair (`_path`), along the one canonical choice of covering chains;
+    and monodromies keyed by (cone, w), read and filled by `evaluate` for
+    cones whose space has dimension 2 or more.  That table holds one entry
+    per distinct (cone, w) that an evaluation of the module has read on such
+    a cone; a 1-dimensional space is read as a scalar from the torus powers
+    and adds no entry.
     It also keeps its verdict, `_valid`, set by `validate` when the module
     passes with no findings and no skips, so that each later `validate` of
     it, and so each `rep_check`, skips the axioms.
     A module that fails keeps no verdict and is decided again on every call.
     Every derived module is a new instance with empty caches and no verdict;
-    `==` ignores the caches and the verdict.  Monodromies are not cached on
-    the module: a table of them keyed by (cone, exponent) is owned by one
-    call, of `evaluate` or of `rep_check`, which shares its table across all
-    its evaluations.
+    `==` ignores the caches and the verdict.
     """
 
-    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths", "_valid")
+    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths", "_monodromies", "_valid")
 
     def __init__(
         self,
@@ -107,6 +111,7 @@ class DiagramModule:
         object.__setattr__(self, "v", MappingProxyType(full_v))
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_paths", {})
+        object.__setattr__(self, "_monodromies", {})
         object.__setattr__(self, "_valid", False)
 
     def __setattr__(self, *a):
@@ -138,11 +143,38 @@ class DiagramModule:
             pos += self.dims[c]
         return out
 
+    def _exponent(self, w: Vec) -> Vec:
+        """The lattice vector w in the coordinates of the torus matrices."""
+        return w
+
     def monodromy(self, cone: Cone, w: Vec) -> QMat:
         """Torus action of the lattice vector w on the space of a cone, as a
         product of cached torus powers."""
-        factors = [self._power(cone, j, k) for j, k in enumerate(w) if k]
+        factors = [self._power(cone, j, k) for j, k in enumerate(self._exponent(w)) if k]
         return reduce(matmul, factors) if factors else QMat.identity(self.dims[cone])
+
+    def _scalar_sum(self, cone: Cone, coeffs: Mapping[Vec, int]) -> tuple[int, int]:
+        """The sum of c * monodromy(cone, w) over the integer coefficients c at
+        lattice vectors w, on a 1-dimensional space, as an integer over a
+        positive integer, not reduced.  Each monodromy is the product of the
+        torus scalars' powers, a negative power read from the one cached
+        inverse; no `QMat` is built but that inverse.  The terms are summed
+        in one pass over the lcm of their denominators so far."""
+        mats = self.torus[cone]
+        acc, den = 0, 1
+        for w, c in coeffs.items():
+            num, d = c, 1
+            for j, k in enumerate(self._exponent(w)):
+                if k:
+                    t = mats[j] if k > 0 else self._power(cone, j, -1)
+                    num *= t.num[0][0] ** abs(k)
+                    d *= t.den ** abs(k)
+            if d == den:
+                acc += num
+            else:
+                g = lcm(den, d)
+                acc, den = acc * (g // den) + num * (g // d), g
+        return acc, den
 
     def _power(self, cone: Cone, j: int, k: int) -> QMat:
         """Torus matrix j of a cone to the power k != 0; negative powers are
@@ -297,13 +329,14 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
     module the result does not depend on the choice of the chains, by the
     commuting squares of A3.
 
-    The module owns the path products and torus powers for its lifetime.
-    This call owns a table of monodromies keyed by (sigma, e), so each is
-    built once per call and dropped with it; `rep_check` evaluates through
-    `_evaluate` with one table for all its trials instead.  An entry whose
-    two spaces are 1-dimensional is summed as one integer; any other entry
-    with no empty side is one call of the integer kernel
-    `linalg._combination_times`.  Neither builds a matrix or makes a gcd
+    The module owns the path products, the torus powers and the monodromies
+    for its lifetime, so a later call on the same module, of `evaluate` or
+    of `rep_check`, builds none of them again.  An entry on a 1-dimensional
+    sigma reads each M(e) as an integer over an integer from the torus
+    scalars and scales the path's one row by their sum
+    (`DiagramModule._scalar_sum`); any other entry with no empty side is
+    one call of the integer kernel `linalg._combination_times` on the
+    module's table of monodromies.  Neither builds a matrix or makes a gcd
     pass; the blocks are placed over the lcm of their denominators and
     reduced once, by one `QMat._reduced` for the total.
     """
@@ -311,46 +344,43 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
         raise ValueError("fan mismatch")
     if m.nt != m.fan.rank:
         raise ValueError("evaluation needs a plain module; inflate equivariant modules first")
-    return _evaluate(x, m, {})
+    return _evaluate(x, m)
 
 
-def _evaluate(x: AlgebraElement, m: DiagramModule, monodromies: dict[tuple[Cone, Vec], QMat]) -> QMat:
-    """`evaluate` of a member on a plain module of its fan, unchecked, reading
-    and filling the caller's table of monodromies.
+def _evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
+    """`evaluate` of a member on a plain module of its fan, unchecked.
 
-    A block with an empty side is skipped.  A block whose two spaces are
-    1-dimensional is one integer: the sum of c * num * (lcm / den) over its
-    monodromies num / den, times the path's one entry, over
-    lcm * path.den * y.den.  Any other block is one call of
-    `linalg._combination_times`."""
+    A block with an empty side is skipped.  A block on a 1-dimensional sigma
+    is integer rows: the path's one row times the sum of c * num * (lcm / den)
+    over the scalar monodromies num / den, over lcm * path.den * y.den.  Any
+    other block is one call of `linalg._combination_times` on monodromies
+    read from, or built once into, the module's table `m._monodromies`."""
     offs = m.offsets()
     dims = m.dims
-    scalars = []
+    table = m._monodromies
     blocks = []
-    for (sigma, tau), y in sorted(x.quotients.items()):
-        ds, dt = dims[sigma], dims[tau]
-        if not (ds and dt):
+    for (sigma, tau), y in x.quotients.items():
+        ds = dims[sigma]
+        if not (ds and dims[tau]):
             continue
-        terms = []
-        for e, c in y.num.items():
-            mono = monodromies.get((sigma, e))
-            if mono is None:
-                mono = monodromies[(sigma, e)] = m.monodromy(sigma, e)
-            terms.append((c, mono))
         path = m._path(sigma, tau)
-        if ds == dt == 1:
-            den = lcm(*[a.den for _, a in terms])
-            acc = sum([c * a.num[0][0] * (den // a.den) for c, a in terms])
-            scalars.append((offs[sigma], offs[tau], acc * path.num[0][0], den * path.den * y.den))
+        if ds == 1:
+            acc, den = m._scalar_sum(sigma, y.num)
+            rows, den = [[acc * a for a in path.num[0]]], den * path.den
         else:
+            terms = []
+            for e, c in y.num.items():
+                mono = table.get((sigma, e))
+                if mono is None:
+                    mono = table[(sigma, e)] = m.monodromy(sigma, e)
+                terms.append((c, mono))
             rows, den = _combination_times(terms, path)
-            blocks.append((offs[sigma], offs[tau], rows, den * y.den))
-    # entries are distinct cone pairs, so the blocks do not overlap
+        blocks.append((offs[sigma], offs[tau], rows, den * y.den))
+    # entries are distinct cone pairs, so the blocks do not overlap and are
+    # placed in any order
     n = m.total_dim()
-    den = lcm(*(d for _, _, _, d in scalars), *(d for _, _, _, d in blocks))
+    den = lcm(*(d for _, _, _, d in blocks))
     total = [[0] * n for _ in range(n)]
-    for r0, c0, a, d in scalars:
-        total[r0][c0] = den // d * a
     for r0, c0, rows, d in blocks:
         f = den // d
         for i, row in enumerate(rows):
@@ -377,20 +407,20 @@ def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
     The module is checked once per module, by `validate`, which raises on a
     module that is not plain: a module that passes keeps the verdict, so
     later calls on it check no axiom, and one that fails raises on every
-    call.  The members are drawn on the module's fan, so
-    the evaluations go through `_evaluate` unchecked, and they share one
-    table of monodromies, owned by this call.  Sums are not compared:
-    evaluation is linear by construction, a property the tests assert."""
+    call.  The members are drawn on the module's fan, so the evaluations go
+    through `_evaluate` unchecked; they read and fill the module's own
+    caches, so a monodromy built by one call is read by every later call on
+    the module.  Sums are not compared: evaluation is linear by
+    construction, a property the tests assert."""
     validate(m).require("invalid module")
     rng = random.Random(seed)
-    monodromies: dict[tuple[Cone, Vec], QMat] = {}
     rep = RepCheck()
     for k in range(trials):
         rep.trials = k + 1
         a = random_member(m.fan, rng)
         b = random_member(m.fan, rng)
-        ea, eb = _evaluate(a, m, monodromies), _evaluate(b, m, monodromies)
-        if not _is_product(_evaluate(a * b, m, monodromies), ea, eb):
+        ea, eb = _evaluate(a, m), _evaluate(b, m)
+        if not _is_product(_evaluate(a * b, m), ea, eb):
             rep.add("repcheck", "module", f"trial {k}: evaluate(a*b) != evaluate(a) @ evaluate(b) for a={a}, b={b}")
             break
     return rep

@@ -3,7 +3,8 @@
 A closed subgroup of the torus is presented by the induced map Q of
 cocharacter lattices, either directly or through the characters cutting the
 subgroup out.  A quotient is Q alone, checked once to have full row rank,
-and an equivariant module's `monodromy` pushes every exponent through Q.
+and an equivariant module pushes every exponent through Q, in the one hook
+`_exponent` that `monodromy` and the scalar path of `evaluate` both read.
 Its Smith form, in which the quotient map raises the i-th coordinate to the
 power d_i, is built only where it is printed, by `fanalg equi present`.
 
@@ -193,10 +194,10 @@ class EqDiagramModule(DiagramModule):
             and super().__eq__(other)
         )
 
-    def monodromy(self, cone: Cone, w: Vec) -> QMat:
-        """Torus action of the fan lattice vector w: the torus matrices are in
-        quotient coordinates, so w is pushed through Q first."""
-        return super().monodromy(cone, self.quotient.q.apply(w))
+    def _exponent(self, w: Vec) -> Vec:
+        """The torus matrices are in quotient coordinates, so the fan lattice
+        vector w is pushed through Q."""
+        return self.quotient.q.apply(w)
 
 
 def validate_equivariant(m: EqDiagramModule) -> Report:

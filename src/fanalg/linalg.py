@@ -30,11 +30,15 @@ entry against zero and `inverse` returns den / x with the sign on the
 numerator; a 1x1 inverse or invertibility test makes no `_echelon` call.  Each returns the canonical
 `QMat` the general path gives, and raises the same errors.
 
-`_combination_times` is the kernel of `diagram.evaluate` for blocks wider
-than 1x1: it returns (sum of c * a) @ b for integer coefficients c as
-integer rows over a denominator, with no gcd pass and no new matrix, so that
-`evaluate` places every block of its total matrix and reduces once; a 1x1
-block is summed there as one integer.
+`_combination_times` is the kernel of `diagram.evaluate` for blocks on a
+space of dimension 2 or more: it returns (sum of c * a) @ b for integer
+coefficients c as integer rows over a denominator, with no gcd pass and no
+new matrix, so that `evaluate` places every block of its total matrix and
+reduces once.  Its terms a are monodromies from the table that each module
+owns for its lifetime, keyed by (cone, exponent), one entry per distinct
+key an evaluation of the module has read on such a space.  A block on a
+1-dimensional space takes no monodromy matrix and adds no table entry: it
+is summed in `evaluate` as integers from the torus scalars.
 
 Every elimination reads one sparse, fully reduced row echelon form, built by
 `_echelon` from the integer rows without leaving the integers: a

@@ -5,6 +5,7 @@ import pytest
 
 from fanalg import diagram
 from fanalg.algebra import central, matrix_unit, random_member, required_divisor, unit
+from fanalg.descent import glue, restrict, tautological_datum
 from fanalg.diagram import (
     DiagramModule,
     character_module,
@@ -19,6 +20,7 @@ from fanalg.diagram import (
     tensor_module,
     validate,
 )
+from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
 from fanalg.fan import standard_fan
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, random_invertible
@@ -215,7 +217,7 @@ class TestRepCheck:
     def test_first_failing_trial_is_the_finding(self, c_fan, monkeypatch):
         # an evaluation that is not multiplicative: the k-th call gives k * id
         calls = iter(range(1, 1000))
-        monkeypatch.setattr(diagram, "_evaluate", lambda x, m, monodromies: QMat.identity(m.total_dim()).scale(next(calls)))
+        monkeypatch.setattr(diagram, "_evaluate", lambda x, m: QMat.identity(m.total_dim()).scale(next(calls)))
         out = rep_check(simple_c_module(), trials=5)
         assert not out.ok and out.trials == 1
         assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]
@@ -238,6 +240,33 @@ class TestModuleCaches:
         assert evaluate(x, bad) == before.scale(2) != before
         with pytest.raises(ValueError, match="invalid module"):
             rep_check(bad, trials=3)
+
+    def test_derived_modules_start_with_an_empty_monodromy_table(self, p2_fan):
+        rng = random.Random(4)
+        m = random_valid_module(p2_fan, rng, summands=2)
+        eq = EqDiagramModule(p2_fan, quotient_presentation(q=[[1, 0], [0, 1]]), m.dims, m.torus, m.u, m.v)
+        d = tautological_datum(m)
+        warm = (m, eq, *d.charts.values())
+        for n in warm:
+            evaluate(random_member(n.fan, rng, density_pct=100), n)
+        assert all(n._monodromies for n in warm)  # each module's own table
+        copy = DiagramModule(m.fan, m.dims, m.torus, m.u, m.v)
+        derived = [
+            conjugate(m, {c: random_invertible(m.dims[c], rng) for c in p2_fan.cones}),
+            direct_sum(m, m),
+            restrict(m, p2_fan.maximal[0]),
+            glue(d),
+            inflate(eq),
+            copy,
+        ]
+        assert [n._monodromies for n in derived] == [{}] * len(derived)
+        assert copy == m and copy._monodromies != m._monodromies  # == ignores the table
+
+    def test_a_module_of_1_dimensional_spaces_builds_no_table(self, p2_fan):
+        m = character_module(p2_fan, [2, "-1/3"])
+        assert rep_check(m, trials=20).ok
+        evaluate(random_member(p2_fan, random.Random(5), density_pct=100, terms=3, emax=2), m)
+        assert m._monodromies == {}
 
     def test_module_data_is_read_only(self, p2_fan):
         m = point_module(p2_fan, (0, 1))

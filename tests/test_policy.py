@@ -172,14 +172,40 @@ def test_second_evaluate_reads_the_module_caches(p2_fan, monkeypatch):
     assert (inverses, powers) == ([], [])
 
 
+def count_monodromies(monkeypatch):
+    """Record the (cone, w) of every monodromy a module builds."""
+    built = []
+    real = diagram.DiagramModule.monodromy
+
+    def counted(self, cone, w):
+        built.append((cone, tuple(w)))
+        return real(self, cone, w)
+
+    monkeypatch.setattr(diagram.DiagramModule, "monodromy", counted)
+    return built
+
+
+def wide_keys(x, m):
+    """The (sigma, e) of the blocks of x on m that read a monodromy matrix:
+    the space at sigma has dimension 2 or more, and the one at tau is not 0."""
+    return {(sigma, e) for (sigma, tau), y in x.quotients.items() if m.dims[sigma] > 1 and m.dims[tau] for e in y.num}
+
+
 def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
-    # a warm module: the paths are cached by cone pair, each monodromy is built
-    # once per call, and the blocks are placed as integer rows and reduced once
+    # the module owns its monodromies: a cold module builds each (cone,
+    # exponent) of a wide block once and none for a 1-dimensional space; a
+    # warm one walks no chain, builds no monodromy, and places the blocks as
+    # integer rows, reduced once
     m = random_valid_module(p2_fan, random.Random(4), summands=2)
+    assert {m.dims[c] for c in p2_fan.cones} == {1, 2}
     x = random_member(p2_fan, random.Random(5), density_pct=100)
+    built = count_monodromies(monkeypatch)
     first = evaluate(x, m)
+    wide = wide_keys(x, m)
+    assert len(wide) < sum(len(y.num) for (sigma, _), y in x.quotients.items() if m.dims[sigma] > 1)  # some repeat
+    assert len(built) == len(set(built)) and set(built) == wide == set(m._monodromies)
+    built.clear()
     chains = count_calls(monkeypatch, "covering_chain", algebra, diagram)
-    monodromies = count_calls(monkeypatch, "monodromy", diagram.DiagramModule)
     reductions = count_calls(monkeypatch, "_reduced", QMat)
     reducing_products = []
     matmul = QMat.__matmul__
@@ -190,36 +216,36 @@ def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
 
     monkeypatch.setattr(QMat, "__matmul__", counted)
     assert evaluate(x, m) == first
-    distinct = {(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num}
-    assert len(distinct) < sum(len(y.num) for y in x.quotients.values())  # some monodromy repeats
-    counts = (len(chains), len(monodromies), len(reductions) - sum(reducing_products))
-    assert counts == (0, len(distinct), 1)
+    counts = (len(chains), len(built), len(reductions) - sum(reducing_products))
+    assert counts == (0, 0, 1)
 
 
-def test_rep_check_builds_each_monodromy_once_per_call(p2_fan, monkeypatch):
+def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
     m = random_valid_module(p2_fan, random.Random(4), summands=2)
-    built = []
-    real = diagram.DiagramModule.monodromy
-
-    def counted(self, cone, w):
-        built.append((cone, tuple(w)))
-        return real(self, cone, w)
-
-    monkeypatch.setattr(diagram.DiagramModule, "monodromy", counted)
+    built = count_monodromies(monkeypatch)
     # random_valid_module validated m, which keeps that verdict, so rep_check
     # checks no axiom and builds monodromies only for its evaluations
     assert rep_check(m, trials=20, seed=3).ok
     assert len(built) == len(set(built))
-    # the members rep_check draws and multiplies, replayed: one table per
-    # evaluation would build a monodromy once per element instead
+    # the members rep_check draws and multiplies, replayed: a table per call
+    # or per evaluation would build a monodromy once per call or per element
     rng = random.Random(3)
     keys = []
     for _ in range(20):
         a, b = random_member(p2_fan, rng), random_member(p2_fan, rng)
-        for x in (a, b, a * b):
-            keys.append({(sigma, e) for (sigma, _), y in x.quotients.items() for e in y.num})
-    assert set(built) == set().union(*keys)
+        keys += [wide_keys(x, m) for x in (a, b, a * b)]
+    assert set(built) == set().union(*keys) == set(m._monodromies)
     assert len(built) < sum(map(len, keys))
+    assert all(m.dims[cone] > 1 for cone, _ in built)  # a 1x1 block builds none
+    # the module is warm: the same trials build nothing, and other trials
+    # build only the keys the table does not hold yet
+    built.clear()
+    assert rep_check(m, trials=20, seed=3).ok
+    assert built == []
+    held = set(m._monodromies)
+    assert rep_check(m, trials=20, seed=4).ok
+    assert len(built) == len(set(built)) and held.isdisjoint(built)
+    assert set(m._monodromies) == held | set(built)
 
 
 def test_a_module_keeps_its_verdict_and_a_failing_one_is_decided_again(p2_fan, monkeypatch):

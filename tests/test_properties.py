@@ -1056,23 +1056,31 @@ C3_SCALAR_MEMBER = AlgebraElement._divided(
     },
 )
 
+# every space of P2 is 1-dimensional, so every block takes the scalar path;
+# the member's exponents run from -2 to 2, so they reach the inverse powers
+P2_SCALARS = conjugate(character_module(FANS["P2"], (3, "-1/2")), {c: QMat([[k + 2]]) for k, c in enumerate(FANS["P2"].cone_list())})
+P2_SCALAR_MEMBER = random_member(FANS["P2"], random.Random(1), density_pct=100, terms=3, emax=2)
+
 
 @settings(SETTINGS, max_examples=60)
 @given(evaluation_cases())
 @example((unit(C2).scale(0), C2_ZERO_MEET))  # no block: lcm() = 1
 @example((C3_SCALAR_MEMBER, C3_SCALARS))  # 1x1 and empty blocks only
+@example((P2_SCALAR_MEMBER, P2_SCALARS))  # 1x1 blocks with negative and |k| >= 2 exponents
 @example((random_member(C2, random.Random(0), density_pct=100), C2_ZERO_MEET))
 @example((central(C2, LaurentPoly(2, {(0, 0): "1/2", (1, 0): "1/2"})), C2_ZERO_MEET))  # den 2, reduced away
 def test_evaluate_equals_the_entry_by_entry_oracle(case):
-    """evaluate, with its path cache, per-call monomial table, integer 1x1
-    blocks and one reduction, gives the matrix of QMat arithmetic entry by
-    entry, on cold and warm caches.  Both take the canonical chains: the
-    modules may be invalid, and only a valid one gives every chain the same
-    path."""
+    """evaluate, with the module's path, power and monodromy caches, integer
+    scalar blocks and one reduction, gives the matrix of QMat arithmetic
+    entry by entry, on cold and warm caches: it evaluates a copy of the
+    module, whose caches the oracle has not filled.  Both take the canonical
+    chains: the modules may be invalid, and only a valid one gives every
+    chain the same path."""
     x, m = case
     want = evaluate_by_entries(x, m)
+    cold = DiagramModule(m.fan, m.dims, m.torus, m.u, m.v)
     for _ in range(2):
-        got = evaluate(x, m)
+        got = evaluate(x, cold)
         assert (got.m, got.n) == (m.total_dim(), m.total_dim())
         assert got == want and gcd(got.den, *[a for row in got.num for a in row]) == 1
 
