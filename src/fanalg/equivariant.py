@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from fanalg.algebra import cofactor_rays
 from fanalg.diagram import DiagramModule, axiom_report
 from fanalg.fan import Cone, Fan, cone_key
-from fanalg.lattice import IntMatrix, Vec, _vec, snf
+from fanalg.lattice import IntMatrix, Vec, _vec, hnf_rows
 from fanalg.laurent import LaurentPoly, monomial_map
 from fanalg.linalg import QMat, _echelon
 from fanalg.report import Report
@@ -54,11 +54,10 @@ def quotient_presentation(
     """Build QuotientData from a quotient matrix or from cutting characters.
 
     The lattice of characters vanishing on the subgroup is the row lattice of
-    the character matrix C.  With U C V = D its Smith form, that lattice is
-    spanned by the rows d_i * (V^-1)_i for the nonzero divisors d_i, and
-    these rows, as they stand and not reduced, are the rows of Q.  Q is
-    checked once to have full row rank, by counting the rows that
-    fraction-free elimination keeps.
+    the character matrix C, and the rows of Q are its row Hermite form
+    `hnf_rows(C)`, which spans the same lattice with entries polynomial in
+    size.  Q is checked once to have full row rank, by counting the rows
+    that fraction-free elimination keeps.
     """
     if (q is None) == (characters is None):
         raise ValueError("provide exactly one of a quotient matrix or characters")
@@ -70,15 +69,7 @@ def quotient_presentation(
             raise ValueError("rank required when no characters are given")
         if any(len(c) != rank for c in chars):
             raise ValueError("mixed character lengths")
-        cmat = IntMatrix(chars, shape=(len(chars), rank))
-        u, dmat, v = snf(cmat)
-        vinv = v.inverse()
-        rows = []
-        for i in range(min(cmat.rows, cmat.cols)):
-            di = dmat[i, i]
-            if di == 0:
-                break
-            rows.append(tuple(di * x for x in vinv.entries[i]))
+        rows = hnf_rows(chars)
         q = IntMatrix(rows, shape=(len(rows), rank))
     elif not isinstance(q, IntMatrix):
         rows = [_vec(row) for row in q]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Sequence
 
-from fanalg.lattice import Vec, _vec, hnf_rows, primitive
+from fanalg.lattice import IntMatrix, Vec, _vec, hnf_rows, primitive, snf
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat, nullspace
 from fanalg.report import Report
@@ -149,19 +148,6 @@ class Fan:
         return Fan(self.rank, self.rays, faces, (c,))
 
 
-def _divisors(rows: list[Vec], k: int) -> list[int]:
-    """Smith divisors of a matrix of k <= len(rows) columns, for a cone that
-    fails: Hermite forms of the rows and the columns alternate until one is
-    diagonal, and a gcd-lcm sweep makes the diagonal a divisibility chain."""
-    h = hnf_rows(rows)
-    while any(x for i, r in enumerate(h) for j, x in enumerate(r) if i != j):
-        h = hnf_rows(list(zip(*h)))
-    d = [h[i][i] for i in range(len(h))] + [0] * (k - len(h))
-    for i, j in combinations(range(k), 2):
-        d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return d
-
-
 def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence[int]]) -> Fan:
     """Construct a fan from primitive rays and generating cones.
 
@@ -193,7 +179,9 @@ def build_fan(rank: int, rays: Sequence[Sequence[int]], maximal_cones: Sequence[
         if cone:
             rows = list(zip(*(rays[i] for i in cone)))
             if hnf_rows(rows) != [tuple(int(i == j) for j in range(len(cone))) for i in range(len(cone))]:
-                raise ValueError(f"cone with rays ({cone_key(cone)}) fails SNF test: divisors {_divisors(rows, len(cone))}")
+                d = snf(IntMatrix(rows, shape=(rank, len(cone))))[1]
+                divisors = [d[i, i] for i in range(len(cone))]
+                raise ValueError(f"cone with rays ({cone_key(cone)}) fails SNF test: divisors {divisors}")
         gens.append(cone)
 
     if not gens:

@@ -1,8 +1,10 @@
 """Exact integer linear algebra.
 
-The row Hermite normal form, with its entries kept small, decides regularity
-and finds integer relations.  The Smith normal form with recorded unimodular
-transforms serves quotient presentations and the completion of partial bases.
+The row Hermite normal form, with its entries kept small, decides regularity,
+finds integer relations and presents a quotient by its characters.  The one
+Smith normal form alternates Hermite forms and records the unimodular
+transforms; it serves `equi present`, the divisors of a cone that fails the
+regularity test, and the completion of partial bases.
 Primitive vectors complete the module.  Rationals appear only internally, in
 the determinant and the inverse, which `QMat` computes.  Integers are coerced
 once, where they enter, by `_vec`, which rejects a float.
@@ -126,90 +128,55 @@ class IntMatrix:
         return IntMatrix(inv.num, shape=(self.rows, self.cols))
 
 
-def _row_op(a, t, i, j, q):
-    # row_i -= q * row_j in a, mirrored in the transform t
-    a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-    t[i] = [x - q * y for x, y in zip(t[i], t[j])]
-
-
-def _col_op(a, t, i, j, q):
-    # col_i -= q * col_j in a, mirrored in the transform t
-    for row in a:
-        row[i] -= q * row[j]
-    for row in t:
-        row[i] -= q * row[j]
-
-
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns (U, D, V) with U, V unimodular and D = U @ m @ V diagonal with
-    nonnegative entries d1 | d2 | ...  The pivot is always the nonzero entry
-    of minimal absolute value in the remaining block, ties broken by row then
-    column, so the transforms are reproducible.
+    nonnegative entries d1 | d2 | ...  The row Hermite forms of [A | U] and
+    of [A^T | V^T] alternate, from U and V the identity, until A is
+    diagonal; the right-hand blocks carry the transforms, whose entries stay
+    polynomial in size as the Hermite form's do (Kannan and Bachem, SIAM J.
+    Comput. 8, 1979).  A sweep over pairs i < j of the diagonal then makes
+    it a divisibility chain with
+    [[s, t], [-b/g, a/g]] diag(a, b) [[1, -t b/g], [1, s a/g]] = diag(g, a b/g),
+    where g = s a + t b = gcd(a, b).  Every step is canonical, so the
+    transforms are reproducible.
     """
-    a = [list(row) for row in m.entries]
     r, c = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    a = list(m.entries)
+    u = list(IntMatrix.identity(r).entries)
+    vt = list(IntMatrix.identity(c).entries)  # V transposed: its rows are V's columns
 
-    def pivot(k):
-        best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+    def diagonal() -> bool:
+        return not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
-    for k in range(min(r, c)):
-        while True:
-            p = pivot(k)
-            if p is None:
-                break
-            i, j = p
-            if i != k:
-                a[k], a[i] = a[i], a[k]
-                u[k], u[i] = u[i], u[k]
-            if j != k:
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-                for row in v:
-                    row[k], row[j] = row[j], row[k]
-            if a[k][k] < 0:
-                a[k] = [-x for x in a[k]]
-                u[k] = [-x for x in u[k]]
-            dirty = False
-            for i in range(k + 1, r):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    _row_op(a, u, i, k, q)
-                    dirty = dirty or a[i][k] != 0
-            for j in range(k + 1, c):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    _col_op(a, v, j, k, q)
-                    dirty = dirty or a[k][j] != 0
-            if dirty:
+    while True:
+        h = hnf_rows([x + y for x, y in zip(a, u)])
+        a, u = [row[:c] for row in h], [row[c:] for row in h]
+        if diagonal():
+            break
+        h = hnf_rows([tuple(row[j] for row in a) + y for j, y in enumerate(vt)])
+        a, vt = [tuple(row[i] for row in h) for i in range(r)], [row[r:] for row in h]
+        if diagonal():
+            break
+    # the nonzero pivots are positive and come first
+    d = [a[i][i] for i in range(min(r, c))]
+    k = sum(1 for x in d if x)
+    for i in range(k):
+        for j in range(i + 1, k):
+            p, q = d[i], d[j]
+            if q % p == 0:
                 continue
-            # enforce the divisibility chain before moving on
-            bad = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if a[i][j] % a[k][k] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[bad])]
-            u[k] = [x + y for x, y in zip(u[k], u[bad])]
-
+            # the Hermite form of [[p, 1, 0], [q, 0, 1]] leads with g = s p + t q
+            (g, s, t), _ = hnf_rows([(p, 1, 0), (q, 0, 1)])
+            p, q = p // g, q // g
+            u[i], u[j] = [s * x + t * y for x, y in zip(u[i], u[j])], [p * y - q * x for x, y in zip(u[i], u[j])]
+            vt[i], vt[j] = [x + y for x, y in zip(vt[i], vt[j])], [s * p * y - t * q * x for x, y in zip(vt[i], vt[j])]
+            d[i], d[j] = g, d[i] * q
     return (
         IntMatrix(u, shape=(r, r)),
-        IntMatrix(a, shape=(r, c)),
-        IntMatrix(v, shape=(c, c)),
+        IntMatrix(tuple(tuple(d[i] if i == j else 0 for j in range(c)) for i in range(r)), shape=(r, c)),
+        IntMatrix(vt, shape=(c, c)).transpose(),
     )
 
 

@@ -255,7 +255,7 @@ def _mat_from_data(flat, rows: int, cols: int, path: str, table: dict[str, QMat]
         one = table.get(x) if type(x) is str else None
         ones.append(_entry(x, path, i, table) if one is None else one)
     if len(ones) != rows * cols:
-        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(ones)} entries")
+        raise ValueError(f"{path}: a {rows}x{cols} matrix cannot have {len(ones)} entries")
     den = lcm(*[one.den for one in ones])
     if den == 1:
         nums = [one.num[0][0] for one in ones]
@@ -378,8 +378,8 @@ def _lattice_rows(x, path: str) -> list[list[int]]:
     """The rows of Q or of the cutting characters, with entries bounded as
     coordinates.  The Smith form of an r x n matrix builds r x r and n x n
     transforms, so r and n are bounded like a space dimension; it is built
-    only by `equi present` and, for the character matrix, by the
-    `characters` path of `quotient_presentation`."""
+    only by `equi present`, and the `characters` path of
+    `quotient_presentation` takes the Hermite form of the characters."""
     rows = _coord_rows(x, path)
     if len(rows) > MAX_SPACE_DIM:
         raise ValueError(f"{path}: expected at most {MAX_SPACE_DIM} rows, got {len(rows)}")
@@ -444,6 +444,8 @@ def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
     charts = {}
     for key, body, at in _members(_field(obj, "charts", "$", _object), "$.charts"):
         sigma = fan.cone_of_key(key)
+        if sigma not in fan.maximal:
+            raise ValueError(f"{at}: expected a maximal cone, got ({cone_key(sigma)})")
         sub = fan.subfan(sigma)
         dims, torus, u, v = _module_parts(body, sub, fan.rank, at, table)
         charts[sigma] = DiagramModule(sub, dims, torus, u, v)
@@ -455,9 +457,15 @@ def descent_from_data(data: Mapping, fan: Fan) -> DescentDatum:
         if sigma not in charts or tau not in charts:
             raise ValueError(f"{at}: glues a cone that has no chart")
         dims_s, dims_t = charts[sigma].dims, charts[tau].dims
+        common = set(sigma) & set(tau)
         out = {}
         for rho_k, flat, block_at in _members(blocks, at):
             rho = fan.cone_of_key(rho_k)
+            if not common.issuperset(rho):
+                raise ValueError(f"{block_at}: expected a face of both charts, got ({cone_key(rho)})")
             out[rho] = _mat_from_data(flat, dims_t.get(rho, 0), dims_s.get(rho, 0), block_at, table)
+        # after its blocks, so that a bad block is reported first
+        if sigma == tau:
+            raise ValueError(f"{at}: glues a chart to itself")
         glue_maps[(sigma, tau)] = out
     return DescentDatum(fan, charts, glue_maps)

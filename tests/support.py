@@ -10,9 +10,10 @@ cocycle check that computes every ordering of each pair and triple on its own
 as an oracle for `descent.check_cocycle`, the factors of a tensor word with a
 product-based `mu` oracle, the Fraction-based reader of matrix entries as an
 oracle for `serialize`, the `randrange` sampler of random members as an
-oracle for `algebra.random_member`, the Smith oracles `elementary_divisors`
-and `kernel_basis` with the textbook `hnf_rows_textbook` for the lattice
-kernel, and a call counter."""
+oracle for `algebra.random_member`, the pivoting Smith form `snf_by_pivots`
+with the `elementary_divisors` and `kernel_basis` read from it and the
+textbook `hnf_rows_textbook`, as oracles for the lattice kernel, and a call
+counter."""
 
 import random
 from fractions import Fraction
@@ -51,7 +52,7 @@ from fanalg.diagram import (
 )
 from fanalg.equivariant import EqStructure
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, standard_fan
-from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis, snf
+from fanalg.lattice import IntMatrix, Vec, _vec, complete_to_basis
 from fanalg.laurent import LaurentPoly, divide_by_product
 from fanalg.linalg import QMat, _is_product, _products_equal, block_diag, nullspace, random_invertible
 from fanalg.report import Report
@@ -512,7 +513,7 @@ def mat_from_data_by_fractions(flat, rows: int, cols: int, path: str) -> QMat:
     lcm of their denominators; every entry is checked before the count."""
     es = [serialize._rational(x, path, i) for i, x in enumerate(serialize._list(flat, path))]
     if len(es) != rows * cols:
-        raise ValueError(f"a {rows}x{cols} matrix cannot have {len(es)} entries")
+        raise ValueError(f"{path}: a {rows}x{cols} matrix cannot have {len(es)} entries")
     return QMat._of_fractions([es[i * cols : (i + 1) * cols] for i in range(rows)], rows, cols)
 
 
@@ -556,15 +557,70 @@ def random_member_by_randrange(
     return AlgebraElement._divided(fan, quotients)
 
 
+def snf_by_pivots(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form (U, D, V) by textbook pivoting, with no control of
+    the size of the transforms: an oracle for `lattice.snf` on small inputs.
+    The pivot is always the nonzero entry of minimal absolute value in the
+    remaining block, ties broken by row then column."""
+    a = [list(row) for row in m.entries]
+    r, c = m.rows, m.cols
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def pivot(k):
+        best = None
+        for i in range(k, r):
+            for j in range(k, c):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    for k in range(min(r, c)):
+        while True:
+            p = pivot(k)
+            if p is None:
+                break
+            i, j = p
+            a[k], a[i] = a[i], a[k]
+            u[k], u[i] = u[i], u[k]
+            for row in a + v:
+                row[k], row[j] = row[j], row[k]
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+                u[k] = [-x for x in u[k]]
+            dirty = False
+            for i in range(k + 1, r):
+                q = a[i][k] // a[k][k]
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                dirty = dirty or a[i][k] != 0
+            for j in range(k + 1, c):
+                q = a[k][j] // a[k][k]
+                for row in a + v:
+                    row[j] -= q * row[k]
+                dirty = dirty or a[k][j] != 0
+            if dirty:
+                continue
+            # enforce the divisibility chain before moving on
+            bad = next((i for i in range(k + 1, r) if any(a[i][j] % a[k][k] for j in range(k + 1, c))), None)
+            if bad is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+    return IntMatrix(u, shape=(r, r)), IntMatrix(a, shape=(r, c)), IntMatrix(v, shape=(c, c))
+
+
 def elementary_divisors(m: IntMatrix) -> list[int]:
-    """The diagonal of the Smith form of m: the divisors that decide a cone."""
-    _, d, _ = snf(m)
+    """The diagonal of the Smith form of m, from the pivoting oracle: the
+    divisors that decide a cone."""
+    _, d, _ = snf_by_pivots(m)
     return [d[i, i] for i in range(min(m.rows, m.cols))]
 
 
 def kernel_basis(m: IntMatrix) -> list[Vec]:
-    """Basis of the integer kernel {x : m @ x = 0}, from the Smith form."""
-    _, d, v = snf(m)
+    """Basis of the integer kernel {x : m @ x = 0}, from the pivoting oracle."""
+    _, d, v = snf_by_pivots(m)
     rank = sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
     return [v.column(j) for j in range(rank, m.cols)]
 

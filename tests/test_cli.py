@@ -20,6 +20,7 @@ from fanalg.descent import tautological_datum, twisted_datum
 from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.fan import projective_plane_fan, standard_fan
+from fanalg.lattice import IntMatrix
 from fanalg.laurent import binomial
 from fanalg.linalg import QMat
 
@@ -266,6 +267,29 @@ class TestDescentCommands:
         code, out = run(["desc", "check", path])
         assert code == 1
 
+    # additions to the golden P2 datum that no check reads: a chart on a ray,
+    # a gluing map from a chart to itself, and a block on a cone outside the
+    # overlap of the two charts
+    IGNORED = {
+        '$.charts["0"]: expected a maximal cone, got (0)': ("charts", "0", {"spaces": {"": 1, "0": 1}}),
+        '$.glue["0,1|0,1"]: glues a chart to itself': (
+            "glue", "0,1|0,1", {"": ["7"] * 4, "0": ["7"], "1": ["7"], "0,1": ["7"]},
+        ),
+        '$.glue["0,1|0,2"]["0,1"]: expected a face of both charts, got (0,1)': ("glue", "0,1|0,2", {"0,1": []}),
+    }
+
+    @pytest.mark.parametrize("message", sorted(IGNORED))
+    def test_data_that_no_check_reads_is_an_input_error(self, tmp_path, message):
+        field, key, value = self.IGNORED[message]
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / "descent_p2.json").read_text(encoding="utf-8"))
+        data["fan"] = json.loads((golden / data["fan"]).read_text(encoding="utf-8"))
+        data[field][key] = {**data[field].get(key, {}), **value}
+        path = write_json(tmp_path / "d.json", data)
+        for argv in (["desc", "check", path], ["desc", "glue", path, "-o", str(tmp_path / "glued.json")]):
+            code, out = run(argv)
+            assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out[:200]
+
 
 class TestEquivariantCommands:
     def test_present(self, tmp_path):
@@ -274,22 +298,45 @@ class TestEquivariantCommands:
         assert code == 0 and "invariant factors d_i: 1 6" in out
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the integer string limit needs Python 3.11")
-    def test_present_prints_no_partial_report(self, tmp_path):
-        # the transforms of a random 20 x 20 Q have entries of over a thousand
-        # digits; past the interpreter's limit for printing an integer the
-        # command fails before it prints any line of its report
+    def test_present_prints_no_partial_report(self, tmp_path, monkeypatch):
+        # a last entry of V past the interpreter's limit for printing an
+        # integer: the command fails before it prints any line of its report
         rng = random.Random(20)
         path = write_json(tmp_path / "q.json", {"Q": [[rng.randint(-1024, 1024) for _ in range(20)] for _ in range(20)]})
+        real = cli.snf
+
+        def wide_snf(q):
+            u, d, v = real(q)
+            rows = [list(row) for row in v.entries]
+            rows[-1][-1] = 10**700
+            return u, d, IntMatrix(rows)
+
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
+        monkeypatch.setattr(cli, "snf", wide_snf)
         try:
             code, out = run(["equi", "present", path])
         finally:
             sys.set_int_max_str_digits(limit)
+            monkeypatch.undo()
         assert code == 2 and out.startswith("ERROR\tinput\t"), out[:200]
         assert not any(line.startswith("Q ") for line in out.splitlines())
         code, out = run(["equi", "present", path])
         assert code == 0 and out.count("\nQ ") == 20
+
+    @pytest.mark.parametrize(("field", "size"), [("Q", 48), ("characters", 32)])
+    def test_present_on_large_random_input(self, tmp_path, field, size):
+        # entries up to the coordinate bound: with the smallest entry as each
+        # pivot, the transforms of the 48 x 48 Q passed the interpreter's limit
+        # for printing an integer, and the 32 x 32 characters did not finish
+        rng = random.Random(size)
+        path = write_json(tmp_path / "q.json", {field: [[rng.randint(-1024, 1024) for _ in range(size)] for _ in range(size)]})
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        argv = [sys.executable, "-m", "fanalg.cli", "equi", "present", path]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stdout[:200]
+        assert proc.stdout.count("\nQ ") == size
+        assert max(len(w.lstrip("-")) for w in proc.stdout.split() if w.lstrip("-").isdigit()) <= 1000
 
     def test_structure(self, tmp_path, c_fan):
         fan_path = write_json(tmp_path / "c.json", serialize.fan_to_data(c_fan))

@@ -3,11 +3,14 @@
 golden/ holds the input files and, per case in cases.json, the argv, the exit
 code and the stdout, recorded before the code they pin was changed: the alg
 cases before algebra elements were kept in divided form, the `mod relations`
-and `equi present` cases before matrix files were read straight into integers
-and fans kept their cone tables, the two `characters` quotient cases before a
-quotient stopped carrying its Smith data, the non-regular `fan check` case
-before regularity was read from a Hermite form, the others before every check
-result became a Report.  Arguments ending in .json name files in golden/.
+cases before matrix files were read straight into integers and fans kept
+their cone tables, the `characters` structure case before a quotient stopped
+carrying its Smith data, the non-regular `fan check` case before regularity
+was read from a Hermite form, the others before every check result became a
+Report.  The two `equi present` cases print Smith transforms, and were
+re-pinned when the Smith form came to alternate Hermite forms and the
+`characters` path to take Q as their Hermite form.  Arguments ending in
+.json name files in golden/.
 """
 
 import io

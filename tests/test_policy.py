@@ -558,9 +558,11 @@ def test_only_equi_present_builds_smith_data(tmp_path, monkeypatch):
     # elimination, and only `equi present` builds the Smith form it prints
     data = json.loads((GOLDEN / "eqmodule_c1.json").read_text(encoding="utf-8"))
     fan = serialize.fan_from_data(data["fan"])
-    calls = count_calls(monkeypatch, "snf", lattice, equivariant, cli)
+    calls = count_calls(monkeypatch, "snf", lattice, cli)
     spec = {"Q": [[2, 0, 1], [1, 3, 0]]}
     assert serialize.quotient_from_data(spec).q == IntMatrix([[2, 0, 1], [1, 3, 0]])
+    # the characters path takes Q as the Hermite form of the characters
+    assert serialize.quotient_from_data({"characters": [[2, 4, 0], [0, 3, 3]]}).q == IntMatrix([[2, 1, -3], [0, 3, 3]])
     assert serialize.eq_module_from_data(data, fan).quotient.q == IntMatrix([[2]])
     assert calls == []
     path = tmp_path / "q.json"
@@ -575,7 +577,7 @@ def test_regular_fans_and_relations_build_no_smith_data(f1_fan, monkeypatch):
     # a cone is regular when the Hermite form of the rows of its ray matrix is
     # the identity, and the relations among ray vectors are read from the
     # Hermite form of [M^T | I]; only a cone that fails has divisors to print
-    calls = count_calls(monkeypatch, "snf", lattice)
+    calls = count_calls(monkeypatch, "snf", lattice, fanmod)
     p2xp1 = fanmod.product_fan(projective_plane_fan(), fanmod.projective_line_fan())
     assert len(p2xp1.maximal) == 6
     assert diagram.relation_report(p2xp1).entries and diagram.relation_report(f1_fan).entries

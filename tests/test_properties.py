@@ -38,8 +38,9 @@ generators' images, and the staged hom against the single-pass oracle, also
 on large entries; the cocycle check against the oracle that computes every
 ordering of each pair and triple, on twisted data and four corrupted copies;
 the Smith and row Hermite normal forms, against
-sympy oracles when sympy is present; the row Hermite form against the
-textbook elimination; the regularity of a cone, and the divisors reported
+sympy oracles when sympy is present; the Smith form against the pivoting
+oracle on zero, rank-deficient, 1 x n and n x 1 matrices; the row Hermite
+form against the textbook elimination; the regularity of a cone, and the divisors reported
 when it fails, against the Smith form, also on dependent rays; and the
 relations among the ray vectors of each cone against the Hermite form of
 the Smith kernel."""
@@ -85,6 +86,7 @@ from support import (
     random_valid_module,
     right_factor,
     shuffled_chain,
+    snf_by_pivots,
     total_matrix,
 )
 
@@ -1455,6 +1457,41 @@ def test_snf_agrees_with_sympy(sympy, rows, cols, data):
     theirs = smith_normal_form(sympy.Matrix(rows, cols, flat), domain=sympy.ZZ)
     # invariant factors are defined up to sign
     assert [d[i, i] for i in range(min(rows, cols))] == [abs(theirs[i, i]) for i in range(min(rows, cols))]
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Zero, rank-deficient, 1 x n and n x 1 integer matrices."""
+
+    def ints(rows, cols):
+        flat = draw(st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols))
+        return IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)], shape=(rows, cols))
+
+    kind = draw(st.sampled_from(("zero", "rank-deficient", "row", "column")))
+    n = draw(st.integers(1, 6))
+    if kind == "zero":
+        return IntMatrix.zero(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    if kind == "row":
+        return ints(1, n)
+    if kind == "column":
+        return ints(n, 1)
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(rows, cols) - 1))
+    return ints(rows, k) @ ints(k, cols)
+
+
+@settings(SETTINGS, max_examples=100)
+@example(IntMatrix.zero(0, 3))
+@example(IntMatrix.zero(2, 2))
+@example(IntMatrix([[0, 4, -6]]))
+@example(IntMatrix([[6], [-4], [0]]))
+@example(IntMatrix([[2, 4], [3, 6], [-1, -2]]))
+@given(degenerate_matrices())
+def test_snf_agrees_with_the_pivoting_oracle_on_degenerate_matrices(mat):
+    u, d, v = snf(mat)
+    assert u @ mat @ v == d
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert d == snf_by_pivots(mat)[1]
 
 
 @SETTINGS
