@@ -11,8 +11,12 @@ Elements are kept in divided form: an element stores the quotient y of each
 entry D(sigma, tau) * y.  Each D(sigma, tau), and each product cofactor, is
 read from the fan's table of binomial products (`Fan.binomial_product`), so
 `entries` multiplies the divisors back in on each access without rebuilding
-them, and a product multiplies by its cofactor once.  Division happens once,
-where entries enter, in `AlgebraElement(fan, entries)` and in
+them, and a product multiplies by its cofactor once.  `_product_terms` is
+the one definition of the product: the terms (sigma, rho, tau, y1, y2,
+cofactor rays) that `AlgebraElement.__mul__` sums into quotients and from
+which `diagram.rep_check` builds the image of a product without expanding
+it.  Division happens once, where entries enter, in
+`AlgebraElement(fan, entries)` and in
 `serialize.element_from_data`; an entry that does not divide is a membership
 finding there, so a non-member cannot be constructed.  Sums, scaling,
 products, evaluation, factorization, mu/delta and transport then read and
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
 from fanalg.lattice import IntMatrix, Vec
@@ -158,26 +162,17 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other) -> "AlgebraElement":
-        """Through a middle cone rho, the quotient of E(sigma, rho) y1 times
-        E(rho, tau) y2 is y1 * y2 times the binomials of `cofactor_rays`,
-        whose product is read from the fan's table.
-
-        The terms (y1, y2, cofactor rays) of each output cone pair are
-        collected first, and `_sum_of_products` sums them as integers over
-        one denominator and reduces once per pair: no LaurentPoly is
-        multiplied and no intermediate polynomial is built."""
+        """The terms of `_product_terms`, collected by output cone pair and
+        summed by `_sum_of_products` as integers over one denominator and
+        reduced once per pair: no LaurentPoly is multiplied and no
+        intermediate polynomial is built."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_fan(other)
-        fan = self.fan
-        by_row: dict[Cone, list[tuple[Cone, LaurentPoly]]] = {}
-        for (rho, tau), y in other.quotients.items():
-            by_row.setdefault(rho, []).append((tau, y))
         terms: dict[tuple[Cone, Cone], list[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]] = {}
-        for (sigma, rho), y1 in self.quotients.items():
-            for tau, y2 in by_row.get(rho, ()):
-                terms.setdefault((sigma, tau), []).append((y1, y2, cofactor_rays(sigma, rho, tau)))
-        return AlgebraElement._divided(fan, {k: _sum_of_products(fan, ts) for k, ts in terms.items()})
+        for sigma, _, tau, y1, y2, rays in _product_terms(self, other):
+            terms.setdefault((sigma, tau), []).append((y1, y2, rays))
+        return AlgebraElement._divided(self.fan, {k: _sum_of_products(self.fan, ts) for k, ts in terms.items()})
 
     def __rmul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, Fraction)):
@@ -201,6 +196,21 @@ class AlgebraElement:
         return "; ".join(parts)
 
     __repr__ = __str__
+
+
+def _product_terms(a: AlgebraElement, b: AlgebraElement) -> Iterator[tuple[Cone, Cone, Cone, LaurentPoly, LaurentPoly, tuple[int, ...]]]:
+    """The terms of the product a * b, its one definition: for an entry
+    (sigma, rho) of a with quotient y1 and an entry (rho, tau) of b with
+    quotient y2, the quotient of a * b at (sigma, tau) gains y1 * y2 times
+    the binomial product of rays = `cofactor_rays(sigma, rho, tau)`.  Yields
+    (sigma, rho, tau, y1, y2, rays) in the order of the entries of a, and of
+    b within each; nothing is multiplied."""
+    by_row: dict[Cone, list[tuple[Cone, LaurentPoly]]] = {}
+    for (rho, tau), y in b.quotients.items():
+        by_row.setdefault(rho, []).append((tau, y))
+    for (sigma, rho), y1 in a.quotients.items():
+        for tau, y2 in by_row.get(rho, ()):
+            yield sigma, rho, tau, y1, y2, cofactor_rays(sigma, rho, tau)
 
 
 def _sum_of_products(fan: Fan, terms: list[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]) -> LaurentPoly:

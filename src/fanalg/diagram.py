@@ -26,10 +26,11 @@ from operator import index, matmul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from fanalg.algebra import AlgebraElement, covering_chain, random_member
+from fanalg.algebra import AlgebraElement, _product_terms, covering_chain, random_member
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
 from fanalg.lattice import Vec, hnf_rows
-from fanalg.linalg import QMat, _combination_times, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, block_diag, kron, random_invertible
+from fanalg.laurent import LaurentPoly
+from fanalg.linalg import QMat, _columns, _combination, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, _rows_times, block_diag, kron, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -56,17 +57,23 @@ class DiagramModule:
     the product of the torus powers k_j, where k = `_exponent(w)` is w in the
     coordinates of the torus matrices: w itself here, and a subclass that
     reads its torus matrices in other coordinates overrides `_exponent`.
-    Every reader of monodromies, `axiom_report`, `evaluate` and its scalar
-    path `_scalar_sum` among them, goes through that one hook.
+    Every reader of monodromies, `axiom_report`, `evaluate` and `rep_check`
+    through `_sum` and its scalar path `_scalar_sum` among them, goes
+    through that one hook.
 
     A module is immutable, so it owns three caches for its lifetime, filled
     on first use: torus powers keyed by (cone, j, k); path products keyed by
     cone pair (`_path`), along the one canonical choice of covering chains;
-    and monodromies keyed by (cone, w), read and filled by `evaluate` for
-    cones whose space has dimension 2 or more.  That table holds one entry
-    per distinct (cone, w) that an evaluation of the module has read on such
-    a cone; a 1-dimensional space is read as a scalar from the torus powers
-    and adds no entry.
+    and monodromies keyed by (cone, w), read and filled by `_sum` for cones
+    whose space has dimension 2 or more.  That table holds one entry per
+    distinct (cone, w) that an evaluation of the module has read on such a
+    cone: the exponents of the members `evaluate` was given, and for
+    `rep_check` those of the factors and of the cofactors of each term of a
+    product, not those of the expanded product.  Over the 48 modules of a
+    seed-11 `rep_zoo` run after 40 passes the tables hold 882 entries, and
+    held 3,950 when `rep_check` evaluated the expanded product.  A
+    1-dimensional space is read as a scalar from the torus powers and adds
+    no entry.
     It also keeps its verdict, `_valid`, set by `validate` when the module
     passes with no findings and no skips, so that each later `validate` of
     it, and so each `rep_check`, skips the axioms.
@@ -156,10 +163,12 @@ class DiagramModule:
     def _scalar_sum(self, cone: Cone, coeffs: Mapping[Vec, int]) -> tuple[int, int]:
         """The sum of c * monodromy(cone, w) over the integer coefficients c at
         lattice vectors w, on a 1-dimensional space, as an integer over a
-        positive integer, not reduced.  Each monodromy is the product of the
-        torus scalars' powers, a negative power read from the one cached
-        inverse; no `QMat` is built but that inverse.  The terms are summed
-        in one pass over the lcm of their denominators so far."""
+        positive integer, not reduced: s of a polynomial on such a space
+        (`_sum`), for `evaluate` and for each factor and cofactor of a term
+        in `rep_check`.  Each monodromy is the product of the torus scalars'
+        powers, a negative power read from the one cached inverse; no `QMat`
+        is built but that inverse.  The terms are summed in one pass over
+        the lcm of their denominators so far."""
         mats = self.torus[cone]
         acc, den = 0, 1
         for w, c in coeffs.items():
@@ -175,6 +184,27 @@ class DiagramModule:
                 g = lcm(den, d)
                 acc, den = acc * (g // den) + num * (g // d), g
         return acc, den
+
+    def _sum(self, cone: Cone, y: LaurentPoly) -> tuple[int | list[list[int]], int]:
+        """s(y), the Laurent polynomial y evaluated on the space of a cone of
+        dimension 1 or more: the sum of c * monodromy(cone, e) over the
+        terms of y, over y.den, not reduced.  On a 1-dimensional space it is
+        an integer over a positive integer, from `_scalar_sum`; on a wider
+        one it is integer rows over a positive integer, the
+        `linalg._combination` of monodromies read from, or built once into,
+        the module's table."""
+        if self.dims[cone] == 1:
+            acc, den = self._scalar_sum(cone, y.num)
+            return acc, den * y.den
+        table = self._monodromies
+        terms = []
+        for e, c in y.num.items():
+            mono = table.get((cone, e))
+            if mono is None:
+                mono = table[(cone, e)] = self.monodromy(cone, e)
+            terms.append((c, mono.num, mono.den))
+        rows, den = _combination(terms)
+        return rows, den * y.den
 
     def _power(self, cone: Cone, j: int, k: int) -> QMat:
         """Torus matrix j of a cone to the power k != 0; negative powers are
@@ -331,14 +361,17 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
 
     The module owns the path products, the torus powers and the monodromies
     for its lifetime, so a later call on the same module, of `evaluate` or
-    of `rep_check`, builds none of them again.  An entry on a 1-dimensional
-    sigma reads each M(e) as an integer over an integer from the torus
-    scalars and scales the path's one row by their sum
-    (`DiagramModule._scalar_sum`); any other entry with no empty side is
-    one call of the integer kernel `linalg._combination_times` on the
-    module's table of monodromies.  Neither builds a matrix or makes a gcd
-    pass; the blocks are placed over the lcm of their denominators and
-    reduced once, by one `QMat._reduced` for the total.
+    of `rep_check`, builds none of them again.  The sum of c * M(e) is
+    `DiagramModule._sum`: on a 1-dimensional sigma an integer over an
+    integer from the torus scalars (`DiagramModule._scalar_sum`), which
+    scales the path's one row; on a wider one the integer kernel
+    `linalg._combination` on the module's table of monodromies, multiplied
+    into the path once (`linalg._rows_times`).  Neither builds a matrix or
+    makes a gcd pass; `_total` places the blocks over the lcm of their
+    denominators and reduces once, by one `QMat._reduced` for the total.
+    `rep_check` builds the image of a product of members from the terms of
+    the product through the same two kernels and the same `_total`
+    (`_evaluate_product`).
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -348,36 +381,86 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
 
 
 def _evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
-    """`evaluate` of a member on a plain module of its fan, unchecked.
+    """`evaluate` of a member on a plain module of its fan, unchecked: block
+    (sigma, tau) with quotient y is s(y) @ P (`_sums`, `_total`)."""
+    return _total(m, _sums(x, m))
 
-    A block with an empty side is skipped.  A block on a 1-dimensional sigma
-    is integer rows: the path's one row times the sum of c * num * (lcm / den)
-    over the scalar monodromies num / den, over lcm * path.den * y.den.  Any
-    other block is one call of `linalg._combination_times` on monodromies
-    read from, or built once into, the module's table `m._monodromies`."""
-    offs = m.offsets()
+
+def _sums(x: AlgebraElement, m: DiagramModule) -> dict[PairKey, tuple]:
+    """s(y) of each entry (sigma, tau) of x with quotient y and no empty side
+    (`DiagramModule._sum`), keyed like the entries."""
     dims = m.dims
-    table = m._monodromies
+    return {(sigma, tau): m._sum(sigma, y) for (sigma, tau), y in x.quotients.items() if dims[sigma] and dims[tau]}
+
+
+def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, sums: dict[PairKey, tuple]) -> QMat:
+    """`_evaluate(a * b, m)` on a module that passes A1, built from the terms
+    of the product (`algebra._product_terms`), which is never expanded.
+    `sums` is `_sums(a, m)`, which `rep_check` also places as the image of
+    a; it gains s(y1) of each entry of a whose space at rho alone is 0, a
+    block that `_total` skips.
+
+    A1 makes the torus matrices of each cone invertible and commuting, so s
+    (`DiagramModule._sum`) is a ring map on each space into a commutative
+    algebra, and block (sigma, tau) of the image is the sum of
+    s(y1) s(y2) s(D) over the terms (sigma, rho, tau, y1, y2, rays), times
+    P(sigma, tau), with D the binomial product of the rays.  s(y1) is read
+    from `sums`, and s(D) is taken once per space and rays within the call;
+    a term with no rays multiplies by no s(D).  On a 1-dimensional space
+    the factors are integers over integers; on a wider one each
+    multiplication is one integer product (`linalg._rows_times`).  Each
+    block sum meets its path once, in `_total`, as in `_evaluate`.
+
+    The terms are not grouped by their rays before multiplying by s(D):
+    on the modules of the bench zoo nearly every group has one term, and
+    grouping was slower on every one of them."""
+    dims = m.dims
+    cofactors: dict[tuple[Cone, tuple[int, ...]], tuple] = {}  # s(D), as columns on a wider space
+    blocks: dict[PairKey, list[tuple]] = {}
+    for sigma, rho, tau, y1, y2, rays in _product_terms(a, b):
+        if not (dims[sigma] and dims[tau]):
+            continue
+        wide = dims[sigma] > 1
+        s1 = sums.get((sigma, rho))
+        if s1 is None:
+            s1 = sums[(sigma, rho)] = m._sum(sigma, y1)
+        x1, d1 = s1
+        x, d = m._sum(sigma, y2)
+        x, d = (_rows_times(x1, list(zip(*x))) if wide else x1 * x), d1 * d
+        if rays:
+            cof = cofactors.get((sigma, rays))
+            if cof is None:
+                xd, dd = m._sum(sigma, m.fan.binomial_product(rays))
+                cof = cofactors[(sigma, rays)] = (list(zip(*xd)) if wide else xd), dd
+            x, d = (_rows_times(x, cof[0]) if wide else x * cof[0]), d * cof[1]
+        blocks.setdefault((sigma, tau), []).append((x, d))
+    totals = {}
+    for (sigma, tau), terms in blocks.items():
+        if dims[sigma] == 1:
+            den = lcm(*[d for _, d in terms])
+            totals[(sigma, tau)] = sum([x * (den // d) for x, d in terms]), den
+        else:
+            totals[(sigma, tau)] = _combination([(1, x, d) for x, d in terms])
+    return _total(m, totals)
+
+
+def _total(m: DiagramModule, sums: Mapping[PairKey, tuple]) -> QMat:
+    """The total matrix whose block (sigma, tau) is x @ P(sigma, tau) / den
+    for each (x, den) in sums: x is an integer on a 1-dimensional sigma,
+    which scales the path's one row, and integer rows on a wider one.  A
+    block whose space at tau is 0 is skipped.  The blocks are integer rows
+    over their denominators, placed over the lcm of those and reduced once,
+    by one `QMat._reduced`, so that no matrix is built and no gcd pass made
+    per block.  The blocks are on distinct cone pairs, so they do not
+    overlap and are placed in any order."""
+    offs = m.offsets()
     blocks = []
-    for (sigma, tau), y in x.quotients.items():
-        ds = dims[sigma]
-        if not (ds and dims[tau]):
+    for (sigma, tau), (x, d) in sums.items():
+        if not m.dims[tau]:
             continue
         path = m._path(sigma, tau)
-        if ds == 1:
-            acc, den = m._scalar_sum(sigma, y.num)
-            rows, den = [[acc * a for a in path.num[0]]], den * path.den
-        else:
-            terms = []
-            for e, c in y.num.items():
-                mono = table.get((sigma, e))
-                if mono is None:
-                    mono = table[(sigma, e)] = m.monodromy(sigma, e)
-                terms.append((c, mono))
-            rows, den = _combination_times(terms, path)
-        blocks.append((offs[sigma], offs[tau], rows, den * y.den))
-    # entries are distinct cone pairs, so the blocks do not overlap and are
-    # placed in any order
+        rows = [[x * p for p in path.num[0]]] if m.dims[sigma] == 1 else _rows_times(x, _columns(path))
+        blocks.append((offs[sigma], offs[tau], rows, d * path.den))
     n = m.total_dim()
     den = lcm(*(d for _, _, _, d in blocks))
     total = [[0] * n for _ in range(n)]
@@ -402,16 +485,23 @@ class RepCheck(Report):
 def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
     """Evaluate random member pairs and compare the image of each product
     with the product of the images; the first failing trial is the one
-    finding.
+    finding.  A count of trials below 1 raises ValueError: a check that ran
+    no trial would pass having checked nothing.
 
     The module is checked once per module, by `validate`, which raises on a
     module that is not plain: a module that passes keeps the verdict, so
     later calls on it check no axiom, and one that fails raises on every
     call.  The members are drawn on the module's fan, so the evaluations go
-    through `_evaluate` unchecked; they read and fill the module's own
-    caches, so a monodromy built by one call is read by every later call on
-    the module.  Sums are not compared: evaluation is linear by
-    construction, a property the tests assert."""
+    through `_evaluate` unchecked.  The image of a * b is built from the
+    terms of the product by `_evaluate_product`, exact on a module that
+    passes A1, so no product of members is expanded; it reads s(y) of the
+    entries of a from the sums that are placed as the image of a.  The
+    evaluations read and fill the module's own caches, so a monodromy built
+    by one call is read by every later call on the module.  Sums are not
+    compared: evaluation is linear by construction, a property the tests
+    assert."""
+    if trials < 1:
+        raise ValueError(f"expected at least 1 trial, got {trials}")
     validate(m).require("invalid module")
     rng = random.Random(seed)
     rep = RepCheck()
@@ -419,8 +509,8 @@ def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
         rep.trials = k + 1
         a = random_member(m.fan, rng)
         b = random_member(m.fan, rng)
-        ea, eb = _evaluate(a, m), _evaluate(b, m)
-        if not _is_product(_evaluate(a * b, m), ea, eb):
+        sums = _sums(a, m)
+        if not _is_product(_evaluate_product(a, b, m, sums), _total(m, sums), _evaluate(b, m)):
             rep.add("repcheck", "module", f"trial {k}: evaluate(a*b) != evaluate(a) @ evaluate(b) for a={a}, b={b}")
             break
     return rep

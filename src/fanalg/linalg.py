@@ -30,15 +30,19 @@ entry against zero and `inverse` returns den / x with the sign on the
 numerator; a 1x1 inverse or invertibility test makes no `_echelon` call.  Each returns the canonical
 `QMat` the general path gives, and raises the same errors.
 
-`_combination_times` is the kernel of `diagram.evaluate` for blocks on a
-space of dimension 2 or more: it returns (sum of c * a) @ b for integer
-coefficients c as integer rows over a denominator, with no gcd pass and no
-new matrix, so that `evaluate` places every block of its total matrix and
-reduces once.  Its terms a are monodromies from the table that each module
-owns for its lifetime, keyed by (cone, exponent), one entry per distinct
-key an evaluation of the module has read on such a space.  A block on a
-1-dimensional space takes no monodromy matrix and adds no table entry: it
-is summed in `evaluate` as integers from the torus scalars.
+`_combination` and `_rows_times` are the kernels of `diagram.evaluate` and
+of `diagram.rep_check` on spaces of dimension 2 or more: `_combination`
+sums c * a for integer coefficients c as integer rows over the lcm of the
+terms' denominators, and `_rows_times` multiplies integer rows into
+integer columns, with no gcd pass and no new matrix, so that a caller that
+places every block of a total matrix reduces once.  `evaluate` sums the
+monodromies of each entry and meets the path product once; `rep_check`
+multiplies the sums of the factors of each term of a product, and no
+product with an identity is made.  The monodromies come from the table
+that each module owns for its lifetime, keyed by (cone, exponent), one
+entry per distinct key an evaluation of the module has read on such a
+space.  A block on a 1-dimensional space takes no monodromy matrix and
+adds no table entry: it is summed as integers from the torus scalars.
 
 Every elimination reads one sparse, fully reduced row echelon form, built by
 `_echelon` from the integer rows without leaving the integers: a
@@ -334,27 +338,30 @@ def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
     return True
 
 
-def _combination_times(terms: Sequence[tuple[int, QMat]], b: QMat) -> tuple[list[list[int]], int]:
-    """(sum of c * a over the terms) @ b, for integers c and square terms a
-    of side b.m, as integer rows over a positive denominator, not reduced.
-
-    The terms are summed as integers over the lcm of their denominators and
-    multiplied into the integer columns of b: no `QMat` is built and no gcd
-    pass is made, so a caller that places many such blocks reduces once.
-    The rows are those of the terms, so with b.m == 0 there are none."""
-    if not terms or any(a.m != b.m or a.n != b.m for _, a in terms):
-        raise ValueError(f"expected square terms of side {b.m}")
-    den = lcm(*[a.den for _, a in terms])
-    (c, a), *rest = terms
-    f = c * (den // a.den)
-    acc = [[f * x for x in row] for row in a.num]
-    for c, a in rest:
-        f = c * (den // a.den)
-        for out, row in zip(acc, a.num):
+def _combination(terms: Iterable[tuple[int, Sequence[Sequence[int]], int]]) -> tuple[list[list[int]], int]:
+    """The sum of c * rows / den over the terms (c, rows, den), for integers c
+    and integer matrices rows of one shape over positive denominators, as
+    integer rows over the lcm of the denominators, not reduced: no `QMat` is
+    built and no gcd pass is made.  A lone term with coefficient 1 is
+    returned as it stands, its rows not copied."""
+    terms = list(terms)
+    den = lcm(*[d for _, _, d in terms])
+    (c, rows, d), *rest = terms
+    if not rest and c == 1:
+        return rows, d
+    f = c * (den // d)
+    acc = [[f * x for x in row] for row in rows]
+    for c, rows, d in rest:
+        f = c * (den // d)
+        for out, row in zip(acc, rows):
             for j, x in enumerate(row):
                 out[j] += f * x
-    cols = _columns(b)
-    return [[sum(map(mul, row, col)) for col in cols] for row in acc], den * b.den
+    return acc, den
+
+
+def _rows_times(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer product of rows and a matrix given by its integer columns."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def _eye(n: int, d: int) -> tuple[tuple[int, ...], ...]:

@@ -31,7 +31,14 @@ generating cones have at most MAX_FACES faces, counted per cone, so a cone
 has at most log2(MAX_FACES) rays.  A quotient's Q and cutting characters
 have entries of absolute value at most MAX_COORD, and at most MAX_SPACE_DIM
 rows and columns; a declared quotient rank is at most MAX_SPACE_DIM.  A
-value beyond a bound is an input error that names its JSON path.
+rational has at most MAX_DIGITS decimal digits in its numerator and in its
+denominator, counted from the characters of its numeral before any integer
+is built (`_digits`), so that a short numeral such as "1e2000000" cannot
+ask for a 2,000,001-digit integer.  MAX_DIGITS is below the interpreter's
+default limit on converting a string to an integer (4,300 digits), so a
+numeral is accepted or refused the same way under that limit and with no
+limit (PYTHONINTMAXSTRDIGITS=0).  A value beyond a bound is an input error
+that names its JSON path.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ MAX_COORD = 1024
 MAX_SPACE_DIM = 256
 MAX_TOTAL_DIM = 4096
 MAX_FACES = 256
+MAX_DIGITS = 4000
+_PAST_DIGITS = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 
 def fan_to_data(fan: Fan) -> dict:
@@ -89,18 +98,51 @@ def _int(x, path: str) -> int:
 
 def _rational(x, path: str, index: int | None = None) -> Fraction:
     """A rational from an integer, a float (read as its shortest decimal
-    form) or a string such as "p/q", coerced once through `linalg._frac`.
-    The JSON path, path[index] when an index is given, is built only for an
-    error."""
+    form) or a string such as "p/q", coerced once through `linalg._frac`
+    after its digits are counted (`_digits`).  This is where every rational
+    of a file is read, but for the canonical entries `_canonical` reads,
+    which are short enough to pass the count.  The JSON path, path[index]
+    when an index is given, is built only for an error."""
     if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        numeral = str(x) if isinstance(x, float) else x
+        digits = _digits(numeral)
+        if digits is None or digits > MAX_DIGITS:
+            at = path if index is None else f"{path}[{index}]"
+            got = "an exponent of more than 18 digits" if digits is None else f"{digits} digits"
+            raise ValueError(f"{at}: expected a rational of at most {MAX_DIGITS} digits, got {got}")
         try:
-            return linalg._frac(str(x) if isinstance(x, float) else x)
+            return linalg._frac(numeral)
         except (ValueError, ZeroDivisionError):
             what = repr(x)
     else:
         what = type(x).__name__
     at = path if index is None else f"{path}[{index}]"
     raise ValueError(f"{at}: expected a rational, got {what}")
+
+
+def _digits(x: int | str) -> int | None:
+    """The most decimal digits that the numerator or the denominator of the
+    rational spelled by x can have, read before any integer is built: those
+    of an int; for a string, the digits on the larger side of a "/", or the
+    digits of a decimal mantissa plus the absolute value of its exponent.
+    None for an exponent of more than 18 digits, which is past the bound.
+    A string that `Fraction` does not parse may count anything; the parse
+    reports it."""
+    if type(x) is int:
+        return 1 if -_PAST_DIGITS < x < _PAST_DIGITS else len(str(abs(x)))
+    num, slash, den = x.partition("/")
+    if slash:
+        return max(sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den)))
+    mantissa, e, exponent = x.lower().partition("e")
+    digits = sum(map(str.isdecimal, mantissa))
+    exponent = exponent.strip().replace("_", "")
+    exponent = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if e and exponent.isdecimal():
+        exponent = exponent.lstrip("0")
+        if len(exponent) > 18:
+            return None
+        digits += int(exponent or 0)
+    return digits
 
 
 def _int_list(x, path: str) -> list[int]:
@@ -201,10 +243,12 @@ def _canonical(x) -> tuple[int, int] | None:
     """(p, q) for an int or for a string in the form that `str(Fraction)`
     writes: "p", or "p/q" in lowest terms with q > 1, in ASCII digits with
     no leading zero, no "+" and no "-0".  None for any other value, which
-    the general coercion `_rational` reads instead."""
+    the general coercion `_rational` reads instead, among them an int or a
+    string too long to be sure of the digit bound, which `_rational`
+    counts."""
     if type(x) is int:
-        return x, 1
-    if type(x) is not str or not x.isascii():
+        return (x, 1) if -_PAST_DIGITS < x < _PAST_DIGITS else None
+    if type(x) is not str or not x.isascii() or len(x) > MAX_DIGITS:
         return None
     p, slash, q = x.partition("/")
     digits = p[1:] if p[:1] == "-" else p
@@ -217,7 +261,7 @@ def _canonical(x) -> tuple[int, int] | None:
             n, d = int(p), int(q)
             if d > 1 and gcd(n, d) == 1:
                 return n, d
-    except ValueError:  # past the interpreter's digit limit; `_rational` reports it
+    except ValueError:  # past a digit limit set below MAX_DIGITS; `_rational` reports it
         pass
     return None
 

@@ -575,6 +575,37 @@ class TestSizeBounds:
         code, out = run([*argv, write_json(tmp_path / "case.json", data)])
         assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
 
+    @pytest.mark.parametrize("limit", ["default", "0"])
+    @pytest.mark.parametrize(("entry", "digits"), [("7" * 5001, 5001), ("1e2000000", 2000001)], ids=["numeral", "exponent"])
+    def test_a_rational_past_the_digit_bound_is_an_input_error_under_any_limit(self, tmp_path, entry, digits, limit):
+        # one u entry of the golden P2 module replaced: the 5,001-digit
+        # numeral used to be an input error that echoed it under the
+        # interpreter's default digit limit and a finding (exit 1) with no
+        # limit, and the 664-byte file with "1e2000000" was read into a
+        # 2,000,001-digit integer
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / "module_p2.json").read_text(encoding="utf-8"))
+        data["fan"] = json.loads((golden / data["fan"]).read_text(encoding="utf-8"))
+        data["u"]["0|0,1"] = [entry]
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit != "default":
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        argv = [sys.executable, "-m", "fanalg.cli", "mod", "validate", write_json(tmp_path / "module.json", data)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        message = f'$.u["0|0,1"][0]: expected a rational of at most {serialize.MAX_DIGITS} digits, got {digits} digits'
+        assert (proc.returncode, proc.stdout.splitlines()[0]) == (2, f"ERROR\tinput\t{message}"), proc.stdout[:200]
+        assert "7" * 100 not in proc.stdout and "Traceback" not in proc.stderr
+
+    def test_a_coefficient_past_the_digit_bound_is_an_input_error(self, tmp_path):
+        fan = write_json(tmp_path / "fan.json", self.FAN)
+        element = {"entries": [{"row": "", "col": "", "poly": [{"c": "2e4000", "e": [0, 0]}]}]}
+        self.rejects(tmp_path, ["alg", "member", fan], element,
+                     f"$.entries[0].poly[0].c: expected a rational of at most {serialize.MAX_DIGITS} digits, got 4001 digits")
+        element["entries"][0]["poly"][0]["c"] = "2e3999"
+        code, out = run(["alg", "member", fan, write_json(tmp_path / "edge.json", element)])
+        assert code == 0, out
+
     def test_exponents_past_the_limit_are_input_errors(self, tmp_path):
         fan = write_json(tmp_path / "fan.json", self.FAN)
         at = "$.entries[0].poly[0].e"

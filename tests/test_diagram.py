@@ -209,15 +209,24 @@ class TestRepCheck:
         with pytest.raises(ValueError, match="invalid module"):
             rep_check(m)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trial_is_an_error(self, trials):
+        # a check that ran no trial would pass having checked nothing
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            rep_check(simple_c_module(), trials=trials)
+
     def test_result_is_a_report(self, p2_fan):
         out = rep_check(point_module(p2_fan, (0, 1)), trials=3)
         assert isinstance(out, Report) and out.ok
         assert (out.trials, out.failure, out.skipped) == (3, None, [])
 
     def test_first_failing_trial_is_the_finding(self, c_fan, monkeypatch):
-        # an evaluation that is not multiplicative: the k-th call gives k * id
+        # an evaluation that is not multiplicative: the k-th image gives k * id;
+        # the images of a, of b and of the product built from its terms are
+        # all placed by `_total`, so the first trial fails whatever order
+        # they are taken in
         calls = iter(range(1, 1000))
-        monkeypatch.setattr(diagram, "_evaluate", lambda x, m: QMat.identity(m.total_dim()).scale(next(calls)))
+        monkeypatch.setattr(diagram, "_total", lambda m, sums: QMat.identity(m.total_dim()).scale(next(calls)))
         out = rep_check(simple_c_module(), trials=5)
         assert not out.ok and out.trials == 1
         assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]

@@ -220,6 +220,20 @@ def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
     assert counts == (0, 0, 1)
 
 
+def product_keys(a, b, m):
+    """The (sigma, e) that the image of a * b on m reads from the terms of the
+    product, not from its expansion: on a block whose space at sigma has
+    dimension 2 or more and whose space at tau is not 0, each exponent of
+    the factors y1 and y2 and of the binomial product of the cofactor rays."""
+    keys = set()
+    for (sigma, rho), y1 in a.quotients.items():
+        for (rho2, tau), y2 in b.quotients.items():
+            if rho2 == rho and m.dims[sigma] > 1 and m.dims[tau]:
+                cofactor = m.fan.binomial_product(algebra.cofactor_rays(sigma, rho, tau))
+                keys |= {(sigma, e) for y in (y1, y2, cofactor) for e in y.num}
+    return keys
+
+
 def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
     m = random_valid_module(p2_fan, random.Random(4), summands=2)
     built = count_monodromies(monkeypatch)
@@ -227,14 +241,17 @@ def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
     # checks no axiom and builds monodromies only for its evaluations
     assert rep_check(m, trials=20, seed=3).ok
     assert len(built) == len(set(built))
-    # the members rep_check draws and multiplies, replayed: a table per call
-    # or per evaluation would build a monodromy once per call or per element
+    # the members rep_check draws, replayed: a table per call or per
+    # evaluation would build a monodromy once per call or per element, and
+    # an expanded product would read the exponents of a * b
     rng = random.Random(3)
-    keys = []
+    keys, expanded = [], set()
     for _ in range(20):
         a, b = random_member(p2_fan, rng), random_member(p2_fan, rng)
-        keys += [wide_keys(x, m) for x in (a, b, a * b)]
+        keys += [wide_keys(a, m), wide_keys(b, m), product_keys(a, b, m)]
+        expanded |= wide_keys(a * b, m)
     assert set(built) == set().union(*keys) == set(m._monodromies)
+    assert not expanded <= set(built)
     assert len(built) < sum(map(len, keys))
     assert all(m.dims[cone] > 1 for cone, _ in built)  # a 1x1 block builds none
     # the module is warm: the same trials build nothing, and other trials
@@ -246,6 +263,21 @@ def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
     assert rep_check(m, trials=20, seed=4).ok
     assert len(built) == len(set(built)) and held.isdisjoint(built)
     assert set(m._monodromies) == held | set(built)
+
+
+def test_rep_check_multiplies_no_members(p2_fan, monkeypatch):
+    # the image of a * b is built from the terms of the product, so neither
+    # the algebra product nor a polynomial product is taken
+    m = random_valid_module(p2_fan, random.Random(4), summands=2)
+    products = count_calls(monkeypatch, "__mul__", AlgebraElement)
+    sums = count_calls(monkeypatch, "_sum_of_products", algebra)
+    assert rep_check(m, trials=20, seed=3).ok
+    assert (products, sums) == ([], [])
+    # the fan builds each binomial product of cofactor rays once, as
+    # LaurentPoly products, and the same trials on the warm fan build none
+    poly_products = count_calls(monkeypatch, "__mul__", LaurentPoly)
+    assert rep_check(m, trials=20, seed=3).ok
+    assert (products, poly_products, sums) == ([], [], [])
 
 
 def test_a_module_keeps_its_verdict_and_a_failing_one_is_decided_again(p2_fan, monkeypatch):
