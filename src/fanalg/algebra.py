@@ -204,13 +204,22 @@ def _product_terms(a: AlgebraElement, b: AlgebraElement) -> Iterator[tuple[Cone,
     quotient y2, the quotient of a * b at (sigma, tau) gains y1 * y2 times
     the binomial product of rays = `cofactor_rays(sigma, rho, tau)`.  Yields
     (sigma, rho, tau, y1, y2, rays) in the order of the entries of a, and of
-    b within each; nothing is multiplied."""
-    by_row: dict[Cone, list[tuple[Cone, LaurentPoly]]] = {}
+    b within each; nothing is multiplied.  The rays are taken on the
+    bitmasks of the three cones and read from the fan's table of ray sets
+    (`Fan._mask`, `Fan._rays_of`), so no set is built per term."""
+    fan = a.fan
+    mask, rays_of = fan._mask, fan._rays_of
+    by_row: dict[Cone, list[tuple[Cone, int, LaurentPoly]]] = {}
     for (rho, tau), y in b.quotients.items():
-        by_row.setdefault(rho, []).append((tau, y))
+        by_row.setdefault(rho, []).append((tau, mask(tau), y))
     for (sigma, rho), y1 in a.quotients.items():
-        for tau, y2 in by_row.get(rho, ()):
-            yield sigma, rho, tau, y1, y2, cofactor_rays(sigma, rho, tau)
+        row = by_row.get(rho)
+        if row is None:
+            continue
+        s, r = mask(sigma), mask(rho)
+        kept, added = s & ~r, r & ~s  # sigma - rho and rho - sigma
+        for tau, t, y2 in row:
+            yield sigma, rho, tau, y1, y2, rays_of(kept & t | added & ~t)
 
 
 def _sum_of_products(fan: Fan, terms: list[tuple[LaurentPoly, LaurentPoly, tuple[int, ...]]]) -> LaurentPoly:
@@ -428,23 +437,34 @@ def transport(x: AlgebraElement, beta: IntMatrix, target: Fan) -> AlgebraElement
     return AlgebraElement._divided(target, out)
 
 
+# per (terms, emax, cmax) of `random_poly`: the coefficients a draw picks
+# from, each over 1 and over 2 as numerators over 2, and the draw widths with
+# their bit lengths; filled on first use, a handful of entries for the process
+_POLY_DRAWS: dict[tuple[int, int, int], tuple] = {}
+
+
 def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cmax: int = 3) -> LaurentPoly:
     """Small random polynomial; may degenerate to fewer terms by cancellation.
 
     Each coefficient is p / q with q drawn from {1, 2}, summed as integers
-    over 2 and reduced once.  Every draw of one of n values is CPython's rule
-    for `rng.randrange(n)`, inlined: k = n.bit_length(), then getrandbits(k)
-    drawn again while it is at least n, so n == 1 still takes one bit.  The
-    stream, the values and the state of `rng` afterwards are those of
-    `randrange`, which takes the same values as `randint` and `choice` over
-    n values, with less overhead."""
-    if terms < 1 or emax < 0 or cmax < 1:
-        raise ValueError(f"empty range: terms={terms}, emax={emax}, cmax={cmax}")
-    choices = [x for x in range(-cmax, cmax + 1) if x]
+    over 2 and reduced by parity.  Every draw of one of n values is
+    CPython's rule for `rng.randrange(n)`, inlined: k = n.bit_length(), then
+    getrandbits(k) drawn again while it is at least n, so n == 1 still takes
+    one bit.  The stream, the values and the state of `rng` afterwards are
+    those of `randrange`, which takes the same values as `randint` and
+    `choice` over n values, with less overhead.  The constants of each
+    (terms, emax, cmax) are read from a table filled on first use."""
+    key = (terms, emax, cmax)
+    draws = _POLY_DRAWS.get(key)
+    if draws is None:
+        if terms < 1 or emax < 0 or cmax < 1:
+            raise ValueError(f"empty range: terms={terms}, emax={emax}, cmax={cmax}")
+        over_two = tuple(x for x in range(-cmax, cmax + 1) if x)
+        over_one = tuple(2 * x for x in over_two)
+        width, nc = 2 * emax + 1, len(over_two)
+        draws = _POLY_DRAWS[key] = (over_one, over_two, width, nc, terms.bit_length(), width.bit_length(), nc.bit_length())
+    over_one, over_two, width, nc, kt, kw, kc = draws
     bits = rng.getrandbits
-    width = 2 * emax + 1
-    nc = len(choices)
-    kt, kw, kc = terms.bit_length(), width.bit_length(), nc.bit_length()
     count = bits(kt)
     while count >= terms:
         count = bits(kt)
@@ -463,9 +483,12 @@ def random_poly(rank: int, rng: random.Random, terms: int = 2, emax: int = 1, cm
         q = bits(2)  # one of two values: k = 2
         while q >= 2:
             q = bits(2)
-        c = choices[r] * (2 // (q + 1))
+        c = over_two[r] if q else over_one[r]
         num[e] = num.get(e, 0) + c
-    return LaurentPoly._reduced(rank, {e: c for e, c in num.items() if c}, 2)
+    num = {e: c for e, c in num.items() if c}
+    if any(c & 1 for c in num.values()):
+        return LaurentPoly._of(rank, num, 2)
+    return LaurentPoly._of(rank, {e: c // 2 for e, c in num.items()}, 1)
 
 
 def random_member(

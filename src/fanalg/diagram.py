@@ -61,28 +61,34 @@ class DiagramModule:
     through `_sum` and its scalar path `_scalar_sum` among them, goes
     through that one hook.
 
-    A module is immutable, so it owns three caches for its lifetime, filled
-    on first use: torus powers keyed by (cone, j, k); path products keyed by
-    cone pair (`_path`), along the one canonical choice of covering chains;
-    and monodromies keyed by (cone, w), read and filled by `_sum` for cones
-    whose space has dimension 2 or more.  That table holds one entry per
-    distinct (cone, w) that an evaluation of the module has read on such a
-    cone: the exponents of the members `evaluate` was given, and for
-    `rep_check` those of the factors and of the cofactors of each term of a
-    product, not those of the expanded product.  Over the 48 modules of a
-    seed-11 `rep_zoo` run after 40 passes the tables hold 882 entries, and
-    held 3,950 when `rep_check` evaluated the expanded product.  A
-    1-dimensional space is read as a scalar from the torus powers and adds
-    no entry.
+    A module is immutable, so it owns four tables for its lifetime, each
+    empty at construction and filled on first use:
+    - `_powers`, torus powers keyed by (cone, j, k);
+    - `_paths`, path products keyed by cone pair (`_path`), along the one
+      canonical choice of covering chains;
+    - `_monodromies`, monodromies keyed by (cone, w), read and filled by
+      `_sum`: a matrix on a space of dimension 2 or more, and on a
+      1-dimensional space an integer pair (num, den) (`_scalar_sum`);
+    - `_cofactors`, s(D) of the binomial product D of a term's cofactor
+      rays, keyed by (cone, rays) in a table of its own, so its keys never
+      meet the (cone, w) keys of the monodromies; `rep_check` reads and
+      fills it (`_evaluate_product`).
+    The monodromy table holds one entry per distinct (cone, w) that an
+    evaluation of the module has read: the exponents of the members
+    `evaluate` was given, and for `rep_check` those of the factors and of
+    the cofactors of each term of a product, not those of the expanded
+    product.  Over the 48 modules of a seed-11 `rep_zoo` run after 40
+    passes, the monodromy tables hold 2,061 entries, 882 of them matrices,
+    and the cofactor tables 2,117.
     It also keeps its verdict, `_valid`, set by `validate` when the module
     passes with no findings and no skips, so that each later `validate` of
     it, and so each `rep_check`, skips the axioms.
     A module that fails keeps no verdict and is decided again on every call.
-    Every derived module is a new instance with empty caches and no verdict;
-    `==` ignores the caches and the verdict.
+    Every derived module is a new instance with empty tables and no
+    verdict; `==` ignores the tables and the verdict.
     """
 
-    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths", "_monodromies", "_valid")
+    __slots__ = ("fan", "nt", "dims", "torus", "u", "v", "_powers", "_paths", "_monodromies", "_cofactors", "_valid")
 
     def __init__(
         self,
@@ -119,6 +125,7 @@ class DiagramModule:
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "_monodromies", {})
+        object.__setattr__(self, "_cofactors", {})
         object.__setattr__(self, "_valid", False)
 
     def __setattr__(self, *a):
@@ -165,25 +172,37 @@ class DiagramModule:
         lattice vectors w, on a 1-dimensional space, as an integer over a
         positive integer, not reduced: s of a polynomial on such a space
         (`_sum`), for `evaluate` and for each factor and cofactor of a term
-        in `rep_check`.  Each monodromy is the product of the torus scalars'
-        powers, a negative power read from the one cached inverse; no `QMat`
-        is built but that inverse.  The terms are summed in one pass over
-        the lcm of their denominators so far."""
-        mats = self.torus[cone]
+        in `rep_check`.  Each monodromy is an integer pair (num, den) read
+        from, or built once into, the module's table (`_scalar_monodromy`),
+        so no `QMat` is built but the one cached inverse of a torus scalar.
+        The terms are summed in one pass over the lcm of their denominators
+        so far."""
+        table = self._monodromies
         acc, den = 0, 1
         for w, c in coeffs.items():
-            num, d = c, 1
-            for j, k in enumerate(self._exponent(w)):
-                if k:
-                    t = mats[j] if k > 0 else self._power(cone, j, -1)
-                    num *= t.num[0][0] ** abs(k)
-                    d *= t.den ** abs(k)
+            mono = table.get((cone, w))
+            if mono is None:
+                mono = table[(cone, w)] = self._scalar_monodromy(cone, w)
+            num, d = mono
             if d == den:
-                acc += num
+                acc += c * num
             else:
                 g = lcm(den, d)
-                acc, den = acc * (g // den) + num * (g // d), g
+                acc, den = acc * (g // den) + c * num * (g // d), g
         return acc, den
+
+    def _scalar_monodromy(self, cone: Cone, w: Vec) -> tuple[int, int]:
+        """monodromy(cone, w) on a 1-dimensional space as an integer over a
+        positive integer, not reduced: the product of the torus scalars'
+        powers at `_exponent(w)`, a negative power read from the one cached
+        inverse (`_power`)."""
+        num, den = 1, 1
+        for j, k in enumerate(self._exponent(w)):
+            if k:
+                t = self._power(cone, j, 1 if k > 0 else -1)
+                num *= t.num[0][0] ** abs(k)
+                den *= t.den ** abs(k)
+        return num, den
 
     def _sum(self, cone: Cone, y: LaurentPoly) -> tuple[int | list[list[int]], int]:
         """s(y), the Laurent polynomial y evaluated on the space of a cone of
@@ -363,15 +382,17 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
     for its lifetime, so a later call on the same module, of `evaluate` or
     of `rep_check`, builds none of them again.  The sum of c * M(e) is
     `DiagramModule._sum`: on a 1-dimensional sigma an integer over an
-    integer from the torus scalars (`DiagramModule._scalar_sum`), which
-    scales the path's one row; on a wider one the integer kernel
-    `linalg._combination` on the module's table of monodromies, multiplied
-    into the path once (`linalg._rows_times`).  Neither builds a matrix or
-    makes a gcd pass; `_total` places the blocks over the lcm of their
+    integer from the module's table of scalar monodromies
+    (`DiagramModule._scalar_sum`), which scales the path's one row; on a
+    wider one the integer kernel `linalg._combination` on the module's
+    table of monodromies, multiplied into the path once
+    (`linalg._rows_times`, in `_images`).  Neither builds a matrix or makes
+    a gcd pass; `_total` places the blocks over the lcm of their
     denominators and reduces once, by one `QMat._reduced` for the total.
-    `rep_check` builds the image of a product of members from the terms of
-    the product through the same two kernels and the same `_total`
-    (`_evaluate_product`).
+    `rep_check` builds the blocks of the image of a product of members from
+    the terms of the product through the same two kernels
+    (`_evaluate_product`) and the same `_images`, and compares blocks
+    without placing a total.
     """
     if x.fan != m.fan:
         raise ValueError("fan mismatch")
@@ -382,7 +403,8 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
 
 def _evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
     """`evaluate` of a member on a plain module of its fan, unchecked: block
-    (sigma, tau) with quotient y is s(y) @ P (`_sums`, `_total`)."""
+    (sigma, tau) with quotient y is s(y) @ P (`_sums`, `_images`,
+    `_total`)."""
     return _total(m, _sums(x, m))
 
 
@@ -393,29 +415,31 @@ def _sums(x: AlgebraElement, m: DiagramModule) -> dict[PairKey, tuple]:
     return {(sigma, tau): m._sum(sigma, y) for (sigma, tau), y in x.quotients.items() if dims[sigma] and dims[tau]}
 
 
-def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, sums: dict[PairKey, tuple]) -> QMat:
-    """`_evaluate(a * b, m)` on a module that passes A1, built from the terms
-    of the product (`algebra._product_terms`), which is never expanded.
-    `sums` is `_sums(a, m)`, which `rep_check` also places as the image of
-    a; it gains s(y1) of each entry of a whose space at rho alone is 0, a
-    block that `_total` skips.
+def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, sums: dict[PairKey, tuple]) -> dict[PairKey, tuple]:
+    """The sums of `_evaluate(a * b, m)` on a module that passes A1, keyed
+    like `_sums(a * b, m)`, built from the terms of the product
+    (`algebra._product_terms`), which is never expanded; `_total` of them is
+    the image of a * b.  `sums` is `_sums(a, m)`, which `rep_check` also
+    takes as the image of a; it gains s(y1) of each entry of a whose space
+    at rho alone is 0, a block that `_images` skips.
 
     A1 makes the torus matrices of each cone invertible and commuting, so s
     (`DiagramModule._sum`) is a ring map on each space into a commutative
     algebra, and block (sigma, tau) of the image is the sum of
     s(y1) s(y2) s(D) over the terms (sigma, rho, tau, y1, y2, rays), times
     P(sigma, tau), with D the binomial product of the rays.  s(y1) is read
-    from `sums`, and s(D) is taken once per space and rays within the call;
-    a term with no rays multiplies by no s(D).  On a 1-dimensional space
-    the factors are integers over integers; on a wider one each
-    multiplication is one integer product (`linalg._rows_times`).  Each
-    block sum meets its path once, in `_total`, as in `_evaluate`.
+    from `sums`, and s(D) from the module's table of cofactors, keyed by
+    (sigma, rays) and filled on first use; a term with no rays multiplies
+    by no s(D).  On a 1-dimensional space the factors are integers over
+    integers; on a wider one each multiplication is one integer product
+    (`linalg._rows_times`).  Each block sum meets its path once, in
+    `_images`, as in `_evaluate`.
 
     The terms are not grouped by their rays before multiplying by s(D):
     on the modules of the bench zoo nearly every group has one term, and
     grouping was slower on every one of them."""
     dims = m.dims
-    cofactors: dict[tuple[Cone, tuple[int, ...]], tuple] = {}  # s(D), as columns on a wider space
+    cofactors = m._cofactors  # s(D), as columns on a wider space
     blocks: dict[PairKey, list[tuple]] = {}
     for sigma, rho, tau, y1, y2, rays in _product_terms(a, b):
         if not (dims[sigma] and dims[tau]):
@@ -441,34 +465,93 @@ def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, su
             totals[(sigma, tau)] = sum([x * (den // d) for x, d in terms]), den
         else:
             totals[(sigma, tau)] = _combination([(1, x, d) for x, d in terms])
-    return _total(m, totals)
+    return totals
+
+
+def _images(m: DiagramModule, sums: Mapping[PairKey, tuple]) -> dict[PairKey, tuple]:
+    """The image blocks of the sums: for each (x, den) in sums at (sigma,
+    tau) whose space at tau is not 0, the block x @ P(sigma, tau) / den as
+    (block, den * P.den).  x is an integer on a 1-dimensional sigma, which
+    scales the path's one row, and integer rows on a wider one.  A block
+    between two 1-dimensional spaces is an integer, and any other block is
+    its integer rows."""
+    dims = m.dims
+    out = {}
+    for key, (x, d) in sums.items():
+        sigma, tau = key
+        dt = dims[tau]
+        if not dt:
+            continue
+        path = m._path(sigma, tau)
+        if dims[sigma] == 1:
+            row = path.num[0]
+            out[key] = (x * row[0] if dt == 1 else [[x * p for p in row]]), d * path.den
+        else:
+            out[key] = _rows_times(x, _columns(path)), d * path.den
+    return out
 
 
 def _total(m: DiagramModule, sums: Mapping[PairKey, tuple]) -> QMat:
-    """The total matrix whose block (sigma, tau) is x @ P(sigma, tau) / den
-    for each (x, den) in sums: x is an integer on a 1-dimensional sigma,
-    which scales the path's one row, and integer rows on a wider one.  A
-    block whose space at tau is 0 is skipped.  The blocks are integer rows
-    over their denominators, placed over the lcm of those and reduced once,
-    by one `QMat._reduced`, so that no matrix is built and no gcd pass made
-    per block.  The blocks are on distinct cone pairs, so they do not
-    overlap and are placed in any order."""
+    """The total matrix of the image blocks of the sums (`_images`).  The
+    blocks are integers or integer rows over their denominators, placed
+    over the lcm of those and reduced once, by one `QMat._reduced`, so that
+    no matrix is built and no gcd pass made per block.  The blocks are on
+    distinct cone pairs, so they do not overlap and are placed in any
+    order."""
+    blocks = _images(m, sums)
     offs = m.offsets()
-    blocks = []
-    for (sigma, tau), (x, d) in sums.items():
-        if not m.dims[tau]:
-            continue
-        path = m._path(sigma, tau)
-        rows = [[x * p for p in path.num[0]]] if m.dims[sigma] == 1 else _rows_times(x, _columns(path))
-        blocks.append((offs[sigma], offs[tau], rows, d * path.den))
     n = m.total_dim()
-    den = lcm(*(d for _, _, _, d in blocks))
+    den = lcm(*(d for _, d in blocks.values()))
     total = [[0] * n for _ in range(n)]
-    for r0, c0, rows, d in blocks:
+    for (sigma, tau), (x, d) in blocks.items():
         f = den // d
-        for i, row in enumerate(rows):
-            total[r0 + i][c0 : c0 + len(row)] = [f * a for a in row]
+        r0, c0 = offs[sigma], offs[tau]
+        if type(x) is int:
+            total[r0][c0] = f * x
+        else:
+            for i, row in enumerate(x):
+                total[r0 + i][c0 : c0 + len(row)] = [f * v for v in row]
     return QMat._reduced(tuple(map(tuple, total)), den, n, n)
+
+
+def _is_block_product(x: Mapping[PairKey, tuple], a: Mapping[PairKey, tuple], b: Mapping[PairKey, tuple]) -> bool:
+    """x == a @ b for block matrices keyed by cone pair, as `_images` gives
+    them, decided block by block without placing a total: block (sigma,
+    tau) of x is compared with the sum over rho of a(sigma, rho) @ b(rho,
+    tau), cross-multiplied by the denominators.  A block on one side only
+    is compared with zero.  A product of two integer blocks is an integer,
+    and a 1 x 1 product of rows is read as one, so a block between two
+    1-dimensional spaces is compared as integers on both sides."""
+    by_row: dict[Cone, list[tuple]] = {}  # the blocks of b by row, as columns
+    for (rho, tau), (xb, db) in b.items():
+        by_row.setdefault(rho, []).append((tau, xb if type(xb) is int else list(zip(*xb)), db))
+    products: dict[PairKey, list[tuple]] = {}
+    for (sigma, rho), (xa, da) in a.items():
+        for tau, xb, db in by_row.get(rho, ()):
+            if type(xa) is int and type(xb) is int:
+                p = xa * xb
+            else:
+                p = _rows_times([[xa]] if type(xa) is int else xa, [(xb,)] if type(xb) is int else xb)
+                if len(p) == 1 and len(p[0]) == 1:
+                    p = p[0][0]
+            products.setdefault((sigma, tau), []).append((p, da * db))
+    for key, terms in products.items():
+        xc, dc = x.get(key, (0, 1))  # a block that x lacks is zero
+        if type(terms[0][0]) is int:
+            den = lcm(*[d for _, d in terms])
+            if sum([p * (den // d) for p, d in terms]) * dc != xc * den:
+                return False
+            continue
+        rows, den = _combination([(1, p, d) for p, d in terms])
+        if type(xc) is int:  # the zero of a block that x lacks
+            if any(map(any, rows)):
+                return False
+        elif any(u * dc != v * den for ru, rx in zip(rows, xc) for u, v in zip(ru, rx)):
+            return False
+    for key, (xc, _) in x.items():
+        if key not in products and (xc if type(xc) is int else any(map(any, xc))):
+            return False
+    return True
 
 
 @dataclass
@@ -491,15 +574,17 @@ def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
     The module is checked once per module, by `validate`, which raises on a
     module that is not plain: a module that passes keeps the verdict, so
     later calls on it check no axiom, and one that fails raises on every
-    call.  The members are drawn on the module's fan, so the evaluations go
-    through `_evaluate` unchecked.  The image of a * b is built from the
-    terms of the product by `_evaluate_product`, exact on a module that
-    passes A1, so no product of members is expanded; it reads s(y) of the
-    entries of a from the sums that are placed as the image of a.  The
-    evaluations read and fill the module's own caches, so a monodromy built
-    by one call is read by every later call on the module.  Sums are not
-    compared: evaluation is linear by construction, a property the tests
-    assert."""
+    call.  The members are drawn on the module's fan, so the evaluations are
+    not checked again.  The images are compared block by cone pair
+    (`_is_block_product`), and no total matrix is placed: the image of a * b
+    is built from the terms of the product by `_evaluate_product`, exact on
+    a module that passes A1, so no product of members is expanded; it reads
+    s(y) of the entries of a from the sums whose blocks are the image of a.
+    The evaluations read and fill the tables the module owns, of
+    monodromies, of the cofactors s(D) and of paths, and the fan's table of
+    the cofactor rays of each term, so a value built by one call is read by
+    every later call on the module.  Sums are not compared: evaluation is
+    linear by construction, a property the tests assert."""
     if trials < 1:
         raise ValueError(f"expected at least 1 trial, got {trials}")
     validate(m).require("invalid module")
@@ -510,7 +595,8 @@ def rep_check(m: DiagramModule, trials: int = 100, seed: int = 0) -> RepCheck:
         a = random_member(m.fan, rng)
         b = random_member(m.fan, rng)
         sums = _sums(a, m)
-        if not _is_product(_evaluate_product(a, b, m, sums), _total(m, sums), _evaluate(b, m)):
+        product = _evaluate_product(a, b, m, sums)
+        if not _is_block_product(_images(m, product), _images(m, sums), _images(m, _sums(b, m))):
             rep.add("repcheck", "module", f"trial {k}: evaluate(a*b) != evaluate(a) @ evaluate(b) for a={a}, b={b}")
             break
     return rep

@@ -34,11 +34,12 @@ rows and columns; a declared quotient rank is at most MAX_SPACE_DIM.  A
 rational has at most MAX_DIGITS decimal digits in its numerator and in its
 denominator, counted from the characters of its numeral before any integer
 is built (`_digits`), so that a short numeral such as "1e2000000" cannot
-ask for a 2,000,001-digit integer.  MAX_DIGITS is below the interpreter's
-default limit on converting a string to an integer (4,300 digits), so a
-numeral is accepted or refused the same way under that limit and with no
-limit (PYTHONINTMAXSTRDIGITS=0).  A value beyond a bound is an input error
-that names its JSON path.
+ask for a 2,000,001-digit integer.  MAX_DIGITS is the lowest limit on
+converting a string to an integer that the interpreter accepts
+(`sys.int_info.str_digits_check_threshold`, 640 digits), so no numeral
+that passes the count meets the limit, and a numeral is accepted or refused
+the same way under every limit and with none (PYTHONINTMAXSTRDIGITS=0).  A
+value beyond a bound is an input error that names its JSON path.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ MAX_COORD = 1024
 MAX_SPACE_DIM = 256
 MAX_TOTAL_DIM = 4096
 MAX_FACES = 256
-MAX_DIGITS = 4000
+MAX_DIGITS = 640  # sys.int_info.str_digits_check_threshold, the lowest digit limit the interpreter accepts
 _PAST_DIGITS = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 
@@ -254,15 +255,12 @@ def _canonical(x) -> tuple[int, int] | None:
     digits = p[1:] if p[:1] == "-" else p
     if not digits.isdigit() or digits[0] == "0" and len(p) > 1:
         return None
-    try:
-        if not slash:
-            return int(p), 1
-        if q.isdigit() and q[0] != "0":
-            n, d = int(p), int(q)
-            if d > 1 and gcd(n, d) == 1:
-                return n, d
-    except ValueError:  # past a digit limit set below MAX_DIGITS; `_rational` reports it
-        pass
+    if not slash:
+        return int(p), 1
+    if q.isdigit() and q[0] != "0":
+        n, d = int(p), int(q)
+        if d > 1 and gcd(n, d) == 1:
+            return n, d
     return None
 
 

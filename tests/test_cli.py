@@ -575,13 +575,15 @@ class TestSizeBounds:
         code, out = run([*argv, write_json(tmp_path / "case.json", data)])
         assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
 
-    @pytest.mark.parametrize("limit", ["default", "0"])
-    @pytest.mark.parametrize(("entry", "digits"), [("7" * 5001, 5001), ("1e2000000", 2000001)], ids=["numeral", "exponent"])
+    @pytest.mark.parametrize("limit", ["640", "1000", "default", "0"])
+    @pytest.mark.parametrize(("entry", "digits"), [("7" * 2000, 2000), ("7" * 5001, 5001), ("1e2000000", 2000001)],
+                             ids=["numeral", "long numeral", "exponent"])
     def test_a_rational_past_the_digit_bound_is_an_input_error_under_any_limit(self, tmp_path, entry, digits, limit):
-        # one u entry of the golden P2 module replaced: the 5,001-digit
-        # numeral used to be an input error that echoed it under the
-        # interpreter's default digit limit and a finding (exit 1) with no
-        # limit, and the 664-byte file with "1e2000000" was read into a
+        # one u entry of the golden P2 module replaced: a numeral of more
+        # digits than a limit used to be an input error that echoed it
+        # under that limit and a finding (exit 1) with no limit, as the
+        # 2,000-digit one was under 640 and 1000 while the bound was 4000
+        # digits; and the 664-byte file with "1e2000000" was read into a
         # 2,000,001-digit integer
         golden = Path(__file__).parent / "golden"
         data = json.loads((golden / "module_p2.json").read_text(encoding="utf-8"))
@@ -599,10 +601,10 @@ class TestSizeBounds:
 
     def test_a_coefficient_past_the_digit_bound_is_an_input_error(self, tmp_path):
         fan = write_json(tmp_path / "fan.json", self.FAN)
-        element = {"entries": [{"row": "", "col": "", "poly": [{"c": "2e4000", "e": [0, 0]}]}]}
+        element = {"entries": [{"row": "", "col": "", "poly": [{"c": "2e640", "e": [0, 0]}]}]}
         self.rejects(tmp_path, ["alg", "member", fan], element,
-                     f"$.entries[0].poly[0].c: expected a rational of at most {serialize.MAX_DIGITS} digits, got 4001 digits")
-        element["entries"][0]["poly"][0]["c"] = "2e3999"
+                     f"$.entries[0].poly[0].c: expected a rational of at most {serialize.MAX_DIGITS} digits, got 641 digits")
+        element["entries"][0]["poly"][0]["c"] = "2e639"
         code, out = run(["alg", "member", fan, write_json(tmp_path / "edge.json", element)])
         assert code == 0, out
 

@@ -221,12 +221,17 @@ class TestRepCheck:
         assert (out.trials, out.failure, out.skipped) == (3, None, [])
 
     def test_first_failing_trial_is_the_finding(self, c_fan, monkeypatch):
-        # an evaluation that is not multiplicative: the k-th image gives k * id;
-        # the images of a, of b and of the product built from its terms are
-        # all placed by `_total`, so the first trial fails whatever order
-        # they are taken in
+        # an evaluation that is not multiplicative: the k-th image gives k * id
+        # in blocks; the images of a, of b and of the product built from its
+        # terms are all taken by `_images`, so the first trial fails whatever
+        # order they are taken in
         calls = iter(range(1, 1000))
-        monkeypatch.setattr(diagram, "_total", lambda m, sums: QMat.identity(m.total_dim()).scale(next(calls)))
+
+        def scaled_identity(m, sums):
+            k = next(calls)
+            return {(c, c): (k, 1) for c in m.fan.cones}
+
+        monkeypatch.setattr(diagram, "_images", scaled_identity)
         out = rep_check(simple_c_module(), trials=5)
         assert not out.ok and out.trials == 1
         assert [(f.code, f.location) for f in out.findings] == [("repcheck", "module")]
@@ -258,7 +263,8 @@ class TestModuleCaches:
         warm = (m, eq, *d.charts.values())
         for n in warm:
             evaluate(random_member(n.fan, rng, density_pct=100), n)
-        assert all(n._monodromies for n in warm)  # each module's own table
+        assert rep_check(m, trials=5).ok  # fills the table of cofactors s(D) too
+        assert all(n._monodromies for n in warm) and m._cofactors  # each module's own tables
         copy = DiagramModule(m.fan, m.dims, m.torus, m.u, m.v)
         derived = [
             conjugate(m, {c: random_invertible(m.dims[c], rng) for c in p2_fan.cones}),
@@ -268,14 +274,26 @@ class TestModuleCaches:
             inflate(eq),
             copy,
         ]
-        assert [n._monodromies for n in derived] == [{}] * len(derived)
-        assert copy == m and copy._monodromies != m._monodromies  # == ignores the table
+        assert [(n._monodromies, n._cofactors) for n in derived] == [({}, {})] * len(derived)
+        assert copy == m and copy._monodromies != m._monodromies  # == ignores the tables
 
-    def test_a_module_of_1_dimensional_spaces_builds_no_table(self, p2_fan):
+    def test_a_module_of_1_dimensional_spaces_keeps_integer_monodromies(self, p2_fan, monkeypatch):
+        # a 1-dimensional space reads each monodromy as an integer pair from
+        # the module's table, and never builds the monodromy matrix
         m = character_module(p2_fan, [2, "-1/3"])
+        assert validate(m).ok
+
+        def forbidden(*args):
+            raise AssertionError("a 1-dimensional space built a monodromy matrix")
+
+        monkeypatch.setattr(DiagramModule, "monodromy", forbidden)
         assert rep_check(m, trials=20).ok
         evaluate(random_member(p2_fan, random.Random(5), density_pct=100, terms=3, emax=2), m)
-        assert m._monodromies == {}
+        monkeypatch.undo()
+        assert m._monodromies
+        for (cone, w), (num, den) in m._monodromies.items():
+            assert type(num) is type(den) is int and den > 0
+            assert QMat([[Fraction(num, den)]]) == m.monodromy(cone, w)
 
     def test_module_data_is_read_only(self, p2_fan):
         m = point_module(p2_fan, (0, 1))

@@ -185,6 +185,13 @@ def count_monodromies(monkeypatch):
     return built
 
 
+def wide_table(m):
+    """The keys of the module's table of monodromies on spaces of dimension
+    2 or more, which hold matrices; a 1-dimensional space holds integer
+    pairs."""
+    return {(cone, w) for cone, w in m._monodromies if m.dims[cone] > 1}
+
+
 def wide_keys(x, m):
     """The (sigma, e) of the blocks of x on m that read a monodromy matrix:
     the space at sigma has dimension 2 or more, and the one at tau is not 0."""
@@ -203,7 +210,7 @@ def test_evaluate_walks_no_chain_and_reduces_once(p2_fan, monkeypatch):
     first = evaluate(x, m)
     wide = wide_keys(x, m)
     assert len(wide) < sum(len(y.num) for (sigma, _), y in x.quotients.items() if m.dims[sigma] > 1)  # some repeat
-    assert len(built) == len(set(built)) and set(built) == wide == set(m._monodromies)
+    assert len(built) == len(set(built)) and set(built) == wide == wide_table(m)
     built.clear()
     chains = count_calls(monkeypatch, "covering_chain", algebra, diagram)
     reductions = count_calls(monkeypatch, "_reduced", QMat)
@@ -250,7 +257,7 @@ def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
         a, b = random_member(p2_fan, rng), random_member(p2_fan, rng)
         keys += [wide_keys(a, m), wide_keys(b, m), product_keys(a, b, m)]
         expanded |= wide_keys(a * b, m)
-    assert set(built) == set().union(*keys) == set(m._monodromies)
+    assert set(built) == set().union(*keys) == wide_table(m)
     assert not expanded <= set(built)
     assert len(built) < sum(map(len, keys))
     assert all(m.dims[cone] > 1 for cone, _ in built)  # a 1x1 block builds none
@@ -259,10 +266,10 @@ def test_rep_check_builds_each_monodromy_once_per_module(p2_fan, monkeypatch):
     built.clear()
     assert rep_check(m, trials=20, seed=3).ok
     assert built == []
-    held = set(m._monodromies)
+    held = wide_table(m)
     assert rep_check(m, trials=20, seed=4).ok
     assert len(built) == len(set(built)) and held.isdisjoint(built)
-    assert set(m._monodromies) == held | set(built)
+    assert wide_table(m) == held | set(built)
 
 
 def test_rep_check_multiplies_no_members(p2_fan, monkeypatch):
@@ -278,6 +285,54 @@ def test_rep_check_multiplies_no_members(p2_fan, monkeypatch):
     poly_products = count_calls(monkeypatch, "__mul__", LaurentPoly)
     assert rep_check(m, trials=20, seed=3).ok
     assert (products, poly_products, sums) == ([], [], [])
+
+
+def module_tables(m):
+    """The keys of every table a module and its fan own."""
+    tables = (m._powers, m._paths, m._monodromies, m._cofactors, m.fan._ray_sets, m.fan._products)
+    return [set(t) for t in tables]
+
+
+@pytest.mark.parametrize("kind", ["characters", "dimensions 1 and 2", "four characters"])
+def test_rep_check_fills_tables_that_belong_to_the_module_and_its_fan(kind, monkeypatch):
+    # each table starts empty and fills on first use: a second pass of the
+    # same trials adds no entry to any of them, and builds no matrix
+    fan = projective_plane_fan()
+    rng = random.Random(8)
+    if kind == "characters":
+        m = character_module(fan, [2, "-1/3"])
+    elif kind == "dimensions 1 and 2":
+        m = random_valid_module(fan, rng, summands=2)
+    else:
+        m = character_module(fan, [2, 3])
+        for values in ([-1, "1/2"], [3, -2], ["1/3", 2]):
+            m = direct_sum(m, character_module(fan, values))
+        m = conjugate(m, {c: random_invertible(4, rng) for c in fan.cones})
+    assert module_tables(m)[2:5] == [set(), set(), set()]
+    assert rep_check(m, trials=30, seed=5).ok
+    warm = module_tables(m)
+    assert warm[3] and warm[4]  # cofactors s(D) and ray sets are held
+    built = count_calls(monkeypatch, "_of", QMat)
+    assert rep_check(m, trials=30, seed=5).ok
+    assert module_tables(m) == warm and built == []
+
+    # the ray-set table holds each cone's bitmask and each ray set's rays:
+    # one entry per cone and one per distinct ray set, the cofactor rays of
+    # the terms of the products
+    table = m.fan._ray_sets
+    cones = {k for k in table if type(k) is tuple}
+    masks = {k for k in table if type(k) is int}
+    assert cones | masks == set(table) and cones <= fan.cones
+    assert all(table[c] == sum(1 << i for i in c) for c in cones)
+    assert all(table[k] == tuple(i for i in range(len(fan.rays)) if k >> i & 1) for k in masks)
+    rng = random.Random(5)
+    rays = set()
+    for _ in range(30):
+        a, b = random_member(fan, rng), random_member(fan, rng)
+        for sigma, rho, tau, _, _, got in algebra._product_terms(a, b):
+            assert got == algebra.cofactor_rays(sigma, rho, tau)
+            rays.add(got)
+    assert {table[k] for k in masks} == rays
 
 
 def test_a_module_keeps_its_verdict_and_a_failing_one_is_decided_again(p2_fan, monkeypatch):
@@ -527,11 +582,16 @@ def test_a_second_read_of_entries_builds_no_binomial(monkeypatch):
 
 
 def test_the_divisor_table_is_not_part_of_a_fans_identity():
+    # nor is the table of ray sets, and a subfan starts with both empty
     fan, other = projective_plane_fan(), projective_plane_fan()
     before = hash(other)
     assert required_divisor(fan, (0, 1), ()) == binomial(fan.rays[0]) * binomial(fan.rays[1])
-    assert fan._products and not other._products
+    x = random_member(fan, random.Random(3), density_pct=100)
+    assert list(algebra._product_terms(x, x))
+    assert fan._products and fan._ray_sets and not other._products and not other._ray_sets
     assert fan == other and hash(fan) == hash(other) == before
+    sub = fan.subfan(fan.maximal[0])
+    assert (sub._products, sub._ray_sets) == ({}, {}) and sub == other.subfan(other.maximal[0])
 
 
 def test_repeated_validates_sort_the_covering_pairs_once(monkeypatch):
