@@ -2,8 +2,11 @@
 
 Every command reads UTF-8 JSON files, prints one finding per line as
 code<TAB>location<TAB>detail followed by a summary, and exits with 0 on
-success, 1 on a mathematical failure, and 2 on an input error.  All runs are
-deterministic for a fixed --seed; reports are byte-stable.
+success, 1 on a mathematical failure, 2 on an input error and 3 on an
+internal error.  All runs are deterministic for a fixed --seed; reports are
+byte-stable.  A file is an input error only where it is read, in `_read`;
+`main` maps every outcome to its exit code once, and prints an internal
+error as one line with no traceback.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from fanalg.equivariant import ag_structure, associativity_report, inflate, vali
 from fanalg.fan import build_fan, cone_key, covering_pairs, fan_report, projective_line_fan, standard_fan
 from fanalg.lattice import snf
 from fanalg.laurent import LaurentPoly, binomial
-from fanalg.report import Rejected, Report
+from fanalg.report import InputError, Rejected, Report
 
-PASS, FAIL, BAD_INPUT = 0, 1, 2
+PASS, FAIL, BAD_INPUT, INTERNAL = 0, 1, 2, 3
 
 # Measured in process with Python 3.11 on one core of a shared 2-vCPU host.
 # `equi structure` builds and prints a table of cones^3 structure constants:
@@ -57,9 +60,29 @@ MAX_MUDELTA_SLOTS = 2**18
 MAX_HOM_UNKNOWNS = 256
 
 
+def _read(reader, *args):
+    """reader(*args), with a ValueError turned into an InputError of the same
+    message: the one place where a file, or a path the user gave, is bad."""
+    try:
+        return reader(*args)
+    except ValueError as e:
+        raise InputError(str(e)) from e
+
+
+def _json_int(numeral: str) -> int | str:
+    """A JSON integer literal: its int up to `serialize.MAX_DIGITS` digits, under
+    every limit of the interpreter, and past that the numeral, which readers refuse."""
+    return int(numeral) if len(numeral.lstrip("-")) <= serialize.MAX_DIGITS else numeral
+
+
 def _load_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_json_int)
+
+
+def _load(reader, path: str, *args):
+    """reader(data, *args) of the JSON file at `path`."""
+    return reader(_load_json(path), *args)
 
 
 def _dump_json(data, path: str | None) -> None:
@@ -67,24 +90,22 @@ def _dump_json(data, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _read(Path(path).write_text, text, "utf-8")  # a NUL byte in the path is an input error
 
 
-def _resolve_fan(data, base: Path):
-    """The "fan" slot holds either an inline fan object or a path to one."""
-    if isinstance(data, str):
-        return serialize.fan_from_data(_load_json(base / data))  # an absolute path replaces base
-    return serialize.fan_from_data(data, "$.fan")
+def _resolve_fan(data, path: str):
+    """The fan of the "fan" slot of the file at `path`: an inline fan object
+    or the path of a fan file."""
+    slot = serialize.fan_slot(data)
+    if isinstance(slot, str):
+        return serialize.fan_from_data(_load_json(Path(path).parent / slot))  # an absolute path replaces the folder
+    return serialize.fan_from_data(slot, "$.fan")
 
 
-def _load_fan_file(path: str):
-    return serialize.fan_from_data(_load_json(path))
-
-
-def _load_with_fan(path: str):
+def _load_with_fan(reader, path: str):
+    """reader(data, fan) of the file at `path` and the fan it names."""
     data = _load_json(path)
-    fan = _resolve_fan(serialize.fan_slot(data), Path(path).parent)
-    return data, fan
+    return reader(data, _resolve_fan(data, path))
 
 
 def _fan_source(data, path: str) -> tuple[str, str]:
@@ -113,7 +134,7 @@ def _emit(report: Report, label: str) -> int:
 
 
 def cmd_fan_check(args) -> int:
-    fields = serialize.fan_fields(_load_json(args.fan))  # a malformed file is an input error
+    fields = _read(_load, serialize.fan_fields, args.fan)  # a malformed file is an input error
     rep = Report()
     try:
         fan = build_fan(*fields)
@@ -125,7 +146,7 @@ def cmd_fan_check(args) -> int:
 
 
 def cmd_fan_faces(args) -> int:
-    fan = _load_fan_file(args.fan)
+    fan = _read(_load, serialize.fan_from_data, args.fan)
     print(f"rank {fan.rank}, {len(fan.rays)} rays, {len(fan.cones)} cones")
     for c in fan.cone_list():
         star = " max" if c in fan.maximal else ""
@@ -140,16 +161,15 @@ def cmd_fan_faces(args) -> int:
 
 
 def cmd_alg_member(args) -> int:
-    fan = _load_fan_file(args.fan)
-    data = _load_json(args.element)
-    rep = membership_report(fan, serialize.entries_from_data(data, fan))
+    fan = _read(_load, serialize.fan_from_data, args.fan)
+    rep = membership_report(fan, _read(_load, serialize.entries_from_data, args.element, fan))
     return _emit(rep, "alg member")
 
 
 def cmd_alg_mul(args) -> int:
-    fan = _load_fan_file(args.fan)
-    a = serialize.element_from_data(_load_json(args.a), fan)
-    b = serialize.element_from_data(_load_json(args.b), fan)
+    fan = _read(_load, serialize.fan_from_data, args.fan)
+    a = _read(_load, serialize.element_from_data, args.a, fan)
+    b = _read(_load, serialize.element_from_data, args.b, fan)
     prod = a * b
     _dump_json(serialize.element_to_data(prod), args.output)
     print("alg mul: SUMMARY: pass")
@@ -157,10 +177,10 @@ def cmd_alg_mul(args) -> int:
 
 
 def cmd_alg_mudelta(args) -> int:
-    fan = _load_fan_file(args.fan)
+    fan = _read(_load, serialize.fan_from_data, args.fan)
     slots = args.trials * sum(2 ** len(c) for c in fan.maximal) ** 2
     if slots > MAX_MUDELTA_SLOTS:
-        raise ValueError(
+        raise InputError(
             f"--trials {args.trials}: expected at most {MAX_MUDELTA_SLOTS} member slots, "
             f"trials times the squared face count of the maximal cones, got {slots}"
         )
@@ -187,42 +207,36 @@ def cmd_alg_mudelta(args) -> int:
 
 
 def cmd_mod_validate(args) -> int:
-    data, fan = _load_with_fan(args.module)
-    m = serialize.module_from_data(data, fan)
+    m = _read(_load_with_fan, serialize.module_from_data, args.module)
     return _emit(validate(m), "mod validate")
 
 
 def cmd_mod_repcheck(args) -> int:
-    data, fan = _load_with_fan(args.module)
-    m = serialize.module_from_data(data, fan)
-    try:
-        rep = rep_check(m, trials=args.trials, seed=args.seed)
-    except Rejected as e:
-        return _emit(e.report, "mod repcheck")
+    m = _read(_load_with_fan, serialize.module_from_data, args.module)
+    rep = rep_check(m, trials=args.trials, seed=args.seed)
     print(f"checked {rep.trials} random element pairs")
     return _emit(rep, "mod repcheck")
 
 
 def cmd_mod_relations(args) -> int:
-    fan = _load_fan_file(args.fan)
+    fan = _read(_load, serialize.fan_from_data, args.fan)
     print(relation_report(fan).render_text())
     return PASS
 
 
 def cmd_mod_hom(args) -> int:
-    data_a, fan_a = _load_with_fan(args.a)
-    data_b = _load_json(args.b)
-    if _fan_source(data_b, args.b) == _fan_source(data_a, args.a):
-        fan_b = fan_a
-    else:
-        fan_b = _resolve_fan(serialize.fan_slot(data_b), Path(args.b).parent)
+    data_a = _read(_load_json, args.a)
+    fan_a = _read(_resolve_fan, data_a, args.a)
+    data_b = _read(_load_json, args.b)
+    same = _read(_fan_source, data_b, args.b) == _read(_fan_source, data_a, args.a)
+    fan_b = fan_a if same else _read(_resolve_fan, data_b, args.b)
     if fan_a != fan_b:
-        raise ValueError("fan mismatch between the two modules")
-    ma = serialize.module_from_data(data_a, fan_a)
-    mb = serialize.module_from_data(data_b, fan_b)
+        raise InputError("fan mismatch between the two modules")
+    ma = _read(serialize.module_from_data, data_a, fan_a)
+    mb = _read(serialize.module_from_data, data_b, fan_b)
     unknowns = sum(ma.dims[c] * mb.dims[c] for c in fan_a.cones)
     if unknowns > MAX_HOM_UNKNOWNS:
-        raise ValueError(
+        raise InputError(
             f"{args.a} and {args.b}: expected at most {MAX_HOM_UNKNOWNS} unknowns for hom, "
             f"the sum over cones of dim_a * dim_b, got {unknowns}"
         )
@@ -242,18 +256,13 @@ def cmd_mod_hom(args) -> int:
 
 
 def cmd_desc_check(args) -> int:
-    data, fan = _load_with_fan(args.datum)
-    d = serialize.descent_from_data(data, fan)
+    d = _read(_load_with_fan, serialize.descent_from_data, args.datum)
     return _emit(check_cocycle(d), "desc check")
 
 
 def cmd_desc_glue(args) -> int:
-    data, fan = _load_with_fan(args.datum)
-    d = serialize.descent_from_data(data, fan)
-    try:
-        m = glue(d)
-    except Rejected as e:
-        return _emit(e.report, "desc glue")
+    d = _read(_load_with_fan, serialize.descent_from_data, args.datum)
+    m = glue(d)
     _dump_json(serialize.module_to_data(m), args.output)
     print("desc glue: SUMMARY: pass")
     return PASS
@@ -263,29 +272,36 @@ def cmd_desc_glue(args) -> int:
 # equivariant commands
 
 
-def cmd_equi_present(args) -> int:
-    """Print Q and its Smith form U @ Q @ V = D.  The report is built before
-    any of it is printed, so a failure half way leaves no partial report."""
-    q = serialize.quotient_from_data(_load_json(args.spec)).q
-    u, dmat, v = snf(q)
+def _smith_lines(q, u, dmat, v) -> list[str]:
     d = " ".join(str(dmat[i, i]) for i in range(q.rows))
     lines = [f"quotient map: {q.rows} x {q.cols}"]
     lines += ["Q " + " ".join(map(str, row)) for row in q.entries]
     lines += [f"invariant factors d_i: {d or '(none)'}", "coordinates: z_i -> u_i^d_i after the recorded unimodular changes"]
     lines += ["U " + " ".join(map(str, row)) for row in u.entries]
     lines += ["V " + " ".join(map(str, row)) for row in v.entries]
-    print("\n".join(lines))
+    return lines
+
+
+def cmd_equi_present(args) -> int:
+    """Print Q and its Smith form U @ Q @ V = D.  The report is built through
+    `_read` before any of it is printed, so an entry past the interpreter's
+    limit for printing an integer is an input error that leaves no partial
+    report."""
+    q = _read(_load, serialize.quotient_from_data, args.spec).q
+    print("\n".join(_read(_smith_lines, q, *snf(q))))
     return PASS
 
 
 def cmd_equi_structure(args) -> int:
-    fan = _load_fan_file(args.fan)
+    fan = _read(_load, serialize.fan_from_data, args.fan)
     if len(fan.cones) > MAX_STRUCTURE_CONES:
-        raise ValueError(
+        raise InputError(
             f"$.max_cones: expected at most {MAX_STRUCTURE_CONES} cones for a table of cones^3 "
             f"structure constants, got {len(fan.cones)}"
         )
-    q = serialize.quotient_from_data(_load_json(args.quotient))
+    q = _read(_load, serialize.quotient_from_data, args.quotient)
+    if q.source_rank != fan.rank:
+        raise InputError("quotient matrix does not act on the fan lattice")
     s = ag_structure(fan, q)
     rep = associativity_report(s, samples=None if len(fan.cones) <= 7 else 200, seed=args.seed)
     for (sigma, tau, rho), c in sorted(s.table.items()):
@@ -294,18 +310,13 @@ def cmd_equi_structure(args) -> int:
 
 
 def cmd_equi_validate(args) -> int:
-    data, fan = _load_with_fan(args.eqmodule)
-    m = serialize.eq_module_from_data(data, fan)
+    m = _read(_load_with_fan, serialize.eq_module_from_data, args.eqmodule)
     return _emit(validate_equivariant(m), "equi validate")
 
 
 def cmd_equi_inflate(args) -> int:
-    data, fan = _load_with_fan(args.eqmodule)
-    m = serialize.eq_module_from_data(data, fan)
-    try:
-        out = inflate(m)
-    except Rejected as e:
-        return _emit(e.report, "equi inflate")
+    m = _read(_load_with_fan, serialize.eq_module_from_data, args.eqmodule)
+    out = inflate(m)
     _dump_json(serialize.module_to_data(out), args.output)
     print("equi inflate: SUMMARY: pass")
     return PASS
@@ -494,10 +505,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except Rejected as e:
+        return _emit(e.report, f"{args.group} {args.cmd}")
+    except (InputError, OSError) as e:
         print(f"ERROR\tinput\t{e}")
         print("SUMMARY: input error")
         return BAD_INPUT
+    except Exception as e:
+        print(f"ERROR\tinternal\t{type(e).__name__}: {e}")
+        print("SUMMARY: internal error")
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from typing import Mapping
 from fanalg.diagram import DiagramModule, validate
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs
 from fanalg.linalg import QMat, _is_product, _products_equal, random_invertible
-from fanalg.report import Finding, Report
+from fanalg.report import Report
 
 
 def restrict(m: DiagramModule, cone) -> DiagramModule:
@@ -71,9 +71,9 @@ def check_cocycle(d: DescentDatum) -> Report:
     listed once per call.
 
     Each verdict is computed once per unordered pair and triple of charts.
-    The inverse pairs are decided first and reported in their place, after
-    the intertwining.  When they all hold, every block is square and
-    invertible with phi(tau, sigma) the inverse of phi(sigma, tau), so
+    The inverse pairs are decided with the shapes and reported in their
+    place, after the intertwining.  When they all hold, every block is
+    square and invertible with phi(tau, sigma) the inverse of phi(sigma, tau), so
     phi(tau, sigma) passes each intertwining item exactly when
     phi(sigma, tau) does, and the six orderings of a triple state one cocycle
     condition: the verdict of the first ordering is reused for the others,
@@ -81,11 +81,9 @@ def check_cocycle(d: DescentDatum) -> Report:
     as when each is computed.  When an inverse pair fails, every ordering is
     computed on its own.
 
-    The inverse pairs also decide invertibility: a square block whose pair
-    holds is invertible, so `is_invertible` runs only on non-square blocks,
-    on the blocks of a failing pair, and on every block when a chart fails
-    or a map or block is missing or misshapen.  The findings come in the
-    same order either way."""
+    The inverse pairs also decide invertibility, where each block's shape is
+    checked: a square block whose pair holds has a left inverse, so it is
+    invertible, and `is_invertible` runs only on the other blocks."""
     rep = Report()
     fan = d.fan
     maxc = list(fan.maximal)
@@ -107,8 +105,18 @@ def check_cocycle(d: DescentDatum) -> Report:
         for f in chart_rep.findings:
             rep.add("chart", f"({cone_key(sigma)}):{f.location}", f"{f.code}: {f.detail}")
 
-    # blocks whose invertibility is open, each with its place in the report
-    owed = []
+    # the verdict of each inverse pair (min, max, rho) of square blocks, in
+    # the order of the pairs sigma < tau
+    inverse: dict[tuple[Cone, Cone, Cone], bool] = {}
+
+    def invertible(sigma: Cone, tau: Cone, rho: Cone, b: QMat) -> bool:
+        key = (min(sigma, tau), max(sigma, tau), rho)
+        if b.m == b.n and key not in inverse:
+            fwd, bwd = (d.glue_maps.get(pair, {}).get(rho) for pair in (key[:2], key[1::-1]))
+            if fwd is not None and bwd is not None and fwd.m == fwd.n == bwd.m == bwd.n:
+                inverse[key] = _is_product(QMat.identity(fwd.n), bwd, fwd)
+        return inverse.get(key, False) or b.is_invertible()
+
     for sigma in maxc:
         for tau in maxc:
             if sigma == tau:
@@ -126,36 +134,11 @@ def check_cocycle(d: DescentDatum) -> Report:
                 dt = d.charts[tau].dims[rho]
                 if (b.m, b.n) != (dt, ds):
                     rep.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
-                else:
-                    owed.append((len(rep.findings), sigma, tau, rho, b))
-
-    # inverse pairs, decided first when every chart passes and every block is
-    # present and well shaped, and reported after the intertwining; a square
-    # block of a pair that holds is invertible, so only the other blocks are
-    # tested
-    not_inverse = []
-    held = set()
-    if rep.ok:
-        for sigma in maxc:
-            for tau in maxc:
-                if sigma >= tau:
-                    continue
-                fwds, bwds = d.glue_maps[(sigma, tau)], d.glue_maps[(tau, sigma)]
-                for rho in overlap(sigma, tau):
-                    fwd = fwds[rho]
-                    if _is_product(QMat.identity(fwd.n), bwds[rho], fwd):
-                        held.add((sigma, tau, rho))
-                    else:
-                        not_inverse.append((sigma, tau, rho))
-    singular = [
-        (pos, sigma, tau, rho)
-        for pos, sigma, tau, rho, b in owed
-        if not (b.m == b.n and (min(sigma, tau), max(sigma, tau), rho) in held) and not b.is_invertible()
-    ]
-    for k, (pos, sigma, tau, rho) in enumerate(singular):
-        rep.findings.insert(pos + k, Finding("invertible", _block_at(sigma, tau, rho), "block is singular"))
+                elif not invertible(sigma, tau, rho, b):
+                    rep.add("invertible", _block_at(sigma, tau, rho), "block is singular")
     if not rep.ok:
         return rep
+    not_inverse = [key for key, held in inverse.items() if not held]
 
     # the verdicts of each unordered pair or triple, in report order, are
     # shared by its orderings only when every pair of maps is mutually inverse

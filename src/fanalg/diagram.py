@@ -398,13 +398,6 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
         raise ValueError("fan mismatch")
     if m.nt != m.fan.rank:
         raise ValueError("evaluation needs a plain module; inflate equivariant modules first")
-    return _evaluate(x, m)
-
-
-def _evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
-    """`evaluate` of a member on a plain module of its fan, unchecked: block
-    (sigma, tau) with quotient y is s(y) @ P (`_sums`, `_images`,
-    `_total`)."""
     return _total(m, _sums(x, m))
 
 
@@ -416,7 +409,7 @@ def _sums(x: AlgebraElement, m: DiagramModule) -> dict[PairKey, tuple]:
 
 
 def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, sums: dict[PairKey, tuple]) -> dict[PairKey, tuple]:
-    """The sums of `_evaluate(a * b, m)` on a module that passes A1, keyed
+    """The sums of `evaluate(a * b, m)` on a module that passes A1, keyed
     like `_sums(a * b, m)`, built from the terms of the product
     (`algebra._product_terms`), which is never expanded; `_total` of them is
     the image of a * b.  `sums` is `_sums(a, m)`, which `rep_check` also
@@ -433,7 +426,7 @@ def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, su
     by no s(D).  On a 1-dimensional space the factors are integers over
     integers; on a wider one each multiplication is one integer product
     (`linalg._rows_times`).  Each block sum meets its path once, in
-    `_images`, as in `_evaluate`.
+    `_images`, as in `evaluate`.
 
     The terms are not grouped by their rays before multiplying by s(D):
     on the modules of the bench zoo nearly every group has one term, and

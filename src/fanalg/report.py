@@ -1,10 +1,11 @@
 """Structured findings shared by every checker in the package.
 
 A check never raises on a mathematical failure; it returns a report whose
-findings carry a short code, a location, and a human-readable detail.  Input
-errors (malformed data, mismatched fans) raise ValueError instead.  Work a
-check leaves unverified, such as a sampled or size-capped run, is listed in
-`skipped`; a skip is not a failure.
+findings carry a short code, a location, and a human-readable detail.  The
+library raises ValueError on data it cannot take (malformed data, mismatched
+fans); whether that is a bad file is decided only where `cli` reads one,
+which raises InputError.  Work a check leaves unverified, such as a sampled
+or size-capped run, is listed in `skipped`; a skip is not a failure.
 
 Each property is checked once, where data enters: entries and files a caller
 passes in, and the input of an operation that needs a valid one, which raises
@@ -77,3 +78,7 @@ class Rejected(ValueError):
     def __init__(self, what: str, report: Report):
         super().__init__(f"{what}: {report.lines()[0]}")
         self.report = report
+
+
+class InputError(ValueError):
+    """A file, or a value the CLI was given, that cannot be read: exit 2."""

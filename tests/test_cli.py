@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -553,6 +554,70 @@ class TestMalformedInput:
             assert code == 2 and out.splitlines()[0] == f"ERROR\tinput\t{message}", out
 
 
+class TestInputBoundary:
+    """A file is an input error only where the CLI reads it (`cli._read`), and
+    `main` maps every outcome to its exit code once."""
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_an_error_past_the_readers_is_internal(self, monkeypatch, error):
+        # a fault of the library is not reported as a bad file
+        def broken(m):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "validate", broken)
+        code, out = run(["mod", "validate", str(Path(__file__).parent / "golden" / "module_p2.json")])
+        detail = str(error("boom"))
+        assert (code, out) == (3, f"ERROR\tinternal\t{error.__name__}: {detail}\nSUMMARY: internal error\n")
+
+    def test_an_internal_error_prints_no_traceback(self):
+        # a subprocess, so that an escaping exception would show on stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        code = ("import sys; from fanalg import cli; "
+                "cli.validate = lambda m: {}['missing']; sys.exit(cli.main(sys.argv[1:]))")
+        golden = Path(__file__).parent / "golden"
+        proc = subprocess.run([sys.executable, "-c", code, "mod", "validate", str(golden / "module_p2.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3, (proc.stdout, proc.stderr)
+        assert proc.stdout == "ERROR\tinternal\tKeyError: 'missing'\nSUMMARY: internal error\n"
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["mod validate", "mod hom", "desc glue -o"])
+    def test_a_nul_byte_in_a_path_is_an_input_error(self, tmp_path, where):
+        # open raises ValueError on such a path: the fan file a module names,
+        # or the file a command writes
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / "module_p2.json").read_text(encoding="utf-8"))
+        bad = write_json(tmp_path / "m.json", dict(data, fan="fan\u0000p2.json"))
+        argv = {
+            "mod validate": ["mod", "validate", bad],
+            "mod hom": ["mod", "hom", bad, str(golden / "module_p2.json")],
+            "desc glue -o": ["desc", "glue", str(golden / "descent_p2.json"), "-o", str(tmp_path / "out\u0000.json")],
+        }[where]
+        assert run(argv) == (2, "ERROR\tinput\tembedded null byte\nSUMMARY: input error\n")
+
+    def test_a_quotient_of_the_wrong_width_is_an_input_error(self, tmp_path, p2_file, monkeypatch):
+        # checked by the command before any structure constant is built
+        tables = count_calls(monkeypatch, "ag_structure", cli)
+        q = write_json(tmp_path / "q.json", {"Q": [[1, 0, 0]]})
+        code, out = run(["equi", "structure", p2_file, q])
+        assert (code, out) == (2, "ERROR\tinput\tquotient matrix does not act on the fan lattice\nSUMMARY: input error\n")
+        assert tables == []
+
+    def test_only_main_maps_outcomes_to_exit_codes(self):
+        # no command catches Rejected, InputError or OSError, and no clause catches KeyError
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        caught = {}
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ExceptHandler):
+                    names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    for name in names:
+                        caught.setdefault(ast.unparse(name), []).append(getattr(fn, "name", None))
+        assert {k: v for k, v in caught.items() if k != "ValueError"} == {
+            "Rejected": ["main"], "InputError": ["main"], "OSError": ["main"], "Exception": ["main"],
+        }
+        assert sorted(caught["ValueError"]) == ["_fan_source", "_read", "_trial_count", "cmd_fan_check"]
+
 
 class TestSizeBounds:
     """Exponents, ray coordinates, fan ranks and faces, and module dimensions
@@ -598,6 +663,26 @@ class TestSizeBounds:
         message = f'$.u["0|0,1"][0]: expected a rational of at most {serialize.MAX_DIGITS} digits, got {digits} digits'
         assert (proc.returncode, proc.stdout.splitlines()[0]) == (2, f"ERROR\tinput\t{message}"), proc.stdout[:200]
         assert "7" * 100 not in proc.stdout and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("limit", ["640", "default", "0"])
+    def test_a_json_integer_past_the_digit_bound_is_an_input_error_under_any_limit(self, tmp_path, limit):
+        # a bare integer literal: under 640 the JSON parser used to refuse it
+        # with the interpreter's message, which names no path
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / "module_p2.json").read_text(encoding="utf-8"))
+        data["fan"] = json.loads((golden / data["fan"]).read_text(encoding="utf-8"))
+        data["u"]["0|0,1"] = ["LITERAL"]
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(data).replace('"LITERAL"', "7" * 2000), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit != "default":
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        argv = [sys.executable, "-m", "fanalg.cli", "mod", "validate", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        message = f'$.u["0|0,1"][0]: expected a rational of at most {serialize.MAX_DIGITS} digits, got 2000 digits'
+        assert (proc.returncode, proc.stdout) == (2, f"ERROR\tinput\t{message}\nSUMMARY: input error\n"), proc.stdout[:200]
+        assert "Traceback" not in proc.stderr
 
     def test_a_coefficient_past_the_digit_bound_is_an_input_error(self, tmp_path):
         fan = write_json(tmp_path / "fan.json", self.FAN)

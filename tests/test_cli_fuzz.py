@@ -1,5 +1,5 @@
-"""The CLI contract on mutated input files: exit 0, 1 or 2, never a traceback,
-in bounded time.
+"""The CLI contract on mutated input files: exit 0, 1 or 2, never an internal
+error (exit 3) or a traceback, in bounded time.
 
 Each case starts from a golden input file, with a fan given by path read
 into the file, and applies one to three mutations at nodes of its JSON tree:

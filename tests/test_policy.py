@@ -705,6 +705,30 @@ def test_the_runtime_imports_only_the_standard_library():
     assert found == []
 
 
+# example constructors and writers that only tests and bench/ use; they move
+# to tests/support.py once the bench harness stops importing them from src/
+BENCH_ONLY = {
+    "point_module", "tensor_module", "tautological_datum", "twisted_datum",
+    "hirzebruch_fan", "eq_module_to_data", "descent_to_data", "rref",
+}
+
+
+def test_every_top_level_name_is_public_or_used_in_the_package():
+    # a function or class of src/ is in fanalg.__all__ or referenced from
+    # src/ outside its own definition, so code that only tests call does
+    # not grow back into the package
+    src = Path(fanalg.__file__).parent
+    defined, used = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            defined |= {own} - {None}
+            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            used |= names - {own}
+    assert sorted(defined - set(fanalg.__all__) - used) == sorted(BENCH_ONLY)
+
+
 @pytest.fixture
 def coercions(monkeypatch):
     # laurent and diagram import the one rational coercion from linalg
