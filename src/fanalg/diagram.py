@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import lcm
 from operator import index, matmul
 from types import MappingProxyType
@@ -264,10 +265,32 @@ def axiom_report(m: DiagramModule) -> Report:
     """Check A1 to A4; dimension problems and singular torus matrices
     short-circuit the checks after them.  Products are compared without
     being built (`linalg._products_equal`, `linalg._is_product`), and a
-    location is built only for a finding."""
-    fan = m.fan
+    location is built only for a finding.
+
+    The checks are split by axiom instance: a cone (A1, and A3 on the
+    squares it tops) or a covering pair (A2, A4), each read from the cones
+    under its top cone.  `_dim_findings` checks every shape of the module;
+    `_singular_findings` and `_axiom_findings` check the instances of the
+    cones and covering pairs they are given, here all of them, so that
+    `descent.check_cocycle` can decide each instance of a descent datum in
+    one chart."""
     rep = Report()
-    for c in fan.cone_list():
+    _dim_findings(m, rep)
+    if not rep.ok:
+        return rep
+    cones = m.fan.cone_list()
+    _singular_findings(m, cones, rep)
+    if not rep.ok:
+        return rep  # A4 inverts torus matrices for rays with negative coordinates
+    _axiom_findings(m, cones, covering_pairs(m.fan), rep)
+    return rep
+
+
+def _dim_findings(m: DiagramModule, rep: Report) -> None:
+    """The dimension findings of every cone and covering pair: the space's
+    dimension, the number and shapes of the torus matrices, and the shapes
+    of the arrows."""
+    for c in m.fan.cone_list():
         d = m.dims[c]
         if d < 0:
             rep.add("dim", cone_key(c), f"negative dimension {d}")
@@ -278,7 +301,7 @@ def axiom_report(m: DiagramModule) -> Report:
         for j, s in enumerate(mats):
             if s.m != d or s.n != d:
                 rep.add("dim", cone_key(c), f"torus matrix {j + 1} is {s.m}x{s.n}, space has dimension {d}")
-    for tau, sigma, _ in covering_pairs(fan):
+    for tau, sigma, _ in covering_pairs(m.fan):
         du, dt = m.dims[sigma], m.dims[tau]
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
@@ -286,52 +309,59 @@ def axiom_report(m: DiagramModule) -> Report:
             rep.add("dim", _pair_label(tau, sigma), f"u is {uu.m}x{uu.n}, expected {du}x{dt}")
         if (vv.m, vv.n) != (dt, du):
             rep.add("dim", _pair_label(tau, sigma), f"v is {vv.m}x{vv.n}, expected {dt}x{du}")
-    if not rep.ok:
-        return rep
 
-    for c in fan.cone_list():
+
+def _singular_findings(m: DiagramModule, cones: Sequence[Cone], rep: Report) -> None:
+    """A1 invertibility of the torus matrices of the given cones, of a module
+    whose shapes pass."""
+    for c in cones:
         for j, s in enumerate(m.torus[c]):
             if not s.is_invertible():
                 rep.add("A1", cone_key(c), f"torus matrix {j + 1} is singular")
-    if not rep.ok:
-        return rep  # A4 inverts torus matrices for rays with negative coordinates
 
-    for c in fan.cone_list():
+
+def _axiom_findings(m: DiagramModule, cones: Sequence[Cone], pairs: Sequence[tuple[Cone, Cone, int]], rep: Report) -> None:
+    """A1 commutation on the given cones, A2 on the given covering pairs, A3
+    on the squares under the given cones and A4 on the given pairs, in that
+    order, of a module whose shapes pass and whose torus matrices are
+    invertible on every cone the instances read."""
+    for c in cones:
         mats = m.torus[c]
+        if m.dims[c] < 2:
+            continue  # scalars commute
         for j in range(len(mats)):
             for k in range(j + 1, len(mats)):
                 if not _products_equal(mats[j], mats[k], mats[k], mats[j]):
                     rep.add("A1", cone_key(c), f"torus matrices {j + 1} and {k + 1} do not commute")
 
-    for tau, sigma, _ in covering_pairs(fan):
+    for tau, sigma, _ in pairs:
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
-        for j in range(m.nt):
-            if not _products_equal(uu, m.torus[tau][j], m.torus[sigma][j], uu):
+        for j, (lower, upper) in enumerate(zip(m.torus[tau], m.torus[sigma])):
+            if lower.m == upper.m == 1 and lower.num == upper.num and lower.den == upper.den:
+                continue  # one scalar on two lines commutes with both arrows
+            if not _products_equal(uu, lower, upper, uu):
                 rep.add("A2", _pair_label(tau, sigma), f"u does not intertwine torus matrix {j + 1}")
-            if not _products_equal(vv, m.torus[sigma][j], m.torus[tau][j], vv):
+            if not _products_equal(vv, upper, lower, vv):
                 rep.add("A2", _pair_label(tau, sigma), f"v does not intertwine torus matrix {j + 1}")
 
-    for sigma in fan.cone_list():
-        if len(sigma) < 2:
-            continue
-        for a_idx in range(len(sigma)):
-            for b_idx in range(a_idx + 1, len(sigma)):
-                a, b = sigma[a_idx], sigma[b_idx]
-                tau = tuple(x for x in sigma if x not in (a, b))
-                rho = tuple(sorted(tau + (a,)))
-                rho2 = tuple(sorted(tau + (b,)))
-                if not _products_equal(m.u[(rho, sigma)], m.u[(tau, rho)], m.u[(rho2, sigma)], m.u[(tau, rho2)]):
-                    rep.add("A3", _square_label(tau, sigma), "u square does not commute")
-                if not _products_equal(m.v[(tau, rho)], m.v[(rho, sigma)], m.v[(tau, rho2)], m.v[(rho2, sigma)]):
-                    rep.add("A3", _square_label(tau, sigma), "v square does not commute")
-                if not _products_equal(m.v[(rho, sigma)], m.u[(rho2, sigma)], m.u[(tau, rho)], m.v[(tau, rho2)]):
-                    rep.add("A3", _square_label(tau, sigma), "mixed square does not commute")
-                if not _products_equal(m.v[(rho2, sigma)], m.u[(rho, sigma)], m.u[(tau, rho2)], m.v[(tau, rho)]):
-                    rep.add("A3", _square_label(tau, sigma), "mixed square does not commute (other orientation)")
+    for sigma in cones:
+        for a, b in combinations(sigma, 2):
+            # tau, and tau with a and with b added, the other corners
+            tau = tuple(x for x in sigma if x != a and x != b)
+            rho = tuple(x for x in sigma if x != b)
+            rho2 = tuple(x for x in sigma if x != a)
+            if not _products_equal(m.u[(rho, sigma)], m.u[(tau, rho)], m.u[(rho2, sigma)], m.u[(tau, rho2)]):
+                rep.add("A3", _square_label(tau, sigma), "u square does not commute")
+            if not _products_equal(m.v[(tau, rho)], m.v[(rho, sigma)], m.v[(tau, rho2)], m.v[(rho2, sigma)]):
+                rep.add("A3", _square_label(tau, sigma), "v square does not commute")
+            if not _products_equal(m.v[(rho, sigma)], m.u[(rho2, sigma)], m.u[(tau, rho)], m.v[(tau, rho2)]):
+                rep.add("A3", _square_label(tau, sigma), "mixed square does not commute")
+            if not _products_equal(m.v[(rho2, sigma)], m.u[(rho, sigma)], m.u[(tau, rho2)], m.v[(tau, rho)]):
+                rep.add("A3", _square_label(tau, sigma), "mixed square does not commute (other orientation)")
 
-    for tau, sigma, ray in covering_pairs(fan):
-        w = fan.rays[ray]
+    for tau, sigma, ray in pairs:
+        w = m.fan.rays[ray]
         uu = m.u[(tau, sigma)]
         vv = m.v[(tau, sigma)]
         lower_ok = _is_product(m.monodromy(tau, w), vv, uu, plus_identity=True)
@@ -346,7 +376,13 @@ def axiom_report(m: DiagramModule) -> Report:
         upper_inv = upper_ok or (QMat.identity(m.dims[sigma]) + uu @ vv).is_invertible()
         if not (lower_inv and upper_inv):
             rep.add("A4-inv", _pair_label(tau, sigma), "id + v u or id + u v is singular")
-    return rep
+
+
+def _require_plain(m: DiagramModule) -> None:
+    """Raise unless m is a plain module, with one torus matrix per lattice
+    coordinate."""
+    if m.nt != m.fan.rank:
+        raise ValueError("expected a plain module with one torus matrix per lattice coordinate")
 
 
 def validate(m: DiagramModule) -> Report:
@@ -354,8 +390,7 @@ def validate(m: DiagramModule) -> Report:
     raises.  A module that passes keeps that verdict for its lifetime, so a
     later call returns a new empty report without checking the axioms again;
     a module that fails is checked again on every call."""
-    if m.nt != m.fan.rank:
-        raise ValueError("expected a plain module with one torus matrix per lattice coordinate")
+    _require_plain(m)
     if m._valid:
         return Report()
     rep = axiom_report(m)

@@ -253,6 +253,9 @@ class QMat:
     def is_invertible(self) -> bool:
         if self.m == self.n == 1:
             return self.num[0][0] != 0
+        if self.m == self.n == 2:
+            (a, b), (c, d) = self.num
+            return a * d != b * c
         return self.is_square() and len(_echelon(self.num)[0]) == self.m
 
     def inverse(self) -> "QMat":
@@ -264,6 +267,14 @@ class QMat:
             if not x:
                 raise ValueError("matrix is singular")
             return QMat._of(((self.den if x > 0 else -self.den,),), abs(x), 1, 1)
+        if n == 2:
+            # den times the adjugate, over the determinant of num
+            (a, b), (c, d) = self.num
+            det = a * d - b * c
+            if not det:
+                raise ValueError("matrix is singular")
+            e = self.den
+            return _over_pivot(((d * e, -b * e), (-c * e, a * e)), det, 2, 2)
         # (num / den)^-1 = den * num^-1, and [num | den I] reduces to [I | den * num^-1]
         # exactly when num is invertible; [num | den I] always has rank n
         held, d = _echelon(a + e for a, e in zip(self.num, _eye(n, self.den)))

@@ -94,6 +94,14 @@ def _str(x, path: str) -> str:
 
 
 def _int(x, path: str) -> int:
+    """An integer.  A JSON integer literal of more than MAX_DIGITS digits
+    reaches the readers as its numeral (`cli._json_int`), and is refused by
+    its digit count, as `_rational` refuses one, under every limit of the
+    interpreter; any other string is refused by its type."""
+    if type(x) is str:
+        digits = x[1:] if x.startswith("-") else x
+        if len(digits) > MAX_DIGITS and digits.isdecimal():
+            raise ValueError(f"{path}: expected an integer of at most {MAX_DIGITS} digits, got {len(digits)} digits")
     return _expect(isinstance(x, int) and not isinstance(x, bool), x, path, "an integer")
 
 

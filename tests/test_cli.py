@@ -684,6 +684,23 @@ class TestSizeBounds:
         assert (proc.returncode, proc.stdout) == (2, f"ERROR\tinput\t{message}\nSUMMARY: input error\n"), proc.stdout[:200]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("limit", ["640", "default", "0"])
+    def test_a_json_integer_past_the_digit_bound_in_an_integer_field_names_the_bound(self, tmp_path, limit):
+        # a 700-digit rank literal reaches the readers as its numeral, and was
+        # refused as "expected an integer, got str"; a JSON string still is
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({**self.FAN, "rank": "LITERAL"}).replace('"LITERAL"', "7" * 700), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(fanalg.__file__).parents[1]))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit != "default":
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        argv = [sys.executable, "-m", "fanalg.cli", "fan", "check", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        message = f"$.rank: expected an integer of at most {serialize.MAX_DIGITS} digits, got 700 digits"
+        assert (proc.returncode, proc.stdout) == (2, f"ERROR\tinput\t{message}\nSUMMARY: input error\n"), proc.stdout[:200]
+        assert "Traceback" not in proc.stderr
+        self.rejects(tmp_path, ["fan", "check"], {**self.FAN, "rank": "3"}, "$.rank: expected an integer, got str")
+
     def test_a_coefficient_past_the_digit_bound_is_an_input_error(self, tmp_path):
         fan = write_json(tmp_path / "fan.json", self.FAN)
         element = {"entries": [{"row": "", "col": "", "poly": [{"c": "2e640", "e": [0, 0]}]}]}

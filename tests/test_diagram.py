@@ -112,6 +112,24 @@ class TestValidate:
         rep = validate(m2)
         assert any(f.code == "A1" for f in rep.findings)
 
+    def test_torus_matrices_that_do_not_commute(self, c2_fan):
+        # on a plane, two invertible shears that do not commute; a line has
+        # scalars only, which commute
+        dims = {c: 2 if c == () else 0 for c in c2_fan.cones}
+        shears = (QMat([[1, 1], [0, 1]]), QMat([[1, 0], [1, 1]]))
+        m = DiagramModule(c2_fan, dims, {(): shears}, {}, {})
+        assert "A1\t\ttorus matrices 1 and 2 do not commute" in [f.line() for f in validate(m).findings]
+        m = DiagramModule(c2_fan, dims, {(): (shears[0], shears[0] @ shears[0])}, {}, {})
+        assert not any(f.code == "A1" for f in validate(m).findings)
+
+    def test_an_arrow_that_does_not_commute_with_one_torus_matrix_of_both_cones(self, c_fan):
+        # the two planes have the same torus matrix, which u does not
+        # intertwine; only on two lines does one scalar intertwine every arrow
+        t = QMat([[2, 0], [0, 3]])
+        m = DiagramModule(c_fan, {(): 2, (0,): 2}, {(): (t,), (0,): (t,)}, {((), (0,)): QMat([[0, 1], [0, 0]])}, {})
+        a2 = [f.detail for f in validate(m).findings if f.code == "A2"]
+        assert a2 == ["u does not intertwine torus matrix 1"]
+
     def test_singular_torus_matrix_stops_before_a4(self, p1_fan):
         # A4 inverts the zero-cone torus matrix for the ray (-1,)
         m = character_module(p1_fan, (Fraction(2),))

@@ -7,7 +7,6 @@ import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ from fanalg.algebra import AlgebraElement, central, delta, factorize, mu, random
 from fanalg.descent import check_cocycle, glue, twisted_datum
 from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, rep_check, validate
 from fanalg.equivariant import EqDiagramModule, inflate, quotient_presentation
-from fanalg.fan import Fan, projective_plane_fan
+from fanalg.fan import projective_plane_fan
 from fanalg.lattice import IntMatrix, primitive
 from fanalg.laurent import LaurentPoly, binomial, divide_by_binomial, divide_by_product, monomial_map
 from fanalg.linalg import QMat, block_diag, kron, nullspace, random_invertible, rref
@@ -65,13 +64,14 @@ def test_mu_builds_one_element_and_multiplies_nothing(p2_fan, monkeypatch):
     assert y == corner
 
 
-def test_glue_validates_each_chart_once_and_not_its_output(p2_fan, monkeypatch):
+def test_glue_decides_each_monodromy_axiom_once_and_not_its_output(p2_fan, monkeypatch):
     rng = random.Random(8)
     d = twisted_datum(random_valid_module(p2_fan, rng, summands=2), rng)
-    validates = count_calls(monkeypatch, "validate", descent)
+    monodromies = count_calls(monkeypatch, "monodromy", DiagramModule)
     glue(d)
-    # one call per chart, inside check_cocycle
-    assert len(validates) == len(p2_fan.maximal)
+    # A4 of each covering pair of the fan, once, inside check_cocycle; a check
+    # of the output would read as many again
+    assert len(monodromies) == 2 * len(fanmod.covering_pairs(p2_fan)) == 18
 
 
 def test_inflate_checks_its_module_once_and_not_its_output(c_fan, monkeypatch):
@@ -482,17 +482,20 @@ def test_hom_reads_one_echelon_form_per_stage_and_pads_no_rref(p2_fan, monkeypat
 
 def test_each_base_change_is_inverted_once(p2_fan, monkeypatch):
     # conjugate inverts each block once, which is also its invertibility
-    # check, and twisted_datum each of its twists once; a 1x1 block takes the
-    # scalar path, so the 2x2 blocks of a sum of two characters are counted
+    # check, and twisted_datum each of its twists once; the 2x2 blocks of a
+    # sum of two characters are inverted in closed form, so the inversions
+    # are counted, and no block is tested for invertibility on its own
     m = direct_sum(character_module(p2_fan, [2, 3]), character_module(p2_fan, ["1/2", -1]))
     rng = random.Random(14)
     gs = {c: random_invertible(2, rng) for c in p2_fan.cones}
-    echelons = count_calls(monkeypatch, "_echelon", linalg)
+    inversions = count_calls(monkeypatch, "inverse", QMat)
+    tests = count_calls(monkeypatch, "is_invertible", QMat)
     moved = conjugate(m, gs)
-    assert len(echelons) == len(p2_fan.cones)
-    echelons.clear()
+    assert len(inversions) == len(p2_fan.cones)
+    inversions.clear()
     twisted_datum(moved, rng)
-    assert len(echelons) == sum(len(p2_fan.subfan(sigma).cones) for sigma in p2_fan.maximal)
+    assert len(inversions) == sum(len(p2_fan.subfan(sigma).cones) for sigma in p2_fan.maximal)
+    assert tests == []
     with pytest.raises(ValueError, match=r"bad base change at \(0\)"):
         conjugate(m, {(0,): QMat([[1, 2], [2, 4]])})
     with pytest.raises(ValueError, match=r"bad base change at \(0,1\)"):
@@ -634,14 +637,20 @@ def test_the_cone_tables_are_not_part_of_a_fans_identity():
         sub.cone_of_key("2")
 
 
-def test_the_cocycle_check_lists_each_overlap_once(p2_fan, f1_fan, monkeypatch):
-    # three loops read each pair of charts and six orderings each triple, but
-    # the faces common to a pair or a triple are listed once per call
-    for fan, charts in ((p2_fan, 3), (f1_fan, 4)):
+def test_a_clean_cocycle_check_decides_each_axiom_instance_of_the_fan_once(p2_fan, f1_fan, monkeypatch):
+    # each cone's A1 and each covering pair's A4 is decided in one chart, the
+    # representative of its top cone, however many charts hold it: one
+    # invertibility test per torus matrix of the fan and two monodromies per
+    # covering pair, where deciding every chart in full takes 24, 32 and 144
+    # monodromies
+    p2xp1 = fanmod.product_fan(p2_fan, fanmod.projective_line_fan())
+    for fan, want in ((p2_fan, 18), (f1_fan, 24), (p2xp1, 82)):
         d = twisted_datum(random_valid_module(fan, random.Random(3)), random.Random(4))
-        calls = count_calls(monkeypatch, "faces_of", Fan)
+        monodromies = count_calls(monkeypatch, "monodromy", DiagramModule)
+        inversions = count_calls(monkeypatch, "is_invertible", QMat)
         assert check_cocycle(d).ok
-        assert len(calls) == comb(charts, 2) + comb(charts, 3)
+        assert len(monodromies) == 2 * len(fanmod.covering_pairs(fan)) == want
+        assert len(inversions) == fan.rank * len(fan.cones)
         monkeypatch.undo()
 
 

@@ -62,7 +62,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanalg.algebra import AlgebraElement, TensorWord, central, delta, factorize, idempotent, membership_report, mu, random_member, random_poly, transport, unit
-from fanalg.descent import DescentDatum, _chart_of, check_cocycle, glue, restrict, tautological_datum, twisted_datum
+from fanalg.descent import DescentDatum, check_cocycle, glue, restrict, tautological_datum, twisted_datum
 from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum, evaluate, hom, point_module, relation_report, validate
 from fanalg.equivariant import EqDiagramModule, ag_structure, associativity_report, inflate, quotient_presentation, validate_equivariant
 from fanalg.fan import build_fan, cone_key, covering_pairs, hirzebruch_fan, product_fan, projective_line_fan, projective_plane_fan, standard_fan
@@ -1373,10 +1373,10 @@ def test_staged_hom_equals_the_single_pass_oracle(name, digits, seed, target, co
     assert hom(ma, mb) == hom_single_pass(ma, mb)
 
 
-COCYCLE_FANS = {"P2": FANS["P2"], "F1": FANS["F1"], "P1xP1": P1xP1}
+COCYCLE_FANS = {"P2": FANS["P2"], "F1": FANS["F1"], "P1xP1": P1xP1, "P2xP1": P2xP1}
 CORRUPTIONS = (
-    "none", "one direction", "conjugated pair", "chart arrow", "scaled pair", "singular block", "non-square block",
-    "torus in one chart", "torus in both charts",
+    "none", "one direction", "conjugated pair", "chart arrow", "scaled pair", "scaled pair away from the representative",
+    "singular block", "non-square block", "torus in one chart", "torus in both charts",
 )
 
 
@@ -1384,7 +1384,10 @@ def corrupted_datum(d, kind):
     """A copy of a cocycle datum with one fault: a glue block scaled in one
     direction; both maps of a pair conjugated at a ray cone by twice the
     identity, which intertwines no nonzero arrow; a chart arrow doubled; the
-    maps of a pair scaled by 2 and 1/2, which intertwine still; a glue block
+    maps of a pair scaled by 2 and 1/2, which intertwine still, for the first
+    pair that shares a ray or for the first pair of charts that are not the
+    representative of the zero cone, the least chart, so that only the
+    identity of that pair through the representative fails; a glue block
     replaced by zero; one chart replaced by its double, every map into it
     by the stacked [b; b] and every map out of it by [b/2 b/2], which are
     well shaped, but not square, and mutually inverse in one direction; or
@@ -1397,6 +1400,8 @@ def corrupted_datum(d, kind):
     # the first pair of charts that share a ray, and that ray
     sigma, tau = next((s, t) for s in fan.maximal for t in fan.maximal if s < t and set(s) & set(t))
     rho = (min(set(sigma) & set(tau)),)
+    if kind == "scaled pair away from the representative":
+        sigma, tau = fan.maximal[1:3]
     if kind == "one direction":
         maps[(sigma, tau)][rho] = maps[(sigma, tau)][rho].scale(2)
     elif kind == "conjugated pair":
@@ -1406,7 +1411,7 @@ def corrupted_datum(d, kind):
         m = charts[sigma]
         key = next(k for k in sorted(m.u) if not m.u[k].is_zero())
         charts[sigma] = DiagramModule(m.fan, m.dims, m.torus, {**m.u, key: m.u[key].scale(2)}, m.v)
-    elif kind == "scaled pair":
+    elif kind.startswith("scaled pair"):
         maps[(sigma, tau)] = {r: b.scale(2) for r, b in maps[(sigma, tau)].items()}
         maps[(tau, sigma)] = {r: b.scale(Fraction(1, 2)) for r, b in maps[(tau, sigma)].items()}
     elif kind == "singular block":
@@ -1458,6 +1463,10 @@ def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(na
         assert not want.ok
     elif kind in ("singular block", "non-square block"):
         assert codes == {"invertible"}
+    elif kind == "scaled pair away from the representative":
+        # the two maps out of the least chart hold, so the failure shows only
+        # in the identity of the pair through it, on the zero cone
+        assert codes == {"cocycle"} and any(f.location.endswith(" at ()") for f in want.findings)
     elif kind.startswith("torus"):
         # pinned as it stands: each chart that carries the fault reports it
         # from its own axioms, and no check of the glue reports it
@@ -1553,9 +1562,10 @@ def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(na
     d = twisted_datum(random_valid_module(fan, rng), rng)
     glued = glue(d)
     assert validate(glued).ok
-    # the gluing maps into chart sigma, from the chart each face was taken from,
-    # are an isomorphism of modules from the restriction onto the chart
-    chart_of = {rho: _chart_of(fan, rho) for rho in fan.cones}
+    # the gluing maps into chart sigma, from the chart each face was taken
+    # from, the least that contains it, are an isomorphism of modules from
+    # the restriction onto the chart
+    chart_of = {rho: min(s for s in fan.maximal if set(rho) <= set(s)) for rho in fan.cones}
     for sigma in fan.maximal:
         sub = restrict(glued, sigma)
         f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
