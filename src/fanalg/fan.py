@@ -28,7 +28,7 @@ _VERIFY_MAX_CONES = 64
 
 
 def cone_key(cone: Sequence[int]) -> str:
-    return ",".join(str(i) for i in cone)
+    return ",".join(map(str, cone))
 
 
 def parse_cone_key(key: str) -> Cone:

@@ -22,13 +22,22 @@ entry that differs.  Both iterate over the shapes, so a product through a
 zero-dimensional middle space is compared as the zero matrix it is.
 
 Rank-one objects, such as a character on every cone, have 1x1 blocks only,
-so the checks of descent and validation on them see only 1x1 operands.  The
-kernels therefore choose a scalar path by shape: for 1x1 operands
-`_products_equal` and `_is_product` compare cross-multiplied integers, `@`
-multiplies the two entries and reduces by one gcd, `is_invertible` tests the
-entry against zero and `inverse` returns den / x with the sign on the
-numerator; a 1x1 inverse or invertibility test makes no `_echelon` call.  Each returns the canonical
-`QMat` the general path gives, and raises the same errors.
+and sums and tensors of two characters have 2x2 blocks, so the checks of
+descent and validation and `diagram.rep_check` on them see mostly 1x1 and
+2x2 operands.  The kernels therefore choose a closed form by shape, after
+the same shape checks as the general path:
+- for 1x1 operands `_products_equal` and `_is_product` compare
+  cross-multiplied integers, `@` multiplies the two entries and reduces by
+  one gcd, `is_invertible` tests the entry against zero and `inverse`
+  returns den / x with the sign on the numerator;
+- for 2x2 operands `_products_equal`, `_is_product` (with the identity
+  added on the diagonal only), `@`, `_rows_times` and `_combination` write
+  out the four entries, with no column list (`_columns`) and no row loop,
+  `is_invertible` tests a d != b c and `inverse` returns den times the
+  adjugate over the determinant.
+Neither size makes an `_echelon` call.  Each returns the integers, the
+canonical `QMat` and the verdict of the general path, and raises the same
+errors; every other shape takes the general path.
 
 `_combination` and `_rows_times` are the kernels of `diagram.evaluate` and
 of `diagram.rep_check` on spaces of dimension 2 or more: `_combination`
@@ -213,12 +222,19 @@ class QMat:
         return QMat._reduced(tuple(tuple([p * x for x in row]) for row in self.num), c.denominator * self.den, self.m, self.n)
 
     def __matmul__(self, other: "QMat") -> "QMat":
+        """The product: integer dot products over den * other.den, reduced by
+        one gcd pass; 1x1 and 2x2 operands take a closed form."""
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
         if self.m == self.n == other.n == 1:
             p, d = self.num[0][0] * other.num[0][0], self.den * other.den
             g = gcd(p, d)
             return QMat._of(((p // g,),), d // g, 1, 1)
+        if self.m == self.n == other.n == 2:
+            (a, b), (c, d) = self.num
+            (e, f), (g, h) = other.num
+            out = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+            return QMat._reduced(out, self.den * other.den, 2, 2)
         cols = _columns(other)
         out = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num)
         return QMat._reduced(out, self.den * other.den, self.m, other.n)
@@ -313,7 +329,8 @@ def _columns(b: QMat) -> list[tuple[int, ...]]:
 
 def _products_equal(a: QMat, b: QMat, c: QMat, d: QMat) -> bool:
     """a @ b == c @ d, decided entry by entry on the integer rows without
-    building either product: (A B) den(c) den(d) == (C D) den(a) den(b)."""
+    building either product: (A B) den(c) den(d) == (C D) den(a) den(b).
+    1x1 and 2x2 operands take a closed form."""
     if a.n != b.m or c.n != d.m:
         raise ValueError(f"shape mismatch {a.m}x{a.n} @ {b.m}x{b.n} vs {c.m}x{c.n} @ {d.m}x{d.n}")
     if a.m != c.m or b.n != d.n:
@@ -321,6 +338,17 @@ def _products_equal(a: QMat, b: QMat, c: QMat, d: QMat) -> bool:
     f, g = c.den * d.den, a.den * b.den
     if a.m == a.n == b.n == c.n == 1:
         return f * a.num[0][0] * b.num[0][0] == g * c.num[0][0] * d.num[0][0]
+    if a.m == a.n == b.n == c.n == 2:
+        (a0, a1), (a2, a3) = a.num
+        (b0, b1), (b2, b3) = b.num
+        (c0, c1), (c2, c3) = c.num
+        (d0, d1), (d2, d3) = d.num
+        return (
+            f * (a0 * b0 + a1 * b2) == g * (c0 * d0 + c1 * d2)
+            and f * (a0 * b1 + a1 * b3) == g * (c0 * d1 + c1 * d3)
+            and f * (a2 * b0 + a3 * b2) == g * (c2 * d0 + c3 * d2)
+            and f * (a2 * b1 + a3 * b3) == g * (c2 * d1 + c3 * d3)
+        )
     bcols, dcols = _columns(b), _columns(d)
     for ra, rc in zip(a.num, c.num):
         for cb, cd in zip(bcols, dcols):
@@ -332,7 +360,8 @@ def _products_equal(a: QMat, b: QMat, c: QMat, d: QMat) -> bool:
 def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
     """x == a @ b, or x == I + a @ b with plus_identity, decided entry by entry
     on the integer rows without building the product:
-    X den(a) den(b) == (A B + [I] den(a) den(b)) den(x)."""
+    X den(a) den(b) == (A B + [I] den(a) den(b)) den(x).  1x1 and 2x2
+    operands take a closed form."""
     if a.n != b.m or plus_identity and a.m != b.n:
         raise ValueError(f"shape mismatch {'I + ' if plus_identity else ''}{a.m}x{a.n} @ {b.m}x{b.n}")
     if x.m != a.m or x.n != b.n:
@@ -341,6 +370,16 @@ def _is_product(x: QMat, a: QMat, b: QMat, plus_identity: bool = False) -> bool:
     s = g if plus_identity else 0
     if x.m == x.n == a.n == 1:
         return x.num[0][0] * g == (a.num[0][0] * b.num[0][0] + s) * dx
+    if x.m == x.n == a.n == 2:
+        (x0, x1), (x2, x3) = x.num
+        (a0, a1), (a2, a3) = a.num
+        (b0, b1), (b2, b3) = b.num
+        return (
+            x0 * g == (a0 * b0 + a1 * b2 + s) * dx
+            and x1 * g == (a0 * b1 + a1 * b3) * dx
+            and x2 * g == (a2 * b0 + a3 * b2) * dx
+            and x3 * g == (a2 * b1 + a3 * b3 + s) * dx
+        )
     bcols = _columns(b)
     for i, (rx, ra) in enumerate(zip(x.num, a.num)):
         for j, (e, cb) in enumerate(zip(rx, bcols)):
@@ -354,12 +393,22 @@ def _combination(terms: Iterable[tuple[int, Sequence[Sequence[int]], int]]) -> t
     and integer matrices rows of one shape over positive denominators, as
     integer rows over the lcm of the denominators, not reduced: no `QMat` is
     built and no gcd pass is made.  A lone term with coefficient 1 is
-    returned as it stands, its rows not copied."""
+    returned as it stands, its rows not copied; 2x2 terms take the closed
+    form."""
     terms = list(terms)
     den = lcm(*[d for _, _, d in terms])
     (c, rows, d), *rest = terms
     if not rest and c == 1:
         return rows, d
+    if len(rows) == 2 and len(rows[0]) == 2:
+        p = q = r = t = 0
+        for c, ((x, y), (z, w)), d in terms:
+            f = c * (den // d)
+            p += f * x
+            q += f * y
+            r += f * z
+            t += f * w
+        return [[p, q], [r, t]], den
     f = c * (den // d)
     acc = [[f * x for x in row] for row in rows]
     for c, rows, d in rest:
@@ -371,7 +420,12 @@ def _combination(terms: Iterable[tuple[int, Sequence[Sequence[int]], int]]) -> t
 
 
 def _rows_times(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer product of rows and a matrix given by its integer columns."""
+    """The integer product of rows and a matrix given by its integer columns;
+    two rows of two into two columns take the closed form."""
+    if len(rows) == len(cols) == 2 and len(rows[0]) == 2:
+        (a, b), (c, d) = rows
+        (e, g), (f, h) = cols
+        return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 

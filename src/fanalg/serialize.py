@@ -19,7 +19,8 @@ occurrence, so the reader accepts the values and reports the errors that
 `Fraction` parsing gives.  The path of a matrix entry is formatted only for
 an error.  A cone key is looked up in the table of canonical keys that the
 fan owns for its lifetime (`Fan.cone_of_key`); any other key is parsed and
-checked.  The writer formats each entry from the integers of its matrix,
+checked.  So is an arrow key, in a table of the canonical keys of the
+covering pairs that each module body's read builds and drops.  The writer formats each entry from the integers of its matrix,
 with one gcd, and builds no `Fraction`.
 
 Sizes are bounded where data enters, so that a small file cannot ask for an
@@ -39,7 +40,8 @@ converting a string to an integer that the interpreter accepts
 (`sys.int_info.str_digits_check_threshold`, 640 digits), so no numeral
 that passes the count meets the limit, and a numeral is accepted or refused
 the same way under every limit and with none (PYTHONINTMAXSTRDIGITS=0).  A
-value beyond a bound is an input error that names its JSON path.
+value beyond a bound is an input error that names its JSON path, and so is
+a `u` or `v` arrow of a module body whose two cones are not a covering pair.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from fanalg.algebra import AlgebraElement
 from fanalg.descent import DescentDatum
 from fanalg.diagram import DiagramModule
 from fanalg.equivariant import EqDiagramModule, QuotientData, quotient_presentation
-from fanalg.fan import Cone, Fan, build_fan, cone_key
+from fanalg.fan import Cone, Fan, build_fan, cone_key, covering_pairs
 from fanalg.lattice import IntMatrix
 from fanalg.laurent import LaurentPoly, poly_from_data, poly_to_data
 from fanalg.linalg import QMat
@@ -391,19 +393,34 @@ def _module_parts(data, fan: Fan, nt: int, path: str, table: dict[str, QMat]):
         if len(_list(mats, at)) != nt:
             raise ValueError(f"{at}: expected {nt} torus matrices, got {len(mats)}")
         torus[c] = tuple(_mat_from_data(flat, d, d, f"{at}[{i}]", table) for i, flat in enumerate(mats))
+    # arrows are keyed by covering pairs, "facet|cone" in u and "cone|facet"
+    # in v: a canonical key is one probe, and `_arrow` reads any other
+    pairs = [(tau, sigma) for tau, sigma, _ in covering_pairs(fan)]
+    keys = {c: cone_key(c) for c in fan.cones}
+    known = {f"{keys[tau]}|{keys[sigma]}": (tau, sigma) for tau, sigma in pairs}
     u = {}
     for key, flat, at in _members(obj.get("u", {}), f"{path}.u"):
-        tau_k, sigma_k = _cone_pair(key, at)
-        tau = fan.cone_of_key(tau_k)
-        sigma = fan.cone_of_key(sigma_k)
+        tau, sigma = known.get(key) or _arrow(fan, known, key, at, True)
         u[(tau, sigma)] = _mat_from_data(flat, dims.get(sigma, 0), dims.get(tau, 0), at, table)
+    known = {f"{keys[sigma]}|{keys[tau]}": (tau, sigma) for tau, sigma in pairs}
     v = {}
     for key, flat, at in _members(obj.get("v", {}), f"{path}.v"):
-        sigma_k, tau_k = _cone_pair(key, at)
-        sigma = fan.cone_of_key(sigma_k)
-        tau = fan.cone_of_key(tau_k)
+        tau, sigma = known.get(key) or _arrow(fan, known, key, at, False)
         v[(tau, sigma)] = _mat_from_data(flat, dims.get(tau, 0), dims.get(sigma, 0), at, table)
     return dims, torus, u, v
+
+
+def _arrow(fan: Fan, known: dict[str, tuple[Cone, Cone]], key: str, path: str, upward: bool) -> tuple[Cone, Cone]:
+    """The covering pair (tau, sigma) of an arrow key that is not canonical,
+    such as "0|1,0", its cones read by `Fan.cone_of_key`.  A pair that is
+    not a covering pair is refused: the module has no arrow there, and
+    `DiagramModule` would ignore the data."""
+    first, second = (fan.cone_of_key(k) for k in _cone_pair(key, path))
+    tau, sigma = (first, second) if upward else (second, first)
+    if (tau, sigma) not in known.values():
+        form = '"facet|cone"' if upward else '"cone|facet"'
+        raise ValueError(f"{path}: expected a covering pair {form}, but ({cone_key(tau)}) is not a facet of ({cone_key(sigma)})")
+    return tau, sigma
 
 
 def module_from_data(data: Mapping, fan: Fan) -> DiagramModule:

@@ -193,6 +193,48 @@ class TestModuleCommands:
         code, out = run(["mod", "validate", path])
         assert code == 1 and "A4" in out
 
+    # arrows of the golden P2 data keyed by a cone pair that is not a covering
+    # pair: the swapped key of an arrow, and an arrow that skips a dimension.
+    # Neither is an arrow of the module; a reader that dropped them read the
+    # swapped arrow as zero (exit 1) and passed the extra one (exit 0).
+    OFF_COVER = [
+        ("u", "0|0,1", "0,1|0", '"facet|cone", but (0,1) is not a facet of (0)'),
+        ("u", None, "|0,1", '"facet|cone", but () is not a facet of (0,1)'),
+        ("v", "0,1|0", "0|0,1", '"cone|facet", but (0,1) is not a facet of (0)'),
+        ("v", None, "0,1|", '"cone|facet", but () is not a facet of (0,1)'),
+    ]
+
+    @pytest.mark.parametrize(("field", "old", "new", "detail"), OFF_COVER)
+    @pytest.mark.parametrize("kind", ["mod", "desc"])
+    def test_an_arrow_off_a_covering_pair_is_an_input_error(self, tmp_path, kind, field, old, new, detail):
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / f"{'module' if kind == 'mod' else 'descent'}_p2.json").read_text(encoding="utf-8"))
+        data["fan"] = json.loads((golden / data["fan"]).read_text(encoding="utf-8"))
+        body, at = (data, "$") if kind == "mod" else (data["charts"]["0,1"], '$.charts["0,1"]')
+        arrows, spaces = body[field], body["spaces"]
+        arrows[new] = arrows.pop(old) if old else ["0"] * (spaces[""] * spaces["0,1"])
+        path = write_json(tmp_path / "x.json", data)
+        argv = ["mod", "validate", path] if kind == "mod" else ["desc", "check", path]
+        message = f'{at}.{field}["{new}"]: expected a covering pair {detail}'
+        assert run(argv) == (2, f"ERROR\tinput\t{message}\nSUMMARY: input error\n")
+
+    def test_an_arrow_key_with_unsorted_rays_is_that_arrow(self, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        data = json.loads((golden / "module_p2.json").read_text(encoding="utf-8"))
+        data["fan"] = json.loads((golden / data["fan"]).read_text(encoding="utf-8"))
+        data["u"]["0|1,0"], data["v"]["1,0|0"] = data["u"].pop("0|0,1"), data["v"].pop("0,1|0")
+        path = write_json(tmp_path / "x.json", data)
+        assert run(["mod", "validate", path]) == (0, "mod validate: SUMMARY: pass\n")
+
+    @pytest.mark.parametrize(("field", "old", "new"), [("u", "|0", "0|"), ("v", "0|", "|0")])
+    def test_a_swapped_arrow_of_an_equivariant_module_is_an_input_error(self, tmp_path, field, old, new):
+        data = json.loads((Path(__file__).parent / "golden" / "eqmodule_c1.json").read_text(encoding="utf-8"))
+        data[field][new] = data[field].pop(old)
+        path = write_json(tmp_path / "x.json", data)
+        form = '"facet|cone"' if field == "u" else '"cone|facet"'
+        message = f'$.{field}["{new}"]: expected a covering pair {form}, but (0) is not a facet of ()'
+        assert run(["equi", "validate", path]) == (2, f"ERROR\tinput\t{message}\nSUMMARY: input error\n")
+
     def test_relations(self, p2_file):
         code, out = run(["mod", "relations", p2_file])
         assert code == 0

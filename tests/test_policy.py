@@ -448,6 +448,25 @@ def test_one_by_one_matrices_take_the_scalar_path(monkeypatch):
         zero.inverse()
 
 
+def test_two_by_two_operands_take_the_closed_forms(monkeypatch):
+    # a block of a sum of two characters is multiplied and compared in closed
+    # form, with no column list; a 3x3 block still reads its columns
+    columns = count_calls(monkeypatch, "_columns", linalg)
+
+    def uses(a, b):
+        ab, one = a @ b, QMat.identity(a.m)
+        assert linalg._products_equal(a, b, a.scale(2), b.scale(Fraction(1, 2)))
+        assert not linalg._products_equal(a, b, b, a)
+        assert linalg._is_product(ab, a, b) and not linalg._is_product(one, a, b)
+        assert linalg._is_product(one + ab, a, b, plus_identity=True)
+        assert not linalg._is_product(ab, a, b, plus_identity=True)
+
+    uses(QMat([[1, "-2/3"], [0, 3]]), QMat([[2, 1], ["1/2", 0]]))
+    assert columns == []
+    uses(QMat([[1, "-2/3", 0], [0, 3, 1], [2, 0, 1]]), QMat([[2, 1, 0], ["1/2", 0, 0], [0, 0, 1]]))
+    assert len(columns) == 9  # one per product, two per `_products_equal`, one per `_is_product`
+
+
 def test_echelon_on_integer_rows_holds_only_ints():
     # the elimination is fraction-free: integer rows stay integers, pivots that are not 1 included
     cases = (

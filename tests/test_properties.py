@@ -431,10 +431,19 @@ def matrices(m, n):
     return entries.map(lambda flat: QMat.from_flat(m, n, flat))
 
 
+def sides(draw, count, top):
+    """`count` sides from 0 to `top`, all 2 when a first draw from 0 to 3 is
+    0, so that a fixed share of the (derandomized) examples meets the 2x2
+    closed forms of `linalg`."""
+    if draw(st.integers(0, 3)) == 0:
+        return (2,) * count
+    return tuple(draw(st.integers(0, top)) for _ in range(count))
+
+
 @st.composite
 def matrix_pairs(draw):
     """(a, b) with a.n == b.m, every side 0 to 4."""
-    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    m, k, n = sides(draw, 3, 4)
     return draw(matrices(m, k)), draw(matrices(k, n))
 
 
@@ -444,6 +453,7 @@ def matrix_pairs(draw):
 @example((QMat.zero(2, 0), QMat.zero(0, 3)))
 @example((QMat([["1/2", 3]]), QMat.zero(2, 0)))
 @example((QMat([["-2/3"]]), QMat([["9/4"]])))
+@example((QMat([["-1/2", "2/3"], [0, 0]]), QMat([["3/4", -5], ["1/6", "7/2"]])))
 def test_product_equals_the_fraction_sum(pair):
     a, b = pair
     naive = [[sum((a[i, t] * b[t, j] for t in range(a.n)), Fraction(0)) for j in range(b.n)] for i in range(a.m)]
@@ -451,6 +461,8 @@ def test_product_equals_the_fraction_sum(pair):
     assert (out.m, out.n) == (a.m, b.n)
     assert out.rows == tuple(tuple(row) for row in naive)
     assert all(type(x) is Fraction for row in out.rows for x in row)
+    with pytest.raises(ValueError, match="shape mismatch"):  # before any closed form
+        a @ QMat.zero(a.n + 1, b.n)
 
 
 def small_matrices(m, n):
@@ -461,10 +473,11 @@ def small_matrices(m, n):
 
 @st.composite
 def product_comparisons(draw):
-    """(a, b, c, d, x) with a @ b and c @ d defined and every side 0 to 3.  c @ d
+    """(a, b, c, d, x) with a @ b and c @ d defined and every side 0 to 3, all
+    2 in a fixed share (`sides`), so that the 2x2 closed forms are drawn.  c @ d
     is often a @ b rescaled and x often a @ b or I + a @ b, so that equal
     products come up; the outer shapes of c @ d and x sometimes differ."""
-    m, k, n, l = (draw(st.integers(0, 3)) for _ in range(4))
+    m, k, n, l = sides(draw, 4, 3)
     a, b = draw(small_matrices(m, k)), draw(small_matrices(k, n))
     if draw(st.booleans()):
         s = draw(st.sampled_from([Fraction(2), Fraction(-1, 3), Fraction(3, 2)]))
@@ -488,6 +501,17 @@ def product_comparisons(draw):
 @example((QMat([["-2/3"]]), QMat([["3/2"]]), QMat([[-1]]), QMat([[1]]), QMat([[0]])))  # x == I + a @ b
 @example((QMat([[2]]), QMat([[-3]]), QMat([[6]]), QMat([[1]]), QMat([[-5]])))
 @example((QMat.zero(1, 0), QMat.zero(0, 1), QMat([[1]]), QMat([[1]]), QMat([[1]])))
+# 2x2, with a @ b == [[3, 2], [-1, -1]]: x == I + a @ b, whose identity is on the diagonal only
+@example((QMat([[1, 2], [0, -1]]), QMat([[1, 0], [1, 1]]), QMat([[2, 4], [0, -2]]), QMat([["1/2", 0], ["1/2", "1/2"]]), QMat([[4, 2], [-1, 0]])))
+# I + a @ b but for one diagonal entry, and but for one off-diagonal entry that gains the identity
+@example((QMat([[1, 2], [0, -1]]), QMat([[1, 0], [1, 1]]), QMat([[1, 2], [0, -1]]), QMat([[1, 0], [1, 1]]), QMat([[4, 2], [-1, -1]])))
+@example((QMat([[1, 2], [0, -1]]), QMat([[1, 0], [1, 1]]), QMat([[1, 2], [0, -1]]), QMat([[1, 0], [1, 1]]), QMat([[4, 3], [-1, 0]])))
+# a zero row in a and in a @ b
+@example((QMat([[0, 0], [1, 2]]), QMat([[3, -1], [2, 1]]), QMat([[0, 0], [2, 4]]), QMat([["3/2", "-1/2"], [1, "1/2"]]), QMat([[0, 0], [7, 1]])))
+# negative and fractional entries, c @ d the same product rescaled
+@example((QMat([["-1/2", "2/3"], ["3/4", -5]]), QMat([["1/6", "-7/2"], [-2, "1/3"]]), QMat([[-1, "4/3"], ["3/2", -10]]), QMat([["1/12", "-7/4"], [-1, "1/6"]]), QMat([["-17/12", "71/36"], ["81/8", "-103/24"]])))
+# c @ d and x differ from a @ b == [[1, 5], [2, 1]] in the last entry only
+@example((QMat([[1, 1], [2, -1]]), QMat([[1, 2], [0, 3]]), QMat([[1, 1], [2, 0]]), QMat([[1, 2], [0, 3]]), QMat([[1, 5], [2, 2]])))
 def test_product_comparisons_equal_the_products(case):
     """The comparisons the checks use decide what QMat arithmetic decides,
     also where a side or the middle space has dimension 0."""
@@ -501,6 +525,52 @@ def test_product_comparisons_equal_the_products(case):
     else:
         with pytest.raises(ValueError):
             linalg._is_product(x, a, b, plus_identity=True)
+    wrong = QMat.zero(a.n + 1, b.n)  # the shape check comes before any closed form
+    for args in ((a, wrong, c, d), (c, d, a, wrong)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg._products_equal(*args)
+    for plus_identity in (False, True):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg._is_product(x, a, wrong, plus_identity)
+
+
+def int_rows(m, n):
+    return st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(rows, cols, terms) for `linalg._rows_times` and `linalg._combination`:
+    m x k integer rows, the n integer columns of a k x n matrix, and one to
+    four terms (c, rows, den) of one m x n shape, every side 0 to 4 and all
+    2 in a fixed share (`sides`); lone terms are among them."""
+    m, k, n = sides(draw, 3, 4)
+    rows, cols = draw(int_rows(m, k)), [tuple(col) for col in draw(int_rows(n, k))]
+    term = st.tuples(st.integers(-3, 3), int_rows(m, n), st.integers(1, 12))
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    return rows, cols, terms
+
+
+@settings(SETTINGS, max_examples=40)
+@given(kernel_operands())
+@example(([[1, -2], [0, 3]], [(4, 0), (-1, 5)], [(1, [[1, -2], [0, 3]], 3)]))  # a lone term as it stands
+@example(([[0, 0], [2, -1]], [(0, 0), (7, 1)], [(-2, [[0, 0], [5, -1]], 4)]))  # zero rows, a lone scaled term
+@example(([[1, 2], [3, 4]], [(5, 6), (7, 8)], [(1, [[1, 2], [3, 4]], 2), (-3, [[0, 1], [-1, 0]], 3), (2, [[5, 0], [0, 5]], 4)]))
+@example(([[]] * 2, [()] * 2, [(1, [[], []], 1), (2, [[], []], 5)]))  # two rows of no entries
+def test_integer_kernels_equal_the_naive_arithmetic(case):
+    """`_rows_times` is the integer product of rows into columns and
+    `_combination` the sum of c * rows scaled to the lcm of the
+    denominators, on the 2x2 closed forms and on every other shape; a lone
+    term with coefficient 1 is returned as it stands."""
+    rows, cols, terms = case
+    product = linalg._rows_times(rows, cols)
+    assert product == [[sum(row[t] * col[t] for t in range(len(row))) for col in cols] for row in rows]
+    out, den = linalg._combination(terms)
+    assert den == lcm(*[d for _, _, d in terms])
+    naive = [[sum(c * t[i][j] * (den // d) for c, t, d in terms) for j in range(len(row))] for i, row in enumerate(terms[0][1])]
+    assert [list(row) for row in out] == naive
+    if len(terms) == 1 and terms[0][0] == 1:
+        assert out is terms[0][1]
 
 
 @st.composite
