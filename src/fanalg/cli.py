@@ -5,8 +5,11 @@ code<TAB>location<TAB>detail followed by a summary, and exits with 0 on
 success, 1 on a mathematical failure, 2 on an input error and 3 on an
 internal error.  All runs are deterministic for a fixed --seed; reports are
 byte-stable.  A file is an input error only where it is read, in `_read`;
-`main` maps every outcome to its exit code once, and prints an internal
-error as one line with no traceback.
+the JSON that a command writes and the matrices that `mod hom` and `equi
+present` print are built through `_read` too, before any of it is written,
+so an integer past the interpreter's limit for printing one is an input
+error with no partial output.  `main` maps every outcome to its exit code
+once, and prints an internal error as one line with no traceback.
 """
 
 from __future__ import annotations
@@ -85,8 +88,16 @@ def _load(reader, path: str, *args):
     return reader(_load_json(path), *args)
 
 
-def _dump_json(data, path: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _json_text(to_data, obj) -> str:
+    return json.dumps(to_data(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _dump_json(to_data, obj, path: str | None) -> None:
+    """Write to_data(obj) as JSON to `path`, or to stdout.  The text is built
+    through `_read` before any of it is written, so an integer past the
+    interpreter's limit for printing one is an input error that leaves no
+    partial file."""
+    text = _read(_json_text, to_data, obj)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -171,7 +182,7 @@ def cmd_alg_mul(args) -> int:
     a = _read(_load, serialize.element_from_data, args.a, fan)
     b = _read(_load, serialize.element_from_data, args.b, fan)
     prod = a * b
-    _dump_json(serialize.element_to_data(prod), args.output)
+    _dump_json(serialize.element_to_data, prod, args.output)
     print("alg mul: SUMMARY: pass")
     return PASS
 
@@ -224,7 +235,21 @@ def cmd_mod_relations(args) -> int:
     return PASS
 
 
+def _basis_lines(basis, cones) -> list[str]:
+    lines = []
+    for i, f in enumerate(basis):
+        for c in cones:
+            block = f.blocks[c]
+            if not block.is_zero():
+                flat = " ".join(str(x) for x in block.flat())
+                lines.append(f"basis {i} block ({cone_key(c)}) {block.m}x{block.n}: {flat}")
+    return lines
+
+
 def cmd_mod_hom(args) -> int:
+    """Print the dimension of hom(a, b) and the nonzero blocks of its basis.
+    The basis lines are built through `_read` before any line is printed, as
+    in `equi present`."""
     data_a = _read(_load_json, args.a)
     fan_a = _read(_resolve_fan, data_a, args.a)
     data_b = _read(_load_json, args.b)
@@ -241,13 +266,7 @@ def cmd_mod_hom(args) -> int:
             f"the sum over cones of dim_a * dim_b, got {unknowns}"
         )
     dim, basis = hom(ma, mb)
-    print(f"hom dimension {dim}")
-    for i, f in enumerate(basis):
-        for c in fan_a.cone_list():
-            block = f.blocks[c]
-            if not block.is_zero():
-                flat = " ".join(str(x) for x in block.flat())
-                print(f"basis {i} block ({cone_key(c)}) {block.m}x{block.n}: {flat}")
+    print("\n".join([f"hom dimension {dim}", *_read(_basis_lines, basis, fan_a.cone_list())]))
     return PASS
 
 
@@ -263,7 +282,7 @@ def cmd_desc_check(args) -> int:
 def cmd_desc_glue(args) -> int:
     d = _read(_load_with_fan, serialize.descent_from_data, args.datum)
     m = glue(d)
-    _dump_json(serialize.module_to_data(m), args.output)
+    _dump_json(serialize.module_to_data, m, args.output)
     print("desc glue: SUMMARY: pass")
     return PASS
 
@@ -317,7 +336,7 @@ def cmd_equi_validate(args) -> int:
 def cmd_equi_inflate(args) -> int:
     m = _read(_load_with_fan, serialize.eq_module_from_data, args.eqmodule)
     out = inflate(m)
-    _dump_json(serialize.module_to_data(out), args.output)
+    _dump_json(serialize.module_to_data, out, args.output)
     print("equi inflate: SUMMARY: pass")
     return PASS
 

@@ -46,12 +46,6 @@ class DescentDatum:
     charts: Mapping[Cone, DiagramModule]
     glue_maps: Mapping[tuple[Cone, Cone], Mapping[Cone, QMat]]
 
-    def glue_block(self, sigma: Cone, tau: Cone, rho: Cone) -> QMat:
-        """Block of phi from chart sigma to chart tau at a common face rho."""
-        if sigma == tau:
-            return QMat.identity(self.charts[sigma].dims[rho])
-        return self.glue_maps[(sigma, tau)][rho]
-
     @cached_property
     def _holders(self) -> dict[Cone, tuple[Cone, ...]]:
         """The maximal cones that contain each cone, in sorted order, by cone
@@ -154,14 +148,14 @@ def _axioms_through_representatives(d: DescentDatum) -> bool:
     return rep.ok
 
 
-def _inverse_pairs_pass(d: DescentDatum, maxc: list[Cone], overlap, eye: dict[int, QMat]) -> bool:
-    """The pass path of the block checks: whether every gluing map has a
+def _inverse_pairs_pass(d: DescentDatum, maxc: list[Cone]) -> bool:
+    """The block checks of the pass path: whether every gluing map has a
     block at each common face, each block is square of the face's dimension
     in both charts, and the two blocks of each unordered pair of charts are
-    mutually inverse.  Then no block has a finding; on False the blocks are
-    checked one by one for their findings.  `eye` holds the identity of each
-    dimension for the call."""
+    mutually inverse, which makes both invertible.  Then no block has a
+    finding."""
     maps = d.glue_maps
+    eye: dict[int, QMat] = {}
     for i, sigma in enumerate(maxc):
         ds = d.charts[sigma].dims
         for tau in maxc[i + 1:]:
@@ -169,7 +163,7 @@ def _inverse_pairs_pass(d: DescentDatum, maxc: list[Cone], overlap, eye: dict[in
             if fwd is None or bwd is None:
                 return False
             dt = d.charts[tau].dims
-            for rho in overlap(sigma, tau):
+            for rho in _overlap_cones(d.fan, sigma, tau):
                 f, b = fwd.get(rho), bwd.get(rho)
                 n = ds[rho]
                 if f is None or b is None or dt[rho] != n or not f.m == f.n == b.m == b.n == n:
@@ -181,10 +175,80 @@ def _inverse_pairs_pass(d: DescentDatum, maxc: list[Cone], overlap, eye: dict[in
     return True
 
 
+def _findings_each_ordering(d: DescentDatum, maxc: list[Cone]) -> Report:
+    """The findings of a datum that fails the pass path, each ordering of
+    each pair and triple of charts computed on its own: every chart by
+    `validate`, then the blocks of each map, and only when both pass, the
+    intertwining of each map, the inverse pairs and the cocycle of each
+    ordered triple."""
+    rep = Report()
+    fan, maps = d.fan, d.glue_maps
+    for sigma in maxc:
+        for f in validate(d.charts[sigma]).findings:
+            rep.add("chart", f"({cone_key(sigma)}):{f.location}", f"{f.code}: {f.detail}")
+    orderings = [(s, t) for s in maxc for t in maxc if s != t]
+    for sigma, tau in orderings:
+        if (sigma, tau) not in maps:
+            rep.add("glue", f"({cone_key(sigma)})->({cone_key(tau)})", "missing gluing map")
+            continue
+        phi = maps[(sigma, tau)]
+        for rho in _overlap_cones(fan, sigma, tau):
+            if rho not in phi:
+                rep.add("glue", _block_at(sigma, tau, rho), "missing block")
+                continue
+            b = phi[rho]
+            ds = d.charts[sigma].dims[rho]
+            dt = d.charts[tau].dims[rho]
+            if (b.m, b.n) != (dt, ds):
+                rep.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
+            elif not b.is_invertible():
+                rep.add("invertible", _block_at(sigma, tau, rho), "block is singular")
+    if not rep.ok:
+        return rep
+
+    for sigma, tau in orderings:
+        ms, mt, phi = d.charts[sigma], d.charts[tau], maps[(sigma, tau)]
+        common = _overlap_cones(fan, sigma, tau)
+        for rho in common:
+            for j, (s, t) in enumerate(zip(ms.torus[rho], mt.torus[rho])):
+                if not _products_equal(phi[rho], s, t, phi[rho]):
+                    rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
+        oset = set(common)
+        for key in ms.u:
+            lo, hi = key
+            if lo in oset and hi in oset:
+                if not _products_equal(phi[hi], ms.u[key], mt.u[key], phi[lo]):
+                    rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
+                if not _products_equal(phi[lo], ms.v[key], mt.v[key], phi[hi]):
+                    rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
+
+    for sigma, tau in orderings:
+        if sigma < tau:
+            fwd, bwd = maps[(sigma, tau)], maps[(tau, sigma)]
+            for rho in _overlap_cones(fan, sigma, tau):
+                if not _is_product(QMat.identity(fwd[rho].n), bwd[rho], fwd[rho]):
+                    rep.add("inverse", f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})", "maps are not mutually inverse")
+
+    for sigma, tau in orderings:
+        first = maps[(sigma, tau)]
+        for omega in maxc:
+            if omega == sigma or omega == tau:
+                continue
+            direct, second = maps[(sigma, omega)], maps[(tau, omega)]
+            for rho in _overlap_cones(fan, sigma, tau, omega):
+                if not _is_product(direct[rho], second[rho], first[rho]):
+                    rep.add(
+                        "cocycle",
+                        f"({cone_key(sigma)})->({cone_key(tau)})->({cone_key(omega)}) at ({cone_key(rho)})",
+                        "triple composition disagrees with the direct map",
+                    )
+    return rep
+
+
 def check_cocycle(d: DescentDatum) -> Report:
     """Well-formedness, intertwining, inverse pairs, the triple condition and
-    the axioms of every chart; products are compared without being built,
-    and a location is built only for a finding.
+    the axioms of every chart, by one of two paths; products are compared
+    without being built.
 
     Each cone has a representative chart, the least maximal cone that
     contains it, which `glue` takes the cone's space from.  The table of the
@@ -192,38 +256,22 @@ def check_cocycle(d: DescentDatum) -> Report:
     for its lifetime (`DescentDatum._holders`); the first `check_cocycle` or
     `glue` of the datum builds it.
 
-    The shapes of every chart and glue block are decided first, with the
-    inverse pairs, which also decide invertibility: a square block whose
-    pair holds has a left inverse, so it is invertible, and `is_invertible`
-    runs only on the other blocks.  The pass path (`_inverse_pairs_pass`)
-    reads each unordered pair of charts once; a block that is missing,
-    misshapen or not inverted by its pair sends the blocks to the check of
-    each ordering, for their findings.  When every inverse pair holds, the
-    cocycle, then the intertwining, then the chart axioms are decided
-    through the representatives (`_cocycle_through_representatives`,
+    The pass path decides whether the datum passes, building no location.
+    It decides the shapes of every chart that keeps no verdict, then the
+    blocks with their inverse pairs (`_inverse_pairs_pass`), then the
+    cocycle, the intertwining and the chart axioms through the
+    representatives (`_cocycle_through_representatives`,
     `_intertwined_through_representatives`,
     `_axioms_through_representatives`): each cocycle identity, map and axiom
-    instance of the fan once, however many charts hold it.  A chart that
-    keeps a verdict is not read, and on a pass every chart keeps one.
+    instance of the fan once, however many charts hold it.  On a pass every
+    chart keeps its verdict and the report is empty.
 
-    A section whose check fails this way, or cannot be made so, is computed
-    as if no verdict were shared across charts: the chart axioms by
-    `validate` on every chart, and each map check for every ordering, with
-    one verdict per unordered pair or triple of charts when the inverse
-    pairs hold.  So the findings, in content and order, are those of every
-    ordering computed on its own.  The faces common to each pair and each
-    triple of charts are listed at most once per call."""
+    A datum that fails any of these takes the findings path
+    (`_findings_each_ordering`) once, which computes every ordering of each
+    pair and triple of charts on its own, so the findings, in content and
+    order, are those of the oracle that shares no verdict."""
     rep = Report()
-    fan = d.fan
-    maxc = list(fan.maximal)
-    faces: dict[frozenset, list[Cone]] = {}
-
-    def overlap(*charts: Cone) -> list[Cone]:
-        key = frozenset(charts)
-        if key not in faces:
-            faces[key] = _overlap_cones(fan, *charts)
-        return faces[key]
-
+    maxc = list(d.fan.maximal)
     for sigma in maxc:
         if sigma not in d.charts:
             rep.add("chart", f"({cone_key(sigma)})", "missing chart module")
@@ -234,117 +282,16 @@ def check_cocycle(d: DescentDatum) -> Report:
         _require_plain(d.charts[sigma])
         if not d.charts[sigma]._valid:
             _dim_findings(d.charts[sigma], shaped)
-
-    eye: dict[int, QMat] = {}
-    blocks = Report()
-    not_inverse: list[tuple[Cone, Cone, Cone]] = []
-    if not _inverse_pairs_pass(d, maxc, overlap, eye):
-        # the verdict of each inverse pair (min, max, rho) of square blocks, in
-        # the order of the pairs sigma < tau
-        inverse: dict[tuple[Cone, Cone, Cone], bool] = {}
-
-        def invertible(sigma: Cone, tau: Cone, rho: Cone, b: QMat) -> bool:
-            key = (min(sigma, tau), max(sigma, tau), rho)
-            if b.m == b.n and key not in inverse:
-                fwd, bwd = (d.glue_maps.get(pair, {}).get(rho) for pair in (key[:2], key[1::-1]))
-                if fwd is not None and bwd is not None and fwd.m == fwd.n == bwd.m == bwd.n:
-                    if fwd.n not in eye:
-                        eye[fwd.n] = QMat.identity(fwd.n)
-                    inverse[key] = _is_product(eye[fwd.n], bwd, fwd)
-            return inverse.get(key, False) or b.is_invertible()
-
-        for sigma in maxc:
-            for tau in maxc:
-                if sigma == tau:
-                    continue
-                if (sigma, tau) not in d.glue_maps:
-                    blocks.add("glue", f"({cone_key(sigma)})->({cone_key(tau)})", "missing gluing map")
-                    continue
-                phi = d.glue_maps[(sigma, tau)]
-                for rho in overlap(sigma, tau):
-                    if rho not in phi:
-                        blocks.add("glue", _block_at(sigma, tau, rho), "missing block")
-                        continue
-                    b = phi[rho]
-                    ds = d.charts[sigma].dims[rho]
-                    dt = d.charts[tau].dims[rho]
-                    if (b.m, b.n) != (dt, ds):
-                        blocks.add("shape", _block_at(sigma, tau, rho), f"block is {b.m}x{b.n}, expected {dt}x{ds}")
-                    elif not invertible(sigma, tau, rho, b):
-                        blocks.add("invertible", _block_at(sigma, tau, rho), "block is singular")
-        not_inverse = [key for key, held in inverse.items() if not held]
-
-    # the verdicts of each unordered pair or triple, in report order, are
-    # shared by its orderings only when every pair of maps is mutually inverse
-    shared = shaped.ok and blocks.ok and not not_inverse
-    cocycle = shared and _cocycle_through_representatives(d)
-    intertwined = cocycle and _intertwined_through_representatives(d)
-    if intertwined and _axioms_through_representatives(d):
-        for sigma in maxc:
-            object.__setattr__(d.charts[sigma], "_valid", True)
-    else:
-        for sigma in maxc:
-            for f in validate(d.charts[sigma]).findings:
-                rep.add("chart", f"({cone_key(sigma)}):{f.location}", f"{f.code}: {f.detail}")
-    rep.extend(blocks)
-    if not rep.ok:
-        return rep
-    verdicts: dict[frozenset, list[bool]] = {}
-    # the orderings of each map check that did not pass through the representatives
-    pairs = [] if intertwined else [(s, t) for s in maxc for t in maxc if s != t]
-    triples = [] if cocycle else [(s, t, w) for s in maxc for t in maxc for w in maxc if len({s, t, w}) == 3]
-
-    # intertwining: each phi is a morphism of the restricted modules; the
-    # covering pairs of both charts are in the fan's order, so the items of
-    # both orderings of a pair come in one order
-    for sigma, tau in pairs:
-        ms, mt = d.charts[sigma], d.charts[tau]
-        common = overlap(sigma, tau)
-        oset = set(common)
-        arrows = [(lo, hi) for (lo, hi) in ms.u if lo in oset and hi in oset]
-        pair = frozenset((sigma, tau))
-        got = verdicts.get(pair) if shared else None
-        if got is None:
-            phi = d.glue_maps[(sigma, tau)]
-            got = []
-            for rho in common:
-                got += [_products_equal(phi[rho], s, t, phi[rho]) for s, t in zip(ms.torus[rho], mt.torus[rho])]
-            for key in arrows:
-                lo, hi = key
-                got.append(_products_equal(phi[hi], ms.u[key], mt.u[key], phi[lo]))
-                got.append(_products_equal(phi[lo], ms.v[key], mt.v[key], phi[hi]))
-            verdicts[pair] = got
-        if all(got):
-            continue
-        ok = iter(got)
-        for rho in common:
-            for j in range(ms.nt):
-                if not next(ok):
-                    rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
-        for lo, hi in arrows:
-            if not next(ok):
-                rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
-            if not next(ok):
-                rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
-
-    for sigma, tau, rho in not_inverse:
-        rep.add("inverse", f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})", "maps are not mutually inverse")
-
-    # cocycle on ordered triples
-    for sigma, tau, omega in triples:
-        common = overlap(sigma, tau, omega)
-        triple = frozenset((sigma, tau, omega))
-        got = verdicts.get(triple) if shared else None
-        if got is None:
-            direct, second, first = d.glue_maps[(sigma, omega)], d.glue_maps[(tau, omega)], d.glue_maps[(sigma, tau)]
-            got = verdicts[triple] = [_is_product(direct[rho], second[rho], first[rho]) for rho in common]
-        for rho, ok in zip(common, got):
-            if not ok:
-                rep.add(
-                    "cocycle",
-                    f"({cone_key(sigma)})->({cone_key(tau)})->({cone_key(omega)}) at ({cone_key(rho)})",
-                    "triple composition disagrees with the direct map",
-                )
+    if not (
+        shaped.ok
+        and _inverse_pairs_pass(d, maxc)
+        and _cocycle_through_representatives(d)
+        and _intertwined_through_representatives(d)
+        and _axioms_through_representatives(d)
+    ):
+        return _findings_each_ordering(d, maxc)
+    for sigma in maxc:
+        object.__setattr__(d.charts[sigma], "_valid", True)
     return rep
 
 

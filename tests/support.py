@@ -6,7 +6,7 @@ oracle, covering chains shuffled by an rng, an entry-by-entry evaluation
 oracle with its `linear_combination`,
 the intertwining equations of the generators' images as a hom oracle, the
 single-pass `hom` over all unknowns as an oracle for the staged one, the
-cocycle check that computes every ordering of each pair and triple on its own
+block of a gluing map, the cocycle check that computes every ordering of each pair and triple on its own
 as an oracle for `descent.check_cocycle`, the factors of a tensor word with a
 product-based `mu` oracle, the Fraction-based reader of matrix entries as an
 oracle for `serialize`, the `randrange` sampler of random members as an
@@ -192,6 +192,14 @@ def hom_single_pass(ma: DiagramModule, mb: DiagramModule) -> tuple[int, list[Blo
     return len(maps), maps
 
 
+def glue_block(d: DescentDatum, sigma: Cone, tau: Cone, rho: Cone) -> QMat:
+    """The block of the gluing map of d from chart sigma to chart tau at a
+    common face rho, the identity when sigma is tau."""
+    if sigma == tau:
+        return QMat.identity(d.charts[sigma].dims[rho])
+    return d.glue_maps[(sigma, tau)][rho]
+
+
 def check_cocycle_each_ordering(d: DescentDatum) -> Report:
     """The oracle for `descent.check_cocycle`: the same checks, in the same
     report order, with every ordering of each pair and triple of charts
@@ -239,15 +247,15 @@ def check_cocycle_each_ordering(d: DescentDatum) -> Report:
             common = _overlap_cones(fan, sigma, tau)
             oset = set(common)
             for rho in common:
-                phi = d.glue_block(sigma, tau, rho)
+                phi = glue_block(d, sigma, tau, rho)
                 for j in range(ms.nt):
                     if not _products_equal(phi, ms.torus[rho][j], mt.torus[rho][j], phi):
                         rep.add("intertwine", _block_at(sigma, tau, rho), f"torus matrix {j + 1} not intertwined")
             for (lo, hi) in ms.u:
                 if lo in oset and hi in oset:
-                    if not _products_equal(d.glue_block(sigma, tau, hi), ms.u[(lo, hi)], mt.u[(lo, hi)], d.glue_block(sigma, tau, lo)):
+                    if not _products_equal(glue_block(d, sigma, tau, hi), ms.u[(lo, hi)], mt.u[(lo, hi)], glue_block(d, sigma, tau, lo)):
                         rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "u arrow not intertwined")
-                    if not _products_equal(d.glue_block(sigma, tau, lo), ms.v[(lo, hi)], mt.v[(lo, hi)], d.glue_block(sigma, tau, hi)):
+                    if not _products_equal(glue_block(d, sigma, tau, lo), ms.v[(lo, hi)], mt.v[(lo, hi)], glue_block(d, sigma, tau, hi)):
                         rep.add("intertwine", _pair_at(sigma, tau, lo, hi), "v arrow not intertwined")
 
     for sigma in maxc:
@@ -255,8 +263,8 @@ def check_cocycle_each_ordering(d: DescentDatum) -> Report:
             if sigma >= tau:
                 continue
             for rho in _overlap_cones(fan, sigma, tau):
-                fwd = d.glue_block(sigma, tau, rho)
-                bwd = d.glue_block(tau, sigma, rho)
+                fwd = glue_block(d, sigma, tau, rho)
+                bwd = glue_block(d, tau, sigma, rho)
                 if not _is_product(QMat.identity(fwd.n), bwd, fwd):
                     rep.add("inverse", f"({cone_key(sigma)})<->({cone_key(tau)}) at ({cone_key(rho)})", "maps are not mutually inverse")
 
@@ -266,8 +274,8 @@ def check_cocycle_each_ordering(d: DescentDatum) -> Report:
                 if len({sigma, tau, omega}) < 3:
                     continue
                 for rho in _overlap_cones(fan, sigma, tau, omega):
-                    direct = d.glue_block(sigma, omega, rho)
-                    if not _is_product(direct, d.glue_block(tau, omega, rho), d.glue_block(sigma, tau, rho)):
+                    direct = glue_block(d, sigma, omega, rho)
+                    if not _is_product(direct, glue_block(d, tau, omega, rho), glue_block(d, sigma, tau, rho)):
                         rep.add(
                             "cocycle",
                             f"({cone_key(sigma)})->({cone_key(tau)})->({cone_key(omega)}) at ({cone_key(rho)})",
@@ -289,8 +297,8 @@ def glue_from_charts(d: DescentDatum, chart_of: dict[Cone, Cone]) -> DiagramModu
     for tau, sigma, _ in covering_pairs(fan):
         a = chart_of[tau]
         b = chart_of[sigma]
-        u[(tau, sigma)] = d.charts[b].u[(tau, sigma)] @ d.glue_block(a, b, tau)
-        v[(tau, sigma)] = d.glue_block(b, a, tau) @ d.charts[b].v[(tau, sigma)]
+        u[(tau, sigma)] = d.charts[b].u[(tau, sigma)] @ glue_block(d, a, b, tau)
+        v[(tau, sigma)] = glue_block(d, b, a, tau) @ d.charts[b].v[(tau, sigma)]
     dims = {rho: d.charts[chart_of[rho]].dims[rho] for rho in fan.cones}
     torus = {rho: d.charts[chart_of[rho]].torus[rho] for rho in fan.cones}
     return DiagramModule(fan, dims, torus, u, v)

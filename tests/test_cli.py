@@ -18,11 +18,11 @@ from fanalg import cli, descent, equivariant, serialize
 from fanalg.algebra import matrix_unit, random_member
 from fanalg.cli import main
 from fanalg.descent import tautological_datum, twisted_datum
-from fanalg.diagram import DiagramModule, character_module, conjugate, direct_sum
+from fanalg.diagram import BlockMap, DiagramModule, character_module, conjugate, direct_sum
 from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.fan import projective_plane_fan, standard_fan
 from fanalg.lattice import IntMatrix
-from fanalg.laurent import binomial
+from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
 
 from support import count_calls, find_isomorphism, random_valid_module
@@ -366,6 +366,42 @@ class TestEquivariantCommands:
         assert not any(line.startswith("Q ") for line in out.splitlines())
         code, out = run(["equi", "present", path])
         assert code == 0 and out.count("\nQ ") == 20
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the integer string limit needs Python 3.11")
+    def test_output_past_the_digit_limit_is_an_input_error_with_no_partial_output(self, tmp_path, p2_fan, p2_file, monkeypatch):
+        # the square of a 600-digit coefficient on the zero cone has 1,199
+        # digits: under the lowest limit `alg mul` writes no file, and `mod
+        # hom` prints no line of a basis with such an entry
+        x = matrix_unit(p2_fan, (), (), LaurentPoly(2, {(0, 0): 10**599 + 7}))
+        fx = write_json(tmp_path / "x.json", serialize.element_to_data(x))
+        out_path = tmp_path / "out.json"
+        module = str(Path(__file__).parent / "golden" / "module_p2.json")
+        real = cli.hom
+
+        def wide_hom(ma, mb):
+            dim, basis = real(ma, mb)
+            f = basis[-1]
+            c = next(c for c in sorted(f.blocks) if not f.blocks[c].is_zero())
+            return dim, [*basis[:-1], BlockMap(f.source, f.target, {**f.blocks, c: f.blocks[c].scale(10**700)})]
+
+        def runs(digits):
+            sys.set_int_max_str_digits(digits)
+            return run(["alg", "mul", p2_file, fx, fx, "-o", str(out_path)]), run(["mod", "hom", module, module])
+
+        limit = sys.get_int_max_str_digits()
+        monkeypatch.setattr(cli, "hom", wide_hom)
+        try:
+            lowest = runs(640)
+            made = out_path.exists()
+            default = runs(sys.int_info.default_max_str_digits)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for code, out in lowest:
+            assert code == 2 and out.startswith("ERROR\tinput\t"), out[:200]
+        assert not made and "hom dimension" not in lowest[1][1]
+        (mul_code, _), (hom_code, hom_out) = default
+        assert mul_code == 0 and out_path.exists()
+        assert hom_code == 0 and hom_out.startswith("hom dimension")
 
     @pytest.mark.parametrize(("field", "size"), [("Q", 48), ("characters", 32)])
     def test_present_on_large_random_input(self, tmp_path, field, size):

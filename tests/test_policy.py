@@ -104,6 +104,20 @@ def test_a_passing_cocycle_check_builds_no_product(p1xp1_fan, monkeypatch):
     assert products == []
 
 
+def test_a_cocycle_check_takes_the_findings_path_only_for_a_failing_datum(p2_fan, monkeypatch):
+    # a clean datum is decided on the pass path alone; a failing one is
+    # computed ordering by ordering once, whichever check failed first
+    d = twisted_datum(random_valid_module(p2_fan, random.Random(16)), random.Random(17))
+    sigma, tau = p2_fan.maximal[:2]
+    scaled = {**d.glue_maps, (sigma, tau): {rho: b.scale(2) for rho, b in d.glue_maps[(sigma, tau)].items()}}
+    passes = count_calls(monkeypatch, "_findings_each_ordering", descent)
+    assert check_cocycle(d).ok and check_cocycle(d).ok
+    assert passes == []
+    for maps in (scaled, {k: v for k, v in d.glue_maps.items() if k != (sigma, tau)}):
+        assert not check_cocycle(descent.DescentDatum(p2_fan, d.charts, maps)).ok
+    assert len(passes) == 2
+
+
 def test_entries_passed_in_are_still_checked(c_fan, membership_calls):
     bad = {((0,), ()): LaurentPoly.one(1)}
     with pytest.raises(ValueError, match="not a member"):

@@ -78,6 +78,7 @@ from support import (
     evaluate_by_entries,
     expand,
     generator_equations,
+    glue_block,
     glue_from_charts,
     hnf_rows_textbook,
     is_isomorphism,
@@ -1445,14 +1446,15 @@ def test_staged_hom_equals_the_single_pass_oracle(name, digits, seed, target, co
 
 COCYCLE_FANS = {"P2": FANS["P2"], "F1": FANS["F1"], "P1xP1": P1xP1, "P2xP1": P2xP1}
 CORRUPTIONS = (
-    "none", "one direction", "conjugated pair", "chart arrow", "scaled pair", "scaled pair away from the representative",
-    "singular block", "non-square block", "torus in one chart", "torus in both charts",
+    "none", "one direction", "other direction", "conjugated pair", "chart arrow", "scaled pair", "scaled pair away from the representative",
+    "singular block", "non-square block", "torus in one chart", "torus in both charts", "missing block", "missing map",
 )
 
 
 def corrupted_datum(d, kind):
     """A copy of a cocycle datum with one fault: a glue block scaled in one
-    direction; both maps of a pair conjugated at a ray cone by twice the
+    direction, out of the representative of the shared ray or into it, where
+    only the inverse pair reads it on the pass path; both maps of a pair conjugated at a ray cone by twice the
     identity, which intertwines no nonzero arrow; a chart arrow doubled; the
     maps of a pair scaled by 2 and 1/2, which intertwine still, for the first
     pair that shares a ray or for the first pair of charts that are not the
@@ -1463,7 +1465,8 @@ def corrupted_datum(d, kind):
     well shaped, but not square, and mutually inverse in one direction; or
     the first torus matrix of the shared ray cone doubled, in the first
     chart of the pair only or in both, a fault on a face that the two
-    charts share."""
+    charts share; or the block at the shared ray, or the whole map, from
+    the first chart of the pair to the second left out."""
     fan = d.fan
     maps = {key: dict(blocks) for key, blocks in d.glue_maps.items()}
     charts = dict(d.charts)
@@ -1474,6 +1477,8 @@ def corrupted_datum(d, kind):
         sigma, tau = fan.maximal[1:3]
     if kind == "one direction":
         maps[(sigma, tau)][rho] = maps[(sigma, tau)][rho].scale(2)
+    elif kind == "other direction":
+        maps[(tau, sigma)][rho] = maps[(tau, sigma)][rho].scale(2)
     elif kind == "conjugated pair":
         maps[(sigma, tau)][rho] = maps[(sigma, tau)][rho].scale(2)
         maps[(tau, sigma)][rho] = maps[(tau, sigma)][rho].scale(Fraction(1, 2))
@@ -1499,6 +1504,10 @@ def corrupted_datum(d, kind):
             m = charts[omega]
             first, *rest = m.torus[rho]
             charts[omega] = DiagramModule(m.fan, m.dims, {**m.torus, rho: (first.scale(2), *rest)}, m.u, m.v)
+    elif kind == "missing block":
+        del maps[(sigma, tau)][rho]
+    elif kind == "missing map":
+        del maps[(sigma, tau)]
     return DescentDatum(fan, charts, maps), (sigma, tau)
 
 
@@ -1507,10 +1516,10 @@ def corrupted_datum(d, kind):
 @settings(SETTINGS, max_examples=4)
 @given(seeds)
 def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(name, kind, seed):
-    """`check_cocycle` computes one verdict per unordered pair and triple of
-    charts when the maps are mutually inverse, and reports the findings of
-    every ordering, in the order of the oracle that computes each ordering on
-    its own."""
+    """`check_cocycle` passes a datum through the representative charts, and
+    reports the findings of one that fails in the order of the oracle that
+    computes each ordering on its own; the corruptions reach every early
+    exit of the pass path's block checks."""
     fan = COCYCLE_FANS[name]
     rng = random.Random(seed)
     values = [Fraction(rng.choice([2, 3, -1, -2]), rng.choice([1, 2])) for _ in range(fan.rank)]
@@ -1522,7 +1531,7 @@ def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(na
     codes = {f.code for f in want.findings}
     if kind == "none":
         assert want.ok
-    elif kind == "one direction":
+    elif kind.endswith("direction"):
         assert "inverse" in codes
     elif kind == "conjugated pair":
         # the character's v arrows are nonzero, so both orderings fail
@@ -1533,6 +1542,8 @@ def test_the_cocycle_check_reports_as_the_oracle_that_computes_every_ordering(na
         assert not want.ok
     elif kind in ("singular block", "non-square block"):
         assert codes == {"invertible"}
+    elif kind.startswith("missing"):
+        assert codes == {"glue"}
     elif kind == "scaled pair away from the representative":
         # the two maps out of the least chart hold, so the failure shows only
         # in the identity of the pair through it, on the zero cone
@@ -1638,7 +1649,7 @@ def test_a_cocycle_datum_glues_to_a_valid_module_that_restricts_to_each_chart(na
     chart_of = {rho: min(s for s in fan.maximal if set(rho) <= set(s)) for rho in fan.cones}
     for sigma in fan.maximal:
         sub = restrict(glued, sigma)
-        f = BlockMap(sub, d.charts[sigma], {rho: d.glue_block(chart_of[rho], sigma, rho) for rho in sub.fan.cones})
+        f = BlockMap(sub, d.charts[sigma], {rho: glue_block(d, chart_of[rho], sigma, rho) for rho in sub.fan.cones})
         assert is_isomorphism(f) and is_morphism(f)
 
 
@@ -1659,7 +1670,7 @@ def test_gluing_from_any_choice_of_charts_gives_an_isomorphic_module(name, seed)
     drawn = {rho: rng.choice(hs) for rho, hs in holders.items()}
     other = glue_from_charts(d, drawn)
     assert validate(other).ok
-    f = BlockMap(glued, other, {rho: d.glue_block(least[rho], drawn[rho], rho) for rho in fan.cones})
+    f = BlockMap(glued, other, {rho: glue_block(d, least[rho], drawn[rho], rho) for rho in fan.cones})
     assert is_isomorphism(f) and is_morphism(f)
 
 
