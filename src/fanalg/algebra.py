@@ -129,12 +129,6 @@ class AlgebraElement:
         divisors in the fan's table."""
         return {k: y * required_divisor(self.fan, *k) for k, y in self.quotients.items()}
 
-    def entry(self, sigma: Cone, tau: Cone) -> LaurentPoly:
-        key = (tuple(sorted(sigma)), tuple(sorted(tau)))
-        if key not in self.quotients:
-            return LaurentPoly.zero(self.fan.rank)
-        return self.quotients[key] * required_divisor(self.fan, *key)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraElement) and self.fan == other.fan and self.quotients == other.quotients
 

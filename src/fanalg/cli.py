@@ -79,8 +79,13 @@ def _json_int(numeral: str) -> int | str:
 
 
 def _load_json(path: str | Path):
+    """The JSON value of the file at `path`; a file nested deeper than `json`
+    can decode is a ValueError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        try:
+            return json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load(reader, path: str, *args):

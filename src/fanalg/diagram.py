@@ -31,7 +31,7 @@ from fanalg.algebra import AlgebraElement, _product_terms, covering_chain, rando
 from fanalg.fan import Cone, Fan, cone_key, covering_pairs, product_fan
 from fanalg.lattice import Vec, hnf_rows
 from fanalg.laurent import LaurentPoly
-from fanalg.linalg import QMat, _columns, _combination, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, _rows_times, block_diag, kron, random_invertible
+from fanalg.linalg import QMat, _combination, _echelon, _frac, _is_product, _over_pivot, _primitive_kernel, _products_equal, _rows_times, block_diag, kron, random_invertible
 from fanalg.report import Report
 
 PairKey = tuple[Cone, Cone]  # (tau, sigma) with tau one ray short of sigma
@@ -78,9 +78,8 @@ class DiagramModule:
     evaluation of the module has read: the exponents of the members
     `evaluate` was given, and for `rep_check` those of the factors and of
     the cofactors of each term of a product, not those of the expanded
-    product.  Over the 48 modules of a seed-11 `rep_zoo` run after 40
-    passes, the monodromy tables hold 2,061 entries, 882 of them matrices,
-    and the cofactor tables 2,117.
+    product; the cofactor table holds one entry per distinct (cone, rays)
+    that `rep_check` has read.
     It also keeps its verdict, `_valid`, set by `validate` when the module
     passes with no findings and no skips, so that each later `validate` of
     it, and so each `rep_check`, skips the axioms.
@@ -420,10 +419,11 @@ def evaluate(x: AlgebraElement, m: DiagramModule) -> QMat:
     integer from the module's table of scalar monodromies
     (`DiagramModule._scalar_sum`), which scales the path's one row; on a
     wider one the integer kernel `linalg._combination` on the module's
-    table of monodromies, multiplied into the path once
-    (`linalg._rows_times`, in `_images`).  Neither builds a matrix or makes
-    a gcd pass; `_total` places the blocks over the lcm of their
-    denominators and reduces once, by one `QMat._reduced` for the total.
+    table of monodromies, multiplied into the path's integer rows once
+    (`linalg._rows_times`, in `_images`), with no block transposed.
+    Neither builds a matrix or makes a gcd pass; `_total` places the blocks
+    over the lcm of their denominators and reduces once, by one
+    `QMat._reduced` for the total.
     `rep_check` builds the blocks of the image of a product of members from
     the terms of the product through the same two kernels
     (`_evaluate_product`) and the same `_images`, and compares blocks
@@ -460,14 +460,15 @@ def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, su
     (sigma, rays) and filled on first use; a term with no rays multiplies
     by no s(D).  On a 1-dimensional space the factors are integers over
     integers; on a wider one each multiplication is one integer product
-    (`linalg._rows_times`).  Each block sum meets its path once, in
-    `_images`, as in `evaluate`.
+    of integer rows (`linalg._rows_times`), s(y2) and s(D) as `_sum`
+    returns them.  Each block sum meets its path once, in `_images`, as in
+    `evaluate`.
 
     The terms are not grouped by their rays before multiplying by s(D):
     on the modules of the bench zoo nearly every group has one term, and
     grouping was slower on every one of them."""
     dims = m.dims
-    cofactors = m._cofactors  # s(D), as columns on a wider space
+    cofactors = m._cofactors
     blocks: dict[PairKey, list[tuple]] = {}
     for sigma, rho, tau, y1, y2, rays in _product_terms(a, b):
         if not (dims[sigma] and dims[tau]):
@@ -478,12 +479,11 @@ def _evaluate_product(a: AlgebraElement, b: AlgebraElement, m: DiagramModule, su
             s1 = sums[(sigma, rho)] = m._sum(sigma, y1)
         x1, d1 = s1
         x, d = m._sum(sigma, y2)
-        x, d = (_rows_times(x1, list(zip(*x))) if wide else x1 * x), d1 * d
+        x, d = (_rows_times(x1, x) if wide else x1 * x), d1 * d
         if rays:
             cof = cofactors.get((sigma, rays))
             if cof is None:
-                xd, dd = m._sum(sigma, m.fan.binomial_product(rays))
-                cof = cofactors[(sigma, rays)] = (list(zip(*xd)) if wide else xd), dd
+                cof = cofactors[(sigma, rays)] = m._sum(sigma, m.fan.binomial_product(rays))
             x, d = (_rows_times(x, cof[0]) if wide else x * cof[0]), d * cof[1]
         blocks.setdefault((sigma, tau), []).append((x, d))
     totals = {}
@@ -500,9 +500,10 @@ def _images(m: DiagramModule, sums: Mapping[PairKey, tuple]) -> dict[PairKey, tu
     """The image blocks of the sums: for each (x, den) in sums at (sigma,
     tau) whose space at tau is not 0, the block x @ P(sigma, tau) / den as
     (block, den * P.den).  x is an integer on a 1-dimensional sigma, which
-    scales the path's one row, and integer rows on a wider one.  A block
-    between two 1-dimensional spaces is an integer, and any other block is
-    its integer rows."""
+    scales the path's one row, and integer rows on a wider one, multiplied
+    into the path's rows by `linalg._rows_times`.  A block between two
+    1-dimensional spaces is an integer, and any other block is its integer
+    rows."""
     dims = m.dims
     out = {}
     for key, (x, d) in sums.items():
@@ -515,7 +516,7 @@ def _images(m: DiagramModule, sums: Mapping[PairKey, tuple]) -> dict[PairKey, tu
             row = path.num[0]
             out[key] = (x * row[0] if dt == 1 else [[x * p for p in row]]), d * path.den
         else:
-            out[key] = _rows_times(x, _columns(path)), d * path.den
+            out[key] = _rows_times(x, path.num), d * path.den
     return out
 
 
@@ -550,16 +551,16 @@ def _is_block_product(x: Mapping[PairKey, tuple], a: Mapping[PairKey, tuple], b:
     is compared with zero.  A product of two integer blocks is an integer,
     and a 1 x 1 product of rows is read as one, so a block between two
     1-dimensional spaces is compared as integers on both sides."""
-    by_row: dict[Cone, list[tuple]] = {}  # the blocks of b by row, as columns
+    by_row: dict[Cone, list[tuple]] = {}  # the blocks of b by row
     for (rho, tau), (xb, db) in b.items():
-        by_row.setdefault(rho, []).append((tau, xb if type(xb) is int else list(zip(*xb)), db))
+        by_row.setdefault(rho, []).append((tau, xb, db))
     products: dict[PairKey, list[tuple]] = {}
     for (sigma, rho), (xa, da) in a.items():
         for tau, xb, db in by_row.get(rho, ()):
             if type(xa) is int and type(xb) is int:
                 p = xa * xb
             else:
-                p = _rows_times([[xa]] if type(xa) is int else xa, [(xb,)] if type(xb) is int else xb)
+                p = _rows_times([[xa]] if type(xa) is int else xa, [[xb]] if type(xb) is int else xb)
                 if len(p) == 1 and len(p[0]) == 1:
                     p = p[0][0]
             products.setdefault((sigma, tau), []).append((p, da * db))

@@ -95,26 +95,6 @@ class EqStructure:
     def constant(self, sigma: Cone, tau: Cone, rho: Cone) -> LaurentPoly:
         return self.table[(tuple(sorted(sigma)), tuple(sorted(tau)), tuple(sorted(rho)))]
 
-    def multiply(
-        self,
-        x: Mapping[tuple[Cone, Cone], LaurentPoly],
-        y: Mapping[tuple[Cone, Cone], LaurentPoly],
-    ) -> dict[tuple[Cone, Cone], LaurentPoly]:
-        """Product of elements written in the f basis with quotient-ring coefficients."""
-        nt = self.quotient.target_rank
-        out: dict[tuple[Cone, Cone], LaurentPoly] = {}
-        for (sigma, tau), c1 in x.items():
-            for (tau2, rho), c2 in y.items():
-                if tau != tau2:
-                    continue
-                key = (sigma, rho)
-                acc = out.get(key, LaurentPoly.zero(nt)) + c1 * c2 * self.constant(sigma, tau, rho)
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return out
-
 
 def ag_structure(fan: Fan, quotient: QuotientData) -> EqStructure:
     """Structure-constant table: c(sigma,tau,rho) is the image under the
@@ -162,7 +142,9 @@ def associativity_report(s: EqStructure, samples: int | None = None, seed: int =
 
 
 class EqDiagramModule(DiagramModule):
-    """Diagram module whose torus matrices live over the quotient coordinates."""
+    """Diagram module whose torus matrices live over the quotient coordinates.
+    Q must act on the fan lattice: a Q whose source rank is not the fan's
+    raises ValueError here, before any exponent is pushed through it."""
 
     __slots__ = ("quotient",)
 
@@ -175,6 +157,8 @@ class EqDiagramModule(DiagramModule):
         u: Mapping[tuple[Cone, Cone], QMat],
         v: Mapping[tuple[Cone, Cone], QMat],
     ):
+        if quotient.source_rank != fan.rank:
+            raise ValueError("quotient matrix does not act on the fan lattice")
         super().__init__(fan, dims, torus, u, v, nt=quotient.target_rank)
         object.__setattr__(self, "quotient", quotient)
 

@@ -53,8 +53,7 @@ class Fan:
     - `_ray_sets`, the bitmask of each cone's rays (`_mask`) and the sorted
       rays of each bitmask (`_rays_of`), filled by `algebra._product_terms`,
       which takes the cofactor rays of each term on bitmasks.  It holds at
-      most one entry per cone and one per distinct ray set: over the 18
-      fans of a seed-11 `rep_zoo` run after 40 passes, 315 entries.
+      most one entry per cone and one per distinct ray set.
     `==` and `hash` ignore them, and every fan built from this one, a
     `subfan` included, starts with empty tables.
     """

@@ -11,7 +11,10 @@ zero matrix has den == 1.  Because the form is unique, `==` and `hash`
 compare the fields directly.  Products take integer dot products and then
 one gcd pass; sums rescale both operands to the lcm of their denominators;
 negation, transposes, block sums and Kronecker products work on the
-integers.  `rows`, `__getitem__` and `flat` build `Fraction` views on
+integers.  Every product of the package, `@` and those of `diagram.evaluate`
+and `diagram.rep_check`, goes through one integer kernel, `_rows_times`,
+which reads both operands as integer rows, so no caller builds a column
+list.  `rows`, `__getitem__` and `flat` build `Fraction` views on
 request; nothing inside the package reads them on a hot path.
 
 The checks compare products without building them: `_products_equal`
@@ -30,21 +33,28 @@ the same shape checks as the general path:
   cross-multiplied integers, `@` multiplies the two entries and reduces by
   one gcd, `is_invertible` tests the entry against zero and `inverse`
   returns den / x with the sign on the numerator;
-- for 2x2 operands `_products_equal`, `_is_product` (with the identity
-  added on the diagonal only), `@`, `_rows_times` and `_combination` write
-  out the four entries, with no column list (`_columns`) and no row loop,
+- for 2x2 operands `_rows_times` holds the one closed form of the product,
+  which `@` takes through it; `_products_equal`, `_is_product` (with the
+  identity added on the diagonal only) and `_combination` write out the
+  four entries, with no column list (`_columns`) and no row loop,
   `is_invertible` tests a d != b c and `inverse` returns den times the
   adjugate over the determinant.
 Neither size makes an `_echelon` call.  Each returns the integers, the
 canonical `QMat` and the verdict of the general path, and raises the same
-errors; every other shape takes the general path.
+errors; every other shape takes the general path.  The comparisons,
+`_combination` and the inverse keep closed forms of their own because
+2x2 operands are a large share of their calls in `rep_check`, descent and
+validation, and their general paths are slower there; the comparisons'
+general paths read columns (`_columns`) so as to stop at the first entry
+that differs, and going through the product kernel was slower on larger
+operands.
 
 `_combination` and `_rows_times` are the kernels of `diagram.evaluate` and
 of `diagram.rep_check` on spaces of dimension 2 or more: `_combination`
 sums c * a for integer coefficients c as integer rows over the lcm of the
-terms' denominators, and `_rows_times` multiplies integer rows into
-integer columns, with no gcd pass and no new matrix, so that a caller that
-places every block of a total matrix reduces once.  `evaluate` sums the
+terms' denominators, and `_rows_times` multiplies two matrices given by
+their integer rows, with no gcd pass and no new matrix, so that a caller
+that places every block of a total matrix reduces once.  `evaluate` sums the
 monodromies of each entry and meets the path product once; `rep_check`
 multiplies the sums of the factors of each term of a product, and no
 product with an identity is made.  The monodromies come from the table
@@ -222,22 +232,18 @@ class QMat:
         return QMat._reduced(tuple(tuple([p * x for x in row]) for row in self.num), c.denominator * self.den, self.m, self.n)
 
     def __matmul__(self, other: "QMat") -> "QMat":
-        """The product: integer dot products over den * other.den, reduced by
-        one gcd pass; 1x1 and 2x2 operands take a closed form."""
+        """The product: the integer product `_rows_times` over
+        den * other.den, reduced by one gcd pass; 1x1 operands take a closed
+        form, and a product through a 0-dimensional middle space is zero."""
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
         if self.m == self.n == other.n == 1:
             p, d = self.num[0][0] * other.num[0][0], self.den * other.den
             g = gcd(p, d)
             return QMat._of(((p // g,),), d // g, 1, 1)
-        if self.m == self.n == other.n == 2:
-            (a, b), (c, d) = self.num
-            (e, f), (g, h) = other.num
-            out = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-            return QMat._reduced(out, self.den * other.den, 2, 2)
-        cols = _columns(other)
-        out = tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num)
-        return QMat._reduced(out, self.den * other.den, self.m, other.n)
+        if not self.n:
+            return QMat.zero(self.m, other.n)
+        return QMat._reduced(_rows_times(self.num, other.num), self.den * other.den, self.m, other.n)
 
     def _same_shape(self, other: "QMat") -> None:
         if self.m != other.m or self.n != other.n:
@@ -419,14 +425,17 @@ def _combination(terms: Iterable[tuple[int, Sequence[Sequence[int]], int]]) -> t
     return acc, den
 
 
-def _rows_times(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer product of rows and a matrix given by its integer columns;
-    two rows of two into two columns take the closed form."""
-    if len(rows) == len(cols) == 2 and len(rows[0]) == 2:
-        (a, b), (c, d) = rows
-        (e, g), (f, h) = cols
-        return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+def _rows_times(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The integer product of the rows a and the rows b, for a b with at
+    least one row, as tuple rows; the package's one product kernel.  2x2
+    operands take the closed form, and every other shape reads the columns
+    of b once."""
+    if len(a) == len(b) == len(b[0]) == 2:
+        (p, q), (r, s) = a
+        (e, f), (g, h) = b
+        return ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _eye(n: int, d: int) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a random valid module generator, the
 one-ray module, the rays of a cone, the expansion of a factorized word, the
-unit of an equivariant structure, maps of modules and the isomorphism test
+unit of an equivariant structure and the product in its f basis, the entry
+of an algebra element at a cone pair, maps of modules and the isomorphism test
 on them, relation and chart checks, an isomorphism search, an independent structure-constant oracle, a term-by-term product
 oracle, covering chains shuffled by an rng, an entry-by-entry evaluation
 oracle with its `linear_combination`,
@@ -127,6 +128,37 @@ def unit_element(s: EqStructure) -> dict[tuple[Cone, Cone], LaurentPoly]:
     """The unit of an equivariant structure, in the f basis."""
     one = LaurentPoly.one(s.quotient.target_rank)
     return {(c, c): one for c in s.fan.cones}
+
+
+def structure_product(
+    s: EqStructure,
+    x: dict[tuple[Cone, Cone], LaurentPoly],
+    y: dict[tuple[Cone, Cone], LaurentPoly],
+) -> dict[tuple[Cone, Cone], LaurentPoly]:
+    """The product of two elements of an equivariant structure written in the
+    f basis with quotient-ring coefficients."""
+    nt = s.quotient.target_rank
+    out: dict[tuple[Cone, Cone], LaurentPoly] = {}
+    for (sigma, tau), c1 in x.items():
+        for (tau2, rho), c2 in y.items():
+            if tau != tau2:
+                continue
+            key = (sigma, rho)
+            acc = out.get(key, LaurentPoly.zero(nt)) + c1 * c2 * s.constant(sigma, tau, rho)
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def entry_at(x: AlgebraElement, sigma: Cone, tau: Cone) -> LaurentPoly:
+    """The polynomial entry of x at (sigma, tau): its quotient times the
+    required divisor, and zero where x has no entry."""
+    key = (tuple(sorted(sigma)), tuple(sorted(tau)))
+    if key not in x.quotients:
+        return LaurentPoly.zero(x.fan.rank)
+    return x.quotients[key] * required_divisor(x.fan, *key)
 
 
 def is_isomorphism(f: BlockMap) -> bool:
@@ -377,7 +409,7 @@ def structure_against_algebra(fan: Fan, sigma: Cone, tau: Cone, rho: Cone) -> La
     polynomial.  Used to cross-check ag_structure and cofactor_rays."""
     left = matrix_unit(fan, sigma, tau, required_divisor(fan, sigma, tau))
     right = matrix_unit(fan, tau, rho, required_divisor(fan, tau, rho))
-    poly = (left * right).entry(sigma, rho)
+    poly = entry_at(left * right, sigma, rho)
     out = divide_by_product(poly, [fan.rays[i] for i in required_rays(sigma, rho)])
     assert out is not None
     return out

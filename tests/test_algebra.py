@@ -25,7 +25,7 @@ from fanalg.fan import build_fan, hirzebruch_fan, product_fan, projective_line_f
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.lattice import IntMatrix
 
-from support import expand, left_factor, right_factor, shuffled_chain
+from support import entry_at, expand, left_factor, right_factor, shuffled_chain
 
 
 class TestMembership:
@@ -96,7 +96,7 @@ class TestArithmetic:
         entry = y * binomial((1, 0)) * binomial((0, 1))
         x = matrix_unit(p2_fan, (0, 1), (), entry)
         assert x.quotients == {((0, 1), ()): y}
-        assert x.entries == {((0, 1), ()): entry} and x.entry((1, 0), ()) == entry
+        assert x.entries == {((0, 1), ()): entry} and entry_at(x, (1, 0), ()) == entry
 
     def test_fan_mismatch(self, c_fan, p1_fan):
         with pytest.raises(ValueError, match="fan mismatch"):

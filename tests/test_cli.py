@@ -681,8 +681,34 @@ class TestInputBoundary:
         assert (code, out) == (2, "ERROR\tinput\tquotient matrix does not act on the fan lattice\nSUMMARY: input error\n")
         assert tables == []
 
+    @pytest.mark.parametrize("where", ["module", "fan file"])
+    def test_a_file_nested_too_deeply_is_an_input_error(self, tmp_path, where):
+        # past its depth json.load raises RecursionError; the reader names the
+        # file, the module's own or the fan file it names
+        deep = "[" * 1100 + "]" * 1100
+        if where == "module":
+            named = path = tmp_path / "m.json"
+            path.write_text('{"fan": ' + deep + "}", encoding="utf-8")
+        else:
+            named = tmp_path / "fan.json"
+            named.write_text(deep, encoding="utf-8")
+            path = write_json(tmp_path / "m.json", {"fan": "fan.json", "spaces": {"": 1}})
+        code, out = run(["mod", "validate", str(path)])
+        assert (code, out) == (2, f"ERROR\tinput\t{named}: JSON nested too deeply to read\nSUMMARY: input error\n")
+
+    @pytest.mark.parametrize("cmd", ["validate", "inflate"])
+    def test_a_module_quotient_that_does_not_act_on_the_fan_lattice_is_an_input_error(self, tmp_path, cmd):
+        # the module refuses it when it is built, inside the reader, with the
+        # message of `equi structure`
+        data = json.loads((Path(__file__).parent / "golden" / "eqmodule_c1.json").read_text(encoding="utf-8"))
+        path = write_json(tmp_path / "m.json", dict(data, quotient={"Q": [[2, 0]], "rank": 2}))
+        code, out = run(["equi", cmd, path])
+        assert (code, out) == (2, "ERROR\tinput\tquotient matrix does not act on the fan lattice\nSUMMARY: input error\n")
+
     def test_only_main_maps_outcomes_to_exit_codes(self):
-        # no command catches Rejected, InputError or OSError, and no clause catches KeyError
+        # no command catches Rejected, InputError or OSError, and no clause
+        # catches KeyError; the JSON reader turns only RecursionError into a
+        # ValueError, which `_read` maps
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
         caught = {}
         for fn in tree.body:
@@ -693,6 +719,7 @@ class TestInputBoundary:
                         caught.setdefault(ast.unparse(name), []).append(getattr(fn, "name", None))
         assert {k: v for k, v in caught.items() if k != "ValueError"} == {
             "Rejected": ["main"], "InputError": ["main"], "OSError": ["main"], "Exception": ["main"],
+            "RecursionError": ["_load_json"],
         }
         assert sorted(caught["ValueError"]) == ["_fan_source", "_read", "_trial_count", "cmd_fan_check"]
 

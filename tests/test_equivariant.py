@@ -19,7 +19,7 @@ from fanalg.lattice import IntMatrix, snf
 from fanalg.laurent import LaurentPoly, binomial
 from fanalg.linalg import QMat
 
-from support import elementary_divisors, structure_against_algebra, unit_element
+from support import elementary_divisors, structure_against_algebra, structure_product, unit_element
 
 
 class TestQuotientPresentation:
@@ -151,11 +151,11 @@ class TestStructure:
         s = ag_structure(c_fan, q)
         one = unit_element(s)
         x = {((0,), ()): LaurentPoly.one(1)}
-        assert s.multiply(one, x) == x
-        assert s.multiply(x, unit_element(s)) == x
+        assert structure_product(s, one, x) == x
+        assert structure_product(s, x, unit_element(s)) == x
         # f(r|0) f(0|r) = (s^2 - 1) f(r|r)
         y = {((), (0,)): LaurentPoly.one(1)}
-        assert s.multiply(x, y) == {((0,), (0,)): binomial((2,))}
+        assert structure_product(s, x, y) == {((0,), (0,)): binomial((2,))}
 
 
 def eq_module(fan, qd, s_val, u_val, v_val):

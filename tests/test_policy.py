@@ -5,6 +5,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -449,6 +450,7 @@ def test_one_by_one_matrices_take_the_scalar_path(monkeypatch):
         raise AssertionError("a 1x1 operand took the general path")
 
     monkeypatch.setattr(linalg, "_columns", general_path)
+    monkeypatch.setattr(linalg, "_rows_times", general_path)
     monkeypatch.setattr(linalg, "_echelon", general_path)
     monkeypatch.setattr(QMat, "_reduced", general_path)
     a, b, zero = QMat([["-2/3"]]), QMat([["-3/2"]]), QMat([[0]])
@@ -463,9 +465,12 @@ def test_one_by_one_matrices_take_the_scalar_path(monkeypatch):
 
 
 def test_two_by_two_operands_take_the_closed_forms(monkeypatch):
-    # a block of a sum of two characters is multiplied and compared in closed
-    # form, with no column list; a 3x3 block still reads its columns
+    # a block of a sum of two characters is multiplied through the one
+    # product kernel and compared in closed form, with no column list; a
+    # 3x3 comparison still reads its columns, and a 3x3 product reads them
+    # inside the kernel
     columns = count_calls(monkeypatch, "_columns", linalg)
+    products = count_calls(monkeypatch, "_rows_times", linalg)
 
     def uses(a, b):
         ab, one = a @ b, QMat.identity(a.m)
@@ -476,9 +481,28 @@ def test_two_by_two_operands_take_the_closed_forms(monkeypatch):
         assert not linalg._is_product(ab, a, b, plus_identity=True)
 
     uses(QMat([[1, "-2/3"], [0, 3]]), QMat([[2, 1], ["1/2", 0]]))
-    assert columns == []
+    assert columns == [] and len(products) == 1
     uses(QMat([[1, "-2/3", 0], [0, 3, 1], [2, 0, 1]]), QMat([[2, 1, 0], ["1/2", 0, 0], [0, 0, 1]]))
-    assert len(columns) == 9  # one per product, two per `_products_equal`, one per `_is_product`
+    assert len(columns) == 8  # two per `_products_equal`, one per `_is_product`
+    assert len(products) == 2
+
+
+def test_evaluate_and_rep_check_build_no_column_list(p2_fan, monkeypatch):
+    # the integer product kernel reads both operands as rows, so evaluating
+    # on 2-dimensional spaces transposes no block: on a sum of two characters
+    # (every space 2-dimensional, checked cold) and on a module with spaces
+    # of dimensions 1 and 2 (which keeps its verdict)
+    columns = count_calls(monkeypatch, "_columns", linalg)
+    products = count_calls(monkeypatch, "_rows_times", linalg, diagram)
+    pair = direct_sum(character_module(p2_fan, [2, 3]), character_module(p2_fan, ["1/2", -1]))
+    mixed = random_valid_module(p2_fan, random.Random(4), summands=2)
+    assert {pair.dims[c] for c in p2_fan.cones} == {2} and {mixed.dims[c] for c in p2_fan.cones} == {1, 2}
+    columns.clear()  # validating `mixed` compared its 2x1 and 1x2 arrows, which read columns
+    x = random_member(p2_fan, random.Random(5), density_pct=100)
+    for m in (pair, mixed):
+        evaluate(x, m)
+        assert rep_check(m, trials=5, seed=3).ok
+    assert columns == [] and products
 
 
 def test_echelon_on_integer_rows_holds_only_ints():
@@ -755,20 +779,46 @@ BENCH_ONLY = {
 }
 
 
+# methods of public classes that no code in src/ calls, kept for their readers
+UNCALLED_METHODS = {
+    "QMat.from_flat": "the README names it as a constructor that coerces its entries",
+    "RepCheck.failure": "bench/workloads.py reports it for a failing trial",
+}
+
+
+def identifiers(node):
+    """Every name and attribute read under node, once per occurrence."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_top_level_name_is_public_or_used_in_the_package():
     # a function or class of src/ is in fanalg.__all__ or referenced from
-    # src/ outside its own definition, so code that only tests call does
-    # not grow back into the package
+    # src/ outside its own definition, and a method of a public class (other
+    # than a dunder) is referenced outside its own body or named in
+    # UNCALLED_METHODS, so code that only tests call does not grow back into
+    # the package
     src = Path(fanalg.__file__).parent
     defined, used = set(), set()
+    references, methods = Counter(), []
     for path in sorted(src.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        references.update(identifiers(tree))
+        for top in tree.body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
             defined |= {own} - {None}
-            names = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
-            used |= names - {own}
+            used |= set(identifiers(top)) - {own}
+            if isinstance(top, ast.ClassDef) and not own.startswith("_"):
+                methods += [
+                    (f"{own}.{node.name}", node) for node in top.body
+                    if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
     assert sorted(defined - set(fanalg.__all__) - used) == sorted(BENCH_ONLY)
+    uncalled = [name for name, node in methods if references[node.name] == Counter(identifiers(node))[node.name]]
+    assert sorted(uncalled) == sorted(UNCALLED_METHODS)
 
 
 @pytest.fixture

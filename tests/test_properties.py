@@ -452,6 +452,7 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 @example((QMat.zero(0, 3), QMat.zero(3, 2)))
 @example((QMat.zero(2, 0), QMat.zero(0, 3)))
+@example((QMat.zero(1, 0), QMat.zero(0, 1)))  # 1 x 1 outer shape through a 0-dimensional middle space
 @example((QMat([["1/2", 3]]), QMat.zero(2, 0)))
 @example((QMat([["-2/3"]]), QMat([["9/4"]])))
 @example((QMat([["-1/2", "2/3"], [0, 0]]), QMat([["3/4", -5], ["1/6", "7/2"]])))
@@ -541,31 +542,35 @@ def int_rows(m, n):
 
 @st.composite
 def kernel_operands(draw):
-    """(rows, cols, terms) for `linalg._rows_times` and `linalg._combination`:
-    m x k integer rows, the n integer columns of a k x n matrix, and one to
-    four terms (c, rows, den) of one m x n shape, every side 0 to 4 and all
-    2 in a fixed share (`sides`); lone terms are among them."""
+    """(a, b, terms) for `linalg._rows_times` and `linalg._combination`: m x k
+    and k x n integer rows, and one to four terms (c, rows, den) of one
+    m x n shape, every side 0 to 4 and all 2 in a fixed share (`sides`),
+    except that b has at least one row, as the kernel asks; lone terms are
+    among them."""
     m, k, n = sides(draw, 3, 4)
-    rows, cols = draw(int_rows(m, k)), [tuple(col) for col in draw(int_rows(n, k))]
+    k = k or 1
+    a, b = draw(int_rows(m, k)), draw(int_rows(k, n))
     term = st.tuples(st.integers(-3, 3), int_rows(m, n), st.integers(1, 12))
     terms = draw(st.lists(term, min_size=1, max_size=4))
-    return rows, cols, terms
+    return a, b, terms
 
 
 @settings(SETTINGS, max_examples=40)
 @given(kernel_operands())
-@example(([[1, -2], [0, 3]], [(4, 0), (-1, 5)], [(1, [[1, -2], [0, 3]], 3)]))  # a lone term as it stands
-@example(([[0, 0], [2, -1]], [(0, 0), (7, 1)], [(-2, [[0, 0], [5, -1]], 4)]))  # zero rows, a lone scaled term
-@example(([[1, 2], [3, 4]], [(5, 6), (7, 8)], [(1, [[1, 2], [3, 4]], 2), (-3, [[0, 1], [-1, 0]], 3), (2, [[5, 0], [0, 5]], 4)]))
-@example(([[]] * 2, [()] * 2, [(1, [[], []], 1), (2, [[], []], 5)]))  # two rows of no entries
+@example(([[1, -2], [0, 3]], [[4, -1], [0, 5]], [(1, [[1, -2], [0, 3]], 3)]))  # a lone term as it stands
+@example(([[0, 0], [2, -1]], [[0, 7], [0, 1]], [(-2, [[0, 0], [5, -1]], 4)]))  # zero rows, a lone scaled term
+@example(([[1, 2], [3, 4]], [[5, 7], [6, 8]], [(1, [[1, 2], [3, 4]], 2), (-3, [[0, 1], [-1, 0]], 3), (2, [[5, 0], [0, 5]], 4)]))
+@example(([[3], [-1]], [[]], [(1, [[], []], 1), (2, [[], []], 5)]))  # two rows of no entries
+@example(([[1, -2, 3]], [[4], [0], [-5]], [(2, [[1]], 3), (-1, [[4]], 2)]))  # 1 x k times k x 1
+@example(([[2], [-3], [0]], [[1, 4, -1]], [(1, [[1, 0, 2], [0, 0, 0], [-3, 1, 1]], 6)]))  # k x 1 times 1 x k
 def test_integer_kernels_equal_the_naive_arithmetic(case):
-    """`_rows_times` is the integer product of rows into columns and
-    `_combination` the sum of c * rows scaled to the lcm of the
-    denominators, on the 2x2 closed forms and on every other shape; a lone
-    term with coefficient 1 is returned as it stands."""
-    rows, cols, terms = case
-    product = linalg._rows_times(rows, cols)
-    assert product == [[sum(row[t] * col[t] for t in range(len(row))) for col in cols] for row in rows]
+    """`_rows_times` is the integer product of two matrices given by their
+    rows, as tuple rows, and `_combination` the sum of c * rows scaled to
+    the lcm of the denominators, on the 2x2 closed forms and on every other
+    shape; a lone term with coefficient 1 is returned as it stands."""
+    a, b, terms = case
+    product = linalg._rows_times(a, b)
+    assert product == tuple(tuple(sum(row[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))) for row in a)
     out, den = linalg._combination(terms)
     assert den == lcm(*[d for _, _, d in terms])
     naive = [[sum(c * t[i][j] * (den // d) for c, t, d in terms) for j in range(len(row))] for i, row in enumerate(terms[0][1])]

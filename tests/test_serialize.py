@@ -11,7 +11,7 @@ from fanalg.equivariant import EqDiagramModule, quotient_presentation
 from fanalg.laurent import LaurentPoly
 from fanalg.linalg import QMat
 
-from support import elementary_divisors, random_valid_module
+from support import elementary_divisors, entry_at, random_valid_module
 
 
 class TestFanFormat:
@@ -41,7 +41,7 @@ class TestElementFormat:
     def test_coefficients_accept_integers_floats_and_strings(self, p2_fan):
         poly = [{"c": 4, "e": [0, 1]}, {"c": 0.5, "e": [0, 0]}, {"c": "-2/3", "e": [1, 0]}]
         x = serialize.element_from_data({"entries": [{"row": "", "col": "", "poly": poly}]}, p2_fan)
-        assert x.entry((), ()) == LaurentPoly(2, {(0, 1): Fraction(4), (0, 0): Fraction(1, 2), (1, 0): Fraction(-2, 3)})
+        assert entry_at(x, (), ()) == LaurentPoly(2, {(0, 1): Fraction(4), (0, 0): Fraction(1, 2), (1, 0): Fraction(-2, 3)})
 
 
 class TestModuleFormat:
